@@ -6,7 +6,8 @@
      list_sched     — priority-queue list scheduler vs its reference
      clique         — bitset clique partitioning vs its reference
      qm             — Quine–McCluskey on a pseudo-random function
-                      (no reference retained; absolute medians only)
+                      (absolute medians only: its reference,
+                      test/qm_reference.ml, is a test-only oracle)
      rtl_sim        — compiled simulation image vs the interpreting
                       reference on the sqrt and diffeq workloads
 

@@ -31,84 +31,70 @@ let state_cube style ~state_bits ~code =
       let mask = (1 lsl state_bits) - 1 in
       { Logic.mask; value = code land mask }
 
-let cond_bit ~state_bits conds key =
-  let rec idx i = function
-    | [] -> raise Not_found
-    | k :: rest -> if k = key then i else idx (i + 1) rest
-  in
-  state_bits + idx 0 conds
-
-let direct_logic_of fsm style codes state_bits conds =
-  let n_outputs = state_bits in
-  let out = Array.make n_outputs [] in
-  let state_tbl = Hashtbl.create 16 in
-  List.iter (fun (s : Fsm.state) -> Hashtbl.replace state_tbl s.Fsm.sid s) (Fsm.states fsm);
-  List.iter
-    (fun (tr : Fsm.transition) ->
-      let from_state : Fsm.state = Hashtbl.find state_tbl tr.Fsm.t_from in
-      let base = state_cube style ~state_bits ~code:codes.(tr.Fsm.t_from) in
-      let cube =
-        match tr.Fsm.t_guard with
-        | Fsm.G_always -> base
-        | Fsm.G_cond (pol, nid) ->
-            let bit = cond_bit ~state_bits conds (from_state.Fsm.block, nid) in
-            {
-              Logic.mask = base.Logic.mask lor (1 lsl bit);
-              value = base.Logic.value lor (if pol then 1 lsl bit else 0);
-            }
+(* per state, in sid order (the order of Fsm.transitions): its code and
+   its outgoing transitions as (guard cube, target code), with condition
+   bits resolved once per transition *)
+let moves_of fsm codes state_bits conds =
+  List.map
+    (fun (s : Fsm.state) ->
+      let move (tr : Fsm.transition) =
+        let guard =
+          match tr.Fsm.t_guard with
+          | Fsm.G_always -> { Logic.mask = 0; value = 0 }
+          | Fsm.G_cond (pol, nid) ->
+              let i = Option.get (List.find_index (( = ) (s.Fsm.block, nid)) conds) in
+              let bit = 1 lsl (state_bits + i) in
+              { Logic.mask = bit; value = (if pol then bit else 0) }
+        in
+        (guard, codes.(tr.Fsm.t_to))
       in
-      let target = codes.(tr.Fsm.t_to) in
-      for k = 0 to n_outputs - 1 do
-        if target land (1 lsl k) <> 0 then out.(k) <- cube :: out.(k)
-      done)
-    (Fsm.transitions fsm);
+      (codes.(s.Fsm.sid), List.map move (Fsm.outgoing fsm s.Fsm.sid)))
+    (Fsm.states fsm)
+
+let direct_logic_of style state_bits moves =
+  let out = Array.make state_bits [] in
+  List.iter
+    (fun (code, outs) ->
+      let base = state_cube style ~state_bits ~code in
+      List.iter
+        (fun ((guard : Logic.cube), target) ->
+          let cube =
+            { Logic.mask = base.Logic.mask lor guard.mask; value = base.value lor guard.value }
+          in
+          for k = 0 to state_bits - 1 do
+            if target land (1 lsl k) <> 0 then out.(k) <- cube :: out.(k)
+          done)
+        outs)
+    moves;
   Array.map List.rev out
 
 (* exact minterm table when tractable *)
-let minimized_logic_of fsm style codes state_bits conds =
-  let n_inputs = state_bits + List.length conds in
-  if n_inputs > 12 then None
+let minimized_logic_of state_bits n_inputs moves =
+  if n_inputs > Qm.max_inputs then None
   else begin
-    let n_outputs = state_bits in
-    let code_to_sid = Hashtbl.create 16 in
-    Array.iteri (fun sid code -> Hashtbl.replace code_to_sid code sid) codes;
-    let state_tbl = Hashtbl.create 16 in
-    List.iter (fun (s : Fsm.state) -> Hashtbl.replace state_tbl s.Fsm.sid s) (Fsm.states fsm);
-    let on = Array.make n_outputs [] in
-    let dc = Array.make n_outputs [] in
-    let state_mask = (1 lsl state_bits) - 1 in
+    let by_code = Hashtbl.create 16 in
+    List.iter (fun (code, outs) -> Hashtbl.replace by_code code outs) moves;
+    let on = Array.make state_bits [] in
+    let dc = ref [] in
     for x = 0 to (1 lsl n_inputs) - 1 do
-      let scode =
-        match style with
-        | Encoding.One_hot -> x land state_mask
-        | Encoding.Binary | Encoding.Gray -> x land state_mask
-      in
-      match Hashtbl.find_opt code_to_sid scode with
+      let scode = x land ((1 lsl state_bits) - 1) in
+      match Hashtbl.find_opt by_code scode with
       | None ->
-          (* unused state code: full don't care *)
-          for k = 0 to n_outputs - 1 do
-            dc.(k) <- x :: dc.(k)
-          done
-      | Some sid ->
-          let from_state : Fsm.state = Hashtbl.find state_tbl sid in
-          let taken =
-            List.find_opt
-              (fun (tr : Fsm.transition) ->
-                match tr.Fsm.t_guard with
-                | Fsm.G_always -> true
-                | Fsm.G_cond (pol, nid) ->
-                    let bit = cond_bit ~state_bits conds (from_state.Fsm.block, nid) in
-                    x land (1 lsl bit) <> 0 = pol)
-              (Fsm.outgoing fsm sid)
+          (* unused state code: a don't-care for every output *)
+          dc := x :: !dc
+      | Some outs ->
+          let target =
+            match List.find_opt (fun (guard, _) -> Logic.cube_covers guard x) outs with
+            | Some (_, code) -> code
+            | None -> scode
           in
-          let target = match taken with Some tr -> codes.(tr.Fsm.t_to) | None -> scode in
-          for k = 0 to n_outputs - 1 do
+          for k = 0 to state_bits - 1 do
             if target land (1 lsl k) <> 0 then on.(k) <- x :: on.(k)
           done
     done;
     Some
-      (Array.init n_outputs (fun k ->
-           Qm.minimize ~n_inputs ~on_set:on.(k) ~dc_set:dc.(k) ()))
+      (Array.init state_bits (fun k ->
+           Qm.minimize ~n_inputs ~on_set:on.(k) ~dc_set:!dc ()))
   end
 
 let synthesize ?(style = Encoding.Binary) fsm =
@@ -116,9 +102,10 @@ let synthesize ?(style = Encoding.Binary) fsm =
   let state_bits = Encoding.width style ~n_states:n in
   let codes = Encoding.encode style ~n_states:n in
   let conds = collect_conds fsm in
-  let direct = direct_logic_of fsm style codes state_bits conds in
+  let moves = moves_of fsm codes state_bits conds in
+  let direct = direct_logic_of style state_bits moves in
   let minimized =
-    match minimized_logic_of fsm style codes state_bits conds with
+    match minimized_logic_of state_bits (state_bits + List.length conds) moves with
     | Some m -> m
     | None -> direct
   in

@@ -7,8 +7,8 @@
     - {e direct}: one product term per transition (for one-hot encoding
       the state part is a single literal);
     - {e minimized}: exact minterm expansion + Quine–McCluskey, using
-      unused state codes as don't-cares (only attempted while the input
-      count stays tractable).
+      unused state codes as don't-cares (only attempted up to
+      {!Qm.max_inputs} inputs; past it the direct logic is used).
 
     The literal/PLA cost gap between the two is the benefit of
     combinational-logic optimization, one of the paper's control-styles

@@ -1,73 +1,83 @@
-module CubeSet = Set.Make (struct
-  type t = int * int (* mask, value *)
+let max_inputs = 12
 
-  let compare = compare
-end)
+(* Implicant table: one bit per cube, where a cube's index holds one
+   base-3 digit per input (0 or 1 = literal, 2 = don't-care), so a dash
+   of weight w = 3^i has the children c - 2w and c - w. *)
+let get tbl c = Char.code (Bytes.get tbl (c lsr 3)) land (1 lsl (c land 7)) <> 0
 
-(* Pair generation is the hot path: a cube (m, v) combines with
-   (m, v lxor bit) for each cared bit. Looking the partner up in a set
-   makes each level O(cubes × inputs) instead of O(cubes²). *)
-let combine_level level =
-  let combined = ref CubeSet.empty in
-  let used = Hashtbl.create (CubeSet.cardinal level * 2) in
-  CubeSet.iter
-    (fun (m, v) ->
-      let rec bits mask =
-        if mask <> 0 then begin
-          let bit = mask land -mask in
-          if v land bit = 0 then begin
-            let partner = (m, v lor bit) in
-            if CubeSet.mem partner level then begin
-              Hashtbl.replace used (m, v) ();
-              Hashtbl.replace used partner ();
-              let nm = m land lnot bit in
-              combined := CubeSet.add (nm, v land nm) !combined
-            end
-          end;
-          bits (mask land lnot bit)
-        end
-      in
-      bits m)
-    level;
-  let primes =
-    CubeSet.filter (fun c -> not (Hashtbl.mem used c)) level
-  in
-  (primes, !combined)
+let set tbl c =
+  let b = c lsr 3 in
+  Bytes.set tbl b (Char.chr (Char.code (Bytes.get tbl b) lor (1 lsl (c land 7))))
+
+let rec pow3 n = if n = 0 then 1 else 3 * pow3 (n - 1)
+
+let cube_of_minterm m =
+  let rec go m w c = if m = 0 then c else go (m lsr 1) (3 * w) (c + (w * (m land 1))) in
+  go m 1 0
+
+(* Decides the dashed cubes under prefix [c], whose digits below weight
+   [w] are free, in increasing index order, so that a cube's children at
+   its lowest dash (of weight [low]; 0 for none) come first. Returns
+   whether the subtree holds an implicant: both cofactors at any dash of
+   an implicant are implicants, so a dash branch whose literal branches
+   do not both hold one is skipped. *)
+let rec fill tbl w c low =
+  if w = 0 then
+    get tbl c || (low > 0 && get tbl (c - (2 * low)) && get tbl (c - low) && (set tbl c; true))
+  else begin
+    let zero = fill tbl (w / 3) c low in
+    let one = fill tbl (w / 3) (c + w) low in
+    if zero && one then ignore (fill tbl (w / 3) (c + (2 * w)) w);
+    zero || one
+  end
+
+(* Primes in ascending (mask, value) order. An implicant is prime iff
+   raising any one of its literals to a dash leaves the table. *)
+let primes tbl n_inputs =
+  let acc = ref [] in
+  for c = 0 to pow3 n_inputs - 1 do
+    if get tbl c then begin
+      let mask = ref 0 and value = ref 0 and prime = ref true and w = ref 1 in
+      for i = 0 to n_inputs - 1 do
+        let d = c / !w mod 3 in
+        if d < 2 then begin
+          mask := !mask lor (1 lsl i);
+          value := !value lor (d lsl i);
+          if get tbl (c + ((2 - d) * !w)) then prime := false
+        end;
+        w := 3 * !w
+      done;
+      if !prime then acc := { Logic.mask = !mask; value = !value } :: !acc
+    end
+  done;
+  Array.of_list (List.sort compare !acc)
 
 let minimize ~n_inputs ~on_set ?(dc_set = []) () =
-  if n_inputs > 20 then invalid_arg "Qm.minimize: too many inputs";
-  (* hash the dc-set once: O(on + dc) instead of the O(on × dc)
-     List.exists/List.mem scan, which showed up on one-hot controllers
-     where both sets are large *)
-  if dc_set <> [] then begin
-    let dc = Hashtbl.create (2 * List.length dc_set) in
-    List.iter (fun m -> Hashtbl.replace dc m ()) dc_set;
-    if List.exists (fun m -> Hashtbl.mem dc m) on_set then
-      invalid_arg "Qm.minimize: on-set and dc-set overlap"
-  end;
-  let full_mask = (1 lsl n_inputs) - 1 in
+  if n_inputs < 0 || n_inputs > max_inputs then
+    Printf.ksprintf invalid_arg "Qm.minimize: %d inputs, outside [0, %d]" n_inputs max_inputs;
+  let check m =
+    if m < 0 || m >= 1 lsl n_inputs then
+      Printf.ksprintf invalid_arg "Qm.minimize: minterm %d outside [0, %d)" m (1 lsl n_inputs)
+  in
+  List.iter check on_set;
+  List.iter check dc_set;
   match on_set with
   | [] -> []
   | _ ->
-      let initial =
-        List.fold_left
-          (fun acc m -> CubeSet.add (full_mask, m land full_mask) acc)
-          CubeSet.empty (on_set @ dc_set)
-      in
-      let primes = ref CubeSet.empty in
-      let rec loop level =
-        if not (CubeSet.is_empty level) then begin
-          Hls_obs.Trace.incr "ctrl/qm_iterations";
-          let level_primes, combined = combine_level level in
-          primes := CubeSet.union !primes level_primes;
-          loop combined
-        end
-      in
-      loop initial;
-      let prime_arr =
-        Array.of_list
-          (List.map (fun (mask, value) -> { Logic.mask; value }) (CubeSet.elements !primes))
-      in
+      let tbl = Bytes.make ((pow3 n_inputs + 7) / 8) '\000' in
+      List.iter (fun m -> set tbl (cube_of_minterm m)) on_set;
+      (* every dc-minterm is checked before any is marked, so a repeated
+         one is not taken for an overlap *)
+      if List.exists (fun m -> get tbl (cube_of_minterm m)) dc_set then
+        invalid_arg "Qm.minimize: on-set and dc-set overlap";
+      List.iter (fun m -> set tbl (cube_of_minterm m)) dc_set;
+      ignore (fill tbl (pow3 n_inputs / 3) 0 0);
+      let prime_arr = primes tbl n_inputs in
+      (* level-by-level QM combines once per dash count; each implicant
+         lies in a prime with at least as many dashes *)
+      let dashes c = n_inputs - Logic.literals ~n_inputs c in
+      Hls_obs.Trace.add "ctrl/qm_iterations"
+        (1 + Array.fold_left (fun m c -> max m (dashes c)) 0 prime_arr);
       let on_arr = Array.of_list (List.sort_uniq compare on_set) in
       (* coverage lists: per minterm, the primes covering it *)
       let covering =

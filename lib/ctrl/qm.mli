@@ -2,13 +2,19 @@
     combinational logic" step of hardwired-control synthesis).
 
     Exact prime-implicant generation followed by essential-prime
-    selection and a greedy cover of the remainder. Exponential in the
-    input count — controller logic with ≲16 inputs, which is what
-    schedule FSMs produce, is comfortable. *)
+    selection and a greedy cover of the remainder. Primes come from a
+    table with one bit per cube — one base-3 digit per input: 0, 1 or
+    don't-care — filled in O(3^n·n) time and 3^n bits of space for n
+    inputs (66 KB at {!max_inputs}). *)
+
+val max_inputs : int
+(** Largest input count [minimize] accepts (12). *)
 
 val minimize :
   n_inputs:int -> on_set:int list -> ?dc_set:int list -> unit -> Logic.sop
 (** Minimal (or near-minimal) sum of products covering every [on_set]
     assignment, possibly using [dc_set] don't-cares, and covering no
     assignment outside their union. Raises [Invalid_argument] when
-    [n_inputs] exceeds 20 or the sets overlap. *)
+    [n_inputs] is outside [\[0, max_inputs\]] (before allocating
+    anything), when a minterm is outside [\[0, 2^n_inputs)], or when
+    the sets overlap. *)

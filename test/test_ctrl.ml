@@ -71,7 +71,10 @@ let test_qm_rejects_overlap () =
     (try
        ignore (Qm.minimize ~n_inputs:2 ~on_set:[ 1 ] ~dc_set:[ 1 ] ());
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a dc-minterm listed twice is not an overlap *)
+  Alcotest.(check int) "repeated dc-minterm" 1
+    (List.length (Qm.minimize ~n_inputs:2 ~on_set:[ 0 ] ~dc_set:[ 1; 1 ] ()))
 
 let prop_qm_equivalent =
   QCheck.Test.make ~name:"QM result equals the function (exhaustive)" ~count:300
@@ -91,6 +94,60 @@ let prop_qm_equivalent =
           | 0 -> not (Logic.eval sop x)
           | _ -> true)
         (List.init size Fun.id))
+
+let test_qm_rejects_out_of_range_minterms () =
+  let rejects what ?dc_set on_set ~msg =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Qm.minimize ~n_inputs:2 ~on_set ?dc_set ()))
+  in
+  (* 5 = 0b101 used to be masked down to minterm 1 *)
+  rejects "on-set 5 of 2 inputs" [ 5 ] ~msg:"Qm.minimize: minterm 5 outside [0, 4)";
+  rejects "on-set 4 of 2 inputs" [ 0; 4 ] ~msg:"Qm.minimize: minterm 4 outside [0, 4)";
+  rejects "negative on-set" [ -1 ] ~msg:"Qm.minimize: minterm -1 outside [0, 4)";
+  rejects "dc-set 8 of 2 inputs" ~dc_set:[ 8 ] [ 1 ]
+    ~msg:"Qm.minimize: minterm 8 outside [0, 4)";
+  Alcotest.(check int) "top minterm accepted" 1
+    (List.length (Qm.minimize ~n_inputs:2 ~on_set:[ 3 ] ()))
+
+let test_qm_input_cap () =
+  ignore (Qm.minimize ~n_inputs:Qm.max_inputs ~on_set:[ 0 ] ());
+  (* the 3^13-bit table would be ~200 KB; the rejection allocates only
+     its message *)
+  let before = Gc.allocated_bytes () in
+  Alcotest.check_raises "max_inputs + 1"
+    (Invalid_argument "Qm.minimize: 13 inputs, outside [0, 12]") (fun () ->
+      ignore (Qm.minimize ~n_inputs:(Qm.max_inputs + 1) ~on_set:[ 0 ] ()));
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected before allocating the table (%.0f bytes)" allocated)
+    true (allocated < 4096.)
+
+(* Differential check against the level-by-level oracle: random tables,
+   and dc-heavy ones shaped like a controller's, where every minterm
+   whose low state bits hold an unused code is a don't-care. *)
+let prop_qm_matches_reference =
+  QCheck.Test.make ~name:"QM matches the level-by-level reference" ~count:120
+    QCheck.(triple (int_range 1 10) bool (int_bound 100000))
+    (fun (n_inputs, controller_shaped, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let size = 1 lsl n_inputs in
+      let state_bits = 1 + Random.State.int rng n_inputs in
+      let used_codes = 1 + Random.State.int rng (1 lsl state_bits) in
+      (* 0 = off, 1 = on, 2 = don't care *)
+      let kind =
+        Array.init size (fun x ->
+            if controller_shaped && x land ((1 lsl state_bits) - 1) >= used_codes then 2
+            else Random.State.int rng 3)
+      in
+      let on_set = List.filter (fun i -> kind.(i) = 1) (List.init size Fun.id) in
+      let dc_set = List.filter (fun i -> kind.(i) = 2) (List.init size Fun.id) in
+      let with_iterations f =
+        let before = Hls_obs.Trace.counter "ctrl/qm_iterations" in
+        let sop = f () in
+        (sop, Hls_obs.Trace.counter "ctrl/qm_iterations" - before)
+      in
+      with_iterations (Qm.minimize ~n_inputs ~on_set ~dc_set)
+      = with_iterations (Qm_reference.minimize ~n_inputs ~on_set ~dc_set))
 
 let prop_qm_no_more_literals_than_minterms =
   QCheck.Test.make ~name:"QM never exceeds the minterm expansion" ~count:200
@@ -236,8 +293,12 @@ let () =
         [
           Alcotest.test_case "classics" `Quick test_qm_classics;
           Alcotest.test_case "rejects overlap" `Quick test_qm_rejects_overlap;
+          Alcotest.test_case "rejects out-of-range minterms" `Quick
+            test_qm_rejects_out_of_range_minterms;
+          Alcotest.test_case "input cap" `Quick test_qm_input_cap;
           QCheck_alcotest.to_alcotest prop_qm_equivalent;
           QCheck_alcotest.to_alcotest prop_qm_no_more_literals_than_minterms;
+          QCheck_alcotest.to_alcotest prop_qm_matches_reference;
         ] );
       ( "fsm",
         [

@@ -172,20 +172,14 @@ let check_sim_agree ~what dp ~inputs ~gate_level_control ~encoding =
     true (compiled = interpreted)
 
 (* every workload runs the abstract controller (two vectors) plus
-   gate-level binary and gray; one-hot is restricted to the small FSMs —
-   Quine–McCluskey over one-hot state bits of the largest workloads takes
-   tens of seconds per synthesis and each agreement check synthesizes on
-   both the compiled and reference sides *)
-let sim_modes_of name =
+   gate-level binary, gray and one-hot control *)
+let sim_modes =
   [
     (2, false, Hls_ctrl.Encoding.Binary);
     (1, true, Hls_ctrl.Encoding.Binary);
     (1, true, Hls_ctrl.Encoding.Gray);
+    (1, true, Hls_ctrl.Encoding.One_hot);
   ]
-  @
-  if List.mem name [ "sqrt"; "gcd"; "twophase" ] then
-    [ (1, true, Hls_ctrl.Encoding.One_hot) ]
-  else []
 
 let test_compiled_sim_matches_reference () =
   List.iter
@@ -206,7 +200,7 @@ let test_compiled_sim_matches_reference () =
                    (Hls_ctrl.Encoding.style_to_string enc))
               d.Flow.datapath ~inputs ~gate_level_control:glc ~encoding:enc
           done)
-        (sim_modes_of name))
+        sim_modes)
     Workloads.all
 
 let test_vcd_compiled_equals_reference () =
@@ -233,11 +227,10 @@ let prop_compiled_sim_matches_reference_random =
       let tprog = (Flow.cosim_design d).Cosim.d_prog in
       let ports = input_ports_of tprog in
       let rng = Random.State.make [| (seed * 7) + 1 |] in
-      (* abstract controller only: gate-level synthesis on arbitrary
-         random FSMs can hit multi-second QM minimizations, and the
-         workload matrix above already covers gate-level agreement *)
+      (* four vectors, alternating the abstract controller and
+         gate-level binary control *)
       List.for_all
-        (fun _ ->
+        (fun gate_level_control ->
           let inputs =
             List.map (fun (n, ty) -> (n, random_input_value rng ty)) ports
           in
@@ -250,11 +243,12 @@ let prop_compiled_sim_matches_reference_random =
                 Hls_rtl.Datapath.t ->
                 inputs:(string * int) list ->
                 Rtl_sim.result) ~on_cycle dp ~inputs =
-            runner ~on_cycle dp ~inputs
+            runner ~gate_level_control ~encoding:Hls_ctrl.Encoding.Binary ~on_cycle dp
+              ~inputs
           in
           sim_trace (kernel Rtl_sim.run) d.Flow.datapath ~inputs
           = sim_trace (kernel Rtl_sim.run_reference) d.Flow.datapath ~inputs)
-        [ 1; 2 ])
+        [ false; true; false; true ])
 
 let test_batch_equals_individual_runs () =
   let d = Flow.synthesize Workloads.sqrt_newton in
