@@ -6,10 +6,13 @@
      list_sched     — priority-queue list scheduler vs its reference
      clique         — bitset clique partitioning vs its reference
      qm             — Quine–McCluskey on a pseudo-random function
-                      (absolute medians only: its reference,
-                      test/qm_reference.ml, is a test-only oracle)
+                      (absolute medians only)
      rtl_sim        — compiled simulation image vs the interpreting
                       reference on the sqrt and diffeq workloads
+     beh_sim        — staged behavioral simulator vs the tree-walking
+                      reference (test/reference/) on sqrt, gcd, diffeq
+     cfg_sim        — staged CDFG simulator vs the interpreting
+                      reference on the same three workloads
 
    Optimized/reference pairs are checked for identical answers on every
    iteration before any time is reported (the PR-1 oracle convention).
@@ -216,6 +219,57 @@ let bench_rtl_sim ~iters ~size =
              ("dx", 1 lsl 12); ("a", 1 lsl 18) ] );
        ])
 
+(* Staged vs reference for the behavioral and CDFG levels. The staged
+   side pays its compile inside every timed iteration, once per [reps]
+   runs — the way co-simulation uses it (one image per design and
+   batch) — so the speedup is net of staging. *)
+let sim_workloads =
+  let open Hls_core in
+  [ ("sqrt", Workloads.sqrt_newton, [ ("x", 1 lsl 22) ]);
+    ("gcd", Workloads.gcd, [ ("a_in", 1071); ("b_in", 462) ]);
+    ( "diffeq",
+      Workloads.diffeq,
+      [ ("x_in", 0); ("y_in", 1 lsl 16); ("u_in", 1 lsl 16); ("dx", 1 lsl 12);
+        ("a", 1 lsl 18) ] );
+  ]
+
+let bench_level ~iters ~size ~subject ~reference ~compile ~run_image =
+  let reps = max 1 (size / 10) in
+  let one (name, src, inputs) =
+    let x = subject src in
+    let repeat f =
+      for _ = 1 to reps - 1 do
+        ignore (f ())
+      done;
+      f ()
+    in
+    let pair =
+      bench_pair ~iters ~check_equal:( = )
+        ~reference:(fun () -> repeat (fun () -> reference x ~inputs))
+        ~optimized:(fun () ->
+          let img = compile x in
+          repeat (fun () -> run_image img ~inputs))
+    in
+    let open Hls_util.Json in
+    (name, pair_json ~extra:[ ("sim_reps", Num (float_of_int reps)) ] pair)
+  in
+  Hls_util.Json.Obj (List.map one sim_workloads)
+
+let bench_beh_sim ~iters ~size =
+  bench_level ~iters ~size
+    ~subject:(fun src -> Typecheck.check (Parser.parse src))
+    ~reference:(fun p ~inputs -> Hls_reference.Beh_reference.run p ~inputs)
+    ~compile:Hls_sim.Beh_sim.compile
+    ~run_image:(fun img ~inputs -> Hls_sim.Beh_sim.run_image img ~inputs)
+
+let bench_cfg_sim ~iters ~size =
+  bench_level ~iters ~size
+    ~subject:(fun src ->
+      (Hls_core.Flow.cosim_design (Hls_core.Flow.synthesize src)).Hls_sim.Cosim.d_cfg)
+    ~reference:(fun cfg ~inputs -> Hls_reference.Cfg_reference.run cfg ~inputs)
+    ~compile:Hls_sim.Cfg_sim.compile
+    ~run_image:(fun img ~inputs -> Hls_sim.Cfg_sim.run_image img ~inputs)
+
 let run_bench ~iters ~size ~out =
   let open Hls_util.Json in
   Hls_obs.Trace.reset ();
@@ -225,6 +279,8 @@ let run_bench ~iters ~size ~out =
       ("clique", bench_clique ~iters ~size);
       ("qm", bench_qm ~iters ~size);
       ("rtl_sim", bench_rtl_sim ~iters ~size);
+      ("beh_sim", bench_beh_sim ~iters ~size);
+      ("cfg_sim", bench_cfg_sim ~iters ~size);
     ]
   in
   let json =
@@ -254,10 +310,10 @@ let run_bench ~iters ~size ~out =
         | None -> nan)
     | None -> nan
   in
-  let rtl name =
+  let sim kernel name =
     match member "kernels" json with
     | Some k -> (
-        match member "rtl_sim" k with
+        match member kernel k with
         | Some r -> (
             match member name r with
             | Some obj -> (
@@ -267,9 +323,12 @@ let run_bench ~iters ~size ~out =
     | None -> nan
   in
   Printf.printf
-    "%s: fds %.2fx, list_sched %.2fx, clique %.2fx, rtl_sim sqrt %.2fx / diffeq %.2fx\n"
+    "%s: fds %.2fx, list_sched %.2fx, clique %.2fx, rtl_sim sqrt %.2fx / diffeq %.2fx, \
+     beh_sim %.2fx / %.2fx / %.2fx, cfg_sim %.2fx / %.2fx / %.2fx (sqrt / gcd / diffeq)\n"
     out (speedup "force_directed") (speedup "list_sched") (speedup "clique")
-    (rtl "sqrt") (rtl "diffeq");
+    (sim "rtl_sim" "sqrt") (sim "rtl_sim" "diffeq") (sim "beh_sim" "sqrt")
+    (sim "beh_sim" "gcd") (sim "beh_sim" "diffeq") (sim "cfg_sim" "sqrt")
+    (sim "cfg_sim" "gcd") (sim "cfg_sim" "diffeq");
   let all_identical =
     List.for_all
       (fun (_, obj) ->
@@ -277,17 +336,19 @@ let run_bench ~iters ~size ~out =
         | Some (Bool b) -> b
         | _ -> true)
       kernels
-    &&
-    match member "kernels" json with
-    | Some k -> (
-        match member "rtl_sim" k with
-        | Some (Obj workloads) ->
-            List.for_all
-              (fun (_, w) ->
-                match member "identical" w with Some (Bool b) -> b | _ -> false)
-              workloads
-        | _ -> false)
-    | None -> false
+    && List.for_all
+         (fun kernel ->
+           match member "kernels" json with
+           | Some k -> (
+               match member kernel k with
+               | Some (Obj workloads) ->
+                   List.for_all
+                     (fun (_, w) ->
+                       match member "identical" w with Some (Bool b) -> b | _ -> false)
+                     workloads
+               | _ -> false)
+           | None -> false)
+         [ "rtl_sim"; "beh_sim"; "cfg_sim" ]
   in
   if not all_identical then begin
     Printf.eprintf "error: an optimized kernel disagreed with its reference\n";
@@ -361,6 +422,18 @@ let validate file =
               | None -> fail (Printf.sprintf "rtl_sim: missing workload %S" wl))
             [ "sqrt"; "diffeq" ]
       | None -> fail "missing kernel \"rtl_sim\"");
+      List.iter
+        (fun kernel ->
+          match member kernel kernels with
+          | Some sim ->
+              List.iter
+                (fun wl ->
+                  match member wl sim with
+                  | Some obj -> check_pair (kernel ^ "." ^ wl) obj
+                  | None -> fail (Printf.sprintf "%s: missing workload %S" kernel wl))
+                [ "sqrt"; "gcd"; "diffeq" ]
+          | None -> fail (Printf.sprintf "missing kernel %S" kernel))
+        [ "beh_sim"; "cfg_sim" ];
       (match member "counters" json with
       | Some (Obj counters) ->
           List.iter

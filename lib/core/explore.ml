@@ -263,9 +263,6 @@ module Bound = struct
       (Hls_cdfg.Cfg.block_ids cfg);
     best
 
-  let fu_area_lb ~node_w cs =
-    Hashtbl.fold (fun _ a acc -> acc + a) (fu_class_floors ~node_w cs) 0
-
   (* Units of one class are a machine-wide resource, and so is the
      interconnect in front of their operand ports. For argument
      position p of class c, every distinct constant operand is a
@@ -626,17 +623,30 @@ let run_points_pruned ~config ~engine src labelled =
     Array.of_list
       (Pool.map ~jobs (fun (_, options) -> Dse.eval_cheap engine options) labelled)
   in
-  let lbs =
-    Array.init n (fun i ->
-        let _, options = items.(i) in
-        let o, cs = cheap.(i) in
-        Bound.compute options o cs)
-  in
   let keys =
     Array.init n (fun i ->
         let _, options = items.(i) in
         backend_class options (snd cheap.(i)))
   in
+  (* each class's first member is its representative *)
+  let first_of = Hashtbl.create 16 in
+  for i = n - 1 downto 0 do
+    Hashtbl.replace first_of keys.(i) i
+  done;
+  (* one bound per class: the key covers everything [Bound.compute]
+     reads (the midend key, the schedule digest, [narrow], [encoding]
+     and [iterate]), so members copy their representative's value,
+     which ascending order has already filled *)
+  let lbs = Array.make n (0, 0.0) in
+  for i = 0 to n - 1 do
+    let rep = Hashtbl.find first_of keys.(i) in
+    lbs.(i) <-
+      (if rep < i then lbs.(rep)
+       else
+         let _, options = items.(i) in
+         let o, cs = cheap.(i) in
+         Bound.compute options o cs)
+  done;
   let score i = float_of_int (fst lbs.(i)) *. max 1.0 (snd lbs.(i)) in
   let status = Array.make n `Pending in
   let is_pending i = match status.(i) with `Pending -> true | _ -> false in
@@ -662,10 +672,6 @@ let run_points_pruned ~config ~engine src labelled =
      promotion slot — most promising bound-score first: the successive-
      halving ranking collapsed to a total order now that verdicts
      stream back in flight instead of round-synchronously *)
-  let first_of = Hashtbl.create 16 in
-  for i = n - 1 downto 0 do
-    Hashtbl.replace first_of keys.(i) i
-  done;
   let class_order =
     Hashtbl.fold (fun _ i acc -> i :: acc) first_of []
     |> List.sort (fun i j -> compare (score i, i) (score j, j))

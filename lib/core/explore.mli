@@ -123,21 +123,18 @@ val sweep_pruned :
     [dse/points_evaluated], [dse/pruned_points] (their sum is the point
     count) and [dse/prune_rounds] through {!Hls_obs.Trace}. *)
 
+val backend_class : Flow.options -> Hls_sched.Cfg_sched.t -> string
+(** The key under which {!sweep_pruned} groups option points whose
+    cheap stages (midend key and schedule) agree and which therefore
+    share one backend run, one true (area, latency) and one
+    {!Bound.compute} value. It covers everything {!Bound.compute}
+    reads. *)
+
 (** Sound area/latency lower bounds computed from the cheap stages
     (schedule + CFG) alone — what {!sweep_pruned} ranks and prunes on.
     Exposed so tests can assert soundness ([compute] never exceeds the
     true estimate) directly. *)
 module Bound : sig
-  val fu_area_lb :
-    node_w:(Hls_cdfg.Dfg.t -> int -> int -> int) -> Hls_sched.Cfg_sched.t -> int
-  (** Per-class peak demand: the larger of the busiest step's
-      width-aware cheapest-component sum (concurrent operations run on
-      distinct units, each at least as wide as its own operation) and
-      peak concurrency × cheapest component at the narrowest class
-      width. [node_w g bid nid] is the operation's storage width —
-      declared type width normally, the range-inferred width under
-      [narrow] (see {!compute}). *)
-
   val port_reg_area : Flow.optimized -> Hls_sched.Cfg_sched.t -> int
   (** Registers of every port read or written in the CFG — ports are
       never shared (and never narrowed), so these exist at their
@@ -174,12 +171,16 @@ module Bound : sig
       together — those may merge), split across at most one input mux
       per unit; more units absorb more wires but each costs at least
       the cheapest class component, so the floor is the minimum over
-      the unit count of the coupled sum. Subsumes {!fu_area_lb} (the
-      per-class schedule floor is the FU term's lower envelope) unless
-      [schedule_free], which drops schedule-derived terms so the floor
-      stays sound for {e any} legal schedule of the CFG — what an
-      [iterate > 0] point may ship after refinement. What {!compute}
-      uses in place of {!fu_area_lb}. *)
+      the unit count of the coupled sum. The FU term is floored per
+      class by the schedule's peak demand: the larger of the busiest
+      step's width-aware cheapest-component sum (concurrent operations
+      run on distinct units, each at least as wide as its own
+      operation) and peak concurrency × cheapest component at the
+      narrowest class width. [schedule_free] drops that floor so the
+      bound stays sound for {e any} legal schedule of the CFG — what an
+      [iterate > 0] point may ship after refinement. [node_w g bid nid]
+      is the operation's storage width — declared type width normally,
+      the range-inferred width under [narrow] (see {!compute}). *)
 
   val ctrl_area_lb : Flow.options -> Hls_sched.Cfg_sched.t -> int
   (** The controller's state register under the point's encoding. *)

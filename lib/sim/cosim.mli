@@ -21,7 +21,9 @@ val check :
   (int, string) result
 (** [Ok cycles] when all three levels agree on every output port (the
     payload is the RTL cycle count); otherwise a diagnostic naming the
-    first mismatching port and the three values. Pass [image] (a
+    first mismatching port and the three values. Each input pattern is
+    first wrapped to its port's format, so every level sees the same
+    stimulus; a name that is not an input port is an [Error]. Pass [image] (a
     {!Rtl_sim.compile} of the design's datapath) to skip recompiling
     when checking many vectors; [gate_level_control] is then ignored in
     favor of the image's own mode. *)
@@ -34,7 +36,9 @@ val check_random :
   (unit, string) result
 (** {!check} on pseudo-random input vectors (default 20 runs). The
     vectors are drawn up front and the RTL level runs as one
-    {!Rtl_sim.run_batch} over a single compiled image, so the compile
-    cost is paid once per design rather than once per run; the stimulus
+    {!Rtl_sim.run_batch} over a single compiled image, and the
+    behavioral and CDFG levels each replay one {!Beh_sim.compile} /
+    {!Cfg_sim.compile} image, so every level's compile cost is paid once
+    per design rather than once per run; the stimulus
     stream and the first-failure diagnostic are the same as the
     sequential loop's. *)

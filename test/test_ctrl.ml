@@ -147,7 +147,7 @@ let prop_qm_matches_reference =
         (sop, Hls_obs.Trace.counter "ctrl/qm_iterations" - before)
       in
       with_iterations (Qm.minimize ~n_inputs ~on_set ~dc_set)
-      = with_iterations (Qm_reference.minimize ~n_inputs ~on_set ~dc_set))
+      = with_iterations (Hls_reference.Qm_reference.minimize ~n_inputs ~on_set ~dc_set))
 
 let prop_qm_no_more_literals_than_minterms =
   QCheck.Test.make ~name:"QM never exceeds the minterm expansion" ~count:200

@@ -318,6 +318,120 @@ let test_bounds_sound () =
         points)
     Workloads.all
 
+(* The pruned sweep's decision procedure with one Bound.compute per
+   point: rank, decide classes most promising first with a window of
+   four verdicts in flight, then settle the survivors. Evaluations run serially at
+   promotion and count only once drained, the order in which the
+   library's window incorporates them. Also checks that every point's
+   bound equals its class representative's. *)
+let per_point_pruned name src labelled =
+  let engine = Dse.create src in
+  let items = Array.of_list labelled in
+  let n = Array.length items in
+  let cheap = Array.map (fun (_, o) -> Dse.eval_cheap engine o) items in
+  let lbs =
+    Array.mapi (fun i (_, o) -> let opt, cs = cheap.(i) in Explore.Bound.compute o opt cs) items
+  in
+  let keys = Array.mapi (fun i (_, o) -> Explore.backend_class o (snd cheap.(i))) items in
+  let rep = Hashtbl.create 16 in
+  for i = n - 1 downto 0 do
+    Hashtbl.replace rep keys.(i) i
+  done;
+  Array.iteri
+    (fun i lb ->
+      let r = Hashtbl.find rep keys.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: bound equals that of %s" name (fst items.(i)) (fst items.(r)))
+        true (lb = lbs.(r)))
+    lbs;
+  let dominates (qa, ql) (pa, pl) = (qa <= pa && ql < pl) || (qa < pa && ql <= pl) in
+  let status = Array.make n `Pending in
+  let class_value = Hashtbl.create 16 in
+  let reals = ref [] in
+  let dominated v = List.exists (fun q -> dominates q v) !reals in
+  let settle i =
+    match Dse.eval_result engine (snd items.(i)) with
+    | Error _ -> Alcotest.failf "%s %s: backend failed" name (fst items.(i))
+    | Ok d ->
+        let e = d.Flow.estimate in
+        let v = (e.Hls_rtl.Estimate.total_area, e.Hls_rtl.Estimate.latency_ns) in
+        status.(i) <- `Evaluated;
+        Hashtbl.replace class_value keys.(i) v;
+        reals := v :: !reals
+  in
+  let score i = float_of_int (fst lbs.(i)) *. max 1.0 (snd lbs.(i)) in
+  let order =
+    Hashtbl.fold (fun _ i acc -> i :: acc) rep []
+    |> List.sort (fun i j -> compare (score i, i) (score j, j))
+  in
+  let window = Queue.create () and rounds = ref 0 in
+  let drain () =
+    incr rounds;
+    settle (Queue.pop window)
+  in
+  List.iter
+    (fun r ->
+      let members = ref [] in
+      for i = n - 1 downto 0 do
+        if keys.(i) = keys.(r) && status.(i) = `Pending then
+          if dominated lbs.(i) then status.(i) <- `Pruned else members := i :: !members
+      done;
+      match !members with
+      | [] -> ()
+      | i :: _ ->
+          if Queue.length window >= 4 then drain ();
+          Queue.push i window)
+    order;
+  while not (Queue.is_empty window) do
+    drain ()
+  done;
+  let survivors = ref [] in
+  for i = n - 1 downto 0 do
+    if status.(i) = `Pending then
+      if dominated (Hashtbl.find class_value keys.(i)) then status.(i) <- `Pruned
+      else survivors := i :: !survivors
+  done;
+  List.iter settle !survivors;
+  let pick st = List.filter (fun i -> status.(i) = st) (List.init n Fun.id) in
+  ( List.map (fun i -> fst items.(i)) (pick `Evaluated),
+    List.map (fun i -> (fst items.(i), lbs.(i))) (pick `Pruned),
+    !rounds )
+
+let test_bounds_per_class () =
+  (* the default sweep on every workload but biquad3, whose flat block
+     is past what branch-and-bound and 0/1 programming finish on; it
+     gets the polynomial schedulers. A one-shot plus iterated diffeq
+     sweep covers the refinement part of the class key. *)
+  let polynomial = [ Flow.Asap; Flow.List_path; Flow.Freedom; Flow.Trans_serial ] in
+  let cases =
+    List.map
+      (fun (name, src) ->
+        (name, src, (if name = "biquad3" then polynomial else Explore.default_schedulers), [ 0 ]))
+      Workloads.all
+    @ [ ("diffeq iterated", Workloads.diffeq, polynomial, [ 0; 2 ]) ]
+  in
+  List.iter
+    (fun (name, src, schedulers, iterates) ->
+      let labelled =
+        Explore.cross ~iterates ~base:Flow.default_options ~schedulers
+          ~limits:Explore.default_limits ()
+      in
+      let evaluated, pruned, rounds = per_point_pruned name src labelled in
+      let before = Hls_obs.Trace.counter "dse/pruned_points" in
+      let pr = Explore.sweep_pruned ~schedulers ~iterates src in
+      let pruned_points = Hls_obs.Trace.counter "dse/pruned_points" - before in
+      Alcotest.(check (list string)) (name ^ ": evaluated labels") evaluated
+        (List.map (fun (p : Explore.point) -> p.Explore.label) pr.Explore.evaluated);
+      Alcotest.(check (list (pair string (pair int (float 0.0)))))
+        (name ^ ": pruned labels and bounds") pruned
+        (List.map
+           (fun (p : Explore.pruned_point) ->
+             (p.Explore.pr_label, (p.Explore.pr_area_lb, p.Explore.pr_latency_lb)))
+           pr.Explore.pruned);
+      Alcotest.(check int) (name ^ ": rounds") rounds pr.Explore.rounds;
+      Alcotest.(check int) (name ^ ": dse/pruned_points") (List.length pruned) pruned_points)
+    cases
+
 (* ---- feedback refinement ---- *)
 
 let refine_schedulers = [ Flow.Asap; Flow.List_path; Flow.Freedom; Flow.Trans_serial ]
@@ -518,6 +632,7 @@ let () =
             test_pruned_counters;
           Alcotest.test_case "lower bounds never exceed the estimate" `Slow
             test_bounds_sound;
+          Alcotest.test_case "one bound per backend class" `Slow test_bounds_per_class;
         ] );
       ( "refine",
         [

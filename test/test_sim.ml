@@ -89,6 +89,92 @@ let prop_beh_cfg_agree =
             [ "o1"; "o2" ])
         [ 1; 2; 3 ])
 
+(* ---- staged simulators = the retired interpreters ---- *)
+
+(* A run's observable outcome: the final store, or the Sim_error message. *)
+let beh_outcome f = try Ok (f ()) with Beh_sim.Sim_error m -> Error m
+let cfg_outcome f = try Ok (f ()) with Cfg_sim.Sim_error m -> Error m
+
+(* In range, negative, past the top of int<16>, or zero (a divisor trap). *)
+let input_pattern rng =
+  match Random.State.int rng 4 with
+  | 0 -> Random.State.int rng 500
+  | 1 -> -Random.State.int rng 40_000
+  | 2 -> 32_768 + Random.State.int rng 100_000
+  | _ -> 0
+
+(* Port patterns, sometimes with a repeated name, a local variable or a
+   name the program does not declare: the levels differ on these (first
+   or last binding wins, wrapped or raw) and each staged level must keep
+   its interpreter's rule. *)
+let random_inputs rng =
+  let base = [ ("a", input_pattern rng); ("b", input_pattern rng) ] in
+  match Random.State.int rng 4 with
+  | 0 -> base @ [ ("a", input_pattern rng) ]
+  | 1 -> ("p", input_pattern rng) :: base
+  | 2 -> base @ [ ("zz", input_pattern rng) ]
+  | _ -> base
+
+let prop_staged_matches_reference =
+  QCheck.Test.make ~name:"staged simulators match the reference interpreters" ~count:200
+    Gen.program_arbitrary
+    (fun seed ->
+      let ast = Gen.program_of_seed seed in
+      (* half the programs divide by an input first *)
+      let ast =
+        if seed mod 2 = 0 then
+          { ast with Ast.body = Builder.( <-- ) "r" Builder.(v "a" / v "b") :: ast.Ast.body }
+        else ast
+      in
+      let prog = Typecheck.check ast in
+      let cfg = Hls_cdfg.Compile.compile prog in
+      let beh_img = Beh_sim.compile prog and cfg_img = Cfg_sim.compile cfg in
+      let rng = Random.State.make [| (seed * 5) + 3 |] in
+      (* one image per level serves every vector, including those after
+         a run that raised *)
+      List.for_all
+        (fun _ ->
+          let inputs = random_inputs rng in
+          let fuel =
+            if Random.State.int rng 3 = 0 then Some (1 + Random.State.int rng 30) else None
+          in
+          let beh_ref = beh_outcome (fun () -> Hls_reference.Beh_reference.run ?fuel prog ~inputs) in
+          let cfg_ref = cfg_outcome (fun () -> Hls_reference.Cfg_reference.run ?fuel cfg ~inputs) in
+          let agree what expected got =
+            expected = got
+            || QCheck.Test.fail_reportf "%s differs on inputs %s%s" what
+                 (String.concat ", " (List.map (fun (n, x) -> Printf.sprintf "%s=%d" n x) inputs))
+                 (match fuel with Some f -> Printf.sprintf " (fuel %d)" f | None -> "")
+          in
+          agree "fresh behavioral run" beh_ref (beh_outcome (fun () -> Beh_sim.run ?fuel prog ~inputs))
+          && agree "reused behavioral image" beh_ref
+               (beh_outcome (fun () -> Beh_sim.run_image ?fuel beh_img ~inputs))
+          && agree "fresh CDFG run" cfg_ref (cfg_outcome (fun () -> Cfg_sim.run ?fuel cfg ~inputs))
+          && agree "reused CDFG image" cfg_ref
+               (cfg_outcome (fun () -> Cfg_sim.run_image ?fuel cfg_img ~inputs)))
+        (List.init 6 Fun.id))
+
+let test_image_reuse_after_error () =
+  let prog = Typecheck.check (Parser.parse Workloads.gcd) in
+  let cfg = Hls_cdfg.Compile.compile prog in
+  let beh_img = Beh_sim.compile prog and cfg_img = Cfg_sim.compile cfg in
+  let a = [ ("a_in", 36); ("b_in", 24) ] and b = [ ("a_in", 35); ("b_in", 14) ] in
+  let beh inputs = Beh_sim.run_image beh_img ~inputs
+  and cfg_run inputs = Cfg_sim.run_image cfg_img ~inputs in
+  let store = Alcotest.(list (pair string int)) in
+  Alcotest.check store "behavioral A" (Beh_sim.run prog ~inputs:a) (beh a);
+  Alcotest.check store "behavioral B" (Beh_sim.run prog ~inputs:b) (beh b);
+  Alcotest.check store "CDFG A" (Cfg_sim.run cfg ~inputs:a) (cfg_run a);
+  Alcotest.check store "CDFG B" (Cfg_sim.run cfg ~inputs:b) (cfg_run b);
+  (match Beh_sim.run_image ~fuel:3 beh_img ~inputs:b with
+  | _ -> Alcotest.fail "behavioral run should run out of fuel"
+  | exception Beh_sim.Sim_error _ -> ());
+  (match Cfg_sim.run_image ~fuel:3 cfg_img ~inputs:b with
+  | _ -> Alcotest.fail "CDFG run should run out of fuel"
+  | exception Cfg_sim.Sim_error _ -> ());
+  Alcotest.check store "behavioral A after a raise" (Beh_sim.run prog ~inputs:a) (beh a);
+  Alcotest.check store "CDFG A after a raise" (Cfg_sim.run cfg ~inputs:a) (cfg_run a)
+
 (* ---- RTL cycle accounting ---- *)
 
 let test_rtl_cycles_sqrt () =
@@ -309,6 +395,41 @@ let test_cosim_detects_mismatch () =
   | Ok _ -> Alcotest.fail "mismatch not detected"
   | Error e -> Alcotest.(check bool) "names the output" true (String.length e > 0)
 
+(* The behavioral level wraps an input to its port's format; the CDFG
+   and RTL levels must see the same wrapped pattern, not the raw one. *)
+let test_cosim_out_of_range_inputs () =
+  let d =
+    Flow.cosim_design
+      (Flow.synthesize "module m(input a: int<8>; output y: int<8>); begin y := a; end")
+  in
+  List.iter
+    (fun a ->
+      match Cosim.check d ~inputs:[ ("a", a) ] with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "a = %d: %s" a e)
+    [ 200; 255; 300; -3 ];
+  (match Cosim.check d ~inputs:[ ("y", 1) ] with
+  | Ok _ -> Alcotest.fail "an output port accepted as an input"
+  | Error e -> Alcotest.(check string) "names the port" "no input port y" e);
+  let d =
+    Flow.cosim_design
+      (Flow.synthesize
+         "module m(input a: int<8>; output y: int<8>; output z: int<16>);\n\
+          var i: int<8>;\n\
+          begin\n\
+         \  y := a * 3;\n\
+         \  z := a;\n\
+         \  for i := 0 to 2 do\n\
+         \    if y < 0 then y := y + a; else z := z - y; end;\n\
+         \  end;\n\
+          end")
+  in
+  for a = 0 to 255 do
+    match Cosim.check d ~inputs:[ ("a", a) ] with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "a = %d: %s" a e
+  done
+
 let prop_random_programs_synthesize_and_cosim =
   QCheck.Test.make ~name:"random programs synthesize and co-simulate" ~count:40
     Gen.program_arbitrary
@@ -332,6 +453,11 @@ let () =
           Alcotest.test_case "for loop" `Quick test_beh_for_loop;
         ] );
       ("cdfg", [ QCheck_alcotest.to_alcotest prop_beh_cfg_agree ]);
+      ( "staged",
+        [
+          QCheck_alcotest.to_alcotest prop_staged_matches_reference;
+          Alcotest.test_case "image reuse after an error" `Quick test_image_reuse_after_error;
+        ] );
       ( "rtl",
         [
           Alcotest.test_case "sqrt cycle count" `Quick test_rtl_cycles_sqrt;
@@ -352,6 +478,7 @@ let () =
           Alcotest.test_case "all workloads" `Slow test_cosim_all_workloads;
           Alcotest.test_case "gate-level control" `Quick test_cosim_gate_level;
           Alcotest.test_case "detects mismatch" `Quick test_cosim_detects_mismatch;
+          Alcotest.test_case "out-of-range inputs" `Quick test_cosim_out_of_range_inputs;
           QCheck_alcotest.to_alcotest prop_random_programs_synthesize_and_cosim;
         ] );
     ]
