@@ -73,7 +73,7 @@ let fig2 () =
   Table.add_row t
     [ "optimized, 2 FUs"; "10"; string_of_int (steps_of opt Limits.two_fu); "2 + 4*2" ];
   let unrolled =
-    Hls_transform.Passes.optimize ~level:`Aggressive ~outputs:[ "y" ]
+    Hls_transform.Passes.run_spec (List.assoc "aggressive" Hls_transform.Passes.named_pipelines) ~outputs:[ "y" ]
       (snd (Compile.compile_source Workloads.sqrt_newton))
   in
   Table.add_row t
@@ -237,8 +237,8 @@ let block_for_sched src ~tree_height =
   let _p, cfg = Compile.compile_source src in
   let prog = Typecheck.check (Inline.expand (Parser.parse src)) in
   let outputs = Flow.output_names prog in
-  let cfg = Hls_transform.Passes.optimize ~level:`Standard ~outputs cfg in
-  if tree_height then ignore (Hls_transform.Tree_height.run cfg);
+  let cfg = Hls_transform.Passes.run_spec Hls_transform.Passes.default_pipeline ~outputs cfg in
+  if tree_height then ignore (Hls_transform.Rules.run_rules [ Hls_transform.Rules.add_rebalance ] cfg);
   List.fold_left
     (fun best bid ->
       let g = Cfg.dfg cfg bid in
@@ -534,10 +534,10 @@ let explore () =
   List.iter
     (fun (name, src) ->
       Printf.printf "\n%s, resource-limit sweep:\n" name;
-      print_string (Explore.table (Explore.sweep_limits src)))
+      print_string (Explore.table (Explore.sweep ~schedulers:[ Flow.List_path ] src)))
     [ ("sqrt", Workloads.sqrt_newton); ("diffeq", Workloads.diffeq) ];
   Printf.printf "\ndiffeq, scheduler sweep at 2 FUs:\n";
-  print_string (Explore.table (Explore.sweep_schedulers Workloads.diffeq))
+  print_string (Explore.table (Explore.sweep ~limits:[ Limits.two_fu ] Workloads.diffeq))
 
 (* ------------------------------------------------------------------ *)
 (* EXP-PIPE: pipelined datapaths (Sehwa)                               *)
@@ -605,7 +605,12 @@ let ilp_compare () =
     (Limits.Total 2) "2 FUs";
   Table.print t;
   (* allocation *)
-  let t2 = Table.create ~headers:[ "design"; "ILP units"; "clique"; "greedy/min-mux" ] in
+  let t2 =
+    Table.create
+      ~headers:
+        ("design" :: "ILP units"
+        :: List.map (Flow.Knob.text Flow.Knob.allocator) [ `Clique; `Greedy_min_mux ])
+  in
   List.iter
     (fun name ->
       let d = Flow.synthesize (Workloads.find name) in
@@ -672,10 +677,10 @@ let if_convert_compare () =
   in
   let prog = Typecheck.check (Inline.expand (Parser.parse diamond_src)) in
   let base = Hls_cdfg.Compile.compile prog in
-  let base = Hls_transform.Passes.optimize ~level:`Standard ~outputs:[ "y" ] base in
+  let base = Hls_transform.Passes.run_spec Hls_transform.Passes.default_pipeline ~outputs:[ "y" ] base in
   measure "absdiff, branched" base;
   let conv = Hls_cdfg.Compile.compile prog in
-  let conv = Hls_transform.Passes.optimize ~level:`Standard ~outputs:[ "y" ] conv in
+  let conv = Hls_transform.Passes.run_spec Hls_transform.Passes.default_pipeline ~outputs:[ "y" ] conv in
   let conv, _ = Hls_transform.If_convert.run conv in
   let conv, _ = Hls_transform.Clean_cfg.merge conv in
   measure "absdiff, if-converted" conv;

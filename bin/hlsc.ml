@@ -4,7 +4,6 @@
      synth    synthesize a specification and print the design report
      run      synthesize and simulate the RTL on given inputs
      dse      sweep resource limits / schedulers and print the trade-off
-              (explore is kept as an alias)
      lint     run every IR-level checker and report structured diagnostics
      analyze  dump the value-range/bitwidth inference per variable
      trace    synthesize under the event tracer and emit a Chrome trace
@@ -12,9 +11,10 @@
      examples list the built-in workloads
 
    Every subcommand shares one source term (positional FILE — a path or
-   a built-in workload name — or --example) and one options term (the
-   scheduler/limits/allocator/encoding flags), so each flag is spelled
-   and documented exactly once. *)
+   a built-in workload name — or --example) and one options term, folded
+   from the option table in Flow.Knob: each option's flag, vocabulary
+   and documentation are declared there once, and the serve wire codec
+   reads the same table. *)
 
 open Cmdliner
 open Hls_core
@@ -91,128 +91,30 @@ let with_source (file, example) k =
 
 (* ---- shared options term ---- *)
 
-let passes_conv =
-  let parse s =
-    match Hls_transform.Passes.pipeline_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Hls_transform.Passes.pipeline_to_string p)
-  in
-  Arg.conv ~docv:"SPEC" (parse, print)
+(* One flag per exposed option of the table in Flow.Knob: --KEY (with
+   '-' for '_') plus its short aliases, parsed by the knob's vocabulary
+   and defaulting to Flow.default_options. *)
+let words_conv (type a) (k : a Flow.Knob.t) (w : a Flow.Knob.vocab) =
+  let parse s = Result.map_error (fun e -> `Msg e) (w.Flow.Knob.parse s) in
+  let print ppf v = Format.pp_print_string ppf (w.Flow.Knob.print v) in
+  Arg.conv ~docv:k.Flow.Knob.docv (parse, print)
 
-let passes_arg =
-  Arg.(
-    value
-    & opt (some passes_conv) None
-    & info [ "passes" ] ~docv:"SPEC"
-        ~doc:
-          "Optimization pipeline spec: a named pipeline \
-           (none|standard|aggressive|extract), or a comma-separated pass list, \
-           optionally followed by $(b,+facts), $(b,+extract:area) or \
-           $(b,+extract:latency) modifiers. Run $(b,hlsc passes) for the \
-           catalogue. Examples: $(b,aggressive), $(b,forward,cse,dce), \
-           $(b,standard+extract:latency).")
-
-let opt_level =
-  Arg.(
-    value
-    & opt
-        (some (enum [ ("none", `None); ("standard", `Standard); ("aggressive", `Aggressive) ]))
-        None
-    & info [ "opt"; "O" ] ~docv:"LEVEL"
-        ~doc:
-          "Deprecated alias for $(b,--passes) (none|standard|aggressive); ignored \
-           when $(b,--passes) is given.")
-
-let scheduler =
-  let sched_conv =
-    Arg.enum
-      [
-        ("asap", Flow.Asap);
-        ("list", Flow.List_path);
-        ("list-mobility", Flow.List_mobility);
-        ("fds", Flow.Force_directed 0);
-        ("freedom", Flow.Freedom);
-        ("bb", Flow.Branch_bound);
-        ("ilp", Flow.Ilp_exact);
-        ("trans-par", Flow.Trans_parallel);
-        ("trans-ser", Flow.Trans_serial);
-      ]
-  in
-  Arg.(
-    value & opt sched_conv Flow.List_path
-    & info [ "scheduler"; "s" ] ~docv:"ALGO"
-        ~doc:"Scheduler (asap|list|list-mobility|fds|freedom|bb|ilp|trans-par|trans-ser).")
-
-let fus =
-  Arg.(
-    value & opt int 2
-    & info [ "fus"; "k" ] ~docv:"N" ~doc:"Functional-unit limit (0 = serial, -1 = unlimited).")
-
-let allocator =
-  Arg.(
-    value
-    & opt (enum [ ("clique", `Clique); ("min-mux", `Greedy_min_mux); ("first-fit", `Greedy_first_fit) ]) `Greedy_min_mux
-    & info [ "allocator"; "a" ] ~docv:"ALGO" ~doc:"Allocator (clique|min-mux|first-fit).")
-
-let encoding =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("binary", Hls_ctrl.Encoding.Binary);
-             ("gray", Hls_ctrl.Encoding.Gray);
-             ("one-hot", Hls_ctrl.Encoding.One_hot);
-           ])
-        Hls_ctrl.Encoding.Binary
-    & info [ "encoding" ] ~docv:"STYLE" ~doc:"State encoding (binary|gray|one-hot).")
-
-let if_convert_flag =
-  Arg.(value & flag & info [ "if-convert" ] ~doc:"Speculate small branch diamonds into muxes.")
-
-let narrow_flag =
-  Arg.(
-    value & flag
-    & info [ "narrow" ]
-        ~doc:
-          "Narrow registers, functional units and muxes to the widths the value-range \
-           analysis proves sufficient (area-only; the design stays bit-identical).")
-
-let iterate_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "iterate" ] ~docv:"N"
-        ~doc:
-          "Feedback-guided refinement: after the one-shot flow, extract the \
-           critical subgraph (longest register-to-register chains, \
-           oversubscribed unit classes, live-storage floor) and re-schedule \
-           it under tightened constraints, up to N accepted iterations. A \
-           refined design is behaviourally bit-identical to its seed and \
-           accepted only on strict (area, latency) improvement; 0 disables.")
-
-let make_options passes opt_level if_conversion scheduler fus allocator encoding narrow
-    iterate =
-  let limits =
-    if fus = 0 then Hls_sched.Limits.Serial
-    else if fus < 0 then Hls_sched.Limits.Unlimited
-    else Hls_sched.Limits.Total fus
-  in
-  let passes =
-    match (passes, opt_level) with
-    | Some p, _ -> p
-    | None, Some l -> Hls_transform.Passes.level l
-    | None, None -> Hls_transform.Passes.default_pipeline
-  in
-  { Flow.passes; if_conversion; scheduler; limits; allocator;
-    share_variables = true; encoding; narrow; iterate }
+let knob_term (type a) (k : a Flow.Knob.t) =
+  let module K = Flow.Knob in
+  let names = String.map (function '_' -> '-' | c -> c) k.K.key :: k.K.aliases in
+  let about = Arg.info names ~docv:k.K.docv ~doc:k.K.doc in
+  let default = k.K.get Flow.default_options in
+  match k.K.kind with
+  | K.Flag -> Term.(const (fun b o -> if b then k.K.set true o else o) $ Arg.(value & flag about))
+  | K.Int -> Term.(const k.K.set $ Arg.(value & opt int default about))
+  | K.Words w -> Term.(const k.K.set $ Arg.(value & opt (words_conv k w) default about))
 
 let options_term =
-  Term.(
-    const make_options $ passes_arg $ opt_level $ if_convert_flag $ scheduler $ fus
-    $ allocator $ encoding $ narrow_flag $ iterate_arg)
+  List.fold_left
+    (fun acc (Flow.Knob.Any k) ->
+      if k.Flow.Knob.exposed then Term.(const (fun o set -> set o) $ acc $ knob_term k)
+      else acc)
+    (Term.const Flow.default_options) Flow.Knob.all
 
 (* ---- shared tracing/metrics flags ---- *)
 
@@ -360,22 +262,6 @@ let floor_arg =
     & info [ "severity" ] ~docv:"LEVEL"
         ~doc:"Report only diagnostics at or above LEVEL (info|warning|error).")
 
-let lint_schedulers =
-  [
-    Flow.Asap;
-    Flow.List_path;
-    Flow.List_mobility;
-    Flow.Force_directed 0;
-    Flow.Freedom;
-    Flow.Branch_bound;
-    Flow.Ilp_exact;
-    Flow.Trans_parallel;
-    Flow.Trans_serial;
-  ]
-
-let lint_allocators =
-  [ (`Clique, "clique"); (`Greedy_min_mux, "min-mux"); (`Greedy_first_fit, "first-fit") ]
-
 let lint_cmd =
   let run source all matrix json floor rules base =
     if rules then begin
@@ -395,15 +281,18 @@ let lint_cmd =
         exit 2
     | Ok sources ->
         handle_errors (fun () ->
+            (* the matrix axes are the scheduler and allocator vocabularies *)
             let points =
+              let module K = Flow.Knob in
               if matrix then
                 List.concat_map
                   (fun s ->
                     List.map
-                      (fun (a, aname) ->
-                        ({ base with Flow.scheduler = s; allocator = a }, Some aname))
-                      lint_allocators)
-                  lint_schedulers
+                      (fun a ->
+                        ( { base with Flow.scheduler = s; allocator = a },
+                          Some (K.scheduler.K.label s ^ "," ^ K.allocator.K.label a) ))
+                      (K.values K.allocator))
+                  (K.values K.scheduler)
               else [ (base, None) ]
             in
             let reports =
@@ -411,13 +300,10 @@ let lint_cmd =
                 (fun (name, src) ->
                   let eng = Dse.create src in
                   List.map
-                    (fun ((options : Flow.options), aname) ->
+                    (fun (options, axes) ->
                       let label =
-                        match aname with
-                        | Some aname ->
-                            Printf.sprintf "%s[%s,%s]" name
-                              (Flow.scheduler_to_string options.Flow.scheduler)
-                              aname
+                        match axes with
+                        | Some axes -> Printf.sprintf "%s[%s]" name axes
                         | None -> name
                       in
                       (* Result API: a design that fails the structural
@@ -629,7 +515,7 @@ let run_cmd =
   let info = Cmd.info "run" ~doc:"Synthesize and simulate the RTL on given inputs." in
   Cmd.v info Term.(const run $ source_term $ options_term $ inputs_arg $ vcd_out)
 
-(* ---- dse (né explore) ---- *)
+(* ---- dse ---- *)
 
 let all_flag =
   Arg.(
@@ -663,7 +549,8 @@ let cosim_arg =
 
 let sweep_passes_arg =
   Arg.(
-    value & opt_all passes_conv []
+    value
+    & opt_all (let (Flow.Knob.Words w) = Flow.Knob.passes.kind in words_conv Flow.Knob.passes w) []
     & info [ "sweep-passes" ] ~docv:"SPEC"
         ~doc:
           "Add a pipeline spec to the sweep (repeatable). With two or more \
@@ -700,9 +587,7 @@ let dse_term =
                   pr.Explore.rounds;
                 pr.Explore.evaluated
               end
-              else if all || pipelines <> None || iterates <> None then
-                Explore.sweep ~config ~base ?schedulers ?pipelines ?iterates src
-              else Explore.sweep_limits ~config ~base src
+              else Explore.sweep ~config ~base ?schedulers ?pipelines ?iterates src
             in
             print_string (Explore.table ~timings points);
             (match cosim with
@@ -733,7 +618,6 @@ let dse_doc =
    verifies the frontier designs by three-level co-simulation."
 
 let dse_cmd = Cmd.v (Cmd.info "dse" ~doc:dse_doc) dse_term
-let explore_cmd = Cmd.v (Cmd.info "explore" ~doc:(dse_doc ^ " (Alias of $(b,dse).)")) dse_term
 
 (* ---- trace ---- *)
 
@@ -984,6 +868,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            synth_cmd; dse_cmd; explore_cmd; lint_cmd; analyze_cmd; trace_cmd; run_cmd;
+            synth_cmd; dse_cmd; lint_cmd; analyze_cmd; trace_cmd; run_cmd;
             serve_cmd; passes_cmd; examples_cmd;
           ]))

@@ -25,11 +25,11 @@ let () =
   let engine = Dse.create ~config:{ Dse.default_config with Dse.jobs } src in
   Timing.reset ();
   print_endline "== resource-limit sweep (list scheduling) ==";
-  let by_limits = Explore.sweep_limits ~engine src in
+  let by_limits = Explore.sweep ~engine ~schedulers:[ Flow.List_path ] src in
   print_string (Explore.table by_limits);
 
   print_endline "\n== scheduler sweep (two functional units) ==";
-  let by_sched = Explore.sweep_schedulers ~engine src in
+  let by_sched = Explore.sweep ~engine ~limits:[ Hls_sched.Limits.two_fu ] src in
   print_string (Explore.table ~timings:true by_sched);
 
   print_endline "\n== Pareto frontier over both sweeps ==";

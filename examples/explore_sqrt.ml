@@ -1,4 +1,4 @@
-(* Full tour on the paper's sqrt example: the optimization levels and
+(* Full tour on the paper's sqrt example: the optimization pipelines and
    schedule lengths of Fig 2, loop unrolling as the paper suggests,
    Verilog and DOT emission of the final structure.
 
@@ -7,11 +7,15 @@
 open Hls_core
 open Hls_sched
 
-let compute_steps src ~level ~limits ~extra_passes =
+let compute_steps src ~pipeline ~limits ~extra_passes =
   let prog = Hls_lang.Typecheck.check (Hls_lang.Inline.expand (Hls_lang.Parser.parse src)) in
   let cfg = Hls_cdfg.Compile.compile prog in
   let outputs = Flow.output_names prog in
-  let cfg = Hls_transform.Passes.optimize ~level ~outputs cfg in
+  let cfg =
+    Hls_transform.Passes.run_spec
+      (List.assoc pipeline Hls_transform.Passes.named_pipelines)
+      ~outputs cfg
+  in
   let cfg =
     List.fold_left
       (fun cfg name ->
@@ -27,14 +31,14 @@ let () =
   let src = Workloads.sqrt_newton in
   Printf.printf "Fig 2 schedule lengths:\n";
   Printf.printf "  unoptimized, serial (paper: 23):        %d control steps\n"
-    (compute_steps src ~level:`None ~limits:Limits.serial ~extra_passes:[]);
+    (compute_steps src ~pipeline:"none" ~limits:Limits.serial ~extra_passes:[]);
   Printf.printf "  optimized, two FUs  (paper: 10):        %d control steps\n"
-    (compute_steps src ~level:`Standard ~limits:Limits.two_fu
+    (compute_steps src ~pipeline:"standard" ~limits:Limits.two_fu
        ~extra_passes:[ "loop-recode"; "dce" ]);
   Printf.printf "  fully unrolled, two FUs:                %d control steps\n"
-    (compute_steps src ~level:`Aggressive ~limits:Limits.two_fu ~extra_passes:[]);
+    (compute_steps src ~pipeline:"aggressive" ~limits:Limits.two_fu ~extra_passes:[]);
   Printf.printf "  fully unrolled, unlimited FUs:          %d control steps\n\n"
-    (compute_steps src ~level:`Aggressive ~limits:Limits.Unlimited ~extra_passes:[]);
+    (compute_steps src ~pipeline:"aggressive" ~limits:Limits.Unlimited ~extra_passes:[]);
 
   (* synthesize the optimized two-FU design and emit its structure *)
   let design = Flow.synthesize src in
@@ -54,7 +58,8 @@ let () =
   Timing.reset ();
   print_string
     (Explore.table ~timings:true
-       (Explore.sweep_limits ~config:{ Dse.default_config with Dse.jobs = 4 } src));
+       (Explore.sweep ~config:{ Dse.default_config with Dse.jobs = 4 }
+          ~schedulers:[ Flow.List_path ] src));
   print_newline ();
   match Flow.verify ~runs:20 design with
   | Ok () -> print_endline "co-simulation: 20 random vectors agree across all levels"

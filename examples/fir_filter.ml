@@ -12,8 +12,8 @@ let optimized_cfg src ~tree_height =
   let prog = Hls_lang.Typecheck.check (Hls_lang.Inline.expand (Hls_lang.Parser.parse src)) in
   let cfg = Hls_cdfg.Compile.compile prog in
   let outputs = Flow.output_names prog in
-  let cfg = Hls_transform.Passes.optimize ~level:`Standard ~outputs cfg in
-  if tree_height then ignore (Hls_transform.Tree_height.run cfg);
+  let cfg = Hls_transform.Passes.run_spec Hls_transform.Passes.default_pipeline ~outputs cfg in
+  if tree_height then ignore (Hls_transform.Rules.run_rules [ Hls_transform.Rules.add_rebalance ] cfg);
   cfg
 
 let critical_length cfg =

@@ -2,19 +2,20 @@ open Hls_lang
 open Hls_sched
 
 (* Memo layers, outermost first. Each key is exactly the set of option
-   fields the stage's result depends on:
+   fields the stage's result depends on, as the option table
+   (Flow.Knob) declares them:
 
-   persist   (binary, source, verify, canonical options)  — only with
+   persist   binary, source, verify, the key of every stage — only with
              [config.cache_dir]; backed by the on-disk store
-   frontend  ()                                            — per engine
-   midend    (canonical pipeline spec, if_conversion)
-   schedule  midend key + (scheduler, canonical limits)
-   backend   midend key + (schedule digest, allocator,
-                           share_variables, encoding)
+   frontend  ()                                         — per engine
+   midend    stage_key [Midend]
+   schedule  stage_key [Midend; Schedule]
+   backend   midend key + schedule digest + stage_key [Backend]
+   refine    backend key + stage_key [Refine]
 
-   The schedule layer canonicalizes the limits to [Unlimited] for
-   schedulers that ignore them (see {!Flow.scheduler_ignores_limits}),
-   so e.g. force-directed runs once across a whole limits sweep. The
+   Stage keys print the limits as [Unlimited] for schedulers that
+   ignore them (see {!Flow.scheduler_ignores_limits}), so e.g.
+   force-directed runs once across a whole limits sweep. The
    backend layer keys on the schedule's {e content} rather than on the
    scheduler that produced it: two option points whose schedulers place
    every operation identically share one allocation/binding/control
@@ -44,27 +45,26 @@ open Hls_sched
    the lock) must never leave the lock held — in a long-lived serve
    daemon that would wedge every future request, not just this one. *)
 
-(* The pipeline participates as its canonical string form: equal specs
-   print equally, so two points differing only in spelling (e.g. the
-   standard pass list written out by hand) share the midend, while any
-   semantic difference — pass set, fact folding, extraction objective —
-   is a distinct key. *)
-type mkey = string (* Passes.pipeline_to_string *) * bool
-type skey = mkey * Flow.scheduler * Limits.t
+(* Every key is built from Flow.Knob.stage_key: the canonical text of
+   the option fields a stage reads, so equal points print equally and
+   any semantic difference (pass set, fact folding, scheduler slack,
+   class caps, ...) is a distinct key. *)
+let midend_key options = Flow.Knob.stage_key [ Midend ] options
+let schedule_key options = Flow.Knob.stage_key [ Midend; Schedule ] options
 
-type bkey =
-  mkey
-  * string (* Cfg_sched.digest *)
-  * [ `Clique | `Greedy_min_mux | `Greedy_first_fit ]
-  * bool (* share_variables *)
-  * Hls_ctrl.Encoding.style
-  * bool (* narrow: width inference changes the bound datapath *)
+let backend_key options ~digest =
+  String.concat "|" [ midend_key options; digest; Flow.Knob.stage_key [ Backend ] options ]
 
 (* Refinement layer: the one-shot backend seed plus the constraints the
-   acceptance loop runs under. Effective limits participate because
-   candidate legality is checked against them, and the iterate count
-   because it bounds the loop. *)
-type rkey = bkey * Limits.t * int
+   acceptance loop runs under (the effective limits candidates are
+   checked against, and the iterate bound). *)
+let refine_key options ~digest =
+  backend_key options ~digest ^ "|" ^ Flow.Knob.stage_key [ Refine ] options
+
+let backend_class options sched =
+  let digest = Cfg_sched.digest sched in
+  if options.Flow.iterate <= 0 then backend_key options ~digest
+  else refine_key options ~digest
 
 type config = {
   jobs : int;
@@ -96,10 +96,10 @@ type t = {
   source : [ `Src of string | `Ast of Ast.program ];
   source_key : string;
   front : (unit, Flow.compiled slot) Hashtbl.t;
-  mid : (mkey, Flow.optimized slot) Hashtbl.t;
-  scheds : (skey, Cfg_sched.t slot) Hashtbl.t;
-  backs : (bkey, presult slot) Hashtbl.t;
-  refines : (rkey, presult slot) Hashtbl.t;
+  mid : (string, Flow.optimized slot) Hashtbl.t;
+  scheds : (string, Cfg_sched.t slot) Hashtbl.t;
+  backs : (string, presult slot) Hashtbl.t;
+  refines : (string, presult slot) Hashtbl.t;
   persist : (string, presult slot) Hashtbl.t;
   n_front : counter;
   n_mid : counter;
@@ -262,23 +262,6 @@ let memo t name ctr tbl key compute =
         match outcome with `Done v -> v | `Take_over -> compute_published ())
   end
 
-let point_args (options : Flow.options) =
-  [
-    ("passes", Hls_transform.Passes.pipeline_to_string options.passes);
-    ("if_conversion", string_of_bool options.if_conversion);
-    ("scheduler", Flow.scheduler_to_string options.scheduler);
-    ("limits", Limits.to_string options.limits);
-    ("allocator", Flow.allocator_to_string options.allocator);
-    ("encoding", Hls_ctrl.Encoding.style_to_string options.encoding);
-    ("narrow", string_of_bool options.narrow);
-    ("iterate", string_of_int options.iterate);
-  ]
-
-let canonical_options (options : Flow.options) =
-  if Flow.scheduler_ignores_limits options.scheduler then
-    { options with Flow.limits = Limits.Unlimited }
-  else options
-
 (* The cheap front of the staged flow: frontend, midend and scheduling
    through the memo layers. Shared verbatim between [eval_result] and
    [eval_cheap] so a pruned sweep's ranking pass and the later full
@@ -290,49 +273,37 @@ let eval_stages t (options : Flow.options) =
         | `Src s -> Flow.frontend s
         | `Ast a -> Flow.frontend_program a)
   in
-  let mkey =
-    (Hls_transform.Passes.pipeline_to_string options.passes, options.if_conversion)
-  in
   let o =
-    memo t "midend" t.n_mid t.mid mkey (fun () ->
+    memo t "midend" t.n_mid t.mid (midend_key options) (fun () ->
         Flow.midend ~passes:options.passes ~if_conversion:options.if_conversion c)
   in
-  let skey = (mkey, options.scheduler, (canonical_options options).Flow.limits) in
   let sched =
-    memo t "schedule" t.n_sched t.scheds skey (fun () -> Flow.schedule options o)
+    memo t "schedule" t.n_sched t.scheds (schedule_key options) (fun () ->
+        Flow.schedule options o)
   in
-  (mkey, o, sched)
+  (o, sched)
 
 let eval_cheap t (options : Flow.options) =
-  Hls_obs.Trace.with_span "dse/cheap" ~args:(point_args options) (fun () ->
-      let _, o, sched = eval_stages t options in
-      (o, sched))
+  Hls_obs.Trace.with_span "dse/cheap" ~args:(Flow.Knob.attrs options) (fun () ->
+      eval_stages t options)
 
 (* One full point through the staged in-memory layers (everything the
    engine did before the persistent layer existed). *)
 let eval_staged t (options : Flow.options) =
-  let mkey, o, sched = eval_stages t options in
-  let bkey =
-    ( mkey,
-      Cfg_sched.digest sched,
-      options.allocator,
-      options.share_variables,
-      options.encoding,
-      options.narrow )
-  in
+  let o, sched = eval_stages t options in
+  let digest = Cfg_sched.digest sched in
   let seeded =
-    memo t "backend" t.n_back t.backs bkey (fun () ->
+    memo t "backend" t.n_back t.backs (backend_key options ~digest) (fun () ->
         Flow.complete_result options o ~sched)
   in
   let refined =
     if options.iterate <= 0 then seeded
     else
-      (* the refined design depends on the seed (bkey), the limits the
+      (* the refined design depends on the seed, the limits the
          candidates must verify under, and the iteration bound — all in
          the key, so the memo can be shared across points and stays
          deterministic at any job count (single-flight) *)
-      let rkey = (bkey, Flow.effective_limits options, options.iterate) in
-      memo t "refine" t.n_refine t.refines rkey (fun () ->
+      memo t "refine" t.n_refine t.refines (refine_key options ~digest) (fun () ->
           match seeded with
           | Error ds -> Error ds
           | Ok seed -> Ok (fst (Flow.refine_design options o seed)))
@@ -369,12 +340,13 @@ type disk_entry = {
 let point_key t (options : Flow.options) =
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string
-          ( Lazy.force binary_digest,
-            t.source_key,
-            t.config.verify,
-            canonical_options options )
-          []))
+       (String.concat "|"
+          [
+            Lazy.force binary_digest;
+            t.source_key;
+            string_of_bool t.config.verify;
+            Flow.Knob.stage_key [ Midend; Schedule; Backend; Refine ] options;
+          ]))
 
 let design_digest (d : Flow.design) = Digest.to_hex (Digest.string (Marshal.to_string d []))
 
@@ -415,7 +387,7 @@ let disk_probe t key compute =
       | None -> compute_and_store ())
 
 let eval_result t (options : Flow.options) =
-  Hls_obs.Trace.with_span "dse/point" ~args:(point_args options) (fun () ->
+  Hls_obs.Trace.with_span "dse/point" ~args:(Flow.Knob.attrs options) (fun () ->
       Hls_obs.Trace.incr "dse/points";
       if t.config.cache_dir = None || not t.config.memoize then eval_staged t options
       else

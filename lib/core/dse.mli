@@ -11,9 +11,13 @@
       the limits canonicalized away for schedulers that ignore them
       ({!Flow.scheduler_ignores_limits});
     - {e backend} (allocate/bind/control/estimate) once per midend key
-      + schedule {e content} digest + [(allocator, share_variables,
-      encoding)] — points whose schedulers happen to place every
-      operation identically share one backend run.
+      + schedule {e content} digest + the backend options
+      ([allocator, share_variables, encoding, narrow]) — points whose
+      schedulers happen to place every operation identically share one
+      backend run.
+
+    Every key is the canonical text {!Flow.Knob.stage_key} prints for
+    the stage.
 
     How an engine evaluates is a {!config} record fixed at creation,
     mirroring how {!Flow.options} fixes what is synthesized. {!run}
@@ -46,8 +50,7 @@ type config = {
           table over whole points, backed by an on-disk
           content-addressed store ({!Hls_util.Disk_cache}). Keys mirror
           the layered memo keys — digest of (running binary, source,
-          [verify], options with limits canonicalized for
-          limit-ignoring schedulers) — so a fresh process (a daemon
+          [verify], every {!Flow.Knob.stage_key}) — so a fresh process (a daemon
           restart) answers a repeated request from disk without running
           any pipeline stage, bit-identically. Corrupt or truncated
           entries read as a miss. Probes bump [dse/persist.hits/misses]
@@ -126,6 +129,13 @@ val clear : t -> unit
 (** Drop all cached stage results (including the in-memory persist
     table — the disk store is untouched) and zero the counters. Must
     not be called while a {!run} is in flight. *)
+
+val backend_class : Flow.options -> Hls_sched.Cfg_sched.t -> string
+(** The key under which points whose cheap stages (midend key and
+    schedule) agree share one backend run — and, for [iterate > 0],
+    one refinement run: the backend memo key, extended by the refine
+    key when the point refines. Points of one class have one true
+    (area, latency) and one {!Explore.Bound.compute} value. *)
 
 val design_digest : Flow.design -> string
 (** Hex digest of the design's marshalled image. Two designs with equal

@@ -45,50 +45,34 @@ let run_points ~config ~engine src labelled =
       | Error ds -> raise (Flow.Lint_failed ds))
     labelled results
 
+(* A word value labels itself ("serial"); a number or flag is prefixed
+   with its knob's name ("iterate 3"). *)
 let cross ?(pipelines = []) ?(iterates = []) ~base ~schedulers ~limits () =
-  let pipelines = if pipelines = [] then [ base.Flow.passes ] else pipelines in
-  let iterates = if iterates = [] then [ base.Flow.iterate ] else iterates in
-  let many = List.length pipelines > 1 in
-  let many_it = List.length iterates > 1 in
+  let module K = Flow.Knob in
+  let axis (type a) (k : a K.t) (vs : a list) =
+    let vs = if vs = [] then [ k.K.get base ] else vs in
+    let seg v =
+      match k.K.kind with K.Words _ -> k.K.label v | K.Flag | K.Int -> k.K.name ^ " " ^ k.K.label v
+    in
+    (List.length vs > 1, List.map (fun v -> (seg v, k.K.set v)) vs)
+  in
+  let vary_i, iterates = axis K.iterate iterates in
+  let vary_p, pipelines = axis K.passes pipelines in
+  let vary_s, schedulers = axis K.scheduler schedulers in
+  let vary_l, limits = axis K.limits limits in
+  let point (si, fi) (sp, fp) (ss, fs) (sl, fl) =
+    let keep vary seg = if vary then [ seg ] else [] in
+    let head = String.concat " @ " (keep vary_s ss @ keep vary_l sl) in
+    let tail = keep vary_p sp @ keep vary_i si in
+    let head = if head = "" && tail = [] then ss ^ " @ " ^ sl else head in
+    (String.concat " / " (List.filter (( <> ) "") (head :: tail)), base |> fi |> fp |> fs |> fl)
+  in
   List.concat_map
-    (fun it ->
+    (fun i ->
       List.concat_map
-        (fun p ->
-          List.concat_map
-            (fun s ->
-              List.map
-                (fun l ->
-                  let label =
-                    Flow.scheduler_to_string s ^ " @ " ^ Limits.to_string l
-                    ^ (if many then " / " ^ Hls_transform.Passes.pipeline_to_string p
-                       else "")
-                    ^
-                    if many_it then Printf.sprintf " / iterate %d" it else ""
-                  in
-                  ( label,
-                    {
-                      base with
-                      Flow.scheduler = s;
-                      Flow.limits = l;
-                      Flow.passes = p;
-                      Flow.iterate = it;
-                    } ))
-                limits)
-            schedulers)
+        (fun p -> List.concat_map (fun s -> List.map (point i p s) limits) schedulers)
         pipelines)
     iterates
-
-let sweep_limits ?(config = Dse.default_config) ?engine ?(base = Flow.default_options)
-    ?(limits = default_limits) src =
-  run_points ~config ~engine src
-    (List.map (fun l -> (Limits.to_string l, { base with Flow.limits = l })) limits)
-
-let sweep_schedulers ?(config = Dse.default_config) ?engine
-    ?(base = Flow.default_options) ?(schedulers = default_schedulers) src =
-  run_points ~config ~engine src
-    (List.map
-       (fun s -> (Flow.scheduler_to_string s, { base with Flow.scheduler = s }))
-       schedulers)
 
 let sweep ?(config = Dse.default_config) ?engine ?(base = Flow.default_options)
     ?(schedulers = default_schedulers) ?(limits = default_limits) ?pipelines ?iterates
@@ -574,37 +558,6 @@ type pruned_sweep = {
   rounds : int;
 }
 
-(* Two option points whose cheap stages agree on this key share one
-   backend run (the Dse backend layer's key), hence one true
-   (area, latency): evaluating one representative reveals the exact
-   value of every member. *)
-let backend_class (options : Flow.options) sched =
-  let key =
-    String.concat "|"
-      [
-        Hls_transform.Passes.pipeline_to_string options.Flow.passes;
-        string_of_bool options.Flow.if_conversion;
-        Cfg_sched.digest sched;
-        Flow.allocator_to_string options.Flow.allocator;
-        string_of_bool options.Flow.share_variables;
-        Hls_ctrl.Encoding.style_to_string options.Flow.encoding;
-        string_of_bool options.Flow.narrow;
-      ]
-  in
-  (* refinement runs downstream of the backend: an iterated point's
-     value additionally depends on the iteration bound and on the
-     limits its candidates must verify under, so such points share a
-     class only when those agree too. One-shot points keep the
-     historical key. *)
-  if options.Flow.iterate <= 0 then key
-  else
-    String.concat "|"
-      [
-        key;
-        string_of_int options.Flow.iterate;
-        Limits.to_string (Flow.effective_limits options);
-      ]
-
 (* In-flight promotion window: at most this many backend evaluations
    outstanding while class decisions are still being made. Fixed —
    independent of [jobs] — so that the decision sequence, and with it
@@ -626,7 +579,7 @@ let run_points_pruned ~config ~engine src labelled =
   let keys =
     Array.init n (fun i ->
         let _, options = items.(i) in
-        backend_class options (snd cheap.(i)))
+        Dse.backend_class options (snd cheap.(i)))
   in
   (* each class's first member is its representative *)
   let first_of = Hashtbl.create 16 in

@@ -27,23 +27,6 @@ val default_limits : Hls_sched.Limits.t list
 
 val default_schedulers : Flow.scheduler list
 
-val sweep_limits :
-  ?config:Dse.config ->
-  ?engine:Dse.t ->
-  ?base:Flow.options ->
-  ?limits:Hls_sched.Limits.t list ->
-  string ->
-  point list
-(** Synthesize the BSL source under each resource limit. *)
-
-val sweep_schedulers :
-  ?config:Dse.config ->
-  ?engine:Dse.t ->
-  ?base:Flow.options ->
-  ?schedulers:Flow.scheduler list ->
-  string ->
-  point list
-
 val sweep :
   ?config:Dse.config ->
   ?engine:Dse.t ->
@@ -54,14 +37,13 @@ val sweep :
   ?iterates:int list ->
   string ->
   point list
-(** Full iterates × pipelines × scheduler × limits cross product
-    (default 1 × 1 × 8 × 5 = 40 points), labelled
-    ["scheduler @ limits"] — with [" / pipeline"] appended when more
-    than one pipeline sweeps and [" / iterate N"] when more than one
-    refinement bound does. [pipelines] defaults to just the base
-    options' spec, [iterates] to just the base options' [iterate], so
-    a sweep can compare feedback-refined points against every one-shot
-    scheduler by passing e.g. [~iterates:[0; 3]]. *)
+(** The one sweep entry point: the iterates × pipelines × scheduler ×
+    limits cross product of {!cross} (default 1 × 1 × 8 × 5 = 40
+    points). [pipelines] defaults to just the base options' spec,
+    [iterates] to just the base options' [iterate]; pass
+    [~schedulers:[s]] for a limits-only sweep, [~limits:[l]] for a
+    scheduler-only one, or e.g. [~iterates:[0; 3]] to compare
+    feedback-refined points against every one-shot scheduler. *)
 
 val cross :
   ?pipelines:Hls_transform.Passes.pipeline list ->
@@ -71,7 +53,13 @@ val cross :
   limits:Hls_sched.Limits.t list ->
   unit ->
   (string * Flow.options) list
-(** The labelled option points a {!sweep} evaluates. *)
+(** The labelled option points a {!sweep} evaluates, iterates
+    outermost and limits innermost; an empty axis holds the base
+    value. Labels name only the axes that vary, printed by the option
+    table ({!Flow.Knob}): ["scheduler @ limits"], then
+    [" / pipeline"] and [" / iterate N"] — so a limits-only sweep reads
+    ["serial"], a scheduler-only one ["list/path"]. A single point is
+    labelled ["scheduler @ limits"]. *)
 
 type pruned_point = {
   pr_label : string;
@@ -122,13 +110,6 @@ val sweep_pruned :
     bit-identical to [pareto] of the exhaustive {!sweep}. Reports
     [dse/points_evaluated], [dse/pruned_points] (their sum is the point
     count) and [dse/prune_rounds] through {!Hls_obs.Trace}. *)
-
-val backend_class : Flow.options -> Hls_sched.Cfg_sched.t -> string
-(** The key under which {!sweep_pruned} groups option points whose
-    cheap stages (midend key and schedule) agree and which therefore
-    share one backend run, one true (area, latency) and one
-    {!Bound.compute} value. It covers everything {!Bound.compute}
-    reads. *)
 
 (** Sound area/latency lower bounds computed from the cheap stages
     (schedule + CFG) alone — what {!sweep_pruned} ranks and prunes on.

@@ -33,17 +33,14 @@ let scheduler_to_string = function
   | Trans_parallel -> "transformational/parallel"
   | Trans_serial -> "transformational/serial"
 
-let allocator_to_string = function
-  | `Clique -> "clique"
-  | `Greedy_min_mux -> "min-mux"
-  | `Greedy_first_fit -> "first-fit"
+type allocator = [ `Clique | `Greedy_min_mux | `Greedy_first_fit ]
 
 type options = {
   passes : Hls_transform.Passes.pipeline;
   if_conversion : bool;
   scheduler : scheduler;
   limits : Limits.t;
-  allocator : [ `Clique | `Greedy_min_mux | `Greedy_first_fit ];
+  allocator : allocator;
   share_variables : bool;
   encoding : Hls_ctrl.Encoding.style;
   narrow : bool;
@@ -53,6 +50,234 @@ type options = {
       (** feedback-guided refinement iterations after the one-shot
           backend: 0 = off (the historical one-shot flow) *)
 }
+
+(* time-constrained schedulers derive their own deadline and pay no
+   attention to the resource limits in the options *)
+let scheduler_ignores_limits = function
+  | Force_directed _ | Freedom -> true
+  | _ -> false
+
+let effective_limits options =
+  if scheduler_ignores_limits options.scheduler then Limits.Unlimited else options.limits
+
+(* ---- the option table ------------------------------------------------ *)
+
+(* Every options field is declared once, here. The CLI term, the wire
+   codec, span attributes, sweep labels, the report line and every memo
+   key are folds over [Knob.all]; adding an option is one entry. *)
+module Knob = struct
+  type stage = Midend | Schedule | Backend | Refine
+
+  type 'a vocab = {
+    words : (string * 'a) list;
+    parse : string -> ('a, string) result;
+    print : 'a -> string;
+  }
+
+  type _ kind = Flag : bool kind | Int : int kind | Words : 'a vocab -> 'a kind
+
+  type 'a t = {
+    name : string;
+    key : string;
+    aliases : string list;
+    docv : string;
+    doc : string;
+    stages : stage list;
+    exposed : bool;
+    kind : 'a kind;
+    label : 'a -> string;
+    get : options -> 'a;
+    set : 'a -> options -> options;
+  }
+
+  type any = Any : 'a t -> any
+
+  let print_kind : type a. a kind -> a -> string = function
+    | Flag -> string_of_bool
+    | Int -> string_of_int
+    | Words w -> w.print
+
+  let text k = print_kind k.kind
+  let values k = match k.kind with Words w -> List.map snd w.words | _ -> []
+
+  let make ?key ?(aliases = []) ?(docv = "") ?(exposed = true) ?label name kind ~stages ~doc
+      get set =
+    let key = Option.value key ~default:name in
+    let label = Option.value label ~default:(print_kind kind) in
+    { name; key; aliases; docv; doc; stages; exposed; kind; label; get; set }
+
+  let choices words = String.concat "|" (List.map fst words)
+
+  let table what words =
+    let parse s =
+      match List.assoc_opt s words with
+      | Some v -> Ok v
+      | None ->
+          Error
+            (Printf.sprintf "unknown %s %S (expected one of: %s)" what s
+               (String.concat ", " (List.map fst words)))
+    in
+    let print v = fst (List.find (fun (_, x) -> x = v) words) in
+    { words; parse; print }
+
+  let passes =
+    let module P = Hls_transform.Passes in
+    make "passes" ~docv:"SPEC" ~stages:[ Midend ]
+      (Words
+         { words = P.named_pipelines; parse = P.pipeline_of_string; print = P.pipeline_to_string })
+      ~doc:
+        (Printf.sprintf
+           "Optimization pipeline spec: a named pipeline (%s), or a comma-separated pass \
+            list, optionally followed by +facts, +extract:area or +extract:latency \
+            modifiers. Run `hlsc passes' for the catalogue. Examples: aggressive, \
+            forward,cse,dce, standard+extract:latency."
+           (choices P.named_pipelines))
+      (fun o -> o.passes)
+      (fun passes o -> { o with passes })
+
+  let if_conversion =
+    make "if_conversion" ~key:"if_convert" Flag ~stages:[ Midend ]
+      ~doc:"Speculate small branch diamonds into muxes." (fun o -> o.if_conversion)
+      (fun if_conversion o -> { o with if_conversion })
+
+  let scheduler =
+    let words =
+      [
+        ("asap", Asap); ("list", List_path); ("list-mobility", List_mobility);
+        ("fds", Force_directed 0); ("freedom", Freedom); ("bb", Branch_bound);
+        ("ilp", Ilp_exact); ("trans-par", Trans_parallel); ("trans-ser", Trans_serial);
+      ]
+    in
+    let t = table "scheduler" words in
+    (* force-directed slack rides on the keyword: fds+K *)
+    let parse s =
+      match String.split_on_char '+' s with
+      | [ "fds"; k ] -> (
+          match int_of_string_opt k with
+          | Some k when k >= 0 -> Ok (Force_directed k)
+          | _ -> Error (Printf.sprintf "bad force-directed slack %S (expected fds+K, K >= 0)" s))
+      | _ -> t.parse s
+    in
+    let print = function Force_directed k when k <> 0 -> "fds+" ^ string_of_int k | s -> t.print s in
+    make "scheduler" ~aliases:[ "s" ] ~docv:"ALGO" ~label:scheduler_to_string ~stages:[ Schedule ]
+      (Words { t with parse; print })
+      ~doc:
+        (Printf.sprintf "Scheduler (%s); fds+K gives force-directed scheduling K steps of slack."
+           (choices words))
+      (fun o -> o.scheduler)
+      (fun scheduler o -> { o with scheduler })
+
+  (* 0 = serial, negative = unlimited, N general units, or per-class
+     caps such as alu:1,mul:1,div:1 *)
+  let limits =
+    let cls c = Hls_cdfg.Op.fu_class_to_string c in
+    let classes = Hls_cdfg.Op.[ C_alu; C_mul; C_div; C_shift ] in
+    let cap s =
+      match String.split_on_char ':' s with
+      | [ c; n ] -> (
+          match (List.find_opt (fun k -> cls k = c) classes, int_of_string_opt n) with
+          | Some c, Some n when n > 0 -> Some (c, n)
+          | _ -> None)
+      | _ -> None
+    in
+    let parse s =
+      match int_of_string_opt s with
+      | Some 0 -> Ok Limits.Serial
+      | Some n -> Ok (if n < 0 then Limits.Unlimited else Limits.Total n)
+      | None ->
+          let parts = String.split_on_char ',' s in
+          let caps = List.filter_map cap parts in
+          if List.compare_lengths caps parts = 0 then Ok (Limits.Classes caps)
+          else Error (Printf.sprintf "bad unit limit %S (expected N or caps such as alu:1,mul:1)" s)
+    in
+    let print = function
+      | Limits.Serial -> "0"
+      | Limits.Unlimited -> "-1"
+      | Limits.Total n -> string_of_int n
+      | Limits.Classes caps ->
+          String.concat "," (List.map (fun (c, n) -> cls c ^ ":" ^ string_of_int n) caps)
+    in
+    (* refinement verifies its candidates under the (effective) limits *)
+    make "limits" ~key:"fus" ~aliases:[ "k" ] ~docv:"N" ~label:Limits.to_string
+      ~stages:[ Schedule; Refine ] (Words { words = []; parse; print })
+      ~doc:
+        "Functional-unit limit: N general units (0 = serial, -1 = unlimited), or per-class \
+         caps such as alu:1,mul:1,div:1."
+      (fun o -> o.limits)
+      (fun limits o -> { o with limits })
+
+  let allocator =
+    let words =
+      [ ("clique", `Clique); ("min-mux", `Greedy_min_mux); ("first-fit", `Greedy_first_fit) ]
+    in
+    make "allocator" ~aliases:[ "a" ] ~docv:"ALGO" ~stages:[ Backend ]
+      (Words (table "allocator" words))
+      ~doc:(Printf.sprintf "Allocator (%s)." (choices words))
+      (fun o -> o.allocator)
+      (fun allocator o -> { o with allocator })
+
+  (* library-only: one value in use, on neither the CLI, the wire nor spans *)
+  let share_variables =
+    make "share_variables" ~exposed:false Flag ~stages:[ Backend ]
+      ~doc:"Let non-port variables share registers." (fun o -> o.share_variables)
+      (fun share_variables o -> { o with share_variables })
+
+  let encoding =
+    let words =
+      List.map
+        (fun s -> (Hls_ctrl.Encoding.style_to_string s, s))
+        Hls_ctrl.Encoding.[ Binary; Gray; One_hot ]
+    in
+    make "encoding" ~docv:"STYLE" ~stages:[ Backend ] (Words (table "encoding" words))
+      ~doc:(Printf.sprintf "State encoding (%s)." (choices words))
+      (fun o -> o.encoding)
+      (fun encoding o -> { o with encoding })
+
+  let narrow =
+    make "narrow" Flag ~stages:[ Backend ]
+      ~doc:
+        "Narrow registers, functional units and muxes to the widths the value-range \
+         analysis proves sufficient (area-only; the design stays bit-identical)."
+      (fun o -> o.narrow)
+      (fun narrow o -> { o with narrow })
+
+  let iterate =
+    make "iterate" ~docv:"N" Int ~stages:[ Refine ]
+      ~doc:
+        "Feedback-guided refinement: after the one-shot flow, extract the critical \
+         subgraph (longest register-to-register chains, oversubscribed unit classes, \
+         live-storage floor) and re-schedule it under tightened constraints, up to N \
+         accepted iterations. A refined design is behaviourally bit-identical to its \
+         seed and accepted only on strict (area, latency) improvement; 0 disables."
+      (fun o -> o.iterate)
+      (fun iterate o -> { o with iterate })
+
+  let all =
+    [
+      Any passes; Any if_conversion; Any scheduler; Any limits; Any allocator;
+      Any share_variables; Any encoding; Any narrow; Any iterate;
+    ]
+
+  let attr k v = (k.name, k.label v)
+
+  let attrs o =
+    List.filter_map (fun (Any k) -> if k.exposed then Some (attr k (k.get o)) else None) all
+
+  let stage_key stages o =
+    (* limits a scheduler ignores never split a key *)
+    let o = { o with limits = effective_limits o } in
+    let b = Buffer.create 128 in
+    List.iter
+      (fun (Any k) ->
+        if List.exists (fun s -> List.memq s stages) k.stages then begin
+          Buffer.add_string b k.name;
+          Buffer.add_char b '=';
+          Buffer.add_string b (text k (k.get o));
+          Buffer.add_char b ';'
+        end)
+      all;
+    Buffer.contents b
+end
 
 let default_options =
   {
@@ -166,11 +391,7 @@ let component_cost =
 
 let midend ~passes ~if_conversion c =
   Hls_obs.Trace.with_span "midend"
-    ~args:
-      [
-        ("passes", Hls_transform.Passes.pipeline_to_string passes);
-        ("if_conversion", string_of_bool if_conversion);
-      ]
+    ~args:[ Knob.attr Knob.passes passes; Knob.attr Knob.if_conversion if_conversion ]
     (fun () ->
       let prog = c.c_prog in
       let cfg0 = Hls_cdfg.Compile.compile prog in
@@ -210,37 +431,23 @@ let midend ~passes ~if_conversion c =
       in
       { o_prog = prog; o_cfg = cfg; o_outputs = outputs })
 
-(* time-constrained schedulers derive their own deadline and pay no
-   attention to the resource limits in the options *)
-let scheduler_ignores_limits = function
-  | Force_directed _ | Freedom -> true
-  | _ -> false
-
 let schedule options o =
   Hls_obs.Trace.with_span "schedule"
     ~args:
       [
-        ("scheduler", scheduler_to_string options.scheduler);
-        ("limits", Limits.to_string options.limits);
+        Knob.attr Knob.scheduler options.scheduler; Knob.attr Knob.limits options.limits;
       ]
     (fun () ->
       let sched = Cfg_sched.make o.o_cfg ~scheduler:(block_scheduler options) in
       (* for limit-ignoring schedulers verify only the dependence half of
          the contract, the full contract otherwise *)
-      let verify_limits =
-        if scheduler_ignores_limits options.scheduler then Limits.Unlimited
-        else options.limits
-      in
-      (match Cfg_sched.verify verify_limits sched with
+      (match Cfg_sched.verify (effective_limits options) sched with
       | Ok () -> ()
       | Error e ->
           invalid_arg (Printf.sprintf "Flow: scheduler produced invalid schedule: %s" e));
       sched)
 
 (* ---- design-level lint ------------------------------------------------ *)
-
-let effective_limits options =
-  if scheduler_ignores_limits options.scheduler then Limits.Unlimited else options.limits
 
 (* The microcoded-control image of the design: one word per state, a
    register-enable bit per physical register plus an op-select and a
@@ -353,7 +560,7 @@ let complete_result ?(verify = false) options o ~sched =
   let prog = o.o_prog in
   let fu, regs, transfers =
     Hls_obs.Trace.with_span "allocate"
-      ~args:[ ("allocator", allocator_to_string options.allocator) ]
+      ~args:[ Knob.attr Knob.allocator options.allocator ]
       (fun () ->
         let fu =
           match options.allocator with
@@ -390,7 +597,7 @@ let complete_result ?(verify = false) options o ~sched =
   | Ok datapath ->
       let controller =
         Hls_obs.Trace.with_span "control"
-          ~args:[ ("encoding", Hls_ctrl.Encoding.style_to_string options.encoding) ]
+          ~args:[ Knob.attr Knob.encoding options.encoding ]
           (fun () ->
             Hls_ctrl.Ctrl_synth.synthesize ~style:options.encoding
               datapath.Hls_rtl.Datapath.fsm)
@@ -463,7 +670,7 @@ let refine_design options o seed =
       d.estimate.Hls_rtl.Estimate.latency_ns )
   in
   Hls_obs.Trace.with_span "refine"
-    ~args:[ ("iterate", string_of_int options.iterate) ]
+    ~args:[ Knob.attr Knob.iterate options.iterate ]
     (fun () ->
       Hls_sched.Refine.refine ~max_iters:options.iterate
         ~propose:(fun ~iter:_ d -> Hls_sched.Refine.extract signals d.sched)

@@ -28,18 +28,20 @@ type scheduler =
   | Trans_serial
 
 val scheduler_to_string : scheduler -> string
-val allocator_to_string : [ `Clique | `Greedy_min_mux | `Greedy_first_fit ] -> string
+(** The scheduler's label: ["list/path"], ["force-directed+0"], ... *)
+
+type allocator = [ `Clique | `Greedy_min_mux | `Greedy_first_fit ]
 
 type options = {
   passes : Hls_transform.Passes.pipeline;
       (** optimization pipeline spec; canonical string form via
-          {!Hls_transform.Passes.pipeline_to_string} (legacy levels map
-          through {!Hls_transform.Passes.level}) *)
+          {!Hls_transform.Passes.pipeline_to_string} *)
   if_conversion : bool;  (** speculate small branch diamonds into muxes *)
   scheduler : scheduler;
   limits : Limits.t;
-  allocator : [ `Clique | `Greedy_min_mux | `Greedy_first_fit ];
+  allocator : allocator;
   share_variables : bool;
+      (** let non-port variables share registers; library-only *)
   encoding : Hls_ctrl.Encoding.style;
   narrow : bool;
       (** shrink register/FU/mux widths to the {!Hls_analysis.Range}
@@ -58,6 +60,80 @@ type options = {
 val default_options : options
 (** Standard optimization, path-priority list scheduling on two
     functional units, min-mux greedy allocation, binary encoding. *)
+
+(** {2 The option table}
+
+    Each {!options} field is declared once, as a {!Knob.t}: its name,
+    its vocabulary, its label printer and the stages it affects. The
+    [hlsc] options term, the [lint --matrix] axes, the serve wire
+    codec, span attributes, {!Explore.cross} labels, the {!Report} line
+    and every {!Dse} memo key are folds over {!Knob.all}, so adding an
+    option is one table entry. *)
+
+module Knob : sig
+  type stage = Midend | Schedule | Backend | Refine
+
+  type 'a vocab = {
+    words : (string * 'a) list;  (** keyword table; [[]] for the limits codec *)
+    parse : string -> ('a, string) result;
+    print : 'a -> string;  (** canonical: [parse (print v) = Ok v] *)
+  }
+
+  (** A flag is a CLI switch and a JSON boolean; an int a number; words
+      are CLI words and JSON strings (numbers when integral, as [fus]). *)
+  type _ kind = Flag : bool kind | Int : int kind | Words : 'a vocab -> 'a kind
+
+  type 'a t = {
+    name : string;  (** record field and span attribute *)
+    key : string;  (** wire field; the CLI flag is [--key] with [-] for [_] *)
+    aliases : string list;  (** short CLI names *)
+    docv : string;
+    doc : string;
+    stages : stage list;  (** the memo layers whose result it changes *)
+    exposed : bool;  (** on the CLI, the wire and spans *)
+    kind : 'a kind;
+    label : 'a -> string;  (** span attribute, report and sweep label *)
+    get : options -> 'a;
+    set : 'a -> options -> options;
+  }
+
+  type any = Any : 'a t -> any
+
+  val passes : Hls_transform.Passes.pipeline t
+  val if_conversion : bool t
+
+  val scheduler : scheduler t
+  (** [fds] is [Force_directed 0]; [fds+K] adds K steps of slack. *)
+
+  val limits : Limits.t t
+  (** Key [fus]: [0] serial, [-1] unlimited, [N] general units, or
+      class caps [alu:1,mul:1,div:1]. *)
+
+  val allocator : allocator t
+  val encoding : Hls_ctrl.Encoding.style t
+  val narrow : bool t
+  val iterate : int t
+
+  val share_variables : bool t
+  (** Library-only: [exposed = false]. *)
+
+  val all : any list
+  (** In record order. *)
+
+  val text : 'a t -> 'a -> string
+  (** The CLI/wire spelling. *)
+
+  val values : 'a t -> 'a list
+  (** The keyword table's values. *)
+
+  val attrs : options -> (string * string) list
+  (** Every exposed option as span attributes, in table order. *)
+
+  val stage_key : stage list -> options -> string
+  (** The canonical text of the options any of the stages depends on;
+      limits a scheduler ignores ({!scheduler_ignores_limits}) print as
+      unlimited. *)
+end
 
 type design = {
   options : options;

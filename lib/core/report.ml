@@ -17,15 +17,9 @@ let summary (d : Flow.design) =
   let buf = Buffer.create 2048 in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
   out "=== synthesis report: %s ===\n" d.Flow.prog.Hls_lang.Typed.tname;
-  out "options: passes=%s, scheduler=%s, limits=%s, allocator=%s, encoding=%s\n"
-    (Hls_transform.Passes.pipeline_to_string d.Flow.options.Flow.passes)
-    (Flow.scheduler_to_string d.Flow.options.Flow.scheduler)
-    (Hls_sched.Limits.to_string d.Flow.options.Flow.limits)
-    (match d.Flow.options.Flow.allocator with
-    | `Clique -> "clique"
-    | `Greedy_min_mux -> "greedy/min-mux"
-    | `Greedy_first_fit -> "greedy/first-fit")
-    (Hls_ctrl.Encoding.style_to_string d.Flow.options.Flow.encoding);
+  out "options: %s\n"
+    (String.concat ", "
+       (List.map (fun (name, v) -> name ^ "=" ^ v) (Flow.Knob.attrs d.Flow.options)));
   let n_ops =
     List.fold_left
       (fun acc bid ->

@@ -9,16 +9,16 @@
    Requests are objects with a "cmd" field — synth | dse | lint |
    ping | stats | shutdown — a source ("source" inline text or
    "workload" built-in name) where one is needed, and an "options"
-   object using exactly the CLI vocabulary (passes, if_convert,
-   scheduler, fus, allocator, encoding), so anything expressible as
-   `hlsc synth` flags is expressible as a serve request. Responses
-   carry "status" ok | busy | error plus a per-request trace span id
-   and the protocol version under "proto".
+   object with one field per exposed option of the table in Flow.Knob,
+   spelled exactly as on the CLI (passes, if_convert, scheduler, fus,
+   allocator, encoding, narrow, iterate), so anything expressible as
+   `hlsc synth` flags is expressible as a serve request. An unknown
+   option key is an error that lists the known ones. Responses carry
+   "status" ok | busy | error plus a per-request trace span id and the
+   protocol version under "proto".
 
-   Versioning: protocol 2 renamed the options' "opt_level" enum to the
-   "passes" pipeline spec string. The decoder still accepts the legacy
-   "opt_level" field (mapped through Passes.level) so protocol-1
-   clients keep working; a client may send "proto": N to assert the
+   Versioning: protocol 2 spells the optimization pipeline as the
+   "passes" spec string. A client may send "proto": N to assert the
    version it speaks, and the daemon rejects requests from the future
    rather than silently dropping fields it does not know.
 
@@ -28,7 +28,6 @@
 
 module J = Hls_util.Json
 module Flow = Hls_core.Flow
-module Passes = Hls_transform.Passes
 
 let version = 2
 
@@ -98,105 +97,51 @@ let read_frame fd =
       | Ok payload -> Some (Ok payload)
       | Error e -> Some (Error e))
 
-(* ---- option vocabulary (mirrors the hlsc CLI flags) ---- *)
+(* ---- options: one field per exposed Flow.Knob ---- *)
 
-let schedulers =
-  [
-    ("asap", Flow.Asap);
-    ("list", Flow.List_path);
-    ("list-mobility", Flow.List_mobility);
-    ("fds", Flow.Force_directed 0);
-    ("freedom", Flow.Freedom);
-    ("bb", Flow.Branch_bound);
-    ("ilp", Flow.Ilp_exact);
-    ("trans-par", Flow.Trans_parallel);
-    ("trans-ser", Flow.Trans_serial);
-  ]
+module K = Flow.Knob
 
-let opt_levels = [ ("none", `None); ("standard", `Standard); ("aggressive", `Aggressive) ]
+let exposed = List.filter (fun (K.Any k) -> k.K.exposed) K.all
 
-let allocators =
-  [ ("clique", `Clique); ("min-mux", `Greedy_min_mux); ("first-fit", `Greedy_first_fit) ]
+let decode (type a) (k : a K.t) json o =
+  let bad what = Error (Printf.sprintf "option %S expects %s" k.K.key what) in
+  let set r = Result.map (fun v -> k.K.set v o) r in
+  match (k.K.kind, json) with
+  | K.Flag, J.Bool b -> set (Ok b)
+  | K.Flag, _ -> bad "a boolean"
+  | K.Int, _ -> (match J.to_int json with Some n -> set (Ok n) | None -> bad "an integer")
+  | K.Words w, J.Str s -> set (w.K.parse s)
+  | K.Words w, _ -> (
+      (* integer words ([fus]) travel as JSON numbers *)
+      match J.to_int json with
+      | Some n -> set (w.K.parse (string_of_int n))
+      | None -> bad "a string")
 
-let encodings =
-  [
-    ("binary", Hls_ctrl.Encoding.Binary);
-    ("gray", Hls_ctrl.Encoding.Gray);
-    ("one-hot", Hls_ctrl.Encoding.One_hot);
-  ]
-
-let enum_of_string ~what table s =
-  match List.assoc_opt s table with
-  | Some v -> Ok v
-  | None ->
-      Error
-        (Printf.sprintf "unknown %s %S (expected one of: %s)" what s
-           (String.concat ", " (List.map fst table)))
-
-let limits_of_fus fus =
-  if fus = 0 then Hls_sched.Limits.Serial
-  else if fus < 0 then Hls_sched.Limits.Unlimited
-  else Hls_sched.Limits.Total fus
-
-let fus_of_limits = function
-  | Hls_sched.Limits.Serial -> 0
-  | Hls_sched.Limits.Unlimited -> -1
-  | Hls_sched.Limits.Total n -> n
-  | Hls_sched.Limits.Classes _ -> -1
+let encode (type a) (k : a K.t) o =
+  let v = k.K.get o in
+  match k.K.kind with
+  | K.Flag -> J.Bool v
+  | K.Int -> J.of_int v
+  | K.Words w -> (
+      let s = w.K.print v in
+      match int_of_string_opt s with Some n -> J.of_int n | None -> J.Str s)
 
 let options_of_json json =
-  let ( let* ) = Result.bind in
-  let field name table default =
-    match J.str_member name json with
-    | None -> Ok default
-    | Some s -> enum_of_string ~what:name table s
-  in
-  let* passes =
-    match J.str_member "passes" json with
-    | Some spec -> Passes.pipeline_of_string spec
-    | None -> (
-        (* protocol 1 compatibility: the closed opt_level enum maps to
-           its named pipeline *)
-        match J.str_member "opt_level" json with
-        | None -> Ok Passes.default_pipeline
-        | Some s ->
-            let* l = enum_of_string ~what:"opt_level" opt_levels s in
-            Ok (Passes.level l))
-  in
-  let* scheduler = field "scheduler" schedulers Flow.List_path in
-  let* allocator = field "allocator" allocators `Greedy_min_mux in
-  let* encoding = field "encoding" encodings Hls_ctrl.Encoding.Binary in
-  let if_conversion = Option.value ~default:false (J.bool_member "if_convert" json) in
-  let narrow = Option.value ~default:false (J.bool_member "narrow" json) in
-  let iterate = Option.value ~default:0 (J.int_member "iterate" json) in
-  let fus = Option.value ~default:2 (J.int_member "fus" json) in
-  Ok
-    {
-      Flow.passes;
-      if_conversion;
-      scheduler;
-      limits = limits_of_fus fus;
-      allocator;
-      share_variables = true;
-      encoding;
-      narrow;
-      iterate;
-    }
+  match json with
+  | J.Obj fields ->
+      List.fold_left
+        (fun acc (key, v) ->
+          Result.bind acc (fun o ->
+              match List.find_opt (fun (K.Any k) -> k.K.key = key) exposed with
+              | Some (K.Any k) -> decode k v o
+              | None ->
+                  Error
+                    (Printf.sprintf "unknown option %S (known options: %s)" key
+                       (String.concat ", " (List.map (fun (K.Any k) -> k.K.key) exposed)))))
+        (Ok Flow.default_options) fields
+  | _ -> Error "\"options\" must be an object"
 
-let key_of table v = fst (List.find (fun (_, x) -> x = v) table)
-
-let options_to_json (o : Flow.options) =
-  J.Obj
-    [
-      ("passes", J.Str (Passes.pipeline_to_string o.Flow.passes));
-      ("if_convert", J.Bool o.Flow.if_conversion);
-      ("scheduler", J.Str (key_of schedulers o.Flow.scheduler));
-      ("fus", J.of_int (fus_of_limits o.Flow.limits));
-      ("allocator", J.Str (key_of allocators o.Flow.allocator));
-      ("encoding", J.Str (key_of encodings o.Flow.encoding));
-      ("narrow", J.Bool o.Flow.narrow);
-      ("iterate", J.of_int o.Flow.iterate);
-    ]
+let options_to_json o = J.Obj (List.map (fun (K.Any k) -> (k.K.key, encode k o)) exposed)
 
 (* ---- requests ---- *)
 

@@ -5,8 +5,9 @@
     payload bytes. Requests are objects with a ["cmd"] of [synth], [dse],
     [lint], [ping], [stats] or [shutdown]; a source as inline ["source"]
     text or a built-in ["workload"] name; and an ["options"] object
-    spelled in the CLI flag vocabulary ([passes], [if_convert],
-    [scheduler], [fus], [allocator], [encoding]). Responses carry a
+    with one field per exposed {!Hls_core.Flow.Knob}, spelled in the CLI
+    flag vocabulary ([passes], [if_convert], [scheduler], [fus],
+    [allocator], [encoding], [narrow], [iterate]). Responses carry a
     ["status"] of [ok], [busy] or [error], the protocol [version] under
     ["proto"], and the request's trace span id. *)
 
@@ -14,10 +15,9 @@ module J = Hls_util.Json
 module Flow = Hls_core.Flow
 
 val version : int
-(** Protocol version (2: pipeline-spec ["passes"] replaced the closed
-    ["opt_level"] enum, which the decoder still accepts; responses
-    advertise the version, and requests asserting a {e newer} ["proto"]
-    are rejected). *)
+(** Protocol version (2: the pipeline is the ["passes"] spec string;
+    responses advertise the version, and requests asserting a {e newer}
+    ["proto"] are rejected). *)
 
 (** {2 Framing} *)
 
@@ -53,12 +53,16 @@ type request =
 val request_of_json : J.t -> (request, string) result
 
 val options_of_json : J.t -> (Flow.options, string) result
-(** Missing fields take the CLI defaults (standard pipeline, list
-    scheduler, 2 FUs, min-mux, binary). ["passes"] is a pipeline spec
-    string; the legacy ["opt_level"] enum is still accepted when no
-    ["passes"] field is present. *)
+(** Missing fields take {!Hls_core.Flow.default_options} (standard
+    pipeline, list scheduler, 2 FUs, min-mux, binary). Each field
+    decodes through its knob's vocabulary: [scheduler] accepts
+    [fds+K]; [fus] an integer (0 serial, -1 unlimited, N units) or a
+    class spec string such as ["alu:1,mul:1,div:1"]. An unknown key
+    is an error naming it and listing the known keys. *)
 
 val options_to_json : Flow.options -> J.t
+(** Every exposed option, in table order; [options_of_json] inverts it
+    exactly. *)
 
 (** {2 Responses} *)
 

@@ -19,13 +19,15 @@ let forward = { name = "forward"; descr = "storage forwarding within blocks"; ru
 
 let strength =
   { name = "strength"; descr = "strength reduction (mul-by-2^k to shift, +-1 to incr/decr, =0 to zero-detect)";
-    run = in_place (fun cfg -> Strength.run cfg) }
+    run = in_place (Rules.run_rules (Rules.group "strength")) }
 
 let dce =
   { name = "dce"; descr = "dead code and dead write elimination";
     run = (fun ~outputs cfg -> (cfg, Dead_code.run ~outputs cfg)) }
 
-let tree_height = { name = "tree-height"; descr = "tree height reduction of associative chains"; run = in_place Tree_height.run }
+let tree_height =
+  { name = "tree-height"; descr = "tree height reduction of associative chains";
+    run = in_place (Rules.run_rules [ Rules.add_rebalance ]) }
 
 let loop_recode =
   { name = "loop-recode"; descr = "counter recoding to wraparound width and free zero-detect exit";
@@ -170,11 +172,6 @@ let named_pipelines =
     ("extract", { passes = extract_names; fold_facts = true; extract = Some `Area });
   ]
 
-let level = function
-  | `None -> List.assoc "none" named_pipelines
-  | `Standard -> List.assoc "standard" named_pipelines
-  | `Aggressive -> List.assoc "aggressive" named_pipelines
-
 let default_pipeline = List.assoc "standard" named_pipelines
 
 let pipeline_of_string s =
@@ -256,5 +253,3 @@ let run_spec ?(nonneg = Rules.no_facts) ?cost ~outputs spec cfg =
   | Some objective ->
       let changed = Extract.run ~nonneg ?cost ~objective cfg in
       if changed then run_pipeline ~outputs passes cfg else cfg
-
-let optimize ?level:(l = `Standard) ~outputs cfg = run_spec ~outputs (level l) cfg

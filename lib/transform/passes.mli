@@ -68,9 +68,6 @@ val named_pipelines : (string * pipeline) list
 val default_pipeline : pipeline
 (** The [standard] named pipeline. *)
 
-val level : [ `None | `Standard | `Aggressive ] -> pipeline
-(** The spec equivalent of a legacy optimization level. *)
-
 val pipeline_of_string : string -> (pipeline, string) result
 val pipeline_to_string : pipeline -> string
 (** Canonical form: named specs print as their name; a pass list
@@ -88,8 +85,3 @@ val run_spec :
     extraction followed by a cleanup round. Raises [Invalid_argument]
     on an unknown pass name. [fold_facts] is not interpreted here —
     the range analysis lives above this library; [Flow] owns it. *)
-
-val optimize :
-  ?level:[ `None | `Standard | `Aggressive ] -> outputs:string list -> Cfg.t -> Cfg.t
-(** Deprecated thin wrapper: run the named pipeline a legacy level maps
-    to (default [`Standard]). *)

@@ -72,7 +72,7 @@ val cse_global : Cfg.t -> bool
     read of the committed variable. Sound because block writes commit at
     block exit and reads observe block-entry values. *)
 
-(** {1 Pattern helpers shared with {!Strength} and {!Extract}} *)
+(** {1 Pattern helpers shared with {!Extract}} *)
 
 val fmt_of_ty : Hls_lang.Ast.ty -> Hls_util.Fixedpt.format
 val frac_bits : Hls_lang.Ast.ty -> int

@@ -159,9 +159,8 @@ let test_width_full_shift () =
 let test_range_fold_cosim () =
   List.iter
     (fun (name, src) ->
-      let options =
-        { Flow.default_options with Flow.passes = Hls_transform.Passes.level `Aggressive }
-      in
+      let passes = List.assoc "aggressive" Hls_transform.Passes.named_pipelines in
+      let options = { Flow.default_options with Flow.passes } in
       let d = Flow.synthesize ~options src in
       match Flow.verify ~runs:3 d with
       | Ok () -> ()

@@ -151,6 +151,25 @@ let test_point_keeps_own_options () =
         (p.Explore.options = p.Explore.design.Flow.options))
     points
 
+(* cross labels name only the axes that vary *)
+let test_cross_labels () =
+  let labels ?iterates ~schedulers ~limits () =
+    List.map fst (Explore.cross ?iterates ~base:Flow.default_options ~schedulers ~limits ())
+  in
+  let l = Explore.default_limits and s = Explore.default_schedulers in
+  Alcotest.(check (list string)) "limits only"
+    [ "serial"; "2 FUs"; "3 FUs"; "4 FUs"; "1 alu, 1 mul, 1 div" ]
+    (labels ~schedulers:[ Flow.List_path ] ~limits:l ());
+  Alcotest.(check string) "schedulers only" "list/path"
+    (List.nth (labels ~schedulers:s ~limits:[ Hls_sched.Limits.two_fu ] ()) 1);
+  let full = labels ~schedulers:s ~limits:l () in
+  Alcotest.(check int) "8 x 5" 40 (List.length full);
+  Alcotest.(check string) "cross product" "asap @ serial" (List.hd full);
+  Alcotest.(check string) "refinement axis" "list/path @ 2 FUs / iterate 3"
+    (List.nth (labels ~iterates:[ 0; 3 ] ~schedulers:s ~limits:l ()) 46);
+  Alcotest.(check (list string)) "one point" [ "list/path @ 2 FUs" ]
+    (labels ~schedulers:[] ~limits:[] ())
+
 let test_cache_accounting () =
   let src = Workloads.diffeq in
   let engine = Dse.create src in
@@ -332,7 +351,7 @@ let per_point_pruned name src labelled =
   let lbs =
     Array.mapi (fun i (_, o) -> let opt, cs = cheap.(i) in Explore.Bound.compute o opt cs) items
   in
-  let keys = Array.mapi (fun i (_, o) -> Explore.backend_class o (snd cheap.(i))) items in
+  let keys = Array.mapi (fun i (_, o) -> Dse.backend_class o (snd cheap.(i))) items in
   let rep = Hashtbl.create 16 in
   for i = n - 1 downto 0 do
     Hashtbl.replace rep keys.(i) i
@@ -579,7 +598,7 @@ let test_frontier_mask_matches_reference () =
 
 let test_table_marks_structural_copies () =
   let src = Workloads.sqrt_newton in
-  let points = Explore.sweep_limits src in
+  let points = Explore.sweep ~schedulers:[ Flow.List_path ] src in
   (* rebuild every point record so no row is physically equal to any
      frontier member — the marking must still appear *)
   let copies = List.map (fun (p : Explore.point) -> { p with Explore.label = p.Explore.label }) points in
@@ -615,6 +634,7 @@ let () =
           Alcotest.test_case "sweep deterministic across jobs" `Quick test_sweep_deterministic;
           Alcotest.test_case "points keep their options" `Quick test_point_keeps_own_options;
           Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
+          Alcotest.test_case "cross labels name varying axes" `Quick test_cross_labels;
         ] );
       ( "pipeline",
         [

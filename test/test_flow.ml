@@ -101,13 +101,14 @@ let test_invalid_source_reported () =
 (* ---- optimization reduces or keeps cost ---- *)
 
 let test_optimization_improves_sqrt () =
-  let with_level l =
+  let pipeline name = List.assoc name Hls_transform.Passes.named_pipelines in
+  let with_pipeline name =
     Flow.synthesize
-      ~options:{ Flow.default_options with Flow.passes = Hls_transform.Passes.level l }
+      ~options:{ Flow.default_options with Flow.passes = pipeline name }
       Workloads.sqrt_newton
   in
-  let none = with_level `None in
-  let std = with_level `Standard in
+  let none = with_pipeline "none" in
+  let std = with_pipeline "standard" in
   Alcotest.(check bool) "standard not slower" true
     (std.Flow.estimate.Hls_rtl.Estimate.compute_steps
     <= none.Flow.estimate.Hls_rtl.Estimate.compute_steps);
@@ -117,7 +118,7 @@ let test_optimization_improves_sqrt () =
       ~options:
         {
           Flow.default_options with
-          Flow.passes = Hls_transform.Passes.level `None;
+          Flow.passes = pipeline "none";
           Flow.limits = Limits.Serial;
         }
       Workloads.sqrt_newton
@@ -130,7 +131,7 @@ let test_optimization_improves_sqrt () =
 (* ---- explore ---- *)
 
 let test_explore_pareto () =
-  let points = Explore.sweep_limits Workloads.sqrt_newton in
+  let points = Explore.sweep ~schedulers:[ Flow.List_path ] Workloads.sqrt_newton in
   let front = Explore.pareto points in
   Alcotest.(check bool) "front non-empty" true (front <> []);
   (* no front point dominated by any other point *)
@@ -154,7 +155,7 @@ let test_explore_pareto () =
     points
 
 let test_explore_table_renders () =
-  let points = Explore.sweep_limits Workloads.gcd in
+  let points = Explore.sweep ~schedulers:[ Flow.List_path ] Workloads.gcd in
   let table = Explore.table points in
   Alcotest.(check bool) "has rows" true
     (List.length (String.split_on_char '\n' table) > List.length points)

@@ -3,8 +3,10 @@
    dir answers from disk, bit-identically), exception-safety of the
    memoized engine (a raising eval must not wedge the next call), the
    bounded queue's deterministic admission, Pool.map survival after a
-   raising item, and the server core: concurrent requests with
-   deterministic counters, plus busy rejection over a real socket. *)
+   raising item, the options wire codec (fds+K slack, class limits,
+   unknown keys, decode . encode = id), and the server core: concurrent
+   requests with deterministic counters, plus busy rejection over a
+   real socket. *)
 
 open Hls_util
 open Hls_core
@@ -176,6 +178,11 @@ let synth_req ?(fus = 2) () =
       ("options", J.Obj [ ("fus", J.of_int fus) ]);
     ]
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let str_field name json =
   match J.str_member name json with
   | Some s -> s
@@ -266,13 +273,131 @@ let test_proto_passes_codec () =
   | Ok o -> Alcotest.(check bool) "codec round-trip" true (o.Flow.passes = passes)
   | Error e -> Alcotest.fail e
 
-let test_proto_legacy_opt_level () =
-  (* protocol-1 clients still speak opt_level *)
+let test_proto_opt_level_rejected () =
+  (* protocol 1's opt_level is gone: like any unknown key, it is an
+     error naming it and listing the known keys *)
   match Serve.Proto.options_of_json (J.Obj [ ("opt_level", J.Str "aggressive") ]) with
-  | Ok o ->
-      Alcotest.(check bool) "maps to the aggressive pipeline" true
-        (o.Flow.passes = P.level `Aggressive)
+  | Ok _ -> Alcotest.fail "accepted opt_level"
+  | Error e ->
+      Alcotest.(check bool) "names the key and the known keys" true
+        (contains e "\"opt_level\"" && contains e "passes" && contains e "iterate")
+
+let test_proto_unknown_key () =
+  (* a misspelled key must not silently fall back to the default *)
+  match Serve.Proto.options_of_json (J.Obj [ ("fuss", J.of_int 0) ]) with
+  | Ok _ -> Alcotest.fail "accepted fuss"
+  | Error e ->
+      Alcotest.(check bool) "names the key and lists fus" true
+        (contains e "\"fuss\"" && contains e "fus,")
+
+let roundtrip o =
+  match Serve.Proto.options_of_json (Serve.Proto.options_to_json o) with
+  | Ok o' -> o' = o
   | Error e -> Alcotest.fail e
+
+let test_proto_fds_slack () =
+  let fds k = { Flow.default_options with Flow.scheduler = Flow.Force_directed k } in
+  List.iter
+    (fun (k, word) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "slack %d spelled" k)
+        (Some word)
+        (J.str_member "scheduler" (Serve.Proto.options_to_json (fds k)));
+      Alcotest.(check bool) (Printf.sprintf "slack %d round-trips" k) true (roundtrip (fds k)))
+    [ (0, "fds"); (3, "fds+3"); (12, "fds+12") ]
+
+let cross_points () =
+  Explore.cross ~base:Flow.default_options ~schedulers:Explore.default_schedulers
+    ~limits:Explore.default_limits ()
+
+let test_proto_cross_points_survive () =
+  let points = cross_points () in
+  List.iter
+    (fun (label, o) -> Alcotest.(check bool) (label ^ " survives the wire") true (roundtrip o))
+    points;
+  (* a class limit travels as its spec string, an integer limit as a number *)
+  let classes = Hls_sched.Limits.Classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1); (Hls_cdfg.Op.C_div, 1) ] in
+  let j = Serve.Proto.options_to_json { Flow.default_options with Flow.limits = classes } in
+  Alcotest.(check (option string)) "classes spelled" (Some "alu:1,mul:1,div:1") (J.str_member "fus" j);
+  Alcotest.(check (option int)) "integer fus" (Some 2)
+    (J.int_member "fus" (Serve.Proto.options_to_json Flow.default_options));
+  (* a served dse over every default point agrees with direct evaluation *)
+  let req =
+    J.Obj
+      [
+        ("cmd", J.Str "dse");
+        ("workload", J.Str "diffeq");
+        ("points", J.Arr (List.map (fun (_, o) -> Serve.Proto.options_to_json o) points));
+      ]
+  in
+  let served =
+    match Serve.Proto.request_of_json req with
+    | Ok (Serve.Proto.Dse { points = decoded; _ }) ->
+        Alcotest.(check bool) "request decodes every point" true
+          (decoded = List.map snd points);
+        let r = Serve.Server.handle (Serve.Server.create ()) req in
+        Alcotest.(check string) "dse ok" "ok" (str_field "status" r);
+        (match J.member "points" r with
+        | Some (J.Arr ps) -> List.map (str_field "design_hash") ps
+        | _ -> Alcotest.fail "no points")
+    | Ok _ -> Alcotest.fail "not a dse request"
+    | Error e -> Alcotest.fail e
+  in
+  let engine = Dse.create diffeq in
+  let direct =
+    List.map
+      (fun (_, o) ->
+        match Dse.eval_result engine o with
+        | Ok d -> Dse.design_digest d
+        | Error _ -> Alcotest.fail "direct evaluation failed")
+      points
+  in
+  Alcotest.(check (list string)) "served design_hash = direct digest" direct served
+
+(* decode ∘ encode = id over everything the wire can express *)
+let wire_point =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  let module K = Flow.Knob in
+  let scheduler =
+    frequency [ (4, pick (K.values K.scheduler)); (1, map (fun k -> Flow.Force_directed k) (0 -- 20)) ]
+  in
+  let classes =
+    let cap c = map (fun n -> (c, n)) (1 -- 4) in
+    map
+      (fun caps -> Hls_sched.Limits.Classes caps)
+      (flatten_l (List.map cap Hls_cdfg.Op.[ C_alu; C_mul; C_div ]))
+  in
+  let limits =
+    frequency
+      [
+        (1, return Hls_sched.Limits.Serial);
+        (1, return Hls_sched.Limits.Unlimited);
+        (2, map (fun n -> Hls_sched.Limits.Total n) (1 -- 8));
+        (2, classes);
+      ]
+  in
+  let gen =
+    pick (List.map snd Hls_transform.Passes.named_pipelines) >>= fun passes ->
+    bool >>= fun if_conversion ->
+    scheduler >>= fun scheduler ->
+    limits >>= fun limits ->
+    pick (K.values K.allocator) >>= fun allocator ->
+    pick (K.values K.encoding) >>= fun encoding ->
+    bool >>= fun narrow ->
+    pick [ 0; 3 ] >>= fun iterate ->
+    return
+      { Flow.default_options with
+        Flow.passes; if_conversion; scheduler; limits; allocator; encoding; narrow; iterate }
+  in
+  QCheck.make gen ~print:(fun o -> J.to_string (Serve.Proto.options_to_json o))
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~name:"options decode . encode = id" ~count:2000 wire_point (fun o ->
+      (* through the text form too, as a frame carries it *)
+      match J.parse (J.to_string (Serve.Proto.options_to_json o)) with
+      | Ok j -> Serve.Proto.options_of_json j = Ok o
+      | Error _ -> false)
 
 let test_proto_bad_spec () =
   (match Serve.Proto.options_of_json (J.Obj [ ("passes", J.Str "standard+bogus") ]) with
@@ -282,11 +407,7 @@ let test_proto_bad_spec () =
   | Ok _ -> Alcotest.fail "accepted a misspelled pass"
   | Error e ->
       (* the typed find error surfaces its suggestion through the wire *)
-      Alcotest.(check bool) "error suggests the pass" true
-        (let lh = String.length e and n = "strength" in
-         let ln = String.length n in
-         let rec go i = i + ln <= lh && (String.sub e i ln = n || go (i + 1)) in
-         go 0)
+      Alcotest.(check bool) "error suggests the pass" true (contains e "strength")
 
 let test_proto_versioning () =
   let t = Serve.Server.create () in
@@ -376,7 +497,12 @@ let () =
       ( "proto",
         [
           Alcotest.test_case "passes codec round-trip" `Quick test_proto_passes_codec;
-          Alcotest.test_case "legacy opt_level accepted" `Quick test_proto_legacy_opt_level;
+          Alcotest.test_case "legacy opt_level rejected" `Quick test_proto_opt_level_rejected;
+          Alcotest.test_case "unknown key rejected" `Quick test_proto_unknown_key;
+          Alcotest.test_case "fds slack on the wire" `Quick test_proto_fds_slack;
+          Alcotest.test_case "cross points survive the wire" `Slow
+            test_proto_cross_points_survive;
+          QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           Alcotest.test_case "bad spec rejected with suggestion" `Quick test_proto_bad_spec;
           Alcotest.test_case "versioning" `Quick test_proto_versioning;
           Alcotest.test_case "synth under a passes spec" `Quick test_proto_synth_with_passes;

@@ -97,14 +97,14 @@ let test_strength_mul_to_shift () =
   let cfg =
     compile "module m(input x: fix<8,24>; output y: fix<8,24>); begin y := 0.5 * x; end"
   in
-  ignore (Strength.run cfg);
+  ignore (Rules.run_rules (Rules.group "strength") cfg);
   Alcotest.(check int) "mul gone" 0 (count_op cfg (function Op.Mul -> true | _ -> false));
   Alcotest.(check int) "shift present" 1
     (count_op cfg (function Op.Shr -> true | _ -> false))
 
 let test_strength_int_mul () =
   let cfg = compile "module m(input x: int<8>; output y: int<8>); begin y := x * 8; end" in
-  ignore (Strength.run cfg);
+  ignore (Rules.run_rules (Rules.group "strength") cfg);
   Alcotest.(check int) "shl" 1 (count_op cfg (function Op.Shl -> true | _ -> false))
 
 let test_strength_incr_zdetect () =
@@ -112,21 +112,21 @@ let test_strength_incr_zdetect () =
     compile
       "module m(input x: int<8>; output y: int<8>; output z: bool); begin y := x + 1; z := x = 0; end"
   in
-  ignore (Strength.run cfg);
+  ignore (Rules.run_rules (Rules.group "strength") cfg);
   Alcotest.(check int) "incr" 1 (count_op cfg (function Op.Incr -> true | _ -> false));
   Alcotest.(check int) "zdetect" 1
     (count_op cfg (function Op.Zdetect -> true | _ -> false))
 
 let test_strength_non_pow2_untouched () =
   let cfg = compile "module m(input x: int<8>; output y: int<8>); begin y := x * 3; end" in
-  ignore (Strength.run cfg);
+  ignore (Rules.run_rules (Rules.group "strength") cfg);
   Alcotest.(check int) "mul stays" 1 (count_op cfg (function Op.Mul -> true | _ -> false))
 
 (* ---- loop recode (the paper's transformation) ---- *)
 
 let test_loop_recode_sqrt () =
   let cfg = compile Hls_core.Workloads.sqrt_newton in
-  ignore (Passes.optimize ~level:`Standard ~outputs:[ "y" ] cfg);
+  ignore (Passes.run_spec Passes.default_pipeline ~outputs:[ "y" ] cfg);
   let changed = Loop_recode.run ~protected:[ "y" ] cfg in
   Alcotest.(check bool) "recoded" true changed;
   Alcotest.(check int) "zdetect" 1
@@ -152,7 +152,7 @@ let test_loop_recode_requires_pow2 () =
     "module m(input x: int<8>; output y: int<8>); var i: int<8>; begin y := x; i := 0; repeat y := y + 1; i := i + 1; until i > 2; end"
   in
   let cfg = compile src in
-  ignore (Passes.optimize ~level:`Standard ~outputs:[ "y" ] cfg);
+  ignore (Passes.run_spec Passes.default_pipeline ~outputs:[ "y" ] cfg);
   Alcotest.(check bool) "not recoded (trip 3)" false (Loop_recode.run ~protected:[ "y" ] cfg)
 
 (* ---- unroll ---- *)
@@ -167,7 +167,7 @@ let test_unroll_sqrt () =
 
 let test_unroll_then_merge_single_block () =
   let cfg = compile Hls_core.Workloads.sqrt_newton in
-  let cfg = Passes.optimize ~level:`Aggressive ~outputs:[ "y" ] cfg in
+  let cfg = Passes.run_spec (List.assoc "aggressive" Passes.named_pipelines) ~outputs:[ "y" ] cfg in
   Alcotest.(check bool) "few blocks" true (Cfg.n_blocks cfg <= 2);
   let divs = count_op cfg (function Op.Div -> true | _ -> false) in
   Alcotest.(check int) "4 divisions (one per iteration)" 4 divs;
@@ -201,7 +201,7 @@ let test_tree_height_chain () =
       0 (Cfg.block_ids cfg)
   in
   Alcotest.(check int) "chain depth" 7 (depth_of cfg);
-  Alcotest.(check bool) "changed" true (Tree_height.run cfg);
+  Alcotest.(check bool) "changed" true (Rules.run_rules [ Rules.add_rebalance ] cfg);
   Alcotest.(check int) "balanced depth" 3 (depth_of cfg)
 
 let test_tree_height_respects_sharing () =
@@ -209,14 +209,14 @@ let test_tree_height_respects_sharing () =
     compile
       "module m(input a, b, c: int<16>; output y, z: int<16>); var t: int<16>; begin t := a + b; y := t + c; z := t; end"
   in
-  Alcotest.(check bool) "no rebalance across shared value" false (Tree_height.run cfg)
+  Alcotest.(check bool) "no rebalance across shared value" false (Rules.run_rules [ Rules.add_rebalance ] cfg)
 
 let test_tree_height_not_fix_mul () =
   let cfg =
     compile
       "module m(input a, b, c, d: fix<8,8>; output y: fix<8,8>); begin y := a * b * c * d; end"
   in
-  Alcotest.(check bool) "fix mul untouched" false (Tree_height.run cfg)
+  Alcotest.(check bool) "fix mul untouched" false (Rules.run_rules [ Rules.add_rebalance ] cfg)
 
 (* ---- merge blocks ---- *)
 
@@ -506,7 +506,9 @@ let preservation_property level seed =
   let prog = Gen.program_of_seed seed in
   let cfg_ref = compile_prog prog in
   let cfg_opt = compile_prog prog in
-  let cfg_opt = Passes.optimize ~level ~outputs:[ "o1"; "o2" ] cfg_opt in
+  let cfg_opt =
+    Passes.run_spec (List.assoc level Passes.named_pipelines) ~outputs:[ "o1"; "o2" ] cfg_opt
+  in
   Cfg.validate cfg_opt;
   let rng = Random.State.make [| seed + 7 |] in
   List.for_all
@@ -520,12 +522,12 @@ let preservation_property level seed =
 let prop_standard_preserves =
   QCheck.Test.make ~name:"standard pipeline preserves semantics" ~count:150
     Gen.program_arbitrary
-    (preservation_property `Standard)
+    (preservation_property "standard")
 
 let prop_aggressive_preserves =
   QCheck.Test.make ~name:"aggressive pipeline preserves semantics" ~count:150
     Gen.program_arbitrary
-    (preservation_property `Aggressive)
+    (preservation_property "aggressive")
 
 let prop_each_pass_preserves =
   QCheck.Test.make ~name:"each pass alone preserves semantics" ~count:60
@@ -555,12 +557,12 @@ let test_sqrt_all_levels_agree () =
       List.iter
         (fun level ->
           let cfg = compile Hls_core.Workloads.sqrt_newton in
-          let cfg = Passes.optimize ~level ~outputs:[ "y" ] cfg in
+          let cfg = Passes.run_spec (List.assoc level Passes.named_pipelines) ~outputs:[ "y" ] cfg in
           let r = Hls_sim.Cfg_sim.run cfg ~inputs in
           Alcotest.(check (option int))
             (Printf.sprintf "y at x=%f" x)
             (List.assoc_opt "y" base) (List.assoc_opt "y" r))
-        [ `None; `Standard; `Aggressive ])
+        [ "none"; "standard"; "aggressive" ])
     [ 0.0625; 0.3; 0.9 ]
 
 let () =
