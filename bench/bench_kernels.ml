@@ -7,6 +7,9 @@
      clique         — bitset clique partitioning vs its reference
      qm             — Quine–McCluskey on a pseudo-random function
                       (absolute medians only)
+     qm_ctrl        — Quine–McCluskey vs the level-by-level reference
+                      (test/reference/) on a controller's next-state
+                      logic: 5 state bits, 20 used codes, 3 conditions
      rtl_sim        — compiled simulation image vs the interpreting
                       reference on the sqrt and diffeq workloads
      beh_sim        — staged behavioral simulator vs the tree-walking
@@ -136,7 +139,7 @@ let bench_clique ~iters ~size =
   let compatible i j = compat.(i).(j) in
   let pair =
     bench_pair ~iters ~check_equal:( = )
-      ~reference:(fun () -> Hls_alloc.Clique.partition_reference ~n ~compatible)
+      ~reference:(fun () -> Hls_reference.Clique_reference.partition ~n ~compatible)
       ~optimized:(fun () -> Hls_alloc.Clique.partition ~n ~compatible)
   in
   let open Hls_util.Json in
@@ -173,6 +176,58 @@ let bench_qm ~iters ~size =
       ("on_set", Num (float_of_int (List.length on_set)));
       ("dc_set", Num (float_of_int (List.length dc_set)));
       ("minimize_ms", runs_obj !ms) ]
+
+(* A controller's next-state logic in the shape Ctrl_synth hands QM:
+   binary state bits below the condition bits, every minterm of an
+   unused state code a don't-care, and each used state going to one of
+   two seeded successors on one seeded condition. One run minimizes all
+   the next-state bits, [reps] times. *)
+let bench_qm_ctrl ~iters ~size =
+  let state_bits = 5 and used_codes = 20 and conds = 3 in
+  let n_inputs = state_bits + conds in
+  let reps = max 1 (size / 10) in
+  let rng = Random.State.make [| 37 |] in
+  let moves =
+    Array.init used_codes (fun _ ->
+        let cond = Random.State.int rng conds in
+        let taken = Random.State.int rng used_codes in
+        (cond, taken, Random.State.int rng used_codes))
+  in
+  let on = Array.make state_bits [] and dc = ref [] in
+  for x = (1 lsl n_inputs) - 1 downto 0 do
+    let code = x land ((1 lsl state_bits) - 1) in
+    if code >= used_codes then dc := x :: !dc
+    else begin
+      let cond, taken, otherwise = moves.(code) in
+      let target = if x land (1 lsl (state_bits + cond)) <> 0 then taken else otherwise in
+      for k = 0 to state_bits - 1 do
+        if target land (1 lsl k) <> 0 then on.(k) <- x :: on.(k)
+      done
+    end
+  done;
+  let dc_set = !dc in
+  let next_state minimize =
+    for _ = 1 to reps - 1 do
+      ignore (Array.map minimize on)
+    done;
+    Array.map minimize on
+  in
+  let pair =
+    bench_pair ~iters ~check_equal:( = )
+      ~reference:(fun () ->
+        next_state (fun on_set ->
+            Hls_reference.Qm_reference.minimize ~n_inputs ~on_set ~dc_set ()))
+      ~optimized:(fun () ->
+        next_state (fun on_set -> Hls_ctrl.Qm.minimize ~n_inputs ~on_set ~dc_set ()))
+  in
+  let open Hls_util.Json in
+  pair_json
+    ~extra:
+      [ ("n_inputs", Num (float_of_int n_inputs));
+        ("used_codes", Num (float_of_int used_codes));
+        ("dc_set", Num (float_of_int (List.length dc_set)));
+        ("reps", Num (float_of_int reps)) ]
+    pair
 
 let bench_rtl_sim ~iters ~size =
   let open Hls_core in
@@ -278,6 +333,7 @@ let run_bench ~iters ~size ~out =
       ("list_sched", bench_list_sched ~iters ~size);
       ("clique", bench_clique ~iters ~size);
       ("qm", bench_qm ~iters ~size);
+      ("qm_ctrl", bench_qm_ctrl ~iters ~size);
       ("rtl_sim", bench_rtl_sim ~iters ~size);
       ("beh_sim", bench_beh_sim ~iters ~size);
       ("cfg_sim", bench_cfg_sim ~iters ~size);
@@ -323,9 +379,11 @@ let run_bench ~iters ~size ~out =
     | None -> nan
   in
   Printf.printf
-    "%s: fds %.2fx, list_sched %.2fx, clique %.2fx, rtl_sim sqrt %.2fx / diffeq %.2fx, \
-     beh_sim %.2fx / %.2fx / %.2fx, cfg_sim %.2fx / %.2fx / %.2fx (sqrt / gcd / diffeq)\n"
+    "%s: fds %.2fx, list_sched %.2fx, clique %.2fx, qm_ctrl %.2fx, \
+     rtl_sim sqrt %.2fx / diffeq %.2fx, beh_sim %.2fx / %.2fx / %.2fx, \
+     cfg_sim %.2fx / %.2fx / %.2fx (sqrt / gcd / diffeq)\n"
     out (speedup "force_directed") (speedup "list_sched") (speedup "clique")
+    (speedup "qm_ctrl")
     (sim "rtl_sim" "sqrt") (sim "rtl_sim" "diffeq") (sim "beh_sim" "sqrt")
     (sim "beh_sim" "gcd") (sim "beh_sim" "diffeq") (sim "cfg_sim" "sqrt")
     (sim "cfg_sim" "gcd") (sim "cfg_sim" "diffeq");
@@ -404,7 +462,7 @@ let validate file =
           match member name kernels with
           | Some obj -> check_pair name obj
           | None -> fail (Printf.sprintf "missing kernel %S" name))
-        [ "force_directed"; "list_sched"; "clique" ];
+        [ "force_directed"; "list_sched"; "clique"; "qm_ctrl" ];
       (match member "qm" kernels with
       | Some obj -> (
           match member "minimize_ms" obj with

@@ -20,11 +20,6 @@ val partition : n:int -> compatible:(int -> int -> bool) -> int list list
     merge round costs O(groups²) bit probes instead of re-walking member
     lists. [compatible] is consulted exactly once per unordered pair. *)
 
-val partition_reference : n:int -> compatible:(int -> int -> bool) -> int list list
-(** The seed list-of-lists implementation. Produces exactly the same
-    partition as {!partition} (merge and tie-break order replicated);
-    kept as the oracle for differential tests and benchmark baselines. *)
-
 val max_clique_lower_bound : n:int -> compatible:(int -> int -> bool) -> int
 (** Size of the largest {e incompatibility} clique found greedily — a
     quick lower bound on the number of groups any partition needs

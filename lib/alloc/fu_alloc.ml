@@ -76,8 +76,6 @@ let source_of_with_table cs table bid nid =
           From_wire (bid, nid))
   | _ -> From_wire (bid, nid)
 
-let source_of cs bid nid = source_of_with_table cs (storage_table cs) bid nid
-
 let make_lookup instances =
   let table = Hashtbl.create 64 in
   List.iter

@@ -9,48 +9,64 @@ let set tbl c =
   let b = c lsr 3 in
   Bytes.set tbl b (Char.chr (Char.code (Bytes.get tbl b) lor (1 lsl (c land 7))))
 
-let rec pow3 n = if n = 0 then 1 else 3 * pow3 (n - 1)
+(* pow3.(i) = 3^i, the weight of input i's digit *)
+let pow3 =
+  let rec power3 i = if i = 0 then 1 else 3 * power3 (i - 1) in
+  Array.init (max_inputs + 1) power3
 
 let cube_of_minterm m =
   let rec go m w c = if m = 0 then c else go (m lsr 1) (3 * w) (c + (w * (m land 1))) in
   go m 1 0
 
-(* Decides the dashed cubes under prefix [c], whose digits below weight
-   [w] are free, in increasing index order, so that a cube's children at
-   its lowest dash (of weight [low]; 0 for none) come first. Returns
-   whether the subtree holds an implicant: both cofactors at any dash of
-   an implicant are implicants, so a dash branch whose literal branches
-   do not both hold one is skipped. *)
-let rec fill tbl w c low =
-  if w = 0 then
-    get tbl c || (low > 0 && get tbl (c - (2 * low)) && get tbl (c - low) && (set tbl c; true))
+(* A cube's sort key: its literal mask above [max_inputs] bits of value,
+   so ascending keys are ascending [(mask, value)]. An implicant found by
+   the walk is kept as one immediate int, its index above its key. *)
+let lit i = 1 lsl (max_inputs + i)
+let key_bits = 2 * max_inputs
+let key_of packed = packed land ((1 lsl key_bits) - 1)
+
+(* Decides the cubes under prefix [c] (key [key]) whose digits [i] and
+   below are free, in increasing index order, so that a cube's children
+   at its lowest dash (of weight [low]; 0 for none) come first, and
+   conses every implicant onto [acc]. A subtree holds an implicant iff
+   it returns a longer list. Both cofactors at any dash of an implicant
+   are implicants, so a dash branch whose literal branches do not both
+   hold one is skipped — and the walk still visits every implicant. *)
+let rec fill tbl acc i c key low =
+  if i < 0 then
+    if get tbl c || (low > 0 && get tbl (c - (2 * low)) && get tbl (c - low) && (set tbl c; true))
+    then ((c lsl key_bits) lor key) :: acc
+    else acc
   else begin
-    let zero = fill tbl (w / 3) c low in
-    let one = fill tbl (w / 3) (c + w) low in
-    if zero && one then ignore (fill tbl (w / 3) (c + (2 * w)) w);
-    zero || one
+    let w = pow3.(i) in
+    let zero = fill tbl acc (i - 1) c (key lor lit i) low in
+    let one = fill tbl zero (i - 1) (c + w) (key lor lit i lor (1 lsl i)) low in
+    if zero != acc && one != zero then fill tbl one (i - 1) (c + (2 * w)) key w else one
   end
 
-(* Primes in ascending (mask, value) order. An implicant is prime iff
-   raising any one of its literals to a dash leaves the table. *)
-let primes tbl n_inputs =
-  let acc = ref [] in
-  for c = 0 to pow3 n_inputs - 1 do
-    if get tbl c then begin
-      let mask = ref 0 and value = ref 0 and prime = ref true and w = ref 1 in
-      for i = 0 to n_inputs - 1 do
-        let d = c / !w mod 3 in
-        if d < 2 then begin
-          mask := !mask lor (1 lsl i);
-          value := !value lor (d lsl i);
-          if get tbl (c + ((2 - d) * !w)) then prime := false
-        end;
-        w := 3 * !w
-      done;
-      if !prime then acc := { Logic.mask = !mask; value = !value } :: !acc
-    end
-  done;
-  Array.of_list (List.sort compare !acc)
+(* Whether a literal of the implicant at index [c] with key [key], from
+   input [i] up, can be raised to a dash inside the table; the literal's
+   digit is read off the key, never off the index. *)
+let rec raisable tbl n_inputs c key i =
+  i < n_inputs
+  && ((key land lit i <> 0 && get tbl (c + ((2 - ((key lsr i) land 1)) * pow3.(i))))
+     || raisable tbl n_inputs c key (i + 1))
+
+(* Primes in ascending (mask, value) order: the implicants none of whose
+   one-more-dash parents is in the table. *)
+let primes tbl n_inputs found =
+  let keys =
+    Array.of_list
+      (List.fold_left
+         (fun acc p ->
+           let key = key_of p in
+           if raisable tbl n_inputs (p lsr key_bits) key 0 then acc else key :: acc)
+         [] found)
+  in
+  Array.sort Int.compare keys;
+  Array.map
+    (fun key -> { Logic.mask = key lsr max_inputs; value = key land ((1 lsl max_inputs) - 1) })
+    keys
 
 let minimize ~n_inputs ~on_set ?(dc_set = []) () =
   if n_inputs < 0 || n_inputs > max_inputs then
@@ -64,15 +80,14 @@ let minimize ~n_inputs ~on_set ?(dc_set = []) () =
   match on_set with
   | [] -> []
   | _ ->
-      let tbl = Bytes.make ((pow3 n_inputs + 7) / 8) '\000' in
+      let tbl = Bytes.make ((pow3.(n_inputs) + 7) / 8) '\000' in
       List.iter (fun m -> set tbl (cube_of_minterm m)) on_set;
       (* every dc-minterm is checked before any is marked, so a repeated
          one is not taken for an overlap *)
       if List.exists (fun m -> get tbl (cube_of_minterm m)) dc_set then
         invalid_arg "Qm.minimize: on-set and dc-set overlap";
       List.iter (fun m -> set tbl (cube_of_minterm m)) dc_set;
-      ignore (fill tbl (pow3 n_inputs / 3) 0 0);
-      let prime_arr = primes tbl n_inputs in
+      let prime_arr = primes tbl n_inputs (fill tbl [] (n_inputs - 1) 0 0 0) in
       (* level-by-level QM combines once per dash count; each implicant
          lies in a prime with at least as many dashes *)
       let dashes c = n_inputs - Logic.literals ~n_inputs c in

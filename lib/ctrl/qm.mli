@@ -4,8 +4,10 @@
     Exact prime-implicant generation followed by essential-prime
     selection and a greedy cover of the remainder. Primes come from a
     table with one bit per cube — one base-3 digit per input: 0, 1 or
-    don't-care — filled in O(3^n·n) time and 3^n bits of space for n
-    inputs (66 KB at {!max_inputs}). *)
+    don't-care — of 3^n bits for n inputs (66 KB at {!max_inputs}). One
+    walk fills it, visiting each implicant once and carrying its
+    [(mask, value)] down with it; primality then costs n table probes
+    per implicant. *)
 
 val max_inputs : int
 (** Largest input count [minimize] accepts (12). *)

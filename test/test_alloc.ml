@@ -86,7 +86,7 @@ let prop_clique_matches_reference =
         Array.init n (fun _ -> Array.init n (fun _ -> Random.State.int rng 10 < p))
       in
       let compatible i j = matrix.(min i j).(max i j) in
-      Clique.partition ~n ~compatible = Clique.partition_reference ~n ~compatible)
+      Clique.partition ~n ~compatible = Hls_reference.Clique_reference.partition ~n ~compatible)
 
 (* ---- Fig 6 / Fig 7 example ----
 
@@ -326,6 +326,137 @@ let test_mux_cost_positive_on_sharing () =
   let ts = Interconnect.transfers cs ~fu ~regs in
   Alcotest.(check bool) "sharing forces muxes" true (Interconnect.mux_cost ts > 0)
 
+(* Interconnect oracle: every operand's source is classified from a
+   storage table built for that operand alone, and the temporary latches
+   come from a second lifetime analysis of each block. *)
+let transfers_oracle cs ~fu ~regs =
+  let open Interconnect in
+  let cfg = Cfg_sched.cfg cs in
+  let reg v = Reg_alloc.register_of_var regs v in
+  let source bid nid =
+    let table = Fu_alloc.storage_table cs in
+    let g = Cfg.dfg cfg bid in
+    match (Dfg.op g nid, Hashtbl.find_opt table (bid, nid)) with
+    | Op.Const c, _ -> W_const c
+    | Op.Read _, Some (Lifetime.Temp _) -> W_temp (bid, nid)
+    | Op.Read v, _ -> W_var (reg v)
+    | _, Some (Lifetime.In_variable v) when Dfg.occupies_step g nid -> W_var (reg v)
+    | _, Some (Lifetime.Temp _) when Dfg.occupies_step g nid -> W_temp (bid, nid)
+    | _ -> W_wire (bid, nid)
+  in
+  List.concat_map
+    (fun bid ->
+      let g = Cfg.dfg cfg bid in
+      let sched = Cfg_sched.block_schedule cs bid in
+      let at step t_src t_dst = { t_src; t_dst; t_bid = bid; t_step = step } in
+      let unit nid = Fu_alloc.of_op fu (bid, nid) in
+      let fu_inputs =
+        List.concat_map
+          (fun nid ->
+            let step = Schedule.step_of sched nid in
+            List.mapi
+              (fun pos a -> at step (source bid a) (D_fu_in (unit nid, pos)))
+              (Dfg.args g nid))
+          (Dfg.compute_ops g)
+      in
+      let latches =
+        List.map
+          (fun (v, wnid) ->
+            let a = List.hd (Dfg.args g wnid) in
+            let src =
+              match Dfg.op g a with
+              | Op.Read w -> W_var (reg w)
+              | Op.Const c -> W_const c
+              | _ when Dfg.occupies_step g a -> W_fu_out (unit a)
+              | _ -> W_wire (bid, a)
+            in
+            at (Schedule.write_step sched wnid) src (D_var (reg v)))
+          (Dfg.writes g)
+      in
+      let term_cond =
+        match Cfg.term cfg bid with Cfg.Branch (c, _, _) -> Some c | _ -> None
+      in
+      let temps =
+        List.map
+          (fun (nid, iv) ->
+            let src =
+              match Dfg.op g nid with Op.Read v -> W_var (reg v) | _ -> W_fu_out (unit nid)
+            in
+            at iv.Interval.lo src (D_temp (bid, nid)))
+          (Lifetime.temps (Lifetime.analyze sched ~term_cond))
+      in
+      fu_inputs @ latches @ temps)
+    (Cfg.block_ids cfg)
+
+let test_interconnect_matches_oracle () =
+  (* every workload x default sweep point x allocator, through the DSE
+     engine the way a sweep builds designs; biquad3's flat block is past
+     what branch-and-bound and 0/1 programming finish on, so it gets the
+     polynomial schedulers *)
+  let open Hls_core in
+  let polynomial = [ Flow.Asap; Flow.List_path; Flow.Freedom; Flow.Trans_serial ] in
+  List.iter
+    (fun (name, src) ->
+      let engine = Dse.create src in
+      let schedulers = if name = "biquad3" then polynomial else Explore.default_schedulers in
+      List.iter
+        (fun (label, opts) ->
+          List.iter
+            (fun allocator ->
+              let opts = { opts with Flow.allocator } in
+              let tag =
+                Printf.sprintf "%s %s %s" name label
+                  (Flow.Knob.text Flow.Knob.allocator allocator)
+              in
+              match Dse.eval_result engine opts with
+              | Error _ -> Alcotest.failf "%s: design failed its checks" tag
+              | Ok d ->
+                  let expected =
+                    transfers_oracle d.Flow.sched ~fu:d.Flow.fu ~regs:d.Flow.regs
+                  in
+                  if d.Flow.transfers <> expected then
+                    Alcotest.failf "%s: transfers differ from the per-operand oracle" tag)
+            (Flow.Knob.values Flow.Knob.allocator))
+        (Explore.cross ~base:Flow.default_options ~schedulers
+           ~limits:Explore.default_limits ()))
+    Workloads.all
+
+(* An N-tap straight-line FIR: one block of N constant multiplications
+   and N - 1 additions. *)
+let fir_source taps =
+  let xs = List.init taps (Printf.sprintf "x%d") in
+  let terms = List.mapi (fun i x -> Printf.sprintf "0.%04d * %s" (1013 + (37 * i)) x) xs in
+  Printf.sprintf
+    "module fir%d(input %s: fix<8,24>; output y: fix<8,24>);\nbegin\n  y := %s;\nend\n" taps
+    (String.concat ", " xs) (String.concat " + " terms)
+
+let test_interconnect_scales_linearly () =
+  (* minor words are deterministic where wall time is not: doubling the
+     taps must not quadruple the allocation (a storage table rebuilt per
+     operand did, about 3.9x from 50 to 100 taps) *)
+  let open Hls_core in
+  let words taps =
+    let o =
+      Flow.midend ~passes:Flow.default_options.Flow.passes ~if_conversion:false
+        (Flow.frontend (fir_source taps))
+    in
+    let cs = Flow.schedule Flow.default_options o in
+    let fu = Fu_alloc.greedy cs in
+    let regs =
+      Reg_alloc.run ~ports:("y" :: List.init taps (Printf.sprintf "x%d"))
+        ~outputs:o.Flow.o_outputs cs
+    in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Interconnect.transfers cs ~fu ~regs));
+    Gc.minor_words () -. before
+  in
+  let w50 = words 50 and w100 = words 100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "FIR-100 allocates %.0f words, FIR-50 %.0f: ratio %.2f < 3" w100 w50
+       (w100 /. w50))
+    true
+    (w100 < 3. *. w50)
+
 (* ---- 0/1 programming allocation (Hafer) ---- *)
 
 let test_ilp_alloc_fig67 () =
@@ -397,6 +528,9 @@ let () =
         [
           Alcotest.test_case "sqrt transfers/buses" `Quick test_interconnect_sqrt;
           Alcotest.test_case "mux cost on sharing" `Quick test_mux_cost_positive_on_sharing;
+          Alcotest.test_case "matches the per-operand oracle" `Quick
+            test_interconnect_matches_oracle;
+          Alcotest.test_case "linear allocation on FIR" `Quick test_interconnect_scales_linearly;
         ] );
       ( "ilp",
         [
