@@ -547,14 +547,8 @@ let lint (d : design) =
   @ lint_microcode d ~words
   |> Hls_analysis.Diagnostic.sort
 
-let lint_check d =
-  match Hls_analysis.Diagnostic.errors (lint d) with
-  | [] -> ()
-  | es -> raise (Lint_failed es)
-
-(* The Result-returning pipeline is primary; the historical raising
-   API below is a thin Lint_failed wrapper over it for legacy
-   callers. *)
+(* The Result-returning pipeline is primary; [synthesize] below is the
+   one Lint_failed wrapper over it. *)
 
 let complete_result ?(verify = false) options o ~sched =
   let prog = o.o_prog in
@@ -708,16 +702,10 @@ let synthesize_result ?(options = default_options) ?verify src =
     (midend ~passes:options.passes ~if_conversion:options.if_conversion
        (frontend src))
 
-(* ---- legacy raising wrappers ---------------------------------------- *)
-
-let unwrap = function Ok d -> d | Error ds -> raise (Lint_failed ds)
-let complete ?verify options o ~sched = unwrap (complete_result ?verify options o ~sched)
-let backend ?verify options o = unwrap (backend_result ?verify options o)
-
-let synthesize_program ?options ?verify ast =
-  unwrap (synthesize_program_result ?options ?verify ast)
-
-let synthesize ?options ?verify src = unwrap (synthesize_result ?options ?verify src)
+let synthesize ?options ?verify src =
+  match synthesize_result ?options ?verify src with
+  | Ok d -> d
+  | Error ds -> raise (Lint_failed ds)
 
 let cosim_design d =
   {

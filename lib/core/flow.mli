@@ -7,14 +7,13 @@ open Hls_lang
 open Hls_sched
 
 exception Lint_failed of Hls_analysis.Diagnostic.t list
-(** Raised by the {e legacy} raising wrappers ({!complete}, {!backend},
-    {!synthesize} and friends) with the full structured error list when
-    a produced design fails verification — either the always-on
-    datapath check or, with [~verify:true], the full design {!lint}.
-    New code should use the Result-returning API ({!run},
-    {!complete_result}, {!backend_result}, {!synthesize_result}), for
-    which this exception never fires. A printer is registered, so an
-    uncaught [Lint_failed] renders every diagnostic. *)
+(** Raised by {!synthesize} (and by {!Dse.eval} and the {!Explore}
+    sweeps) with the full structured error list when a produced design
+    fails verification — either the always-on datapath check or, with
+    [~verify:true], the full design {!lint}. The Result-returning API
+    ({!run}, {!complete_result}, {!backend_result},
+    {!synthesize_result}) never raises it. A printer is registered, so
+    an uncaught [Lint_failed] renders every diagnostic. *)
 
 type scheduler =
   | Asap
@@ -273,15 +272,6 @@ val synthesize_program_result :
   Ast.program ->
   (design, Hls_analysis.Diagnostic.t list) result
 
-(** {2 Legacy raising wrappers}
-
-    Each is its [_result] sibling with [Error ds] rethrown as
-    [Lint_failed ds]; kept for callers written against the original
-    exception-based API. *)
-
-val complete : ?verify:bool -> options -> optimized -> sched:Cfg_sched.t -> design
-val backend : ?verify:bool -> options -> optimized -> design
-
 val scheduler_ignores_limits : scheduler -> bool
 (** Time-constrained schedulers ([Force_directed], [Freedom]) derive
     their own deadline and ignore [options.limits]; their schedules are
@@ -293,14 +283,10 @@ val effective_limits : options -> Limits.t
     This is what {!lint} checks schedules against and what
     {!refine_design} requires candidates to verify under. *)
 
-val synthesize_program : ?options:options -> ?verify:bool -> Ast.program -> design
-(** The full flow: [frontend_program] → [midend] → [backend]. Raises
-    {!Ast.Frontend_error} on bad input, [Invalid_argument] if an
-    internal consistency check fails, and {!Lint_failed} as
-    {!synthesize_program_result} would return [Error]. *)
-
 val synthesize : ?options:options -> ?verify:bool -> string -> design
-(** Parse BSL source text and synthesize, raising on failure. *)
+(** {!synthesize_result} with [Error ds] raised as [Lint_failed ds]:
+    the one raising wrapper, for callers that treat a design failing
+    verification as a bug. *)
 
 (** {2 Design lint}
 
@@ -313,10 +299,6 @@ val lint : design -> Hls_analysis.Diagnostic.t list
     legality (under the design's effective limits), allocation/binding
     soundness, netlist structure, controller consistency and the
     microcode image. An empty list means the design is clean. *)
-
-val lint_check : design -> unit
-(** Raise {!Lint_failed} with the error-severity subset of {!lint} if
-    it is non-empty. *)
 
 val microcode_image :
   design -> Hls_ctrl.Microcode.field list * int list array

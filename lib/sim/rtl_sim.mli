@@ -13,8 +13,9 @@
     dense value array, and gate-level next-state functions memoized per
     (state, condition) — and {!run_image} replays the staged image at
     ≥3× the interpreted throughput with identical results. {!run} is
-    compile-and-run; {!run_reference} is the retained seed interpreter,
-    the oracle for the differential tests and the benchmark baseline.
+    compile-and-run. The retained seed interpreter, the oracle for the
+    differential tests and the benchmark baseline, is
+    [Hls_reference.Rtl_reference.run] under [test/reference/].
     Work is reported through {!Hls_obs.Trace} counters [sim/cycles] and
     [sim/images_compiled]. *)
 
@@ -69,16 +70,3 @@ val run :
     by {!Vcd} waveform dumping. Equivalent to {!compile} followed by
     {!run_image}; callers simulating one design repeatedly should compile
     once. *)
-
-val run_reference :
-  ?fuel:int ->
-  ?gate_level_control:bool ->
-  ?encoding:Hls_ctrl.Encoding.style ->
-  ?on_cycle:(cycle:int -> state:int -> regs:(string * int) list -> unit) ->
-  Hls_rtl.Datapath.t ->
-  inputs:(string * int) list ->
-  result
-(** The seed interpreter — filters the design per cycle and walks wire
-    trees through the generic evaluators. Produces exactly the same
-    [finals], [cycles], and [on_cycle] observations as {!run}; kept as
-    the oracle for differential tests and benchmark baselines. *)

@@ -5,20 +5,16 @@
 
 val dump :
   ?module_name:string ->
-  ?use_reference:bool ->
   Hls_rtl.Datapath.t ->
   inputs:(string * int) list ->
   string
 (** Simulate the datapath on the inputs (abstract controller) and render
     the complete run as VCD text: one signal per register plus the state
     register, one timestep per clock cycle, only changed values dumped
-    per step. [use_reference] drives the dump from
-    {!Rtl_sim.run_reference} instead of the compiled simulator — the
-    differential tests render both and demand equal text. *)
+    per step. *)
 
 val dump_to_file :
   ?module_name:string ->
-  ?use_reference:bool ->
   Hls_rtl.Datapath.t ->
   inputs:(string * int) list ->
   path:string ->

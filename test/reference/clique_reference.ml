@@ -2,8 +2,8 @@
    groups as lists of lists and compatibility and common-neighbor counts
    recomputed from member pairs on every probe. It gives exactly the
    same partition (merge and tie-break order replicated); the
-   differential property in test_alloc.ml and the clique kernel of
-   bench_kernels compare the two. *)
+   differential property in test_alloc.ml and the clique kernel of the
+   bench driver compare the two. *)
 
 let partition ~n ~compatible =
   let groups = ref (List.init n (fun i -> [ i ])) in

@@ -440,12 +440,12 @@ let test_lint_rule_table () =
          List.exists (fun c -> String.length c > 4 && String.sub c 0 4 = prefix) codes)
        [ "CDFG"; "SCHE"; "ALLO"; "CTRL" ])
 
-let test_lint_failed_propagates () =
+let test_lint_errors_propagate () =
   let d = Lazy.force design in
   let broken = { d with Flow.transfers = List.tl d.Flow.transfers } in
-  match Flow.lint_check broken with
-  | () -> Alcotest.fail "mutated design passed lint"
-  | exception Flow.Lint_failed ds -> check_code "propagated list" "ALLOC009" ds
+  match D.errors (Flow.lint broken) with
+  | [] -> Alcotest.fail "mutated design passed lint"
+  | ds -> check_code "error list" "ALLOC009" ds
 
 let test_lint_floor () =
   let d = Lazy.force design in
@@ -557,7 +557,7 @@ let () =
       ( "lint",
         [
           Alcotest.test_case "rule table" `Quick test_lint_rule_table;
-          Alcotest.test_case "Lint_failed propagates" `Quick test_lint_failed_propagates;
+          Alcotest.test_case "errors propagate" `Quick test_lint_errors_propagate;
           Alcotest.test_case "severity floor" `Quick test_lint_floor;
           Alcotest.test_case "verify flag" `Quick test_verify_flag;
           Alcotest.test_case "clean matrix" `Quick test_clean_matrix;

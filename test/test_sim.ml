@@ -250,7 +250,7 @@ let check_sim_agree ~what dp ~inputs ~gate_level_control ~encoding =
   let interpreted =
     sim_trace
       (fun ~on_cycle dp ~inputs ->
-        Rtl_sim.run_reference ~gate_level_control ~encoding ~on_cycle dp ~inputs)
+        Hls_reference.Rtl_reference.run ~gate_level_control ~encoding ~on_cycle dp ~inputs)
       dp ~inputs
   in
   Alcotest.(check bool)
@@ -289,19 +289,13 @@ let test_compiled_sim_matches_reference () =
         sim_modes)
     Workloads.all
 
-let test_vcd_compiled_equals_reference () =
-  List.iter
-    (fun (name, src) ->
-      let d = Flow.synthesize src in
-      let prog = (Flow.cosim_design d).Cosim.d_prog in
-      let rng = Random.State.make [| 23 |] in
-      let inputs =
-        List.map (fun (n, ty) -> (n, random_input_value rng ty)) (input_ports_of prog)
-      in
-      let fast = Vcd.dump d.Flow.datapath ~inputs in
-      let slow = Vcd.dump ~use_reference:true d.Flow.datapath ~inputs in
-      Alcotest.(check string) (name ^ ": identical VCD text") slow fast)
-    Workloads.all
+(* random programs must synthesize clean; a lint error fails the property *)
+let synthesize_program prog =
+  match Flow.synthesize_program_result prog with
+  | Ok d -> d
+  | Error ds ->
+      QCheck.Test.fail_reportf "lint: %s"
+        (String.concat "; " (List.map Hls_analysis.Diagnostic.to_string ds))
 
 let prop_compiled_sim_matches_reference_random =
   QCheck.Test.make
@@ -309,7 +303,7 @@ let prop_compiled_sim_matches_reference_random =
     Gen.program_arbitrary
     (fun seed ->
       let prog = Gen.program_of_seed seed in
-      let d = Flow.synthesize_program prog in
+      let d = synthesize_program prog in
       let tprog = (Flow.cosim_design d).Cosim.d_prog in
       let ports = input_ports_of tprog in
       let rng = Random.State.make [| (seed * 7) + 1 |] in
@@ -333,7 +327,7 @@ let prop_compiled_sim_matches_reference_random =
               ~inputs
           in
           sim_trace (kernel Rtl_sim.run) d.Flow.datapath ~inputs
-          = sim_trace (kernel Rtl_sim.run_reference) d.Flow.datapath ~inputs)
+          = sim_trace (kernel Hls_reference.Rtl_reference.run) d.Flow.datapath ~inputs)
         [ false; true; false; true ])
 
 let test_batch_equals_individual_runs () =
@@ -435,7 +429,7 @@ let prop_random_programs_synthesize_and_cosim =
     Gen.program_arbitrary
     (fun seed ->
       let prog = Gen.program_of_seed seed in
-      let d = Flow.synthesize_program prog in
+      let d = synthesize_program prog in
       match Cosim.check_random ~runs:3 ~seed (Flow.cosim_design d) with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "%s" e)
@@ -468,7 +462,6 @@ let () =
         [
           Alcotest.test_case "matches reference on workloads x encoding x control" `Slow
             test_compiled_sim_matches_reference;
-          Alcotest.test_case "identical VCD text" `Quick test_vcd_compiled_equals_reference;
           Alcotest.test_case "batch replay equals individual runs" `Quick
             test_batch_equals_individual_runs;
           QCheck_alcotest.to_alcotest prop_compiled_sim_matches_reference_random;
