@@ -10,7 +10,9 @@
                promising backend classes are promoted
 
    Gates: the first three modes produce identical designs at every
-   point, the pruned sweep's Pareto frontier is identical to the
+   point, the memo/N engine synthesizes no more controllers than it
+   runs backends (the control layer shares one per distinct FSM), the
+   pruned sweep's Pareto frontier is identical to the
    exhaustive one, it promotes at most half the points, and its dse/
    counters were recorded. On a host with spare cores (host_cores >= 2)
    a serial fallback fails, and so does a memo/N sweep slower than the
@@ -126,12 +128,15 @@ let run get =
             [ ("frontend", layer_obj cache_stats.Dse.frontend);
               ("midend", layer_obj cache_stats.Dse.midend);
               ("schedule", layer_obj cache_stats.Dse.schedule);
-              ("backend", layer_obj cache_stats.Dse.backend) ] );
+              ("backend", layer_obj cache_stats.Dse.backend);
+              ("control", layer_obj cache_stats.Dse.control) ] );
         ("stages_serial_ms", stage_obj !stages_serial);
         ("stages_memo_ms", stage_obj !stages_memo) ];
     gates =
       [ ("points > 0", !points > 0);
         ("identical_designs", !identical);
+        ( "control.misses <= backend.misses",
+          cache_stats.Dse.control.Dse.misses <= cache_stats.Dse.backend.Dse.misses );
         ("frontier_identical", !frontier_identical);
         ("promoted_fraction <= 0.5", promoted_fraction <= 0.5 +. 1e-9);
         Harness.counters_gate "dse/points_evaluated";

@@ -4,6 +4,10 @@
      force_directed — incremental FDS vs the retained reference oracle
                       on a generated ~size-op DFG
      list_sched     — priority-queue list scheduler vs its reference
+     exact_sched    — 0/1 programming and branch-and-bound vs their
+                      full-search oracles (test/reference/), with one
+                      pass's sched/ilp_deadlines, binprog/nodes and
+                      bb/nodes per side
      clique         — bitset clique partitioning vs its reference
      qm             — Quine–McCluskey on a pseudo-random function
                       (absolute medians only)
@@ -104,6 +108,49 @@ let list_sched ~iters ~size =
     (bench_pair ~iters
        ~reference:(fun () -> List_sched.schedule_dep_reference ~limits dep)
        ~optimized:(fun () -> List_sched.schedule_dep ~limits dep))
+
+(* The exact schedulers against their full-search oracles
+   (test/reference/): 0/1 programming from the lower bound vs from the
+   critical length, branch-and-bound with vs without the bound exit, on
+   small seeded blocks under every limit shape. Besides the timings,
+   one untimed pass per side records the deterministic work counters,
+   so their drop is exact. *)
+let exact_counters = [ "sched/ilp_deadlines"; "binprog/nodes"; "bb/nodes" ]
+
+let exact_sched ~iters ~size:_ =
+  let deps = List.init 12 (fun k -> Depgraph.of_dfg (dfg_of_seed ~n_ops:8 (100 + k))) in
+  let limits =
+    [ Limits.Serial; Limits.Total 2; Limits.Total 3;
+      Limits.Classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1) ]; Limits.Unlimited ]
+  in
+  let all ilp bb () =
+    List.concat_map (fun dep -> List.map (fun limits -> (ilp ~limits dep, bb ~limits dep)) limits) deps
+  in
+  let reference =
+    all Hls_reference.Exact_sched_reference.ilp Hls_reference.Exact_sched_reference.branch_bound
+  in
+  let optimized =
+    all
+      (fun ~limits dep -> Option.get (Ilp_sched.schedule_dep ~limits dep))
+      (fun ~limits dep -> Option.get (Branch_bound.schedule_dep ~limits dep))
+  in
+  let work f =
+    let before = List.map Hls_obs.Trace.counter exact_counters in
+    ignore (f ());
+    Obj
+      (List.map2
+         (fun c b -> (c, of_int (Hls_obs.Trace.counter c - b)))
+         exact_counters before)
+  in
+  let reference_work = work reference and optimized_work = work optimized in
+  single
+    ~extra:
+      [ ("blocks", of_int (List.length deps));
+        ("n_ops", of_int (Depgraph.n_ops (List.hd deps)));
+        ("limits", of_int (List.length limits));
+        ("reference_work", reference_work);
+        ("optimized_work", optimized_work) ]
+    (bench_pair ~iters ~reference ~optimized)
 
 let clique ~iters ~size =
   let n = size in
@@ -292,6 +339,7 @@ let run get =
       (fun (name, k) -> (name, k ~iters ~size))
       [ ("force_directed", force_directed);
         ("list_sched", list_sched);
+        ("exact_sched", exact_sched);
         ("clique", clique);
         ("qm", qm);
         ("qm_ctrl", qm_ctrl);
@@ -305,6 +353,13 @@ let run get =
         List.map (fun (wl, p) -> ((if wl = "" then name else name ^ "." ^ wl), p)) ps)
       kernels
   in
+  (* the exact schedulers never do more search work than their oracles *)
+  let exact_work_drops c =
+    let work side = Option.bind (member side (fst (List.assoc "exact_sched" kernels))) (int_member c) in
+    match (work "optimized_work", work "reference_work") with
+    | Some o, Some r -> o <= r
+    | _ -> false
+  in
   List.iter
     (fun (label, p) ->
       Printf.printf "  %-16s %6.2fx%s\n" label (speedup p)
@@ -314,7 +369,8 @@ let run get =
     Harness.body = [ ("kernels", Obj (List.map (fun (name, (json, _)) -> (name, json)) kernels)) ];
     gates =
       List.map (fun (label, p) -> (label ^ " identical", p.identical)) pairs
-      @ [ Harness.counters_gate "sched/fd_"; Harness.counters_gate "sim/" ];
+      @ [ Harness.counters_gate "sched/fd_"; Harness.counters_gate "sim/" ]
+      @ List.map (fun c -> (c ^ " optimized <= reference", exact_work_drops c)) exact_counters;
   }
 
 let section =

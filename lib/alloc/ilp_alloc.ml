@@ -21,10 +21,7 @@ let allocate ?(op_cap = 14) cs =
       match Hashtbl.find_opt unit_vars (cls, k) with
       | Some v -> v
       | None ->
-          let v =
-            Binprog.new_var prog
-              (Printf.sprintf "used_%s_%d" (Hls_cdfg.Op.fu_class_to_string cls) k)
-          in
+          let v = Binprog.new_var prog in
           Hashtbl.add unit_vars (cls, k) v;
           v
     in
@@ -41,8 +38,7 @@ let allocate ?(op_cap = 14) cs =
         List.iteri
           (fun rank i ->
             x.(i) <-
-              List.init (rank + 1) (fun k ->
-                  (k, Binprog.new_var prog (Printf.sprintf "y%d_u%d" i k))))
+              List.init (rank + 1) (fun k -> (k, Binprog.new_var prog)))
           members)
       classes;
     Array.iteri (fun _ vars -> if vars <> [] then Binprog.add_group prog (List.map snd vars)) x;

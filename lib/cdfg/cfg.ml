@@ -75,15 +75,16 @@ let validate t =
       | Goto _ | Halt -> ())
     t
 
-let exec_frequency t bid =
-  let table = succs_table t in
-  let loop_list = Graph_algo.loops ~succs:table ~entry:t.entry_bid in
-  List.fold_left
-    (fun freq (header, members) ->
+let exec_frequencies t =
+  let freq = Array.make (n_blocks t) 1 in
+  List.iter
+    (fun (header, members) ->
       match trip_count t header with
-      | Some trips when List.mem bid members -> freq * trips
-      | _ -> freq)
-    1 loop_list
+      | Some trips ->
+          List.iter (fun bid -> freq.(bid) <- freq.(bid) * trips) (List.sort_uniq compare members)
+      | None -> ())
+    (Graph_algo.loops ~succs:(succs_table t) ~entry:t.entry_bid);
+  freq
 
 let term_to_string t = function
   | Goto b -> Printf.sprintf "goto %s" (block t b).label

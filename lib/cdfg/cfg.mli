@@ -52,10 +52,11 @@ val validate : t -> unit
     valid block, every branch condition is a bool-typed node of its own
     block. Raises [Invalid_argument] on violation. *)
 
-val exec_frequency : t -> bid -> int
-(** Static execution count of a block assuming every loop runs its
-    recorded trip count (1 when the block is outside all counted loops).
-    Used for total-latency reporting. Nested counted loops multiply. *)
+val exec_frequencies : t -> int array
+(** Static execution count of every block, indexed by block id,
+    assuming every loop runs its recorded trip count (1 when the block
+    is outside all counted loops). Used for total-latency reporting.
+    Nested counted loops multiply. One pass over the loop forest. *)
 
 val pp : Format.formatter -> t -> unit
 val to_dot : ?name:string -> t -> string

@@ -9,8 +9,11 @@ open Hls_sched
              [config.cache_dir]; backed by the on-disk store
    frontend  ()                                         — per engine
    midend    stage_key [Midend]
-   schedule  stage_key [Midend; Schedule]
+   schedule  stage_key [Midend; Schedule]         — stores the schedule's
+             content digest with it, computed once per miss
    backend   midend key + schedule digest + stage_key [Backend]
+   control   midend key + encoding + each block's step count — probed
+             by backend misses only
    refine    backend key + stage_key [Refine]
 
    Stage keys print the limits as [Unlimited] for schedulers that
@@ -21,6 +24,15 @@ open Hls_sched
    every operation identically share one allocation/binding/control
    synthesis, and the cached design is rewrapped with the point's own
    options.
+
+   The control layer sits inside the backend: "a control step
+   corresponds to a state in the controlling finite state machine", so
+   the FSM — and with it the synthesized controller — depends only on
+   the CFG and each block's step count, and backend runs whose
+   schedules place operations differently but take as many steps per
+   block share one controller synthesis. A hit is rebound to the
+   design's own datapath FSM (Ctrl_synth.with_fsm), so every design is
+   the value a fresh Flow run builds, down to its Marshal image.
 
    The persist layer sits on top and spans process lifetimes: an
    in-memory single-flight table over whole evaluated points, with a
@@ -61,10 +73,23 @@ let backend_key options ~digest =
 let refine_key options ~digest =
   backend_key options ~digest ^ "|" ^ Flow.Knob.stage_key [ Refine ] options
 
-let backend_class options sched =
-  let digest = Cfg_sched.digest sched in
+let class_key options ~digest =
   if options.Flow.iterate <= 0 then backend_key options ~digest
   else refine_key options ~digest
+
+(* Control layer: the FSM is a function of the CFG (fixed by the midend
+   key) and each block's step count, and the controller of the FSM and
+   the encoding. *)
+let control_key options sched =
+  let cfg = Cfg_sched.cfg sched in
+  let steps =
+    List.map
+      (fun bid -> string_of_int (Schedule.n_steps (Cfg_sched.block_schedule sched bid)))
+      (Hls_cdfg.Cfg.block_ids cfg)
+  in
+  String.concat "|"
+    [ midend_key options; Flow.Knob.text Flow.Knob.encoding options.Flow.encoding;
+      String.concat "," steps ]
 
 type config = {
   jobs : int;
@@ -81,6 +106,7 @@ type stats = {
   midend : layer;
   schedule : layer;
   backend : layer;
+  control : layer;
   refine : layer;
 }
 
@@ -97,14 +123,16 @@ type t = {
   source_key : string;
   front : (unit, Flow.compiled slot) Hashtbl.t;
   mid : (string, Flow.optimized slot) Hashtbl.t;
-  scheds : (string, Cfg_sched.t slot) Hashtbl.t;
+  scheds : (string, (Cfg_sched.t * string) slot) Hashtbl.t;
   backs : (string, presult slot) Hashtbl.t;
+  controls : (string, Hls_ctrl.Ctrl_synth.t slot) Hashtbl.t;
   refines : (string, presult slot) Hashtbl.t;
   persist : (string, presult slot) Hashtbl.t;
   n_front : counter;
   n_mid : counter;
   n_sched : counter;
   n_back : counter;
+  n_control : counter;
   n_refine : counter;
   n_persist : counter;
 }
@@ -134,12 +162,14 @@ let make_engine config source =
     mid = Hashtbl.create 8;
     scheds = Hashtbl.create 64;
     backs = Hashtbl.create 64;
+    controls = Hashtbl.create 64;
     refines = Hashtbl.create 16;
     persist = Hashtbl.create 64;
     n_front = { c_hits = 0; c_misses = 0 };
     n_mid = { c_hits = 0; c_misses = 0 };
     n_sched = { c_hits = 0; c_misses = 0 };
     n_back = { c_hits = 0; c_misses = 0 };
+    n_control = { c_hits = 0; c_misses = 0 };
     n_refine = { c_hits = 0; c_misses = 0 };
     n_persist = { c_hits = 0; c_misses = 0 };
   }
@@ -154,13 +184,14 @@ let clear t =
       Hashtbl.reset t.mid;
       Hashtbl.reset t.scheds;
       Hashtbl.reset t.backs;
+      Hashtbl.reset t.controls;
       Hashtbl.reset t.refines;
       Hashtbl.reset t.persist;
       List.iter
         (fun c ->
           c.c_hits <- 0;
           c.c_misses <- 0)
-        [ t.n_front; t.n_mid; t.n_sched; t.n_back; t.n_refine; t.n_persist ])
+        [ t.n_front; t.n_mid; t.n_sched; t.n_back; t.n_control; t.n_refine; t.n_persist ])
 
 let stats t =
   Hls_obs.Sync.with_lock t.lock (fun () ->
@@ -170,6 +201,7 @@ let stats t =
         midend = layer t.n_mid;
         schedule = layer t.n_sched;
         backend = layer t.n_back;
+        control = layer t.n_control;
         refine = layer t.n_refine;
       })
 
@@ -179,6 +211,7 @@ let pp_stats ppf s =
   line "midend" s.midend;
   line "schedule" s.schedule;
   line "backend" s.backend;
+  line "control" s.control;
   line "refine" s.refine
 
 (* Single-flight memoization. The first prober of a key installs
@@ -265,7 +298,9 @@ let memo t name ctr tbl key compute =
 (* The cheap front of the staged flow: frontend, midend and scheduling
    through the memo layers. Shared verbatim between [eval_result] and
    [eval_cheap] so a pruned sweep's ranking pass and the later full
-   evaluation of the survivors probe exactly the same cache keys. *)
+   evaluation of the survivors probe exactly the same cache keys. The
+   schedule's content digest is computed once, on a schedule miss, and
+   cached with it. *)
 let eval_stages t (options : Flow.options) =
   let c =
     memo t "frontend" t.n_front t.front () (fun () ->
@@ -277,24 +312,36 @@ let eval_stages t (options : Flow.options) =
     memo t "midend" t.n_mid t.mid (midend_key options) (fun () ->
         Flow.midend ~passes:options.passes ~if_conversion:options.if_conversion c)
   in
-  let sched =
+  let sched, digest =
     memo t "schedule" t.n_sched t.scheds (schedule_key options) (fun () ->
-        Flow.schedule options o)
+        let sched = Flow.schedule options o in
+        (sched, Cfg_sched.digest sched))
   in
-  (o, sched)
+  (o, sched, digest)
 
-let eval_cheap t (options : Flow.options) =
+let eval_class t (options : Flow.options) =
   Hls_obs.Trace.with_span "dse/cheap" ~args:(Flow.Knob.attrs options) (fun () ->
-      eval_stages t options)
+      let o, sched, digest = eval_stages t options in
+      (o, sched, class_key options ~digest))
+
+let eval_cheap t options =
+  let o, sched, _ = eval_class t options in
+  (o, sched)
 
 (* One full point through the staged in-memory layers (everything the
    engine did before the persistent layer existed). *)
 let eval_staged t (options : Flow.options) =
-  let o, sched = eval_stages t options in
-  let digest = Cfg_sched.digest sched in
+  let o, sched, digest = eval_stages t options in
+  let control fsm =
+    let ctrl =
+      memo t "control" t.n_control t.controls (control_key options sched) (fun () ->
+          Hls_ctrl.Ctrl_synth.synthesize ~style:options.encoding fsm)
+    in
+    Hls_ctrl.Ctrl_synth.with_fsm ctrl fsm
+  in
   let seeded =
     memo t "backend" t.n_back t.backs (backend_key options ~digest) (fun () ->
-        Flow.complete_result options o ~sched)
+        Flow.complete_result ~control options o ~sched)
   in
   let refined =
     if options.iterate <= 0 then seeded

@@ -14,7 +14,14 @@
       + schedule {e content} digest + the backend options
       ([allocator, share_variables, encoding, narrow]) — points whose
       schedulers happen to place every operation identically share one
-      backend run.
+      backend run. The digest is computed once per schedule miss and
+      cached with the schedule;
+    - {e control} (controller synthesis, inside a backend run) once per
+      midend key + [encoding] + each block's step count — the FSM
+      depends on nothing else, so backend runs over schedules of equal
+      per-block length share one synthesis. A hit is rebound to the
+      design's own FSM ({!Hls_ctrl.Ctrl_synth.with_fsm}), so designs are
+      identical to fresh ones, {!design_digest} included.
 
     Every key is the canonical text {!Flow.Knob.stage_key} prints for
     the stage.
@@ -31,7 +38,7 @@
     reused across calls — the cache carries over, which is the point.
 
     Each layer also reports global trace counters
-    ([dse/frontend.hits], [dse/backend.misses], ...) and each point
+    ([dse/frontend.hits], [dse/backend.misses], [dse/control.hits], ...) and each point
     evaluation runs under a [dse/point] span carrying the option-point
     attributes. *)
 
@@ -67,6 +74,15 @@ val create_program : ?config:config -> Ast.program -> t
 (** Engine over an already-parsed program. *)
 
 val config : t -> config
+
+val eval_class :
+  t -> Flow.options -> Flow.optimized * Hls_sched.Cfg_sched.t * string
+(** {!eval_cheap} plus the point's backend class: the key under which
+    points whose cheap stages (midend key and schedule) agree share one
+    backend run — and, for [iterate > 0], one refinement run — built
+    from the schedule digest the schedule layer cached. Points of one
+    class have one true (area, latency) and one
+    {!Explore.Bound.compute} value. *)
 
 val eval_cheap : t -> Flow.options -> Flow.optimized * Hls_sched.Cfg_sched.t
 (** Evaluate one option point through the {e cheap} stages only —
@@ -113,6 +129,9 @@ type stats = {
   midend : layer;
   schedule : layer;
   backend : layer;
+  control : layer;
+      (** controller syntheses, probed by backend misses only: never
+          more misses than the backend layer *)
   refine : layer;
       (** the feedback-refinement layer: keyed on the backend seed plus
           effective limits and iterate count, probed only for points
@@ -129,13 +148,6 @@ val clear : t -> unit
 (** Drop all cached stage results (including the in-memory persist
     table — the disk store is untouched) and zero the counters. Must
     not be called while a {!run} is in flight. *)
-
-val backend_class : Flow.options -> Hls_sched.Cfg_sched.t -> string
-(** The key under which points whose cheap stages (midend key and
-    schedule) agree share one backend run — and, for [iterate > 0],
-    one refinement run: the backend memo key, extended by the refine
-    key when the point refines. Points of one class have one true
-    (area, latency) and one {!Explore.Bound.compute} value. *)
 
 val design_digest : Flow.design -> string
 (** Hex digest of the design's marshalled image. Two designs with equal

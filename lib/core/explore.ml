@@ -489,26 +489,13 @@ module Bound = struct
      state) count summed from critical lengths under-approximates every
      schedule the same CFG can carry — including whatever refinement
      ships for an [iterate > 0] point. *)
-  let critical_steps cs =
-    let cfg = Cfg_sched.cfg cs in
-    List.fold_left
-      (fun acc bid ->
-        let g = Hls_cdfg.Cfg.dfg cfg bid in
-        if Hls_cdfg.Dfg.compute_ops g = [] then acc
-        else
-          acc
-          + Depgraph.critical_length (Depgraph.of_dfg g)
-            * Hls_cdfg.Cfg.exec_frequency cfg bid)
-      0
-      (Hls_cdfg.Cfg.block_ids cfg)
+  let critical_steps (o : Flow.optimized) =
+    let freq = Hls_cdfg.Cfg.exec_frequencies o.Flow.o_cfg in
+    Array.fold_left ( + ) 0
+      (Array.mapi (fun bid dep -> Depgraph.critical_length dep * freq.(bid)) o.Flow.o_deps)
 
-  let states_lb cs =
-    let cfg = Cfg_sched.cfg cs in
-    List.fold_left
-      (fun acc bid ->
-        acc + Depgraph.critical_length (Depgraph.of_dfg (Hls_cdfg.Cfg.dfg cfg bid)))
-      0
-      (Hls_cdfg.Cfg.block_ids cfg)
+  let states_lb (o : Flow.optimized) =
+    Array.fold_left (fun acc dep -> acc + Depgraph.critical_length dep) 0 o.Flow.o_deps
 
   let compute (options : Flow.options) (o : Flow.optimized) cs =
     let node_w =
@@ -527,7 +514,7 @@ module Bound = struct
        floor is replaced by its schedule-free counterpart; one-shot
        points keep the tighter schedule-derived bounds. *)
     let sf = options.Flow.iterate > 0 in
-    let states = if sf then states_lb cs else Cfg_sched.total_states cs in
+    let states = if sf then states_lb o else Cfg_sched.total_states cs in
     let ctrl =
       Hls_rtl.Component.register_area
         ~width:(Hls_ctrl.Encoding.width options.Flow.encoding ~n_states:(max 1 states))
@@ -538,7 +525,7 @@ module Bound = struct
       + (if sf then 0 else live_reg_area ~node_w o cs)
       + reg_mux_area_lb ~node_w o cs + ctrl
     in
-    let steps = if sf then critical_steps cs else Cfg_sched.compute_steps cs in
+    let steps = if sf then critical_steps o else Cfg_sched.compute_steps cs in
     let latency = cycle_lb cs *. float_of_int steps in
     (area, latency)
 end
@@ -574,13 +561,9 @@ let run_points_pruned ~config ~engine src labelled =
   (* rank pass: every point through the (memoized) cheap stages *)
   let cheap =
     Array.of_list
-      (Pool.map ~jobs (fun (_, options) -> Dse.eval_cheap engine options) labelled)
+      (Pool.map ~jobs (fun (_, options) -> Dse.eval_class engine options) labelled)
   in
-  let keys =
-    Array.init n (fun i ->
-        let _, options = items.(i) in
-        Dse.backend_class options (snd cheap.(i)))
-  in
+  let keys = Array.map (fun (_, _, key) -> key) cheap in
   (* each class's first member is its representative *)
   let first_of = Hashtbl.create 16 in
   for i = n - 1 downto 0 do
@@ -597,7 +580,7 @@ let run_points_pruned ~config ~engine src labelled =
       (if rep < i then lbs.(rep)
        else
          let _, options = items.(i) in
-         let o, cs = cheap.(i) in
+         let o, cs, _ = cheap.(i) in
          Bound.compute options o cs)
   done;
   let score i = float_of_int (fst lbs.(i)) *. max 1.0 (snd lbs.(i)) in

@@ -316,32 +316,34 @@ let ports_of (p : Typed.tprogram) =
 let output_names p =
   List.filter_map (fun (n, d, _) -> if d = `Out then Some n else None) (ports_of p)
 
-let block_scheduler options dfg =
-  match options.scheduler with
-  | Asap -> Hls_sched.Asap.schedule ~limits:options.limits dfg
-  | List_path ->
-      Hls_sched.List_sched.schedule ~priority:Hls_sched.List_sched.Path_length
-        ~limits:options.limits dfg
-  | List_mobility ->
-      let dep = Hls_sched.Depgraph.of_dfg dfg in
-      let deadline = max 1 (Hls_sched.Depgraph.critical_length dep) in
-      Hls_sched.List_sched.schedule
-        ~priority:(Hls_sched.List_sched.Mobility deadline) ~limits:options.limits dfg
-  | Force_directed slack ->
-      let dep = Hls_sched.Depgraph.of_dfg dfg in
-      let deadline = max 1 (Hls_sched.Depgraph.critical_length dep + slack) in
-      Hls_sched.Force_directed.schedule ~deadline dfg
-  | Freedom -> Hls_sched.Freedom.schedule dfg
-  | Branch_bound -> (
-      match Hls_sched.Branch_bound.schedule ~limits:options.limits dfg with
-      | Some s -> s
-      | None -> Hls_sched.List_sched.schedule ~limits:options.limits dfg)
-  | Ilp_exact -> (
-      match Hls_sched.Ilp_sched.schedule ~limits:options.limits dfg with
-      | Some s -> s
-      | None -> Hls_sched.List_sched.schedule ~limits:options.limits dfg)
-  | Trans_parallel -> Hls_sched.Transformational.from_parallel ~limits:options.limits dfg
-  | Trans_serial -> Hls_sched.Transformational.from_serial ~limits:options.limits dfg
+(* One block through the scheduler's kernel, on the block's dependence
+   graph built once at the end of the midend. *)
+let block_scheduler options dep =
+  let module S = Hls_sched in
+  let limits = options.limits in
+  let steps =
+    match options.scheduler with
+    | Asap -> S.Asap.schedule_dep ~limits dep
+    | List_path -> S.List_sched.schedule_dep ~priority:S.List_sched.Path_length ~limits dep
+    | List_mobility ->
+        let deadline = max 1 (S.Depgraph.critical_length dep) in
+        S.List_sched.schedule_dep ~priority:(S.List_sched.Mobility deadline) ~limits dep
+    | Force_directed slack ->
+        let deadline = max 1 (S.Depgraph.critical_length dep + slack) in
+        S.Force_directed.schedule_dep ~deadline dep
+    | Freedom -> S.Freedom.schedule_dep dep
+    | Branch_bound -> (
+        match S.Branch_bound.schedule_dep ~limits dep with
+        | Some steps -> steps
+        | None -> S.List_sched.schedule_dep ~limits dep)
+    | Ilp_exact -> (
+        match S.Ilp_sched.schedule_dep ~limits dep with
+        | Some steps -> steps
+        | None -> S.List_sched.schedule_dep ~limits dep)
+    | Trans_parallel -> S.Transformational.from_parallel_dep ~limits dep
+    | Trans_serial -> S.Transformational.from_serial_dep ~limits dep
+  in
+  S.Depgraph.to_schedule dep ~steps
 
 (* ---- staged pipeline ------------------------------------------------ *)
 
@@ -350,7 +352,12 @@ let block_scheduler options dfg =
    what Timing.snapshot reports. *)
 
 type compiled = { c_prog : Typed.tprogram }
-type optimized = { o_prog : Typed.tprogram; o_cfg : Hls_cdfg.Cfg.t; o_outputs : string list }
+type optimized = {
+  o_prog : Typed.tprogram;
+  o_cfg : Hls_cdfg.Cfg.t;
+  o_outputs : string list;
+  o_deps : Hls_sched.Depgraph.t array;
+}
 
 let front ast = { c_prog = Typecheck.check (Inline.expand ast) }
 let frontend_program ast = Hls_obs.Trace.with_span "frontend" (fun () -> front ast)
@@ -429,7 +436,11 @@ let midend ~passes ~if_conversion c =
         end
         else cfg
       in
-      { o_prog = prog; o_cfg = cfg; o_outputs = outputs })
+      let o_deps =
+        Array.init (Hls_cdfg.Cfg.n_blocks cfg) (fun bid ->
+            Hls_sched.Depgraph.of_dfg (Hls_cdfg.Cfg.dfg cfg bid))
+      in
+      { o_prog = prog; o_cfg = cfg; o_outputs = outputs; o_deps })
 
 let schedule options o =
   Hls_obs.Trace.with_span "schedule"
@@ -438,7 +449,7 @@ let schedule options o =
         Knob.attr Knob.scheduler options.scheduler; Knob.attr Knob.limits options.limits;
       ]
     (fun () ->
-      let sched = Cfg_sched.make o.o_cfg ~scheduler:(block_scheduler options) in
+      let sched = Cfg_sched.init o.o_cfg (fun bid -> block_scheduler options o.o_deps.(bid)) in
       (* for limit-ignoring schedulers verify only the dependence half of
          the contract, the full contract otherwise *)
       (match Cfg_sched.verify (effective_limits options) sched with
@@ -550,7 +561,7 @@ let lint (d : design) =
 (* The Result-returning pipeline is primary; [synthesize] below is the
    one Lint_failed wrapper over it. *)
 
-let complete_result ?(verify = false) options o ~sched =
+let complete_result ?(verify = false) ?control options o ~sched =
   let prog = o.o_prog in
   let fu, regs, transfers =
     Hls_obs.Trace.with_span "allocate"
@@ -593,8 +604,10 @@ let complete_result ?(verify = false) options o ~sched =
         Hls_obs.Trace.with_span "control"
           ~args:[ Knob.attr Knob.encoding options.encoding ]
           (fun () ->
-            Hls_ctrl.Ctrl_synth.synthesize ~style:options.encoding
-              datapath.Hls_rtl.Datapath.fsm)
+            let fsm = datapath.Hls_rtl.Datapath.fsm in
+            match control with
+            | Some synth -> synth fsm
+            | None -> Hls_ctrl.Ctrl_synth.synthesize ~style:options.encoding fsm)
       in
       let estimate =
         Hls_obs.Trace.with_span "estimate" (fun () ->

@@ -162,7 +162,15 @@ type design = {
     those spans. *)
 
 type compiled = { c_prog : Typed.tprogram }
-type optimized = { o_prog : Typed.tprogram; o_cfg : Hls_cdfg.Cfg.t; o_outputs : string list }
+type optimized = {
+  o_prog : Typed.tprogram;
+  o_cfg : Hls_cdfg.Cfg.t;
+  o_outputs : string list;
+  o_deps : Hls_sched.Depgraph.t array;
+      (** each block's dependence graph, indexed by block id, built once
+          when the midend finishes: every scheduler and bound of every
+          point on this result reads it instead of rebuilding it *)
+}
 
 val frontend : string -> compiled
 (** Parse, inline-expand and typecheck BSL source. Raises
@@ -219,12 +227,16 @@ val schedule : options -> optimized -> Cfg_sched.t
 
 val complete_result :
   ?verify:bool ->
+  ?control:(Hls_ctrl.Fsm.t -> Hls_ctrl.Ctrl_synth.t) ->
   options ->
   optimized ->
   sched:Cfg_sched.t ->
   (design, Hls_analysis.Diagnostic.t list) result
 (** Allocation, binding, control synthesis and estimation on top of an
-    existing schedule. *)
+    existing schedule. [control] synthesizes the controller of the
+    datapath's FSM (default {!Hls_ctrl.Ctrl_synth.synthesize} under
+    [options.encoding]); the {!Dse} engine passes its memo layer, which
+    must return a controller over that very FSM. *)
 
 val backend_result :
   ?verify:bool -> options -> optimized -> (design, Hls_analysis.Diagnostic.t list) result

@@ -2,13 +2,14 @@
 
 let schedule_table (d : Flow.design) =
   let buf = Buffer.create 512 in
+  let freq = Hls_cdfg.Cfg.exec_frequencies (Hls_sched.Cfg_sched.cfg d.Flow.sched) in
   Hls_cdfg.Cfg.iter
     (fun bid b ->
       let sched = Hls_sched.Cfg_sched.block_schedule d.Flow.sched bid in
       Buffer.add_string buf
         (Printf.sprintf "%s: %d step(s), executes x%d\n" b.Hls_cdfg.Cfg.label
            (Hls_sched.Schedule.n_steps sched)
-           (Hls_cdfg.Cfg.exec_frequency (Hls_sched.Cfg_sched.cfg d.Flow.sched) bid));
+           freq.(bid));
       Buffer.add_string buf (Format.asprintf "%a" Hls_sched.Schedule.pp sched))
     d.Flow.cfg;
   Buffer.contents buf

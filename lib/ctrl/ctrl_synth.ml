@@ -111,6 +111,8 @@ let synthesize ?(style = Encoding.Binary) fsm =
   in
   { enc_style = style; state_bits; conds; codes; fsm; direct; minimized }
 
+let with_fsm t fsm = { t with fsm }
+let fsm t = t.fsm
 let style t = t.enc_style
 let n_state_bits t = t.state_bits
 let n_inputs t = t.state_bits + List.length t.conds

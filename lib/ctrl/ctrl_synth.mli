@@ -21,6 +21,15 @@ type t
 val synthesize : ?style:Encoding.style -> Fsm.t -> t
 (** Default style is [Binary]. *)
 
+val with_fsm : t -> Fsm.t -> t
+(** The controller over another FSM equal to the one it was synthesized
+    from. The DSE engine synthesizes one controller per distinct FSM and
+    rebinds it to each design's own FSM, so a design's controller always
+    refers to its datapath's FSM, exactly as a fresh synthesis does. *)
+
+val fsm : t -> Fsm.t
+(** The FSM the controller drives. *)
+
 val style : t -> Encoding.style
 val n_state_bits : t -> int
 val n_inputs : t -> int

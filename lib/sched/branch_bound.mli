@@ -8,8 +8,11 @@
     is pruned when (current step bound) + (remaining critical path)
     cannot beat the best complete schedule found so far. The initial
     incumbent is the list schedule, so the result is never worse than
-    list scheduling. Exponential in the worst case — intended for blocks
-    up to a few dozen operations (tests use it as the optimum oracle). *)
+    list scheduling, and an incumbent that already meets
+    {!Depgraph.lower_bound} is returned without searching (nothing can
+    be strictly shorter). Exponential in the worst case — intended for
+    blocks up to a few dozen operations (tests use it as the optimum
+    oracle). Search nodes are counted in [bb/nodes]. *)
 
 val schedule : ?node_cap:int -> limits:Limits.t -> Hls_cdfg.Dfg.t -> Schedule.t option
 (** [None] when the block exceeds [node_cap] operations (default 24). *)

@@ -2,10 +2,8 @@ open Hls_cdfg
 
 type t = { cfg : Cfg.t; scheds : Schedule.t array }
 
-let make cfg ~scheduler =
-  let scheds =
-    Array.init (Cfg.n_blocks cfg) (fun bid -> scheduler (Cfg.dfg cfg bid))
-  in
+let init cfg f =
+  let scheds = Array.init (Cfg.n_blocks cfg) f in
   let ops =
     List.fold_left
       (fun acc bid -> acc + List.length (Dfg.compute_ops (Cfg.dfg cfg bid)))
@@ -15,6 +13,8 @@ let make cfg ~scheduler =
   Hls_obs.Trace.add "sched/steps"
     (Array.fold_left (fun acc s -> acc + Schedule.n_steps s) 0 scheds);
   { cfg; scheds }
+
+let make cfg ~scheduler = init cfg (fun bid -> scheduler (Cfg.dfg cfg bid))
 
 let cfg t = t.cfg
 
@@ -30,11 +30,12 @@ let digest t =
     (String.concat "" (Array.to_list (Array.map Schedule.digest t.scheds)))
 
 let compute_steps t =
+  let freq = Cfg.exec_frequencies t.cfg in
   List.fold_left
     (fun acc bid ->
       let g = Cfg.dfg t.cfg bid in
       if Dfg.compute_ops g = [] then acc
-      else acc + (Schedule.n_steps t.scheds.(bid) * Cfg.exec_frequency t.cfg bid))
+      else acc + (Schedule.n_steps t.scheds.(bid) * freq.(bid)))
     0 (Cfg.block_ids t.cfg)
 
 let total_states t =

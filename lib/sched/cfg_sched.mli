@@ -9,8 +9,11 @@ open Hls_cdfg
 
 type t
 
+val init : Cfg.t -> (Cfg.bid -> Schedule.t) -> t
+(** Schedule every block [bid] with [f bid]. *)
+
 val make : Cfg.t -> scheduler:(Dfg.t -> Schedule.t) -> t
-(** Schedule every block with the given per-block scheduler. *)
+(** Schedule every block's DFG with the given per-block scheduler. *)
 
 val cfg : t -> Cfg.t
 val block_schedule : t -> Cfg.bid -> Schedule.t

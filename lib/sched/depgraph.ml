@@ -71,6 +71,25 @@ let alap t ~deadline =
   done;
   l
 
+let resource_bound ~limits t =
+  let ceil_div a b = (a + b - 1) / b in
+  let count cls = Array.fold_left (fun acc c -> if c = cls then acc + 1 else acc) 0 t.cls_table in
+  match limits with
+  | Limits.Unlimited -> 1
+  | Limits.Serial -> max 1 (n_ops t)
+  | Limits.Total k -> if k <= 0 then 1 else max 1 (ceil_div (n_ops t) k)
+  | Limits.Classes caps ->
+      (* the first cap listed for a class binds, as in Limits.can_add *)
+      List.fold_left
+        (fun acc cls ->
+          match List.assoc_opt cls caps with
+          | Some cap when cap > 0 -> max acc (ceil_div (count cls) cap)
+          | _ -> acc)
+        1
+        [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift ]
+
+let lower_bound ~limits t = max (critical_length t) (resource_bound ~limits t)
+
 let path_length t =
   let n = n_ops t in
   let pl = Array.make n 1 in

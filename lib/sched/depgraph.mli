@@ -34,6 +34,18 @@ val critical_length : t -> int
 (** Length of the longest dependence chain (minimum possible schedule
     length); 0 when the block has no occupying operation. *)
 
+val resource_bound : limits:Limits.t -> t -> int
+(** Classic resource-constrained lower bound on the schedule length
+    (and on a modulo schedule's initiation interval): the maximum over
+    classes of ⌈ops of the class / units of the class⌉, with the whole
+    op count over the shared budget for [Serial] and [Total k]; at
+    least 1. *)
+
+val lower_bound : limits:Limits.t -> t -> int
+(** [max (critical_length t) (resource_bound ~limits t)]: no schedule
+    of the block under the limits is shorter. The exact schedulers
+    start their search here. *)
+
 val path_length : t -> int array
 (** Ops on the longest chain from each op to a sink, inclusive — the
     list-scheduling priority of Fig 4. *)

@@ -4,7 +4,8 @@ open Hls_cdfg
 let occupying_classes = [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift ]
 
 (* Feasibility of a schedule of length [deadline] as a 0/1 program. *)
-let feasible dep ~limits ~deadline =
+let feasible ~limits ~deadline dep =
+  Hls_obs.Trace.incr "sched/ilp_deadlines";
   let n = Depgraph.n_ops dep in
   let asap = Depgraph.asap dep in
   let alap = Depgraph.alap dep ~deadline in
@@ -14,9 +15,7 @@ let feasible dep ~limits ~deadline =
     Array.init n (fun i ->
         List.init
           (alap.(i) - asap.(i) + 1)
-          (fun k ->
-            let s = asap.(i) + k in
-            (s, Binprog.new_var prog (Printf.sprintf "x%d@%d" i s))))
+          (fun k -> (asap.(i) + k, Binprog.new_var prog)))
   in
   Array.iter (fun placements -> Binprog.add_group prog (List.map snd placements)) x;
   (* precedence: op i before successor j, strictly *)
@@ -72,20 +71,22 @@ let feasible dep ~limits ~deadline =
         x;
       Some steps
 
-let schedule ?(node_cap = 12) ~limits g =
-  let dep = Depgraph.of_dfg g in
+let schedule_dep ?(node_cap = 12) ~limits dep =
   let n = Depgraph.n_ops dep in
   if n > node_cap then None
   else begin
-    let cl = max 1 (Depgraph.critical_length dep) in
     let rec search deadline =
       if deadline > max 1 n then
         (* serialization is always feasible; should never get here *)
         invalid_arg "Ilp_sched: no feasible deadline (internal)"
       else
-        match feasible dep ~limits ~deadline with
-        | Some steps -> Depgraph.to_schedule dep ~steps
+        match feasible ~limits ~deadline dep with
+        | Some steps -> steps
         | None -> search (deadline + 1)
     in
-    Some (search cl)
+    Some (search (Depgraph.lower_bound ~limits dep))
   end
+
+let schedule ?node_cap ~limits g =
+  let dep = Depgraph.of_dfg g in
+  Option.map (fun steps -> Depgraph.to_schedule dep ~steps) (schedule_dep ?node_cap ~limits dep)

@@ -8,8 +8,16 @@
 
 open Hls_cdfg
 
-val schedule :
-  ?node_cap:int -> limits:Limits.t -> Dfg.t -> Schedule.t option
-(** Minimum-length schedule under the limits, found by solving
-    feasibility at increasing deadlines. [None] when the block exceeds
-    [node_cap] operations (default 12). *)
+val feasible : limits:Limits.t -> deadline:int -> Depgraph.t -> int array option
+(** A schedule of at most [deadline] steps as the solver's first
+    solution, or [None] when none exists. Each call counts one
+    [sched/ilp_deadlines] probe. *)
+
+val schedule_dep : ?node_cap:int -> limits:Limits.t -> Depgraph.t -> int array option
+(** Minimum-length schedule under the limits: {!feasible} at increasing
+    deadlines from {!Depgraph.lower_bound}, since every shorter deadline
+    is infeasible. [None] when the block exceeds [node_cap] operations
+    (default 12). *)
+
+val schedule : ?node_cap:int -> limits:Limits.t -> Dfg.t -> Schedule.t option
+(** {!schedule_dep} on the block's dependence graph. *)

@@ -6,45 +6,7 @@ type result = {
   modulo_usage : (int * (Op.fu_class * int) list) list;
 }
 
-let occupying_classes = [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift ]
-
-let class_count dep cls =
-  let n = Depgraph.n_ops dep in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if Depgraph.cls dep i = cls then incr count
-  done;
-  !count
-
-let capacity_of limits cls =
-  match limits with
-  | Limits.Unlimited -> max_int
-  | Limits.Serial -> 1
-  | Limits.Total k -> k
-  | Limits.Classes caps -> (
-      match List.assoc_opt cls caps with Some c -> c | None -> max_int)
-
-let resource_min_ii_dep ~limits dep =
-  let by_class =
-    List.fold_left
-      (fun acc cls ->
-        let ops = class_count dep cls in
-        let cap = capacity_of limits cls in
-        if ops = 0 || cap = max_int then acc
-        else max acc ((ops + cap - 1) / cap))
-      1 occupying_classes
-  in
-  match limits with
-  | Limits.Serial | Limits.Total _ ->
-      (* the budget is shared across classes *)
-      let total_ops =
-        List.fold_left (fun acc cls -> acc + class_count dep cls) 0 occupying_classes
-      in
-      let k = capacity_of limits Op.C_alu in
-      max by_class ((total_ops + k - 1) / k)
-  | Limits.Classes _ | Limits.Unlimited -> by_class
-
-let resource_min_ii ~limits g = resource_min_ii_dep ~limits (Depgraph.of_dfg g)
+let resource_min_ii ~limits g = Depgraph.resource_bound ~limits (Depgraph.of_dfg g)
 
 (* Modulo list scheduling: usage is tallied per slot = (step-1) mod ii,
    because iterations started every ii cycles overlap in those slots. *)
@@ -123,12 +85,10 @@ let schedule ~limits ~ii g =
         }
 
 let min_ii ~limits g =
-  let dep = Depgraph.of_dfg g in
-  let lower = resource_min_ii_dep ~limits dep in
   let rec search ii =
     match schedule ~limits ~ii g with Some r -> r | None -> search (ii + 1)
   in
-  search (max 1 lower)
+  search (resource_min_ii ~limits g)
 
 (* steady-state unit demand of a modulo schedule: per class, the maximum
    concurrent slot load *)

@@ -123,7 +123,7 @@ let run ?(nonneg = Rules.no_facts) ?(cost = default_cost) ~objective
           match Hashtbl.find_opt yvars c with
           | Some v -> v
           | None ->
-              let v = Binprog.new_var bp ("fu:" ^ Op.fu_class_to_string c) in
+              let v = Binprog.new_var bp in
               Hashtbl.add yvars c v;
               v
         in
@@ -146,12 +146,9 @@ let run ?(nonneg = Rules.no_facts) ?(cost = default_cost) ~objective
         let selections =
           List.map
             (fun (copy, alts) ->
-              let x_orig = Binprog.new_var bp (Printf.sprintf "orig:%d" copy) in
+              let x_orig = Binprog.new_var bp in
               let x_alts =
-                List.map
-                  (fun (lo, hi, root) ->
-                    (Binprog.new_var bp (Printf.sprintf "alt:%d" root), lo, hi, root))
-                  alts
+                List.map (fun (lo, hi, root) -> (Binprog.new_var bp, lo, hi, root)) alts
               in
               Binprog.add_group bp (x_orig :: List.map (fun (v, _, _, _) -> v) x_alts);
               add_sel_costs x_orig [ copy ] ~tie:0;

@@ -6,18 +6,16 @@ type constraint_ =
   | Forbid of var * var
 
 type t = {
-  mutable names : string list;  (* reversed *)
   mutable count : int;
   mutable groups : var list list;  (* reversed order of addition *)
   mutable constraints : constraint_ list;
 }
 
-let create () = { names = []; count = 0; groups = []; constraints = [] }
+let create () = { count = 0; groups = []; constraints = [] }
 
-let new_var t name =
+let new_var t =
   let v = t.count in
   t.count <- t.count + 1;
-  t.names <- name :: t.names;
   v
 
 let n_vars t = t.count
@@ -112,7 +110,10 @@ let solve ?(objective = []) t =
   let budget = 10_000_000 in
   let rec search sets cost =
     incr nodes;
-    if !nodes > budget then invalid_arg "Binprog.solve: search budget exceeded";
+    if !nodes > budget then begin
+      Hls_obs.Trace.add "binprog/nodes" !nodes;
+      invalid_arg "Binprog.solve: search budget exceeded"
+    end;
     if cost >= !best_cost then ()
     else
       match sets with
@@ -143,6 +144,7 @@ let solve ?(objective = []) t =
           List.iter (fun v -> assign_var v (-1)) set
   in
   search decision_sets 0;
+  Hls_obs.Trace.add "binprog/nodes" !nodes;
   match !best with
   | Some a -> Some (fun v -> a.(v) = 1)
   | None -> None

@@ -18,8 +18,8 @@ type var = int
 
 val create : unit -> t
 
-val new_var : t -> string -> var
-(** A fresh 0/1 variable (the name is for diagnostics). *)
+val new_var : t -> var
+(** A fresh 0/1 variable, numbered from 0 in creation order. *)
 
 val n_vars : t -> int
 
@@ -42,4 +42,5 @@ val solve : ?objective:(var * int) list -> t -> (var -> bool) option
     minimizing the objective (sum of weights of true variables), or
     [None] if unsatisfiable. Deterministic. Exponential in the worst
     case; guarded by a node budget — raises [Invalid_argument] when the
-    instance exceeds roughly 10⁷ search nodes. *)
+    instance exceeds roughly 10⁷ search nodes. Adds the nodes it
+    visited to the [binprog/nodes] counter. *)

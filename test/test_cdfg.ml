@@ -166,8 +166,8 @@ let test_compile_sqrt_structure () =
   Alcotest.(check int) "prologue ops" 3 (List.length (Dfg.compute_ops (Cfg.dfg cfg 0)));
   Alcotest.(check int) "body ops" 5 (List.length (Dfg.compute_ops (Cfg.dfg cfg 1)));
   Alcotest.(check (option int)) "trip count" (Some 4) (Cfg.trip_count cfg 1);
-  Alcotest.(check int) "body freq" 4 (Cfg.exec_frequency cfg 1);
-  Alcotest.(check int) "prologue freq" 1 (Cfg.exec_frequency cfg 0)
+  Alcotest.(check int) "body freq" 4 (Cfg.exec_frequencies cfg).(1);
+  Alcotest.(check int) "prologue freq" 1 (Cfg.exec_frequencies cfg).(0)
 
 let test_compile_if_else () =
   let _, cfg =

@@ -192,11 +192,71 @@ let test_cache_accounting () =
   Alcotest.(check bool) "same results" true
     (List.map (fun p -> signature p.Explore.design) points
     = List.map (fun p -> signature p.Explore.design) again);
+  Alcotest.(check int) "control probed by backend misses only" s.Dse.backend.Dse.misses
+    (total s.Dse.control);
+  Alcotest.(check bool) "control shares equal FSMs" true
+    (s.Dse.control.Dse.misses <= s.Dse.backend.Dse.misses && s.Dse.control.Dse.hits > 0);
   Dse.clear engine;
   let s3 = Dse.stats engine in
   Alcotest.(check int) "clear zeroes counters" 0
     (total s3.Dse.frontend + total s3.Dse.midend + total s3.Dse.schedule
-   + total s3.Dse.backend)
+   + total s3.Dse.backend + total s3.Dse.control)
+
+(* ---- shared controllers ---- *)
+
+(* The control layer hands designs whose FSMs coincide one controller
+   synthesis. Every design of a memoized sweep must still be the value a
+   fresh, unmemoized Flow run builds, Marshal image included, and its
+   controller must drive its own datapath's FSM. *)
+let check_against_fresh name compiled engine points =
+  let o =
+    Flow.midend ~passes:Flow.default_options.Flow.passes ~if_conversion:false compiled
+  in
+  List.iter2
+    (fun (label, options) r ->
+      match (r, Flow.backend_result options o) with
+      | Ok d, Ok fresh ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: digest of a fresh run" name label)
+            (Dse.design_digest fresh) (Dse.design_digest d);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: controller over the design's own FSM" name label)
+            true
+            (Hls_ctrl.Ctrl_synth.fsm d.Flow.controller == d.Flow.datapath.Hls_rtl.Datapath.fsm)
+      | _ -> Alcotest.failf "%s %s: backend failed" name label)
+    points
+    (Dse.run_result engine (List.map snd points))
+
+let default_cross base =
+  Explore.cross ~base ~schedulers:Explore.default_schedulers ~limits:Explore.default_limits ()
+
+let test_shared_controllers_workloads () =
+  let bases =
+    List.concat_map
+      (fun encoding ->
+        List.map
+          (fun narrow -> { Flow.default_options with Flow.encoding; narrow })
+          [ false; true ])
+      [ Hls_ctrl.Encoding.Binary; Hls_ctrl.Encoding.One_hot; Hls_ctrl.Encoding.Gray ]
+  in
+  List.iter
+    (fun (name, src) ->
+      let engine = Dse.create src in
+      check_against_fresh name (Flow.frontend src) engine (List.concat_map default_cross bases);
+      let s = Dse.stats engine in
+      Alcotest.(check bool)
+        (name ^ ": controllers shared") true
+        (s.Dse.control.Dse.hits > 0 && s.Dse.control.Dse.misses <= s.Dse.backend.Dse.misses))
+    Workloads.all
+
+let test_shared_controllers_random () =
+  for seed = 1 to 20 do
+    let ast = Gen.program_of_seed seed in
+    check_against_fresh
+      (Printf.sprintf "program %d" seed)
+      (Flow.frontend_program ast) (Dse.create_program ast)
+      (default_cross Flow.default_options)
+  done
 
 (* ---- pipeline specs as cache keys ---- *)
 
@@ -347,11 +407,11 @@ let per_point_pruned name src labelled =
   let engine = Dse.create src in
   let items = Array.of_list labelled in
   let n = Array.length items in
-  let cheap = Array.map (fun (_, o) -> Dse.eval_cheap engine o) items in
+  let cheap = Array.map (fun (_, o) -> Dse.eval_class engine o) items in
   let lbs =
-    Array.mapi (fun i (_, o) -> let opt, cs = cheap.(i) in Explore.Bound.compute o opt cs) items
+    Array.mapi (fun i (_, o) -> let opt, cs, _ = cheap.(i) in Explore.Bound.compute o opt cs) items
   in
-  let keys = Array.mapi (fun i (_, o) -> Dse.backend_class o (snd cheap.(i))) items in
+  let keys = Array.map (fun (_, _, key) -> key) cheap in
   let rep = Hashtbl.create 16 in
   for i = n - 1 downto 0 do
     Hashtbl.replace rep keys.(i) i
@@ -634,6 +694,10 @@ let () =
           Alcotest.test_case "sweep deterministic across jobs" `Quick test_sweep_deterministic;
           Alcotest.test_case "points keep their options" `Quick test_point_keeps_own_options;
           Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
+          Alcotest.test_case "shared controllers: workloads x encodings x narrow" `Slow
+            test_shared_controllers_workloads;
+          Alcotest.test_case "shared controllers: random programs" `Slow
+            test_shared_controllers_random;
           Alcotest.test_case "cross labels name varying axes" `Quick test_cross_labels;
         ] );
       ( "pipeline",

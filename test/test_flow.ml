@@ -91,6 +91,24 @@ let test_ilp_scheduler_option () =
       | Error e -> Alcotest.failf "%s with ILP scheduler: %s" name e)
     [ "sqrt"; "gcd"; "twophase" ]
 
+(* biquad3's one flat block of 24 ops under the serial limit: the list
+   schedule already takes one step per op, the lower bound, so
+   branch-and-bound returns it without searching. Before the bound exit
+   this call ran for minutes. *)
+let test_bb_serial_biquad3 () =
+  let at scheduler =
+    Flow.synthesize
+      ~options:{ Flow.default_options with Flow.scheduler; limits = Limits.Serial }
+      Workloads.biquad3
+  in
+  let nodes0 = Hls_obs.Trace.counter "bb/nodes" in
+  let bb = at Flow.Branch_bound in
+  Alcotest.(check int) "no search node" nodes0 (Hls_obs.Trace.counter "bb/nodes");
+  let list = at Flow.List_path in
+  Alcotest.(check int) "24 steps" 24 (Cfg_sched.compute_steps bb.Flow.sched);
+  Alcotest.(check string) "the list schedule" (Cfg_sched.digest list.Flow.sched)
+    (Cfg_sched.digest bb.Flow.sched)
+
 let test_invalid_source_reported () =
   Alcotest.(check bool) "frontend error" true
     (try
@@ -193,6 +211,8 @@ let () =
           Alcotest.test_case "diffeq default" `Quick test_diffeq_full_default;
           Alcotest.test_case "if-conversion option" `Quick test_if_conversion_option;
           Alcotest.test_case "ILP scheduler option" `Quick test_ilp_scheduler_option;
+          Alcotest.test_case "B&B serial biquad3 stops at the bound" `Quick
+            test_bb_serial_biquad3;
           Alcotest.test_case "frontend errors surface" `Quick test_invalid_source_reported;
         ] );
       ( "quality",

@@ -419,6 +419,43 @@ let prop_ilp_optimal =
           | _ -> false)
         [ Limits.Serial; Limits.Total 2 ])
 
+(* ---- exact schedulers against their full-search oracles ---- *)
+
+(* ILP starts its deadline search at Depgraph.lower_bound and B&B returns
+   a list incumbent that meets it without searching; the oracles in
+   test/reference/ probe every deadline from the critical length and
+   always search. Schedules must be identical, and ILP must probe
+   exactly the deadlines from the bound to its answer. B&B inputs stay
+   at <= 10 ops and ILP's at <= 7 so the oracles terminate quickly. *)
+let prop_exact_match_oracles =
+  QCheck.Test.make ~name:"exact schedulers match their full-search oracles" ~count:60
+    Gen.dfg_arbitrary
+    (fun seed ->
+      let bb_dep = Depgraph.of_dfg (Gen.dfg_of_seed ~max_ops:10 seed) in
+      let ilp_dep = Depgraph.of_dfg (Gen.dfg_of_seed ~max_ops:7 seed) in
+      List.for_all
+        (fun limits ->
+          let bb = Branch_bound.schedule_dep ~limits bb_dep in
+          let probes0 = Hls_obs.Trace.counter "sched/ilp_deadlines" in
+          let ilp = Ilp_sched.schedule_dep ~limits ilp_dep in
+          let probes = Hls_obs.Trace.counter "sched/ilp_deadlines" - probes0 in
+          bb = Some (Hls_reference.Exact_sched_reference.branch_bound ~limits bb_dep)
+          && ilp = Some (Hls_reference.Exact_sched_reference.ilp ~limits ilp_dep)
+          &&
+          let len = Array.fold_left max 1 (Option.get ilp) in
+          probes = len - Depgraph.lower_bound ~limits ilp_dep + 1)
+        limits_choices)
+
+let test_lower_bound () =
+  let dep = Depgraph.of_dfg (fig34_dfg ()) in
+  Alcotest.(check int) "critical length binds unlimited" (Depgraph.critical_length dep)
+    (Depgraph.lower_bound ~limits:Limits.Unlimited dep);
+  Alcotest.(check int) "serial: one op per step" (Depgraph.n_ops dep)
+    (Depgraph.lower_bound ~limits:Limits.Serial dep);
+  Alcotest.(check int) "resource bound equals the modulo bound"
+    (Pipeline.resource_min_ii ~limits:limits2 (fig34_dfg ()))
+    (Depgraph.resource_bound ~limits:limits2 dep)
+
 let () =
   Alcotest.run "sched"
     [
@@ -451,6 +488,8 @@ let () =
         [
           Alcotest.test_case "matches B&B" `Quick test_ilp_matches_bb;
           QCheck_alcotest.to_alcotest prop_ilp_optimal;
+          Alcotest.test_case "lower bound" `Quick test_lower_bound;
+          QCheck_alcotest.to_alcotest prop_exact_match_oracles;
         ] );
       ( "chaining",
         [

@@ -242,9 +242,9 @@ let test_vec () =
 
 let test_binprog_basic () =
   let prog = Binprog.create () in
-  let a = Binprog.new_var prog "a" in
-  let b = Binprog.new_var prog "b" in
-  let c = Binprog.new_var prog "c" in
+  let a = Binprog.new_var prog in
+  let b = Binprog.new_var prog in
+  let c = Binprog.new_var prog in
   Binprog.add_group prog [ a; b ];
   Binprog.implies prog a c;
   (* minimize: prefer b (cost 0) over a (cost 1) *)
@@ -257,8 +257,8 @@ let test_binprog_basic () =
 
 let test_binprog_unsat () =
   let prog = Binprog.create () in
-  let a = Binprog.new_var prog "a" in
-  let b = Binprog.new_var prog "b" in
+  let a = Binprog.new_var prog in
+  let b = Binprog.new_var prog in
   Binprog.add_group prog [ a ];
   Binprog.add_group prog [ b ];
   Binprog.forbid_pair prog a b;
@@ -266,10 +266,10 @@ let test_binprog_unsat () =
 
 let test_binprog_at_most () =
   let prog = Binprog.create () in
-  let vars = List.init 4 (fun i -> Binprog.new_var prog (Printf.sprintf "v%d" i)) in
+  let vars = List.init 4 (fun _ -> Binprog.new_var prog) in
   (* each var is an independent decision; forcing via implies from a
      grouped var *)
-  let trigger = Binprog.new_var prog "t" in
+  let trigger = Binprog.new_var prog in
   Binprog.add_group prog [ trigger ];
   List.iter (fun v -> Binprog.implies prog trigger v) vars;
   Binprog.at_most prog 3 vars;
@@ -281,9 +281,8 @@ let prop_binprog_exactly_one =
     (fun (n_groups, group_size) ->
       let prog = Binprog.create () in
       let groups =
-        List.init n_groups (fun gi ->
-            List.init group_size (fun k ->
-                Binprog.new_var prog (Printf.sprintf "g%d_%d" gi k)))
+        List.init n_groups (fun _ ->
+            List.init group_size (fun _ -> Binprog.new_var prog))
       in
       List.iter (Binprog.add_group prog) groups;
       match Binprog.solve prog with
