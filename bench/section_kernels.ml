@@ -20,6 +20,10 @@
                       reference (test/reference/) on sqrt, gcd, diffeq
      cfg_sim        — staged CDFG simulator vs the interpreting
                       reference on the same three workloads
+     cosim_frontier — Cosim.check_random over the frontier of the
+                      default sweep of diffeq and gcd, reusing verdicts
+                      vs on Marshal copies (one image per check), with
+                      both sides' sim/images_compiled
 
    Every optimized/reference pair is compared for identical answers on
    every iteration; each pair is a gate, as are the sched/fd_ and sim/
@@ -332,6 +336,66 @@ let cfg_sim ~iters ~size =
     ~compile:Hls_sim.Cfg_sim.compile
     ~run_image:(fun img ~inputs -> Hls_sim.Cfg_sim.run_image img ~inputs)
 
+(* Co-simulation of a sweep's frontier with verdict reuse vs on Marshal
+   copies, which are physically fresh and so always simulate. Tied
+   frontier points of one backend class share one physical design, so
+   the reuse side compiles one image per distinct design. One untimed
+   pass per side, on designs no check has seen, records the exact
+   image counts before the timed pairs. *)
+let cosim_frontier ~iters ~size:_ =
+  let open Hls_core in
+  let runs = 8 in
+  let one (name, src) =
+    let designs =
+      List.map
+        (fun (p : Explore.point) -> Flow.cosim_design p.Explore.design)
+        (Explore.pareto (Explore.sweep src))
+    in
+    let same (a : Hls_sim.Cosim.design) (b : Hls_sim.Cosim.design) =
+      a.d_prog == b.d_prog && a.d_cfg == b.d_cfg && a.d_datapath == b.d_datapath
+      && a.d_controller == b.d_controller
+    in
+    let distinct =
+      List.length
+        (List.fold_left (fun seen d -> if List.exists (same d) seen then seen else d :: seen) [] designs)
+    in
+    let copy (d : Hls_sim.Cosim.design) : Hls_sim.Cosim.design =
+      Marshal.from_string (Marshal.to_string d []) 0
+    in
+    let check_all ds = List.map (Hls_sim.Cosim.check_random ~runs) ds in
+    let images f =
+      let c0 = Hls_obs.Trace.counter "sim/images_compiled" in
+      let verdicts = f () in
+      (verdicts, Hls_obs.Trace.counter "sim/images_compiled" - c0)
+    in
+    let reused_verdicts, reused_images = images (fun () -> check_all designs) in
+    let copy_verdicts, copy_images = images (fun () -> check_all (List.map copy designs)) in
+    (* fresh copies for every timed reference iteration (and the warm-up),
+       made outside the timings *)
+    let copy_sets = ref (List.init (iters + 1) (fun _ -> List.map copy designs)) in
+    let reference () =
+      match !copy_sets with
+      | ds :: rest ->
+          copy_sets := rest;
+          check_all ds
+      | [] -> assert false
+    in
+    let p = bench_pair ~iters ~reference ~optimized:(fun () -> check_all designs) in
+    let p = { p with identical = p.identical && reused_verdicts = copy_verdicts } in
+    ( name,
+      pair_json
+        ~extra:
+          [ ("checks", of_int (List.length designs));
+            ("distinct_designs", of_int distinct);
+            ("runs", of_int runs);
+            ("images_compiled_reused", of_int reused_images);
+            ("images_compiled_copies", of_int copy_images);
+            ("all_ok", Bool (List.for_all Result.is_ok reused_verdicts)) ]
+        p,
+      p )
+  in
+  per_workload one [ ("diffeq", Workloads.diffeq); ("gcd", Workloads.gcd) ]
+
 let run get =
   let iters = get "iters" and size = get "size" in
   let kernels =
@@ -345,7 +409,8 @@ let run get =
         ("qm_ctrl", qm_ctrl);
         ("rtl_sim", rtl_sim);
         ("beh_sim", beh_sim);
-        ("cfg_sim", cfg_sim) ]
+        ("cfg_sim", cfg_sim);
+        ("cosim_frontier", cosim_frontier) ]
   in
   let pairs =
     List.concat_map
@@ -360,6 +425,16 @@ let run get =
     | Some o, Some r -> o <= r
     | _ -> false
   in
+  (* reuse compiles one image per distinct design; copies one per check *)
+  let images_per_distinct_design wl =
+    let field k = Option.bind (member wl (fst (List.assoc "cosim_frontier" kernels))) (int_member k) in
+    match
+      (field "images_compiled_reused", field "distinct_designs",
+       field "images_compiled_copies", field "checks")
+    with
+    | Some r, Some d, Some c, Some n -> r = d && c = n
+    | _ -> false
+  in
   List.iter
     (fun (label, p) ->
       Printf.printf "  %-16s %6.2fx%s\n" label (speedup p)
@@ -370,7 +445,12 @@ let run get =
     gates =
       List.map (fun (label, p) -> (label ^ " identical", p.identical)) pairs
       @ [ Harness.counters_gate "sched/fd_"; Harness.counters_gate "sim/" ]
-      @ List.map (fun c -> (c ^ " optimized <= reference", exact_work_drops c)) exact_counters;
+      @ List.map (fun c -> (c ^ " optimized <= reference", exact_work_drops c)) exact_counters
+      @ List.map
+          (fun wl ->
+            ( "cosim_frontier." ^ wl ^ " images_compiled = distinct designs",
+              images_per_distinct_design wl ))
+          [ "diffeq"; "gcd" ];
   }
 
 let section =

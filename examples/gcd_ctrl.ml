@@ -74,7 +74,7 @@ let () =
   List.iter
     (fun (a, b) ->
       let r =
-        Hls_sim.Rtl_sim.run ~gate_level_control:true design.Flow.datapath
+        Hls_sim.Rtl_sim.run ~controller:design.Flow.controller design.Flow.datapath
           ~inputs:[ ("a_in", a); ("b_in", b) ]
       in
       Printf.printf "  gcd(%d, %d) = %d  (%d cycles)\n" a b

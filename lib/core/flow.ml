@@ -725,6 +725,7 @@ let cosim_design d =
     Hls_sim.Cosim.d_prog = d.prog;
     Hls_sim.Cosim.d_cfg = d.cfg;
     Hls_sim.Cosim.d_datapath = d.datapath;
+    Hls_sim.Cosim.d_controller = d.controller;
   }
 
 let verify ?runs d = Hls_sim.Cosim.check_random ?runs (cosim_design d)

@@ -112,6 +112,7 @@ let synthesize ?(style = Encoding.Binary) fsm =
   { enc_style = style; state_bits; conds; codes; fsm; direct; minimized }
 
 let with_fsm t fsm = { t with fsm }
+let with_next_logic t minimized = { t with minimized }
 let fsm t = t.fsm
 let style t = t.enc_style
 let n_state_bits t = t.state_bits

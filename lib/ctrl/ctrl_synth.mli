@@ -27,6 +27,11 @@ val with_fsm : t -> Fsm.t -> t
     rebinds it to each design's own FSM, so a design's controller always
     refers to its datapath's FSM, exactly as a fresh synthesis does. *)
 
+val with_next_logic : t -> Logic.sop array -> t
+(** The controller with its {!next_logic} replaced — a fault injected
+    into the shipped logic, for checking that gate-level simulation
+    exercises it. *)
+
 val fsm : t -> Fsm.t
 (** The FSM the controller drives. *)
 

@@ -41,8 +41,7 @@ type image = {
   im_cycle : int ref;  (** shared with compiled unit-read closures *)
 }
 
-let compile ?(gate_level_control = false) ?(encoding = Hls_ctrl.Encoding.Binary)
-    (dp : Datapath.t) =
+let compile ?controller (dp : Datapath.t) =
   let fsm = dp.Datapath.fsm in
   let n_states = Hls_ctrl.Fsm.n_states fsm in
   (* registers: [Datapath.build] sorts definitions by name, which is the
@@ -156,56 +155,60 @@ let compile ?(gate_level_control = false) ?(encoding = Hls_ctrl.Encoding.Binary)
              (Hls_ctrl.Fsm.outgoing fsm s)))
   in
   let gate =
-    if not gate_level_control then None
-    else begin
-      let c = Hls_ctrl.Ctrl_synth.synthesize ~style:encoding fsm in
-      (* the reference rebuilds this key per cycle: the first G_cond
-         transition out of the state (in global transition order) paired
-         with the state's block *)
-      let cond_key =
-        Array.make n_states (None : (Hls_cdfg.Cfg.bid * Hls_cdfg.Dfg.nid) option)
-      in
-      for s = 0 to n_states - 1 do
-        cond_key.(s) <-
-          (match
-             List.find_opt
-               (fun (tr : Hls_ctrl.Fsm.transition) -> tr.Hls_ctrl.Fsm.t_from = s)
-               (List.filter
-                  (fun (tr : Hls_ctrl.Fsm.transition) ->
-                    match tr.Hls_ctrl.Fsm.t_guard with
-                    | Hls_ctrl.Fsm.G_cond _ -> true
-                    | Hls_ctrl.Fsm.G_always -> false)
-                  (Hls_ctrl.Fsm.transitions fsm))
-           with
-          | Some { Hls_ctrl.Fsm.t_guard = Hls_ctrl.Fsm.G_cond (_, nid); _ } ->
-              let st =
-                List.find
-                  (fun (x : Hls_ctrl.Fsm.state) -> x.Hls_ctrl.Fsm.sid = s)
-                  (Hls_ctrl.Fsm.states fsm)
-              in
-              Some (st.Hls_ctrl.Fsm.block, nid)
-          | _ -> None)
-      done;
-      (* [Ctrl_synth.next_state] is pure, so one evaluation per
-         (state, condition value) serves every cycle; computed on first
-         use so states the run never reaches cost nothing *)
-      let memo = Array.init n_states (fun _ -> [| None; None; None |]) in
-      let slot_of = function None -> 0 | Some false -> 1 | Some true -> 2 in
-      Some
-        (fun s v ->
-          let slot = slot_of v in
-          match memo.(s).(slot) with
-          | Some nx -> nx
-          | None ->
-              let conds =
-                match (v, cond_key.(s)) with
-                | Some b, Some key -> [ (key, b) ]
-                | _ -> []
-              in
-              let nx = Hls_ctrl.Ctrl_synth.next_state c ~state:s ~conds in
-              memo.(s).(slot) <- Some nx;
-              nx)
-    end
+    match controller with
+    | None -> None
+    | Some c ->
+        if Hls_ctrl.Fsm.n_states (Hls_ctrl.Ctrl_synth.fsm c) <> n_states then
+          raise (Sim_error "controller and datapath disagree on the state count");
+        (* the reference rebuilds this key per cycle: the first G_cond
+           transition out of the state (in global transition order) paired
+           with the state's block *)
+        let cond_key =
+          Array.make n_states (None : (Hls_cdfg.Cfg.bid * Hls_cdfg.Dfg.nid) option)
+        in
+        for s = 0 to n_states - 1 do
+          cond_key.(s) <-
+            (match
+               List.find_opt
+                 (fun (tr : Hls_ctrl.Fsm.transition) -> tr.Hls_ctrl.Fsm.t_from = s)
+                 (List.filter
+                    (fun (tr : Hls_ctrl.Fsm.transition) ->
+                      match tr.Hls_ctrl.Fsm.t_guard with
+                      | Hls_ctrl.Fsm.G_cond _ -> true
+                      | Hls_ctrl.Fsm.G_always -> false)
+                    (Hls_ctrl.Fsm.transitions fsm))
+             with
+            | Some { Hls_ctrl.Fsm.t_guard = Hls_ctrl.Fsm.G_cond (_, nid); _ } ->
+                let st =
+                  List.find
+                    (fun (x : Hls_ctrl.Fsm.state) -> x.Hls_ctrl.Fsm.sid = s)
+                    (Hls_ctrl.Fsm.states fsm)
+                in
+                Some (st.Hls_ctrl.Fsm.block, nid)
+            | _ -> None)
+        done;
+        (* [Ctrl_synth.next_state] is pure, so one evaluation per
+           (state, condition value) serves every cycle; computed on first
+           use so states the run never reaches cost nothing *)
+        let memo = Array.init n_states (fun _ -> [| None; None; None |]) in
+        let slot_of = function None -> 0 | Some false -> 1 | Some true -> 2 in
+        Some
+          (fun s v ->
+            let slot = slot_of v in
+            match memo.(s).(slot) with
+            | Some nx -> nx
+            | None ->
+                let conds =
+                  match (v, cond_key.(s)) with
+                  | Some b, Some key -> [ (key, b) ]
+                  | _ -> []
+                in
+                let nx =
+                  try Hls_ctrl.Ctrl_synth.next_state c ~state:s ~conds
+                  with Invalid_argument m -> raise (Sim_error m)
+                in
+                memo.(s).(slot) <- Some nx;
+                nx)
   in
   Hls_obs.Trace.incr "sim/images_compiled";
   {
@@ -306,8 +309,8 @@ let run_image ?(fuel = 1_000_000) ?on_cycle img ~inputs =
   Hls_obs.Trace.add "sim/cycles" !cycles;
   { finals = snapshot (); cycles = !cycles }
 
-let run ?fuel ?gate_level_control ?encoding ?on_cycle dp ~inputs =
-  run_image ?fuel ?on_cycle (compile ?gate_level_control ?encoding dp) ~inputs
+let run ?fuel ?controller ?on_cycle dp ~inputs =
+  run_image ?fuel ?on_cycle (compile ?controller dp) ~inputs
 
 (* Throughput mode: one compiled image, many stimulus vectors. run_image
    resets all mutable state up front, so replaying the image is exact. *)

@@ -2,10 +2,11 @@
     functional-unit activations, register loads and branch decisions,
     exactly as the datapath + controller would execute in hardware.
 
-    With [~gate_level_control:true] the next state is computed by
-    evaluating the synthesized (Quine–McCluskey-minimized) next-state
-    logic instead of the abstract FSM — demonstrating that controller
-    synthesis preserved behavior.
+    Given a [~controller] the next state is computed by evaluating that
+    controller's (Quine–McCluskey-minimized) next-state logic instead of
+    the abstract FSM — demonstrating that controller synthesis preserved
+    behavior. Pass the design's own controller: the simulator does not
+    synthesize one, so the logic checked is the logic the design ships.
 
     Simulation is a compiled kernel: {!compile} stages the design once —
     per-state activation/load arrays instead of per-cycle list filtering,
@@ -32,10 +33,11 @@ type image
     {!run_image} calls (each run resets the state); not shareable across
     domains. *)
 
-val compile :
-  ?gate_level_control:bool -> ?encoding:Hls_ctrl.Encoding.style -> Hls_rtl.Datapath.t -> image
-(** Stage a datapath for repeated simulation. [encoding] selects the
-    state encoding when [gate_level_control] is on (default binary). *)
+val compile : ?controller:Hls_ctrl.Ctrl_synth.t -> Hls_rtl.Datapath.t -> image
+(** Stage a datapath for repeated simulation, under gate-level control
+    by [controller] when one is given. A controller over an FSM with a
+    different state count raises {!Sim_error}, as does a run whose
+    next-state logic yields a code no state has. *)
 
 val run_image :
   ?fuel:int ->
@@ -56,15 +58,14 @@ val run_batch :
 
 val run :
   ?fuel:int ->
-  ?gate_level_control:bool ->
-  ?encoding:Hls_ctrl.Encoding.style ->
+  ?controller:Hls_ctrl.Ctrl_synth.t ->
   ?on_cycle:(cycle:int -> state:int -> regs:(string * int) list -> unit) ->
   Hls_rtl.Datapath.t ->
   inputs:(string * int) list ->
   result
 (** [inputs] preload the named registers (input ports). [fuel] bounds the
-    cycle count (default 1_000_000). [encoding] selects the state
-    encoding when [gate_level_control] is on (default binary).
+    cycle count (default 1_000_000). [controller] selects gate-level
+    control, as in {!compile}.
     [on_cycle] observes every clock edge: the cycle number, the state
     entered, and the post-edge register values (sorted) — the hook used
     by {!Vcd} waveform dumping. Equivalent to {!compile} followed by

@@ -240,11 +240,19 @@ let sim_trace kernel dp ~inputs =
   let r = kernel ~on_cycle dp ~inputs in
   (r.Rtl_sim.finals, r.Rtl_sim.cycles, List.rev !log)
 
+(* the compiled side under gate-level control steps a controller
+   synthesized the way the reference synthesizes its own *)
+let controller_for ~gate_level_control ~encoding (dp : Hls_rtl.Datapath.t) =
+  if gate_level_control then
+    Some (Hls_ctrl.Ctrl_synth.synthesize ~style:encoding dp.Hls_rtl.Datapath.fsm)
+  else None
+
 let check_sim_agree ~what dp ~inputs ~gate_level_control ~encoding =
   let compiled =
     sim_trace
       (fun ~on_cycle dp ~inputs ->
-        Rtl_sim.run ~gate_level_control ~encoding ~on_cycle dp ~inputs)
+        Rtl_sim.run ?controller:(controller_for ~gate_level_control ~encoding dp) ~on_cycle dp
+          ~inputs)
       dp ~inputs
   in
   let interpreted =
@@ -314,20 +322,13 @@ let prop_compiled_sim_matches_reference_random =
           let inputs =
             List.map (fun (n, ty) -> (n, random_input_value rng ty)) ports
           in
-          let kernel
-              (runner :
-                ?fuel:int ->
-                ?gate_level_control:bool ->
-                ?encoding:Hls_ctrl.Encoding.style ->
-                ?on_cycle:(cycle:int -> state:int -> regs:(string * int) list -> unit) ->
-                Hls_rtl.Datapath.t ->
-                inputs:(string * int) list ->
-                Rtl_sim.result) ~on_cycle dp ~inputs =
-            runner ~gate_level_control ~encoding:Hls_ctrl.Encoding.Binary ~on_cycle dp
-              ~inputs
-          in
-          sim_trace (kernel Rtl_sim.run) d.Flow.datapath ~inputs
-          = sim_trace (kernel Hls_reference.Rtl_reference.run) d.Flow.datapath ~inputs)
+          let trace_of kernel = sim_trace kernel d.Flow.datapath ~inputs in
+          let encoding = Hls_ctrl.Encoding.Binary in
+          trace_of (fun ~on_cycle dp ~inputs ->
+              Rtl_sim.run ?controller:(controller_for ~gate_level_control ~encoding dp) ~on_cycle
+                dp ~inputs)
+          = trace_of (fun ~on_cycle dp ~inputs ->
+                Hls_reference.Rtl_reference.run ~gate_level_control ~encoding ~on_cycle dp ~inputs))
         [ false; true; false; true ])
 
 let test_batch_equals_individual_runs () =
@@ -366,14 +367,71 @@ let test_cosim_all_workloads () =
       | Error e -> Alcotest.failf "%s: %s" name e)
     Workloads.all
 
+let encodings = [ Hls_ctrl.Encoding.Binary; Hls_ctrl.Encoding.One_hot; Hls_ctrl.Encoding.Gray ]
+
+let synthesize_with encoding src =
+  Flow.synthesize ~options:{ Flow.default_options with Flow.encoding } src
+
+(* gate-level control steps the controller each design ships, under
+   every encoding *)
 let test_cosim_gate_level () =
   List.iter
-    (fun name ->
-      let d = Flow.synthesize (Workloads.find name) in
-      match Cosim.check_random ~runs:4 ~gate_level_control:true (Flow.cosim_design d) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s (gate level): %s" name e)
-    [ "sqrt"; "gcd"; "fir8" ]
+    (fun (name, src) ->
+      List.iter
+        (fun encoding ->
+          let d = synthesize_with encoding src in
+          match Cosim.check_random ~runs:4 ~gate_level_control:true (Flow.cosim_design d) with
+          | Ok () -> ()
+          | Error e ->
+              Alcotest.failf "%s %s (gate level): %s" name
+                (Hls_ctrl.Encoding.style_to_string encoding)
+                e)
+        encodings)
+    Workloads.all
+
+(* The shipped controller with one product term stuck at 1: the first
+   cube of the first output that the entry state's transition leaves at
+   0 loses all its literals. Every run starts with that transition, so
+   the fault is exercised by any stimulus. *)
+let stuck_cube c =
+  let logic = Array.copy (Hls_ctrl.Ctrl_synth.next_logic c) in
+  let fsm = Hls_ctrl.Ctrl_synth.fsm c in
+  let entry = Hls_ctrl.Fsm.entry fsm in
+  let target =
+    Hls_ctrl.Ctrl_synth.state_code c (Hls_ctrl.Ctrl_synth.next_state c ~state:entry ~conds:[])
+  in
+  let stuck k sop = sop <> [] && target land (1 lsl k) = 0 in
+  match List.find_opt (fun k -> stuck k logic.(k)) (List.init (Array.length logic) Fun.id) with
+  | None -> None
+  | Some k ->
+      logic.(k) <- { Hls_ctrl.Logic.mask = 0; value = 0 } :: List.tl logic.(k);
+      Some (Hls_ctrl.Ctrl_synth.with_next_logic c logic)
+
+(* A fault in the shipped next-state logic is invisible to the abstract
+   FSM and must be caught at gate level. *)
+let test_cosim_gate_level_mutated_controller () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun encoding ->
+          let d = synthesize_with encoding src in
+          let what = Printf.sprintf "%s %s" name (Hls_ctrl.Encoding.style_to_string encoding) in
+          match stuck_cube d.Flow.controller with
+          | None -> Alcotest.failf "%s: no cube to mutate" what
+          | Some mutant ->
+              let cd = { (Flow.cosim_design d) with Cosim.d_controller = mutant } in
+              (match Cosim.check_random ~runs:4 cd with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s (abstract FSM): %s" what e);
+              let flagged =
+                match Cosim.check_random ~runs:4 ~gate_level_control:true cd with
+                | Ok () -> false
+                | Error _ -> true
+                | exception Rtl_sim.Sim_error _ -> true
+              in
+              Alcotest.(check bool) (what ^ ": mutated controller flagged") true flagged)
+        encodings)
+    Workloads.all
 
 let test_cosim_detects_mismatch () =
   (* simulate against the wrong datapath: must be flagged *)
@@ -424,6 +482,123 @@ let test_cosim_out_of_range_inputs () =
     | Error e -> Alcotest.failf "a = %d: %s" a e
   done
 
+(* ---- cosim: verdict reuse ---- *)
+
+(* A check right after its source design's, with the reuse list warm,
+   on a design that shares every part but one: never answered from the
+   source's verdict. *)
+let test_cosim_reuse_never_crosses_designs () =
+  let d1 = Flow.synthesize Workloads.sqrt_newton in
+  let d2 =
+    Flow.synthesize
+      "module sqrt(input x: fix<8,24>; output y: fix<8,24>); begin y := x; end"
+  in
+  let source = Flow.cosim_design d1 in
+  let franken = { source with Cosim.d_datapath = d2.Flow.datapath } in
+  (match Cosim.check_random ~runs:4 source with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "source design: %s" e);
+  (match Cosim.check_random ~runs:4 franken with
+  | Ok () -> Alcotest.fail "franken datapath answered with the source's verdict"
+  | Error _ -> ());
+  let mutant =
+    match stuck_cube d1.Flow.controller with
+    | Some c -> { source with Cosim.d_controller = c }
+    | None -> Alcotest.fail "sqrt: no cube to mutate"
+  in
+  (match Cosim.check_random ~runs:4 ~gate_level_control:true source with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "source design (gate level): %s" e);
+  Alcotest.(check bool)
+    "franken controller answered with the source's verdict" true
+    (match Cosim.check_random ~runs:4 ~gate_level_control:true mutant with
+    | Ok () -> false
+    | Error _ | (exception Rtl_sim.Sim_error _) -> true)
+
+let test_cosim_recheck_reuses_verdict () =
+  let d = Flow.cosim_design (Flow.synthesize Workloads.gcd) in
+  let reused () = Hls_obs.Trace.counter "sim/cosim_reused"
+  and compiled () = Hls_obs.Trace.counter "sim/images_compiled" in
+  let first = Cosim.check_random ~runs:5 d in
+  let r0 = reused () and c0 = compiled () in
+  let again = Cosim.check_random ~runs:5 { d with Cosim.d_prog = d.Cosim.d_prog } in
+  Alcotest.(check (result unit string)) "same verdict" first again;
+  Alcotest.(check int) "reuse counted" (r0 + 1) (reused ());
+  Alcotest.(check int) "no image compiled" c0 (compiled ());
+  ignore (Cosim.check_random ~runs:6 d);
+  Alcotest.(check int) "another run count simulates" (c0 + 1) (compiled ());
+  ignore (Cosim.check_random ~runs:5 ~seed:7 d);
+  Alcotest.(check int) "another seed simulates" (c0 + 2) (compiled ());
+  ignore (Cosim.check_random ~runs:5 ~gate_level_control:true d);
+  Alcotest.(check int) "gate level simulates" (c0 + 3) (compiled ())
+
+(* A kept verdict answers only while its design is alive, and does
+   not keep it alive: a long run of distinct designs retains none. *)
+let test_cosim_reuse_retains_no_design () =
+  let alive = Weak.create 1 in
+  let check_and_drop () =
+    let d = Flow.cosim_design (Flow.synthesize Workloads.gcd) in
+    ignore (Cosim.check_random ~runs:2 d);
+    Weak.set alive 0 (Some d.Cosim.d_datapath)
+  in
+  check_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "checked datapath collected" false (Weak.check alive 0)
+
+(* A Marshal round trip keeps a design's value and loses its physical
+   identity, so checking the copy always simulates: the oracle for
+   every verdict the reuse list hands out. *)
+let fresh_copy (d : Cosim.design) : Cosim.design =
+  Marshal.from_string (Marshal.to_string d []) 0
+
+let check_points_against_copies name engine options =
+  let reused0 = Hls_obs.Trace.counter "sim/cosim_reused" in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Error _ -> Alcotest.failf "%s point %d: synthesis failed" name i
+      | Ok d ->
+          let d = Flow.cosim_design d in
+          List.iter
+            (fun gate_level_control ->
+              let check d = Cosim.check_random ~runs:3 ~gate_level_control d in
+              let verdict = check d in
+              Alcotest.(check (result unit string))
+                (Printf.sprintf "%s point %d gate=%b: verdict of a fresh copy" name i
+                   gate_level_control)
+                (check (fresh_copy d)) verdict)
+            [ false; true ])
+    (Dse.run_result engine options);
+  Alcotest.(check bool)
+    (name ^ ": some verdicts reused")
+    true
+    (Hls_obs.Trace.counter "sim/cosim_reused" > reused0)
+
+let default_cross base =
+  Explore.cross ~base ~schedulers:Explore.default_schedulers ~limits:Explore.default_limits ()
+  |> List.map snd
+
+let test_cosim_reuse_workloads () =
+  List.iter
+    (fun (name, src) ->
+      let engine = Dse.create src in
+      List.iter
+        (fun encoding ->
+          check_points_against_copies
+            (Printf.sprintf "%s %s" name (Hls_ctrl.Encoding.style_to_string encoding))
+            engine
+            (default_cross { Flow.default_options with Flow.encoding }))
+        encodings)
+    Workloads.all
+
+let test_cosim_reuse_random_programs () =
+  for seed = 1 to 20 do
+    let ast = Gen.program_of_seed seed in
+    check_points_against_copies
+      (Printf.sprintf "program %d" seed)
+      (Dse.create_program ast) (default_cross Flow.default_options)
+  done
+
 let prop_random_programs_synthesize_and_cosim =
   QCheck.Test.make ~name:"random programs synthesize and co-simulate" ~count:40
     Gen.program_arbitrary
@@ -470,8 +645,21 @@ let () =
         [
           Alcotest.test_case "all workloads" `Slow test_cosim_all_workloads;
           Alcotest.test_case "gate-level control" `Quick test_cosim_gate_level;
+          Alcotest.test_case "gate-level mutated controller" `Quick
+            test_cosim_gate_level_mutated_controller;
           Alcotest.test_case "detects mismatch" `Quick test_cosim_detects_mismatch;
           Alcotest.test_case "out-of-range inputs" `Quick test_cosim_out_of_range_inputs;
           QCheck_alcotest.to_alcotest prop_random_programs_synthesize_and_cosim;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "never crosses designs" `Quick test_cosim_reuse_never_crosses_designs;
+          Alcotest.test_case "re-check reuses the verdict" `Quick
+            test_cosim_recheck_reuses_verdict;
+          Alcotest.test_case "retains no design" `Quick test_cosim_reuse_retains_no_design;
+          Alcotest.test_case "workloads x cross x encodings = fresh copies" `Slow
+            test_cosim_reuse_workloads;
+          Alcotest.test_case "random programs = fresh copies" `Quick
+            test_cosim_reuse_random_programs;
         ] );
     ]
