@@ -9,8 +9,9 @@
                       pass's sched/ilp_deadlines, binprog/nodes and
                       bb/nodes per side
      clique         — bitset clique partitioning vs its reference
-     qm             — Quine–McCluskey on a pseudo-random function
-                      (absolute medians only)
+     qm             — Quine–McCluskey vs the level-by-level reference
+                      (test/reference/) on a sparse pseudo-random
+                      11-input function
      qm_ctrl        — Quine–McCluskey vs the level-by-level reference
                       (test/reference/) on a controller's next-state
                       logic: 5 state bits, 20 used codes, 3 conditions
@@ -175,7 +176,7 @@ let clique ~iters ~size =
        ~reference:(fun () -> Hls_reference.Clique_reference.partition ~n ~compatible)
        ~optimized:(fun () -> Hls_alloc.Clique.partition ~n ~compatible))
 
-let qm ~iters ~size : kernel =
+let qm ~iters ~size =
   let n_inputs = 11 in
   let space = 1 lsl n_inputs in
   let rng = Random.State.make [| 31 |] in
@@ -191,15 +192,14 @@ let qm ~iters ~size : kernel =
   in
   let on_set = List.init (min size (space / 4)) (fun _ -> pick_fresh ()) in
   let dc_set = List.init (min (size / 2) (space / 8)) (fun _ -> pick_fresh ()) in
-  let minimize () = Hls_ctrl.Qm.minimize ~n_inputs ~on_set ~dc_set () in
-  ignore (minimize ());
-  let ms = List.init iters (fun _ -> snd (Harness.time_ms minimize)) in
-  ( Obj
+  single
+    ~extra:
       [ ("n_inputs", of_int n_inputs);
         ("on_set", of_int (List.length on_set));
-        ("dc_set", of_int (List.length dc_set));
-        ("minimize_ms", Harness.runs_json ms) ],
-    [] )
+        ("dc_set", of_int (List.length dc_set)) ]
+    (bench_pair ~iters
+       ~reference:(fun () -> Hls_reference.Qm_reference.minimize ~n_inputs ~on_set ~dc_set ())
+       ~optimized:(fun () -> Hls_ctrl.Qm.minimize ~n_inputs ~on_set ~dc_set ()))
 
 (* A controller's next-state logic in the shape Ctrl_synth hands QM:
    binary state bits below the condition bits, every minterm of an

@@ -68,33 +68,31 @@ let direct_logic_of style state_bits moves =
     moves;
   Array.map List.rev out
 
-(* exact minterm table when tractable *)
+(* Exact truth tables when tractable: per used state code, every
+   condition assignment's target sets its bits' on-tables; every
+   minterm of an unused code is a don't-care for every output. *)
 let minimized_logic_of state_bits n_inputs moves =
   if n_inputs > Qm.max_inputs then None
   else begin
-    let by_code = Hashtbl.create 16 in
-    List.iter (fun (code, outs) -> Hashtbl.replace by_code code outs) moves;
-    let on = Array.make state_bits [] in
-    let dc = ref [] in
-    for x = 0 to (1 lsl n_inputs) - 1 do
-      let scode = x land ((1 lsl state_bits) - 1) in
-      match Hashtbl.find_opt by_code scode with
-      | None ->
-          (* unused state code: a don't-care for every output *)
-          dc := x :: !dc
-      | Some outs ->
+    let on = Array.init state_bits (fun _ -> Qm.table ~n_inputs) in
+    let used = Qm.table ~n_inputs in
+    List.iter
+      (fun (code, outs) ->
+        for a = 0 to (1 lsl (n_inputs - state_bits)) - 1 do
+          let x = code lor (a lsl state_bits) in
+          Qm.add used x;
           let target =
             match List.find_opt (fun (guard, _) -> Logic.cube_covers guard x) outs with
-            | Some (_, code) -> code
-            | None -> scode
+            | Some (_, target) -> target
+            | None -> code
           in
           for k = 0 to state_bits - 1 do
-            if target land (1 lsl k) <> 0 then on.(k) <- x :: on.(k)
+            if target land (1 lsl k) <> 0 then Qm.add on.(k) x
           done
-    done;
-    Some
-      (Array.init state_bits (fun k ->
-           Qm.minimize ~n_inputs ~on_set:on.(k) ~dc_set:!dc ()))
+        done)
+      moves;
+    let dc = Qm.complement used in
+    Some (Array.map (fun on -> Qm.minimize_table ~on ~dc) on)
   end
 
 let synthesize ?(style = Encoding.Binary) fsm =

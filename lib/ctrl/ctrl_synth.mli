@@ -6,9 +6,12 @@
 
     - {e direct}: one product term per transition (for one-hot encoding
       the state part is a single literal);
-    - {e minimized}: exact minterm expansion + Quine–McCluskey, using
+    - {e minimized}: exact truth tables + Quine–McCluskey, using
       unused state codes as don't-cares (only attempted up to
-      {!Qm.max_inputs} inputs; past it the direct logic is used).
+      {!Qm.max_inputs} inputs; past it the direct logic is used). The
+      tables are {!Qm.table}s filled per used state code × condition
+      assignment; the don't-cares are the complement of those
+      minterms.
 
     The literal/PLA cost gap between the two is the benefit of
     combinational-logic optimization, one of the paper's control-styles

@@ -55,18 +55,26 @@ let compare_levels d ~beh ~cfg (rtl : Rtl_sim.result) =
 (* the controller the RTL level steps: the design's own at gate level *)
 let controller ~gate_level_control d = if gate_level_control then Some d.d_controller else None
 
+(* A level's simulation error as a verdict: "<level>: <message>". *)
+let level name f =
+  match f () with
+  | v -> Ok v
+  | exception (Rtl_sim.Sim_error m | Beh_sim.Sim_error m | Cfg_sim.Sim_error m) ->
+      Error (name ^ ": " ^ m)
+
+let ( let* ) = Result.bind
+
 let check ?(gate_level_control = false) ?image d ~inputs =
-  match normalize_inputs d inputs with
-  | Error e -> Error e
-  | Ok inputs ->
-      let rtl =
+  let* inputs = normalize_inputs d inputs in
+  let* rtl =
+    level "rtl" (fun () ->
         match image with
         | Some img -> Rtl_sim.run_image img ~inputs
-        | None -> Rtl_sim.run ?controller:(controller ~gate_level_control d) d.d_datapath ~inputs
-      in
-      let beh = Beh_sim.run d.d_prog ~inputs in
-      let cfg = Cfg_sim.run d.d_cfg ~inputs in
-      compare_levels d ~beh ~cfg rtl
+        | None -> Rtl_sim.run ?controller:(controller ~gate_level_control d) d.d_datapath ~inputs)
+  in
+  let* beh = level "behavioral" (fun () -> Beh_sim.run d.d_prog ~inputs) in
+  let* cfg = level "cdfg" (fun () -> Cfg_sim.run d.d_cfg ~inputs) in
+  compare_levels d ~beh ~cfg rtl
 
 let simulate_random ~runs ~seed ~gate_level_control d =
   let rng = Random.State.make [| seed |] in
@@ -90,29 +98,40 @@ let simulate_random ~runs ~seed ~gate_level_control d =
   in
   let vectors = gen 0 [] in
   (* one compiled image per level serves the whole batch *)
-  let beh = Beh_sim.compile d.d_prog and cfg = Cfg_sim.compile d.d_cfg in
-  let image = Rtl_sim.compile ?controller:(controller ~gate_level_control d) d.d_datapath in
-  let rtl_results = Rtl_sim.run_batch image ~vectors in
-  let rec go i vs rs =
-    match (vs, rs) with
-    | [], [] -> Ok ()
-    | inputs :: vs, rtl :: rs -> (
+  let* beh = level "behavioral" (fun () -> Beh_sim.compile d.d_prog) in
+  let* cfg = level "cdfg" (fun () -> Cfg_sim.compile d.d_cfg) in
+  let* image =
+    level "rtl" (fun () ->
+        Rtl_sim.compile ?controller:(controller ~gate_level_control d) d.d_datapath)
+  in
+  (* a batch that fails is replayed run by run, so the failure is
+     reported at its own vector, after any earlier run's mismatch *)
+  let rtl_run =
+    match Rtl_sim.run_batch image ~vectors with
+    | results ->
+        let results = Array.of_list results in
+        fun i _ -> Ok results.(i)
+    | exception Rtl_sim.Sim_error _ ->
+        fun _ inputs -> level "rtl" (fun () -> Rtl_sim.run_image image ~inputs)
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | inputs :: vs -> (
         match
-          compare_levels d
-            ~beh:(Beh_sim.run_image beh ~inputs)
-            ~cfg:(Cfg_sim.run_image cfg ~inputs)
-            rtl
+          let* rtl = rtl_run i inputs in
+          let* beh = level "behavioral" (fun () -> Beh_sim.run_image beh ~inputs) in
+          let* cfg = level "cdfg" (fun () -> Cfg_sim.run_image cfg ~inputs) in
+          compare_levels d ~beh ~cfg rtl
         with
-        | Ok _ -> go (i + 1) vs rs
+        | Ok _ -> go (i + 1) vs
         | Error e ->
             Error
               (Printf.sprintf "run %d (inputs %s): %s" i
                  (String.concat ", "
                     (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) inputs))
                  e))
-    | _ -> assert false
   in
-  go 0 vectors rtl_results
+  go 0 vectors
 
 (* The verdicts of this domain's most recent random checks, most
    recently asked first. A sweep's tied frontier points share one

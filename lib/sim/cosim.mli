@@ -28,7 +28,10 @@ val check :
   (int, string) result
 (** [Ok cycles] when all three levels agree on every output port (the
     payload is the RTL cycle count); otherwise a diagnostic naming the
-    first mismatching port and the three values. Each input pattern is
+    first mismatching port and the three values. A level's simulation
+    error (out of fuel, division by zero, a next-state code no state
+    has, ...) is an [Error "<level>: <message>"] too, with level
+    [rtl], [behavioral] or [cdfg]. Each input pattern is
     first wrapped to its port's format, so every level sees the same
     stimulus; a name that is not an input port is an [Error]. With
     [gate_level_control] the RTL level steps [d_controller]'s
@@ -50,13 +53,14 @@ val check_random :
     {!Cfg_sim.compile} image, so every level's compile cost is paid once
     per design rather than once per run; the stimulus
     stream and the first-failure diagnostic are the same as the
-    sequential loop's.
+    sequential loop's, simulation errors included.
 
     Each domain keeps the verdicts of its 4 most recently asked checks.
     A check whose [d_prog], [d_cfg], [d_datapath] and [d_controller]
     are each physically equal ([==]) to a kept check's, with the same
     [runs], [seed] and [gate_level_control], returns the kept verdict
-    without simulating and counts [sim/cosim_reused]. A kept verdict
+    without simulating and counts [sim/cosim_reused]; an [Error] is
+    kept like any other verdict. A kept verdict
     holds its design's parts weakly (ephemerons): it answers only while
     the design is alive and never keeps it alive. The frontier
     points of a [Dse] sweep that share a backend class share

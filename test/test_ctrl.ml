@@ -256,6 +256,105 @@ let test_minimization_helps () =
     (Ctrl_synth.literal_cost c <= Ctrl_synth.direct_literal_cost c);
   Alcotest.(check bool) "pla rows positive" true (Ctrl_synth.pla_rows c > 0)
 
+(* The next-state tables the way they were built minterm by minterm:
+   each of the 2^n assignments looked up by its state code, a
+   don't-care for every output when the code is unused, else on for
+   each bit of its first enabled transition's target (its own code when
+   none is), then minimized by the level-by-level oracle. *)
+let oracle_next_logic c =
+  let fsm = Ctrl_synth.fsm c in
+  let state_bits = Ctrl_synth.n_state_bits c and n_inputs = Ctrl_synth.n_inputs c in
+  let conds = Ctrl_synth.cond_signals c in
+  let by_code = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Fsm.state) ->
+      let move (tr : Fsm.transition) =
+        let enabled =
+          match tr.Fsm.t_guard with
+          | Fsm.G_always -> fun _ -> true
+          | Fsm.G_cond (pol, nid) ->
+              let i = Option.get (List.find_index (( = ) (s.Fsm.block, nid)) conds) in
+              fun x -> x land (1 lsl (state_bits + i)) <> 0 = pol
+        in
+        (enabled, Ctrl_synth.state_code c tr.Fsm.t_to)
+      in
+      Hashtbl.replace by_code (Ctrl_synth.state_code c s.Fsm.sid)
+        (List.map move (Fsm.outgoing fsm s.Fsm.sid)))
+    (Fsm.states fsm);
+  let on = Array.make state_bits [] and dc = ref [] in
+  for x = 0 to (1 lsl n_inputs) - 1 do
+    let code = x land ((1 lsl state_bits) - 1) in
+    match Hashtbl.find_opt by_code code with
+    | None -> dc := x :: !dc
+    | Some moves ->
+        let target =
+          match List.find_opt (fun (enabled, _) -> enabled x) moves with
+          | Some (_, target) -> target
+          | None -> code
+        in
+        for k = 0 to state_bits - 1 do
+          if target land (1 lsl k) <> 0 then on.(k) <- x :: on.(k)
+        done
+  done;
+  Array.map
+    (fun on_set -> Hls_reference.Qm_reference.minimize ~n_inputs ~on_set ~dc_set:!dc ())
+    on
+
+let encodings = [ Encoding.Binary; Encoding.Gray; Encoding.One_hot ]
+
+(* Every distinct controller of a sweep (a memoized sweep shares one
+   next-state array between the designs of one FSM) with at most
+   Qm.max_inputs inputs must ship the oracle's logic. The count of
+   controllers checked. *)
+let check_next_logic_against_oracle name engine points =
+  let seen = ref [] in
+  List.iter
+    (fun (d : Hls_core.Flow.design) ->
+      let c = d.Hls_core.Flow.controller in
+      let logic = Ctrl_synth.next_logic c in
+      if Ctrl_synth.n_inputs c <= Qm.max_inputs && not (List.memq logic !seen) then begin
+        seen := logic :: !seen;
+        if logic <> oracle_next_logic c then
+          Alcotest.failf "%s: %s next-state logic differs from the per-minterm oracle" name
+            (Encoding.style_to_string (Ctrl_synth.style c))
+      end)
+    (Hls_core.Dse.run engine points);
+  List.length !seen
+
+let test_next_logic_workloads () =
+  List.iter
+    (fun (name, src) ->
+      let engine = Hls_core.Dse.create src in
+      let checked =
+        check_next_logic_against_oracle name engine
+        (List.concat_map
+           (fun encoding ->
+             List.map snd
+               (Hls_core.Explore.cross
+                  ~base:{ Hls_core.Flow.default_options with Hls_core.Flow.encoding }
+                  ~schedulers:Hls_core.Explore.default_schedulers
+                  ~limits:Hls_core.Explore.default_limits ()))
+             encodings)
+      in
+      Alcotest.(check bool) (name ^ ": some controller checked") true (checked > 0))
+    Hls_core.Workloads.all
+
+(* some programs' controllers all have more than Qm.max_inputs inputs *)
+let test_next_logic_random_programs () =
+  let checked =
+    List.fold_left
+      (fun n seed ->
+        n
+        + check_next_logic_against_oracle
+            (Printf.sprintf "program %d" seed)
+            (Hls_core.Dse.create_program (Gen.program_of_seed seed))
+            (List.map
+               (fun encoding -> { Hls_core.Flow.default_options with Hls_core.Flow.encoding })
+               encodings))
+      0 (List.init 20 succ)
+  in
+  Alcotest.(check bool) "most programs checked" true (checked >= 20)
+
 (* ---- microcode ---- *)
 
 let test_microcode_costs () =
@@ -318,6 +417,10 @@ let () =
         [
           Alcotest.test_case "logic matches FSM (all encodings)" `Quick test_ctrl_synth_matches_fsm;
           Alcotest.test_case "minimization helps" `Quick test_minimization_helps;
+          Alcotest.test_case "next-state logic matches the oracle (workloads)" `Quick
+            test_next_logic_workloads;
+          Alcotest.test_case "next-state logic matches the oracle (random programs)" `Quick
+            test_next_logic_random_programs;
         ] );
       ( "microcode",
         [

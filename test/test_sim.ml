@@ -423,13 +423,17 @@ let test_cosim_gate_level_mutated_controller () =
               (match Cosim.check_random ~runs:4 cd with
               | Ok () -> ()
               | Error e -> Alcotest.failf "%s (abstract FSM): %s" what e);
-              let flagged =
-                match Cosim.check_random ~runs:4 ~gate_level_control:true cd with
-                | Ok () -> false
-                | Error _ -> true
-                | exception Rtl_sim.Sim_error _ -> true
-              in
-              Alcotest.(check bool) (what ^ ": mutated controller flagged") true flagged)
+              match Cosim.check_random ~runs:4 ~gate_level_control:true cd with
+              | Ok () -> Alcotest.failf "%s: mutated controller not flagged" what
+              | Error e ->
+                  (* a failure, simulation errors included, is a verdict
+                     like any other and is kept *)
+                  let reused = Hls_obs.Trace.counter "sim/cosim_reused" in
+                  Alcotest.(check (result unit string))
+                    (what ^ ": failure kept") (Error e)
+                    (Cosim.check_random ~runs:4 ~gate_level_control:true cd);
+                  Alcotest.(check int) (what ^ ": failure reused") (reused + 1)
+                    (Hls_obs.Trace.counter "sim/cosim_reused"))
         encodings)
     Workloads.all
 
@@ -443,9 +447,20 @@ let test_cosim_detects_mismatch () =
   let franken =
     { (Flow.cosim_design d1) with Cosim.d_datapath = d2.Flow.datapath }
   in
-  match Cosim.check franken ~inputs:[ ("x", Beh_sim.to_raw fix824 0.5) ] with
+  (match Cosim.check franken ~inputs:[ ("x", Beh_sim.to_raw fix824 0.5) ] with
   | Ok _ -> Alcotest.fail "mismatch not detected"
-  | Error e -> Alcotest.(check bool) "names the output" true (String.length e > 0)
+  | Error e -> Alcotest.(check bool) "names the output" true (String.length e > 0));
+  (* a controller whose next code decodes to no state: the RTL level's
+     simulation error is the verdict, named by its level *)
+  match stuck_cube d1.Flow.controller with
+  | None -> Alcotest.fail "sqrt: no cube to mutate"
+  | Some mutant -> (
+      let d = { (Flow.cosim_design d1) with Cosim.d_controller = mutant } in
+      match Cosim.check ~gate_level_control:true d ~inputs:[ ("x", Beh_sim.to_raw fix824 0.5) ] with
+      | Ok _ -> Alcotest.fail "mutated controller not detected"
+      | Error e ->
+          Alcotest.(check string) "simulation error as a verdict"
+            "rtl: Ctrl_synth.next_state: undecodable next code" e)
 
 (* The behavioral level wraps an input to its port's format; the CDFG
    and RTL levels must see the same wrapped pattern, not the raw one. *)
@@ -513,7 +528,7 @@ let test_cosim_reuse_never_crosses_designs () =
     "franken controller answered with the source's verdict" true
     (match Cosim.check_random ~runs:4 ~gate_level_control:true mutant with
     | Ok () -> false
-    | Error _ | (exception Rtl_sim.Sim_error _) -> true)
+    | Error _ -> true)
 
 let test_cosim_recheck_reuses_verdict () =
   let d = Flow.cosim_design (Flow.synthesize Workloads.gcd) in
