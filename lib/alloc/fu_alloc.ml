@@ -39,39 +39,19 @@ let collect cs =
       |> List.sort (fun a b -> compare (a.step, a.nid) (b.step, b.nid)))
     (Cfg.block_ids cfg)
 
-(* storage classification per (block, value) *)
-let storage_table cs =
-  let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let table = Hashtbl.create 64 in
-  List.iter
-    (fun bid ->
-      let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-      let term_cond =
-        match Cfg.term cfg bid with
-        | Cfg.Branch (c, _, _) -> Some c
-        | Cfg.Goto _ | Cfg.Halt -> None
-      in
-      List.iter
-        (fun (info : Lifetime.value_info) ->
-          Hashtbl.replace table (bid, info.Lifetime.nid) info.Lifetime.storage)
-        (Lifetime.analyze sched ~term_cond))
-    (Cfg.block_ids cfg);
-  table
-
-let source_of_with_table cs table bid nid =
-  let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let g = Cfg.dfg cfg bid in
+let source_of lt bid nid =
+  let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg (Lifetime.schedule lt)) bid in
   match Dfg.op g nid with
   | Op.Const c -> From_const c
   | Op.Read v -> (
-      match Hashtbl.find_opt table (bid, nid) with
-      | Some (Lifetime.Temp _) -> From_temp (bid, nid)
-      | _ -> From_var v)
+      match Lifetime.storage lt bid nid with
+      | Lifetime.Temp _ -> From_temp (bid, nid)
+      | Lifetime.In_variable _ | Lifetime.No_storage -> From_var v)
   | _ when Dfg.occupies_step g nid -> (
-      match Hashtbl.find_opt table (bid, nid) with
-      | Some (Lifetime.In_variable v) -> From_var v
-      | Some (Lifetime.Temp _) -> From_temp (bid, nid)
-      | Some Lifetime.No_storage | None ->
+      match Lifetime.storage lt bid nid with
+      | Lifetime.In_variable v -> From_var v
+      | Lifetime.Temp _ -> From_temp (bid, nid)
+      | Lifetime.No_storage ->
           (* consumed only combinationally; treated as direct wiring *)
           From_wire (bid, nid))
   | _ -> From_wire (bid, nid)
@@ -113,13 +93,13 @@ type building = {
 
 let greedy ?(selection = `Min_mux) cs =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let table = storage_table cs in
+  let lt = Lifetime.table cs in
   let ops = collect cs in
   let instances : building list ref = ref [] in
   let next_id = ref 0 in
   let arg_sources r =
     let g = Cfg.dfg cfg r.bid in
-    List.map (fun a -> source_of_with_table cs table r.bid a) (Dfg.args g r.nid)
+    List.map (fun a -> source_of lt r.bid a) (Dfg.args g r.nid)
   in
   let busy inst r = List.exists (fun o -> o.bid = r.bid && o.step = r.step) inst.b_ops in
   let added_cost inst srcs =
@@ -205,7 +185,7 @@ let units_by_class t =
 
 let mux_inputs cs t =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let table = storage_table cs in
+  let lt = Lifetime.table cs in
   List.fold_left
     (fun acc inst ->
       (* distinct sources per port over all ops bound to the unit *)
@@ -215,7 +195,7 @@ let mux_inputs cs t =
           let g = Cfg.dfg cfg r.bid in
           List.iteri
             (fun pos a ->
-              let src = source_of_with_table cs table r.bid a in
+              let src = source_of lt r.bid a in
               let have = try Hashtbl.find ports pos with Not_found -> [] in
               if not (List.mem src have) then Hashtbl.replace ports pos (src :: have))
             (Dfg.args g r.nid))

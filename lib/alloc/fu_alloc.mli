@@ -61,20 +61,8 @@ val greedy : ?selection:[ `Min_mux | `First_fit ] -> Hls_sched.Cfg_sched.t -> t
 val n_units : t -> int
 val units_by_class : t -> (Op.fu_class * int) list
 
-val storage_table :
-  Hls_sched.Cfg_sched.t -> (Cfg.bid * Dfg.nid, Lifetime.storage) Hashtbl.t
-(** Lifetime classification of every stored value of the design (shared
-    by interconnect allocation and datapath construction). It runs
-    {!Lifetime.analyze} over every block, so build it once per pass. *)
-
-val source_of_with_table :
-  Hls_sched.Cfg_sched.t ->
-  (Cfg.bid * Dfg.nid, Lifetime.storage) Hashtbl.t ->
-  Cfg.bid ->
-  Dfg.nid ->
-  source
-(** Storage source feeding an operand, resolved through the design's
-    {!storage_table}. *)
+val source_of : Lifetime.t -> Cfg.bid -> Dfg.nid -> source
+(** Storage source feeding an operand, per the design's lifetime table. *)
 
 val mux_inputs : Hls_sched.Cfg_sched.t -> t -> int
 (** Total extra multiplexer inputs implied by the unit binding: for every

@@ -23,9 +23,8 @@ let wire_of_source ~regs (src : Fu_alloc.source) =
 
 let transfers cs ~fu ~regs =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  (* one lifetime classification for the whole pass: operand sources and
-     temporary latches both read it *)
-  let storage = Fu_alloc.storage_table cs in
+  (* operand sources and temporary latches both read one table *)
+  let lt = Lifetime.table cs in
   let acc = ref [] in
   let emit t = acc := t :: !acc in
   List.iter
@@ -39,9 +38,7 @@ let transfers cs ~fu ~regs =
           let step = Hls_sched.Schedule.step_of sched nid in
           List.iteri
             (fun pos a ->
-              let src =
-                wire_of_source ~regs (Fu_alloc.source_of_with_table cs storage bid a)
-              in
+              let src = wire_of_source ~regs (Fu_alloc.source_of lt bid a) in
               emit { t_src = src; t_dst = D_fu_in (unit_id, pos); t_bid = bid; t_step = step })
             (Dfg.args g nid))
         (Dfg.compute_ops g);
@@ -89,12 +86,13 @@ let transfers cs ~fu ~regs =
             })
         (Dfg.writes g);
       (* temporary register latches, in node-id order *)
-      Dfg.iter
-        (fun nid node ->
-          match Hashtbl.find_opt storage (bid, nid) with
-          | Some (Lifetime.Temp iv) ->
+      List.iter
+        (fun (info : Lifetime.value_info) ->
+          match info.Lifetime.storage with
+          | Lifetime.Temp iv ->
+              let nid = info.Lifetime.nid in
               let src =
-                match node.Dfg.op with
+                match Dfg.op g nid with
                 | Op.Read v -> W_var (Reg_alloc.register_of_var regs v)
                 | _ -> W_fu_out (Fu_alloc.of_op fu (bid, nid))
               in
@@ -105,8 +103,8 @@ let transfers cs ~fu ~regs =
                   t_bid = bid;
                   t_step = iv.Hls_util.Interval.lo;
                 }
-          | Some (Lifetime.In_variable _ | Lifetime.No_storage) | None -> ())
-        g)
+          | Lifetime.In_variable _ | Lifetime.No_storage -> ())
+        (Lifetime.values lt bid))
     (Cfg.block_ids cfg);
   List.rev !acc
 

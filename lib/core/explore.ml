@@ -358,16 +358,11 @@ module Bound = struct
   let live_reg_area ~node_w (o : Flow.optimized) cs =
     let ports = port_names o in
     let cfg = Cfg_sched.cfg cs in
+    let lt = Hls_alloc.Lifetime.table cs in
     List.fold_left
       (fun acc bid ->
         let g = Hls_cdfg.Cfg.dfg cfg bid in
-        let sched = Cfg_sched.block_schedule cs bid in
-        let term_cond =
-          match Hls_cdfg.Cfg.term cfg bid with
-          | Hls_cdfg.Cfg.Branch (c, _, _) -> Some c
-          | _ -> None
-        in
-        let n = Schedule.n_steps sched in
+        let n = Schedule.n_steps (Cfg_sched.block_schedule cs bid) in
         let diff = Array.make (n + 2) 0 in
         let add lo hi w =
           let lo = max 0 lo and hi = min n hi in
@@ -387,7 +382,7 @@ module Bound = struct
             | Hls_alloc.Lifetime.In_variable v when not (List.mem v ports) ->
                 add vi.Hls_alloc.Lifetime.produced (vi.Hls_alloc.Lifetime.last_use - 1) w
             | Hls_alloc.Lifetime.In_variable _ | Hls_alloc.Lifetime.No_storage -> ())
-          (Hls_alloc.Lifetime.analyze sched ~term_cond);
+          (Hls_alloc.Lifetime.values lt bid);
         let best = ref 0 and run = ref 0 in
         Array.iter
           (fun d ->

@@ -38,7 +38,7 @@ let temp_name track = Printf.sprintf "tmp%d" track
 
 let build ?node_bits cs ~fu ~regs ~ports =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let storage = Fu_alloc.storage_table cs in
+  let lt = Lifetime.table cs in
   let fsm = Hls_ctrl.Fsm.of_schedule cs in
   (* storage width of one node's value: declared type width by default,
      or the caller's (range-inferred) narrowing *)
@@ -108,9 +108,8 @@ let build ?node_bits cs ~fu ~regs ~ports =
       match node.Dfg.op with
       | Op.Const c -> Wire.W_const (c, node.Dfg.ty)
       | Op.Read v -> (
-          match Hashtbl.find_opt storage (bid, nid) with
-          | Some (Lifetime.Temp iv) when step > iv.Hls_util.Interval.lo ->
-              Wire.W_reg (temp_reg nid)
+          match Lifetime.storage lt bid nid with
+          | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> Wire.W_reg (temp_reg nid)
           | _ -> Wire.W_reg (Reg_alloc.register_of_var regs v))
       | Op.Write _ -> invalid_arg "Datapath: a write is not a readable value"
       | _ when Dfg.occupies_step g nid ->
@@ -118,10 +117,10 @@ let build ?node_bits cs ~fu ~regs ~ports =
           if step = produced then
             Wire.W_fu_out (Fu_alloc.of_op fu (bid, nid), node.Dfg.ty)
           else (
-            match Hashtbl.find_opt storage (bid, nid) with
-            | Some (Lifetime.In_variable v) -> Wire.W_reg (Reg_alloc.register_of_var regs v)
-            | Some (Lifetime.Temp _) -> Wire.W_reg (temp_reg nid)
-            | Some Lifetime.No_storage | None ->
+            match Lifetime.storage lt bid nid with
+            | Lifetime.In_variable v -> Wire.W_reg (Reg_alloc.register_of_var regs v)
+            | Lifetime.Temp _ -> Wire.W_reg (temp_reg nid)
+            | Lifetime.No_storage ->
                 invalid_arg
                   (Printf.sprintf "Datapath: b%d.%%%d consumed at step %d but not stored"
                      bid nid step))
@@ -210,11 +209,6 @@ let build ?node_bits cs ~fu ~regs ~ports =
           | _ -> ())
         (Dfg.writes g);
       (* temp latches *)
-      let term_cond =
-        match Cfg.term cfg bid with
-        | Cfg.Branch (c, _, _) -> Some c
-        | Cfg.Goto _ | Cfg.Halt -> None
-      in
       List.iter
         (fun (info : Lifetime.value_info) ->
           match info.Lifetime.storage with
@@ -231,7 +225,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
                 { l_state = state; l_reg = temp_name track; l_wire = wire_for bid nid ~step }
                 :: !loads
           | Lifetime.In_variable _ | Lifetime.No_storage -> ())
-        (Lifetime.analyze (Hls_sched.Cfg_sched.block_schedule cs bid) ~term_cond))
+        (Lifetime.values lt bid))
     (Cfg.block_ids cfg);
   (* ---- branch conditions ---- *)
   let conds =
