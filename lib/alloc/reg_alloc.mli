@@ -7,12 +7,13 @@
       blocks never execute concurrently, track [k] of every block is the
       same physical register, so the temp register count is the maximum
       track count over blocks.
-    - {e variables}: storage crossing block boundaries. One register per
-      variable, optionally shared: variables whose live ranges never
-      overlap (per {!Hls_cdfg.Liveness}) {e and} that are never written
-      in the same control step (one latch per register per cycle) are
-      merged by clique partitioning ("values may be assigned to the same
-      register when their lifetimes do not overlap").
+    - {e variables}: one register per variable, optionally shared:
+      variables whose registers are never occupied at the same step
+      boundary of a block ({!Lifetime.interference}: liveness at block
+      entry and exit, the values each holds inside the block, and the
+      step each write latches in) are merged by clique partitioning
+      ("values may be assigned to the same register when their
+      lifetimes do not overlap").
 
     Input and output ports always keep dedicated registers (their values
     are externally observable). *)

@@ -19,8 +19,11 @@
       share a temp-register track in one block;
     - [ALLOC006] (error) — a value classified as needing a temporary
       register has no track;
-    - [ALLOC007] (error) — two variables whose live ranges interfere
-      share a register;
+    - [ALLOC007] (error) — two variables that must both hold a value at
+      one step boundary of a block share a register. The boundaries are
+      derived from the schedule (each entry read's consumer steps through
+      free chains, write steps) and block liveness, independently of the
+      allocator's {!Hls_alloc.Lifetime} table;
     - [ALLOC008] (error) — two variables written in the same control
       step share a register (one latch per register per cycle);
     - [ALLOC009] (error) — a data transfer required by the

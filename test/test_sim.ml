@@ -624,6 +624,18 @@ let prop_random_programs_synthesize_and_cosim =
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "%s" e)
 
+(* Seeds whose designs once shared a register between two variables
+   both needed inside one block (a write clobbered a value still to be
+   read), which block-boundary liveness did not see. *)
+let test_cosim_register_sharing_regressions () =
+  List.iter
+    (fun seed ->
+      let d = synthesize_program (Gen.program_of_seed seed) in
+      match Cosim.check_random ~runs:3 ~seed (Flow.cosim_design d) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed %d: %s" seed e)
+    [ 2631; 3080; 3698 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -665,6 +677,8 @@ let () =
           Alcotest.test_case "detects mismatch" `Quick test_cosim_detects_mismatch;
           Alcotest.test_case "out-of-range inputs" `Quick test_cosim_out_of_range_inputs;
           QCheck_alcotest.to_alcotest prop_random_programs_synthesize_and_cosim;
+          Alcotest.test_case "register sharing regressions" `Quick
+            test_cosim_register_sharing_regressions;
         ] );
       ( "reuse",
         [
