@@ -448,17 +448,9 @@ let eval_result t (options : Flow.options) =
            limits field): stamp the request's own options back on *)
         match r with Ok d -> Ok { d with Flow.options } | Error ds -> Error ds)
 
-let eval t options =
-  match eval_result t options with Ok d -> d | Error ds -> raise (Flow.Lint_failed ds)
-
 let run_result t options_list =
   (* jobs as configured; the shared pool adapts parallelism to the
      machine (serial fallback on boxes without spare cores), and the
      single-flight cache makes counter totals worker-count independent
      either way *)
   Hls_util.Pool.map ~jobs:t.config.jobs (eval_result t) options_list
-
-let run t options_list =
-  List.map
-    (function Ok d -> d | Error ds -> raise (Flow.Lint_failed ds))
-    (run_result t options_list)

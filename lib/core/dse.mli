@@ -27,7 +27,7 @@
     the stage.
 
     How an engine evaluates is a {!config} record fixed at creation,
-    mirroring how {!Flow.options} fixes what is synthesized. {!run}
+    mirroring how {!Flow.options} fixes what is synthesized. {!run_result}
     evaluates a point list on a {!Hls_util.Pool} of [config.jobs]
     worker domains. Results are returned in input order and are
     identical for any job count: memoization is {e single-flight} —
@@ -47,7 +47,7 @@ open Hls_lang
 type t
 
 type config = {
-  jobs : int;  (** worker domains for {!run} ([<= 1] stays on the calling domain) *)
+  jobs : int;  (** worker domains for {!run_result} ([<= 1] stays on the calling domain) *)
   verify : bool;  (** run the full design lint on every evaluated point *)
   memoize : bool;  (** [false] disables every cache layer (the serial baseline) *)
   cache_dir : string option;
@@ -114,14 +114,6 @@ val run_result :
     falls back to the calling domain — but results and every non-pool
     counter are identical either way. *)
 
-val eval : t -> Flow.options -> Flow.design
-(** Legacy raising wrapper: {!eval_result} with [Error ds] rethrown as
-    {!Flow.Lint_failed}. *)
-
-val run : t -> Flow.options list -> Flow.design list
-(** Legacy raising wrapper over {!run_result}; the first [Error] in
-    input order raises {!Flow.Lint_failed}. *)
-
 type layer = { hits : int; misses : int }
 
 type stats = {
@@ -147,7 +139,7 @@ val stats : t -> stats
 val clear : t -> unit
 (** Drop all cached stage results (including the in-memory persist
     table — the disk store is untouched) and zero the counters. Must
-    not be called while a {!run} is in flight. *)
+    not be called while a {!run_result} is in flight. *)
 
 val design_digest : Flow.design -> string
 (** Hex digest of the design's marshalled image. Two designs with equal

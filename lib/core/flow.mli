@@ -7,7 +7,7 @@ open Hls_lang
 open Hls_sched
 
 exception Lint_failed of Hls_analysis.Diagnostic.t list
-(** Raised by {!synthesize} (and by {!Dse.eval} and the {!Explore}
+(** Raised by {!synthesize} (and by the {!Explore}
     sweeps) with the full structured error list when a produced design
     fails verification — either the always-on datapath check or, with
     [~verify:true], the full design {!lint}. The Result-returning API

@@ -318,7 +318,9 @@ let check_next_logic_against_oracle name engine points =
           Alcotest.failf "%s: %s next-state logic differs from the per-minterm oracle" name
             (Encoding.style_to_string (Ctrl_synth.style c))
       end)
-    (Hls_core.Dse.run engine points);
+    (List.map
+       (function Ok d -> d | Error _ -> Alcotest.failf "%s: a point failed lint" name)
+       (Hls_core.Dse.run_result engine points));
   List.length !seen
 
 let test_next_logic_workloads () =

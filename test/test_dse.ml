@@ -7,6 +7,14 @@
 open Hls_util
 open Hls_core
 
+(* {!Dse.eval_result} of a point that must synthesize *)
+let eval_ok engine options =
+  match Dse.eval_result engine options with
+  | Ok d -> d
+  | Error ds ->
+      Alcotest.failf "lint: %s"
+        (String.concat "; " (List.map Hls_analysis.Diagnostic.to_string ds))
+
 (* ---- worker pool ---- *)
 
 let test_pool_map_order () =
@@ -305,13 +313,13 @@ let test_pipeline_rejects_garbage () =
 let test_pipeline_memo_sensitivity () =
   (* same source, different --passes: never the same cache entry *)
   let engine = Dse.create Workloads.sqrt_newton in
-  let d_none = Dse.eval engine (popts "none") in
-  let d_std = Dse.eval engine (popts "standard") in
+  let d_none = eval_ok engine (popts "none") in
+  let d_std = eval_ok engine (popts "standard") in
   let s = Dse.stats engine in
   Alcotest.(check int) "distinct pipelines miss separately" 2 s.Dse.midend.Dse.misses;
   Alcotest.(check bool) "designs differ" true (signature d_none <> signature d_std);
   (* the same spec spelled differently is the same key *)
-  let d_std2 = Dse.eval engine (popts "forward,const-fold,cse,strength,dce") in
+  let d_std2 = eval_ok engine (popts "forward,const-fold,cse,strength,dce") in
   let s2 = Dse.stats engine in
   Alcotest.(check int) "equal spec shares the entry" 2 s2.Dse.midend.Dse.misses;
   Alcotest.(check bool) "same design back" true (signature d_std = signature d_std2)
@@ -324,8 +332,8 @@ let test_pipeline_disk_sensitivity () =
   in
   let config = { Dse.default_config with Dse.cache_dir = Some dir } in
   let e = Dse.create ~config Workloads.gcd in
-  ignore (Dse.eval e (popts "none"));
-  ignore (Dse.eval e (popts "extract"));
+  ignore (eval_ok e (popts "none"));
+  ignore (eval_ok e (popts "extract"));
   Alcotest.(check int) "two pipelines, two disk entries" 2
     (List.length (Disk_cache.entries ~dir))
 
@@ -598,21 +606,21 @@ let test_refine_memo_key_sensitivity () =
   let opts it =
     { Flow.default_options with Flow.scheduler = Flow.Freedom; Flow.iterate = it }
   in
-  let d0 = Dse.eval engine (opts 0) in
+  let d0 = eval_ok engine (opts 0) in
   let s0 = Dse.stats engine in
   Alcotest.(check int) "one-shot point skips the refine layer" 0
     (s0.Dse.refine.Dse.hits + s0.Dse.refine.Dse.misses);
-  let d2 = Dse.eval engine (opts 2) in
+  let d2 = eval_ok engine (opts 2) in
   let s2 = Dse.stats engine in
   Alcotest.(check int) "first iterated point misses" 1 s2.Dse.refine.Dse.misses;
   Alcotest.(check int) "iterated point reuses the one-shot seed"
     s0.Dse.backend.Dse.misses s2.Dse.backend.Dse.misses;
-  let d2' = Dse.eval engine (opts 2) in
+  let d2' = eval_ok engine (opts 2) in
   let s2' = Dse.stats engine in
   Alcotest.(check int) "equal bound shares the entry" 1 s2'.Dse.refine.Dse.misses;
   Alcotest.(check bool) "hit recorded" true (s2'.Dse.refine.Dse.hits > 0);
   Alcotest.(check bool) "same design back" true (signature d2 = signature d2');
-  ignore (Dse.eval engine (opts 3));
+  ignore (eval_ok engine (opts 3));
   let s3 = Dse.stats engine in
   Alcotest.(check int) "a different bound misses separately" 2
     s3.Dse.refine.Dse.misses;
@@ -629,9 +637,9 @@ let test_refine_disk_key_sensitivity () =
   in
   let config = { Dse.default_config with Dse.cache_dir = Some dir } in
   let e = Dse.create ~config Workloads.diffeq in
-  ignore (Dse.eval e { Flow.default_options with Flow.iterate = 0 });
-  ignore (Dse.eval e { Flow.default_options with Flow.iterate = 2 });
-  ignore (Dse.eval e { Flow.default_options with Flow.iterate = 3 });
+  ignore (eval_ok e { Flow.default_options with Flow.iterate = 0 });
+  ignore (eval_ok e { Flow.default_options with Flow.iterate = 2 });
+  ignore (eval_ok e { Flow.default_options with Flow.iterate = 3 });
   Alcotest.(check int) "three iterate bounds, three disk entries" 3
     (List.length (Disk_cache.entries ~dir))
 
