@@ -30,7 +30,7 @@ type target = {
 type signals = {
   op_delay : Dfg.t -> Dfg.nid -> float;
       (** propagation delay of one op under the component library *)
-  live_pins : Cfg.bid -> Schedule.t -> Dfg.nid list;
+  live_pins : Cfg.bid -> Dfg.nid list;
       (** producers of values on the live-storage floor, most
           constraining first *)
 }
@@ -122,7 +122,7 @@ let extract signals cs =
         (* live-storage floor: delaying a long-lived value's producer to
            its ALAP shortens the lifetime that sets the register floor *)
         let live =
-          let nids = signals.live_pins bid s in
+          let nids = signals.live_pins bid in
           let alap = Depgraph.alap dep ~deadline:n in
           List.filteri (fun k _ -> k < 2) nids
           |> List.filter_map (fun nid ->

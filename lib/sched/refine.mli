@@ -36,9 +36,10 @@ type signals = {
   op_delay : Dfg.t -> Dfg.nid -> float;
       (** propagation delay of one op under the component library — the
           weight of the register-to-register chain extraction *)
-  live_pins : Cfg.bid -> Schedule.t -> Dfg.nid list;
-      (** producers of the values on the live-storage floor, most
-          constraining first (at most two are used per block) *)
+  live_pins : Cfg.bid -> Dfg.nid list;
+      (** producers of the values on the live-storage floor of a block
+          of the schedule given to {!extract}, most constraining first
+          (at most two are used per block) *)
 }
 
 val critical_chain : Depgraph.t -> delay:(int -> float) -> int list
