@@ -24,10 +24,12 @@ type op_ref = {
   step : int;  (** control step within the block *)
 }
 
-(** Where an operand comes from, for interconnect costing. Functional
-    units read from registers and constants (values always latch between
-    steps); a free chain's combinational output is a distinct wiring
-    source. *)
+(** Where an operand comes from, as greedy [`Min_mux] selection costs
+    it while units are still being chosen: step-blind (a stored value
+    has one source at every step it is read, even the step that
+    produces it) and before register sharing (a variable is its own
+    name). It steers allocation only; the design's wiring is
+    {!Interconnect.resolve}'s. *)
 type source =
   | From_var of string  (** a variable's register *)
   | From_const of int
@@ -62,11 +64,12 @@ val n_units : t -> int
 val units_by_class : t -> (Op.fu_class * int) list
 
 val source_of : Lifetime.t -> Cfg.bid -> Dfg.nid -> source
-(** Storage source feeding an operand, per the design's lifetime table. *)
+(** Greedy's pre-binding source of an operand, per the lifetime table. *)
 
 val mux_inputs : Hls_sched.Cfg_sched.t -> t -> int
-(** Total extra multiplexer inputs implied by the unit binding: for every
-    unit input port, [max 0 (distinct sources - 1)] — the cost greedy
-    [`Min_mux] minimizes. *)
+(** Total extra multiplexer inputs implied by the unit binding over
+    {!source}s: for every unit input port, [max 0 (distinct sources - 1)]
+    — the cost greedy [`Min_mux] minimizes. The design's priced mux cost
+    is {!Interconnect.mux_cost}. *)
 
 val pp : Format.formatter -> t -> unit

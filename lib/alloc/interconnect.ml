@@ -2,111 +2,88 @@ open Hls_cdfg
 
 type wire =
   | W_fu_out of int
-  | W_var of string
-  | W_temp of Cfg.bid * Dfg.nid
-  | W_wire of Cfg.bid * Dfg.nid
+  | W_reg of string
   | W_const of int
+  | W_wire of Cfg.bid * Dfg.nid
 
-type dest =
-  | D_fu_in of int * int
-  | D_var of string
-  | D_temp of Cfg.bid * Dfg.nid
+type dest = D_fu_in of int * int | D_reg of string
 
 type transfer = { t_src : wire; t_dst : dest; t_bid : Cfg.bid; t_step : int }
 
-let wire_of_source ~regs (src : Fu_alloc.source) =
-  match src with
-  | Fu_alloc.From_var v -> W_var (Reg_alloc.register_of_var regs v)
-  | Fu_alloc.From_const c -> W_const c
-  | Fu_alloc.From_temp (bid, nid) -> W_temp (bid, nid)
-  | Fu_alloc.From_wire (bid, nid) -> W_wire (bid, nid)
+type resolver = {
+  cs : Hls_sched.Cfg_sched.t;
+  lt : Lifetime.t;
+  fu : Fu_alloc.t;
+  regs : Reg_alloc.t;
+}
+
+let resolver cs ~fu ~regs = { cs; lt = Lifetime.table cs; fu; regs }
+
+let temp_reg r bid nid =
+  match Reg_alloc.temp_register r.regs bid nid with
+  | Some name -> name
+  | None -> invalid_arg (Printf.sprintf "Interconnect: no temp register for b%d.%%%d" bid nid)
+
+let resolve r bid nid ~step =
+  let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg r.cs) bid in
+  match Dfg.op g nid with
+  | Op.Const c -> W_const c
+  | Op.Read v -> (
+      (* an entry read an overwrite moves to a temporary stays in its
+         variable's register through the step that latches the move *)
+      match Lifetime.storage r.lt bid nid with
+      | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> W_reg (temp_reg r bid nid)
+      | _ -> W_reg (Reg_alloc.register_of_var r.regs v))
+  | Op.Write _ -> invalid_arg (Printf.sprintf "Interconnect: b%d.%%%d is a write" bid nid)
+  | _ when Dfg.occupies_step g nid -> (
+      if step = Hls_sched.Schedule.step_of (Hls_sched.Cfg_sched.block_schedule r.cs bid) nid
+      then W_fu_out (Fu_alloc.of_op r.fu (bid, nid))
+      else
+        match Lifetime.storage r.lt bid nid with
+        | Lifetime.In_variable v -> W_reg (Reg_alloc.register_of_var r.regs v)
+        | Lifetime.Temp _ -> W_reg (temp_reg r bid nid)
+        | Lifetime.No_storage ->
+            invalid_arg
+              (Printf.sprintf "Interconnect: b%d.%%%d read at step %d but not stored" bid nid step))
+  | _ -> W_wire (bid, nid)
+
+let latches r bid =
+  let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg r.cs) bid in
+  let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in
+  let writes =
+    List.map
+      (fun (v, wnid) ->
+        match Dfg.args g wnid with
+        | [ a ] ->
+            (Reg_alloc.register_of_var r.regs v, a, Hls_sched.Schedule.write_step sched wnid)
+        | _ -> invalid_arg (Printf.sprintf "Interconnect: malformed write b%d.%%%d" bid wnid))
+      (Dfg.writes g)
+  in
+  writes
+  @ List.map
+      (fun (nid, iv) -> (temp_reg r bid nid, nid, iv.Hls_util.Interval.lo))
+      (Lifetime.temps (Lifetime.values r.lt bid))
 
 let transfers cs ~fu ~regs =
+  let r = resolver cs ~fu ~regs in
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  (* operand sources and temporary latches both read one table *)
-  let lt = Lifetime.table cs in
-  let acc = ref [] in
-  let emit t = acc := t :: !acc in
-  List.iter
+  List.concat_map
     (fun bid ->
       let g = Cfg.dfg cfg bid in
       let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-      (* FU input transfers *)
-      List.iter
-        (fun nid ->
-          let unit_id = Fu_alloc.of_op fu (bid, nid) in
-          let step = Hls_sched.Schedule.step_of sched nid in
-          List.iteri
-            (fun pos a ->
-              let src = wire_of_source ~regs (Fu_alloc.source_of lt bid a) in
-              emit { t_src = src; t_dst = D_fu_in (unit_id, pos); t_bid = bid; t_step = step })
-            (Dfg.args g nid))
-        (Dfg.compute_ops g);
-      (* the wire that produces a value (for register latching) *)
-      let rec producing_wire nid =
-        match Dfg.op g nid with
-        | Op.Const c -> W_const c
-        | Op.Read v -> W_var (Reg_alloc.register_of_var regs v)
-        | Op.Write v -> (
-            match Dfg.args g nid with
-            | [ a ] -> producing_wire a
-            | args ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Interconnect: write of %s (b%d.%%%d) has %d arguments, expected 1" v
-                     bid nid (List.length args)))
-        | _ when Dfg.occupies_step g nid -> W_fu_out (Fu_alloc.of_op fu (bid, nid))
-        | _ -> W_wire (bid, nid)
+      let at step t_dst nid =
+        { t_src = resolve r bid nid ~step; t_dst; t_bid = bid; t_step = step }
       in
-      (* variable register latches *)
-      List.iter
-        (fun (v, wnid) ->
-          let step = Hls_sched.Schedule.write_step sched wnid in
-          let src =
-            match Dfg.args g wnid with
-            | [ a ] -> (
-                (* a write-move occupies an ALU slot: physically the value
-                   still travels from its storage to the register *)
-                match Dfg.op g a with
-                | Op.Read w -> W_var (Reg_alloc.register_of_var regs w)
-                | Op.Const c -> W_const c
-                | _ -> producing_wire a)
-            | args ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Interconnect: write of %s (b%d.%%%d) has %d arguments, expected 1" v
-                     bid wnid (List.length args))
-          in
-          emit
-            {
-              t_src = src;
-              t_dst = D_var (Reg_alloc.register_of_var regs v);
-              t_bid = bid;
-              t_step = step;
-            })
-        (Dfg.writes g);
-      (* temporary register latches, in node-id order *)
-      List.iter
-        (fun (info : Lifetime.value_info) ->
-          match info.Lifetime.storage with
-          | Lifetime.Temp iv ->
-              let nid = info.Lifetime.nid in
-              let src =
-                match Dfg.op g nid with
-                | Op.Read v -> W_var (Reg_alloc.register_of_var regs v)
-                | _ -> W_fu_out (Fu_alloc.of_op fu (bid, nid))
-              in
-              emit
-                {
-                  t_src = src;
-                  t_dst = D_temp (bid, nid);
-                  t_bid = bid;
-                  t_step = iv.Hls_util.Interval.lo;
-                }
-          | Lifetime.In_variable _ | Lifetime.No_storage -> ())
-        (Lifetime.values lt bid))
-    (Cfg.block_ids cfg);
-  List.rev !acc
+      let operands =
+        List.concat_map
+          (fun nid ->
+            let unit_id = Fu_alloc.of_op fu (bid, nid) in
+            let step = Hls_sched.Schedule.step_of sched nid in
+            List.mapi (fun pos a -> at step (D_fu_in (unit_id, pos)) a) (Dfg.args g nid))
+          (Dfg.compute_ops g)
+      in
+      operands @ List.map (fun (reg, nid, step) -> at step (D_reg reg) nid) (latches r bid))
+    (Cfg.block_ids cfg)
 
 let mux_cost ts =
   let by_dest : (dest, wire list) Hashtbl.t = Hashtbl.create 32 in
@@ -127,6 +104,16 @@ let bus_allocation ts =
   let groups = Clique.partition ~n ~compatible in
   let bus_groups = List.map (List.map (fun i -> arr.(i))) groups in
   (bus_groups, List.length bus_groups)
+
+let wire_to_string = function
+  | W_fu_out id -> Printf.sprintf "fu%d_out" id
+  | W_reg name -> name
+  | W_const c -> string_of_int c
+  | W_wire (b, n) -> Printf.sprintf "wire b%d.%%%d" b n
+
+let dest_to_string = function
+  | D_fu_in (id, pos) -> Printf.sprintf "fu%d.%d" id pos
+  | D_reg name -> name
 
 let pp_summary ppf ts =
   let _, buses = bus_allocation ts in

@@ -41,6 +41,9 @@ let run ?(share_variables = true) ~ports ~outputs cs =
 
 let temp_track t bid nid = Hashtbl.find_opt t.temp_tracks (bid, nid)
 
+let temp_register t bid nid =
+  Option.map (fun k -> "tmp" ^ string_of_int k) (temp_track t bid nid)
+
 let n_temp_registers t = t.n_temps
 
 let register_of_var t v =

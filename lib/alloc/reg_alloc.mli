@@ -34,6 +34,10 @@ val run :
 val temp_track : t -> Cfg.bid -> Dfg.nid -> int option
 (** Track (physical temp register index) of a value, if it needed one. *)
 
+val temp_register : t -> Cfg.bid -> Dfg.nid -> string option
+(** Name of the temp register holding a value, if it needed one: track
+    [k] is register [tmpk]. *)
+
 val n_temp_registers : t -> int
 
 val register_of_var : t -> string -> string

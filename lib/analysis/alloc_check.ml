@@ -201,18 +201,6 @@ let check_registers cs ~temp_track ~groups ~outputs =
     groups;
   List.rev !ds
 
-let wire_to_string = function
-  | Interconnect.W_fu_out id -> Printf.sprintf "fu%d" id
-  | Interconnect.W_var v -> v
-  | Interconnect.W_temp (b, n) -> Printf.sprintf "temp b%d.%%%d" b n
-  | Interconnect.W_wire (b, n) -> Printf.sprintf "wire b%d.%%%d" b n
-  | Interconnect.W_const c -> Printf.sprintf "const %d" c
-
-let dest_to_string = function
-  | Interconnect.D_fu_in (id, pos) -> Printf.sprintf "fu%d.in%d" id pos
-  | Interconnect.D_var v -> Printf.sprintf "register %s" v
-  | Interconnect.D_temp (b, n) -> Printf.sprintf "temp b%d.%%%d" b n
-
 let check_transfers cs ~fu ~regs given =
   let ds = ref [] in
   let add d = ds := d :: !ds in
@@ -230,14 +218,14 @@ let check_transfers cs ~fu ~regs given =
         add
           (error Alloc ~code:"ALLOC009" (Step (t.Interconnect.t_bid, t.Interconnect.t_step))
              "transfer %s -> %s is required but missing from the interconnect"
-             (wire_to_string t.Interconnect.t_src)
-             (dest_to_string t.Interconnect.t_dst))
+             (Interconnect.wire_to_string t.Interconnect.t_src)
+             (Interconnect.dest_to_string t.Interconnect.t_dst))
       else if n < 0 then
         add
           (warning Alloc ~code:"ALLOC010"
              (Step (t.Interconnect.t_bid, t.Interconnect.t_step))
              "interconnect carries transfer %s -> %s that the design never performs"
-             (wire_to_string t.Interconnect.t_src)
-             (dest_to_string t.Interconnect.t_dst)))
+             (Interconnect.wire_to_string t.Interconnect.t_src)
+             (Interconnect.dest_to_string t.Interconnect.t_dst)))
     balance;
   List.rev !ds

@@ -34,11 +34,8 @@ let bits_of (ty : Hls_lang.Ast.ty) =
   | Hls_lang.Ast.Tint w -> w
   | Hls_lang.Ast.Tfix (i, f) -> i + f
 
-let temp_name track = Printf.sprintf "tmp%d" track
-
 let build ?node_bits cs ~fu ~regs ~ports =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let lt = Lifetime.table cs in
   let fsm = Hls_ctrl.Fsm.of_schedule cs in
   (* storage width of one node's value: declared type width by default,
      or the caller's (range-inferred) narrowing *)
@@ -65,27 +62,19 @@ let build ?node_bits cs ~fu ~regs ~ports =
         (bits_of ty)
         (match dir with `In -> `In_port | `Out -> `Out_port))
     ports;
+  (* a temp register's width is the max over the values sharing its track *)
   List.iter
     (fun bid ->
-      let g = Cfg.dfg cfg bid in
       Dfg.iter
         (fun nid node ->
-          match node.Dfg.op with
+          (match node.Dfg.op with
           | Op.Read v | Op.Write v ->
               note_reg (Reg_alloc.register_of_var regs v) (nb bid nid node) `Var
-          | _ -> ())
-        g)
-    (Cfg.block_ids cfg);
-  (* temp registers: width = max over values sharing a track *)
-  List.iter
-    (fun bid ->
-      let g = Cfg.dfg cfg bid in
-      Dfg.iter
-        (fun nid node ->
-          match Reg_alloc.temp_track regs bid nid with
-          | Some track -> note_reg (temp_name track) (nb bid nid node) `Temp
+          | _ -> ());
+          match Reg_alloc.temp_register regs bid nid with
+          | Some name -> note_reg name (nb bid nid node) `Temp
           | None -> ())
-        g)
+        (Cfg.dfg cfg bid))
     (Cfg.block_ids cfg);
   let reg_defs =
     Hashtbl.fold
@@ -94,59 +83,30 @@ let build ?node_bits cs ~fu ~regs ~ports =
       widths []
     |> List.sort (fun a b -> compare a.rname b.rname)
   in
-  (* ---- wire construction ---- *)
-  let wire_for bid nid ~step =
+  (* ---- wire construction: the interconnect names the net a value is
+     read from; a free chain's root expands into its logic over the nets
+     its operands are read from at the same step ---- *)
+  let resolver = Interconnect.resolver cs ~fu ~regs in
+  let rec wire_for bid nid ~step =
     let g = Cfg.dfg cfg bid in
-    let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-    let temp_reg nid =
-      match Reg_alloc.temp_track regs bid nid with
-      | Some track -> temp_name track
-      | None -> invalid_arg (Printf.sprintf "Datapath: no temp track for b%d.%%%d" bid nid)
-    in
-    let rec go nid =
-      let node = Dfg.node g nid in
-      match node.Dfg.op with
-      | Op.Const c -> Wire.W_const (c, node.Dfg.ty)
-      | Op.Read v -> (
-          match Lifetime.storage lt bid nid with
-          | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> Wire.W_reg (temp_reg nid)
-          | _ -> Wire.W_reg (Reg_alloc.register_of_var regs v))
-      | Op.Write _ -> invalid_arg "Datapath: a write is not a readable value"
-      | _ when Dfg.occupies_step g nid ->
-          let produced = Hls_sched.Schedule.step_of sched nid in
-          if step = produced then
-            Wire.W_fu_out (Fu_alloc.of_op fu (bid, nid), node.Dfg.ty)
-          else (
-            match Lifetime.storage lt bid nid with
-            | Lifetime.In_variable v -> Wire.W_reg (Reg_alloc.register_of_var regs v)
-            | Lifetime.Temp _ -> Wire.W_reg (temp_reg nid)
-            | Lifetime.No_storage ->
-                invalid_arg
-                  (Printf.sprintf "Datapath: b%d.%%%d consumed at step %d but not stored"
-                     bid nid step))
-      | Op.Shl | Op.Shr -> (
-          match node.Dfg.args with
-          | [ a; amount ] -> (
-              match Dfg.op g amount with
-              | Op.Const k -> (
-                  match node.Dfg.op with
-                  | Op.Shl -> Wire.W_shl (go a, k, node.Dfg.ty)
-                  | _ -> Wire.W_shr (go a, k, node.Dfg.ty))
-              | _ -> invalid_arg "Datapath: variable shift is not free wiring")
-          | _ -> invalid_arg "Datapath: malformed shift")
-      | Op.Zdetect -> (
-          match node.Dfg.args with
-          | [ a ] -> Wire.W_zdetect (go a)
-          | _ -> invalid_arg "Datapath: malformed zdetect")
-      | Op.Mux -> (
-          match node.Dfg.args with
-          | [ c; a; b ] -> Wire.W_mux (go c, go a, go b, node.Dfg.ty)
-          | _ -> invalid_arg "Datapath: malformed mux")
-      | op ->
-          invalid_arg
-            (Printf.sprintf "Datapath: unexpected free operation %s" (Op.to_string op))
-    in
-    go nid
+    let node = Dfg.node g nid in
+    let go a = wire_for bid a ~step in
+    match Interconnect.resolve resolver bid nid ~step with
+    | Interconnect.W_fu_out u -> Wire.W_fu_out (u, node.Dfg.ty)
+    | Interconnect.W_reg name -> Wire.W_reg name
+    | Interconnect.W_const c -> Wire.W_const (c, node.Dfg.ty)
+    | Interconnect.W_wire _ -> (
+        match (node.Dfg.op, node.Dfg.args) with
+        | Op.Shl, [ a; amount ] | Op.Shr, [ a; amount ] -> (
+            match (Dfg.op g amount, node.Dfg.op) with
+            | Op.Const k, Op.Shl -> Wire.W_shl (go a, k, node.Dfg.ty)
+            | Op.Const k, _ -> Wire.W_shr (go a, k, node.Dfg.ty)
+            | _ -> invalid_arg "Datapath: variable shift is not free wiring")
+        | Op.Zdetect, [ a ] -> Wire.W_zdetect (go a)
+        | Op.Mux, [ c; a; b ] -> Wire.W_mux (go c, go a, go b, node.Dfg.ty)
+        | op, _ ->
+            invalid_arg
+              (Printf.sprintf "Datapath: malformed free operation %s" (Op.to_string op)))
   in
   (* ---- functional units and their activations ---- *)
   let fu_widths : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -187,46 +147,19 @@ let build ?node_bits cs ~fu ~regs ~ports =
       fu.Fu_alloc.instances
   in
   (* ---- register loads ---- *)
-  let loads = ref [] in
-  List.iter
-    (fun bid ->
-      let g = Cfg.dfg cfg bid in
-      let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-      (* variable writes *)
-      List.iter
-        (fun (v, wnid) ->
-          let ws = Hls_sched.Schedule.write_step sched wnid in
-          let state = Hls_ctrl.Fsm.state_of fsm bid ws in
-          match Dfg.args g wnid with
-          | [ a ] ->
-              loads :=
-                {
-                  l_state = state;
-                  l_reg = Reg_alloc.register_of_var regs v;
-                  l_wire = wire_for bid a ~step:ws;
-                }
-                :: !loads
-          | _ -> ())
-        (Dfg.writes g);
-      (* temp latches *)
-      List.iter
-        (fun (info : Lifetime.value_info) ->
-          match info.Lifetime.storage with
-          | Lifetime.Temp iv ->
-              let nid = info.Lifetime.nid in
-              let step = iv.Hls_util.Interval.lo in
-              let state = Hls_ctrl.Fsm.state_of fsm bid step in
-              let track =
-                match Reg_alloc.temp_track regs bid nid with
-                | Some t -> t
-                | None -> invalid_arg "Datapath: temp without track"
-              in
-              loads :=
-                { l_state = state; l_reg = temp_name track; l_wire = wire_for bid nid ~step }
-                :: !loads
-          | Lifetime.In_variable _ | Lifetime.No_storage -> ())
-        (Lifetime.values lt bid))
-    (Cfg.block_ids cfg);
+  let loads =
+    List.concat_map
+      (fun bid ->
+        List.map
+          (fun (reg, nid, step) ->
+            {
+              l_state = Hls_ctrl.Fsm.state_of fsm bid step;
+              l_reg = reg;
+              l_wire = wire_for bid nid ~step;
+            })
+          (Interconnect.latches resolver bid))
+      (Cfg.block_ids cfg)
+  in
   (* ---- branch conditions ---- *)
   let conds =
     List.filter_map
@@ -243,7 +176,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
     regs = reg_defs;
     fus;
     activities = List.rev !activities;
-    loads = List.rev !loads;
+    loads;
     conds;
     fsm;
   }

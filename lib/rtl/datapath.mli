@@ -5,9 +5,11 @@
 
     Built from the schedule, the functional-unit allocation and the
     register allocation. Steering logic appears as per-state wire
-    selections on functional-unit input ports and register inputs; the
-    companion controller ({!Hls_ctrl.Fsm} / {!Hls_ctrl.Ctrl_synth})
-    drives the selections. *)
+    selections on functional-unit input ports and register inputs. Every
+    operand, load and branch-condition wire reads the net
+    {!Hls_alloc.Interconnect.resolve} names; the datapath only expands a
+    free chain's root into its {!Wire.t} logic. The companion controller
+    ({!Hls_ctrl.Fsm} / {!Hls_ctrl.Ctrl_synth}) drives the selections. *)
 
 open Hls_cdfg
 

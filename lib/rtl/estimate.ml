@@ -9,17 +9,26 @@ type t = {
   latency_ns : float;
 }
 
-(* Distinct wire selections per destination → mux sizes. Every mux input
-   is as wide as the destination it feeds: the functional unit's bound
-   width for operand ports, the register's width for load ports. Unknown
-   destinations are datapath construction bugs, not 16-bit guesses. *)
+(* Distinct physical nets per destination → mux sizes. A net is what
+   [Hls_alloc.Interconnect.resolve] names: a unit's output is one net at
+   whatever type an operation reads it, a constant one net per value,
+   a register one net; a free chain is its own logic. So the extra
+   inputs priced here are [Interconnect.mux_cost] of the design's
+   transfers. Every mux input is as wide as the destination it feeds:
+   the functional unit's bound width for operand ports, the register's
+   width for load ports. Unknown destinations are datapath construction
+   bugs, not 16-bit guesses. *)
+let net (w : Wire.t) =
+  match w with Wire.W_fu_out (u, _) -> `Fu u | Wire.W_const (c, _) -> `Const c | w -> `Wire w
+
 let mux_area_of (dp : Datapath.t) =
-  let by_dest : (string, int * Wire.t list) Hashtbl.t = Hashtbl.create 32 in
+  let by_dest = Hashtbl.create 32 in
   let note key width wire =
     let have =
-      match Hashtbl.find_opt by_dest key with Some (_, ws) -> ws | None -> []
+      match Hashtbl.find_opt by_dest key with Some (_, ns) -> ns | None -> []
     in
-    if not (List.mem wire have) then Hashtbl.replace by_dest key (width, wire :: have)
+    let n = net wire in
+    if not (List.mem n have) then Hashtbl.replace by_dest key (width, n :: have)
   in
   let fu_width id =
     match List.find_opt (fun (f : Datapath.fu_def) -> f.Datapath.fuid = id) dp.Datapath.fus
@@ -38,16 +47,17 @@ let mux_area_of (dp : Datapath.t) =
     (fun (a : Datapath.activity) ->
       let width = fu_width a.Datapath.a_fu in
       List.iteri
-        (fun pos w -> note (Printf.sprintf "fu%d.%d" a.Datapath.a_fu pos) width w)
+        (fun pos w -> note (Hls_alloc.Interconnect.D_fu_in (a.Datapath.a_fu, pos)) width w)
         a.Datapath.a_args)
     dp.Datapath.activities;
   List.iter
     (fun (l : Datapath.load) ->
-      note ("reg:" ^ l.Datapath.l_reg) (reg_w l.Datapath.l_reg) l.Datapath.l_wire)
+      note (Hls_alloc.Interconnect.D_reg l.Datapath.l_reg) (reg_w l.Datapath.l_reg)
+        l.Datapath.l_wire)
     dp.Datapath.loads;
   Hashtbl.fold
-    (fun _ (width, wires) acc ->
-      acc + Component.mux_area ~inputs:(List.length wires) ~width)
+    (fun _ (width, nets) acc ->
+      acc + Component.mux_area ~inputs:(List.length nets) ~width)
     by_dest 0
 
 let cycle_time (dp : Datapath.t) =

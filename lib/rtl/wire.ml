@@ -53,7 +53,7 @@ let rec depth_delay_ns = function
 let rec to_string = function
   | W_reg r -> r
   | W_const (v, _) -> string_of_int v
-  | W_fu_out (u, _) -> Printf.sprintf "fu%d" u
+  | W_fu_out (u, _) -> Printf.sprintf "fu%d_out" u
   | W_shl (a, k, _) -> Printf.sprintf "(%s << %d)" (to_string a) k
   | W_shr (a, k, _) -> Printf.sprintf "(%s >> %d)" (to_string a) k
   | W_zdetect a -> Printf.sprintf "(%s == 0)" (to_string a)

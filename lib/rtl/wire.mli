@@ -32,6 +32,8 @@ val depth_delay_ns : t -> float
     (excludes the FU's own delay; includes mux/shift/zero-detect levels). *)
 
 val to_string : t -> string
+(** Verilog expression text, naming nets as {!Emit} declares them: a
+    unit's output is [fuN_out], a register its name. *)
 
 val regs_read : t -> string list
 (** Registers the expression reads, sorted and deduplicated. *)

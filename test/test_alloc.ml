@@ -360,71 +360,99 @@ let test_mux_cost_positive_on_sharing () =
   let ts = Interconnect.transfers cs ~fu ~regs in
   Alcotest.(check bool) "sharing forces muxes" true (Interconnect.mux_cost ts > 0)
 
-(* Interconnect oracle: every operand's source is classified from a
-   storage table built for that operand alone, and the temporary latches
-   come from a second lifetime analysis of each block. *)
+(* Interconnect oracle: every read is resolved on its own, from a fresh
+   lifetime analysis of its block. A computed value is its unit's output
+   in its producing step and its storage's register afterwards; an entry
+   read leaves its variable's register only after the step in which an
+   overwrite moves it to a temporary; temporary track k is tmpk. *)
 let transfers_oracle cs ~fu ~regs =
   let open Interconnect in
   let cfg = Cfg_sched.cfg cs in
-  let reg v = Reg_alloc.register_of_var regs v in
-  let source bid nid =
-    let table = Lifetime.table cs in
-    let g = Cfg.dfg cfg bid in
-    match (Dfg.op g nid, Lifetime.storage table bid nid) with
-    | Op.Const c, _ -> W_const c
-    | Op.Read _, Lifetime.Temp _ -> W_temp (bid, nid)
-    | Op.Read v, _ -> W_var (reg v)
-    | _, Lifetime.In_variable v when Dfg.occupies_step g nid -> W_var (reg v)
-    | _, Lifetime.Temp _ when Dfg.occupies_step g nid -> W_temp (bid, nid)
-    | _ -> W_wire (bid, nid)
-  in
+  let reg v = W_reg (Reg_alloc.register_of_var regs v) in
   List.concat_map
     (fun bid ->
       let g = Cfg.dfg cfg bid in
       let sched = Cfg_sched.block_schedule cs bid in
-      let at step t_src t_dst = { t_src; t_dst; t_bid = bid; t_step = step } in
+      let infos =
+        Lifetime.analyze sched ~term_cond:(Lifetime.branch_condition cfg bid)
+      in
+      let tmp nid =
+        match Reg_alloc.temp_track regs bid nid with
+        | Some k -> Printf.sprintf "tmp%d" k
+        | None -> Alcotest.failf "b%d.%%%d has no temporary" bid nid
+      in
       let unit nid = Fu_alloc.of_op fu (bid, nid) in
+      let source nid step =
+        let storage =
+          match List.find_opt (fun (i : Lifetime.value_info) -> i.Lifetime.nid = nid) infos with
+          | Some i -> i.Lifetime.storage
+          | None -> Lifetime.No_storage
+        in
+        match (Dfg.op g nid, storage) with
+        | Op.Const c, _ -> W_const c
+        | Op.Read _, Lifetime.Temp iv when step > iv.Interval.lo -> W_reg (tmp nid)
+        | Op.Read v, _ -> reg v
+        | _ when not (Dfg.occupies_step g nid) -> W_wire (bid, nid)
+        | _ when Schedule.step_of sched nid = step -> W_fu_out (unit nid)
+        | _, Lifetime.In_variable v -> reg v
+        | _, Lifetime.Temp _ -> W_reg (tmp nid)
+        | _, Lifetime.No_storage -> Alcotest.failf "b%d.%%%d read at %d unstored" bid nid step
+      in
+      let at step nid t_dst = { t_src = source nid step; t_dst; t_bid = bid; t_step = step } in
       let fu_inputs =
         List.concat_map
           (fun nid ->
             let step = Schedule.step_of sched nid in
-            List.mapi
-              (fun pos a -> at step (source bid a) (D_fu_in (unit nid, pos)))
-              (Dfg.args g nid))
+            List.mapi (fun pos a -> at step a (D_fu_in (unit nid, pos))) (Dfg.args g nid))
           (Dfg.compute_ops g)
       in
       let latches =
         List.map
           (fun (v, wnid) ->
-            let a = List.hd (Dfg.args g wnid) in
-            let src =
-              match Dfg.op g a with
-              | Op.Read w -> W_var (reg w)
-              | Op.Const c -> W_const c
-              | _ when Dfg.occupies_step g a -> W_fu_out (unit a)
-              | _ -> W_wire (bid, a)
-            in
-            at (Schedule.write_step sched wnid) src (D_var (reg v)))
+            at (Schedule.write_step sched wnid) (List.hd (Dfg.args g wnid))
+              (D_reg (Reg_alloc.register_of_var regs v)))
           (Dfg.writes g)
       in
-      let term_cond = Lifetime.branch_condition cfg bid in
       let temps =
-        List.map
-          (fun (nid, iv) ->
-            let src =
-              match Dfg.op g nid with Op.Read v -> W_var (reg v) | _ -> W_fu_out (unit nid)
-            in
-            at iv.Interval.lo src (D_temp (bid, nid)))
-          (Lifetime.temps (Lifetime.analyze sched ~term_cond))
+        List.map (fun (nid, iv) -> at iv.Interval.lo nid (D_reg (tmp nid))) (Lifetime.temps infos)
       in
       fu_inputs @ latches @ temps)
     (Cfg.block_ids cfg)
 
-let test_interconnect_matches_oracle () =
-  (* every workload x default sweep point x allocator, through the DSE
-     engine the way a sweep builds designs; biquad3's flat block is past
-     what branch-and-bound and 0/1 programming finish on, so it gets the
-     polynomial schedulers *)
+(* Extra mux inputs of a built datapath: per destination port, its
+   distinct physical nets less one. A unit's output is one net at any
+   type it is read at, a constant one net per value. *)
+let datapath_mux_inputs (dp : Hls_rtl.Datapath.t) =
+  let open Hls_rtl in
+  let nets = Hashtbl.create 32 in
+  let note dst w =
+    let net =
+      match w with
+      | Wire.W_fu_out (u, _) -> `Fu u
+      | Wire.W_const (c, _) -> `Const c
+      | w -> `Wire w
+    in
+    let have = Option.value ~default:[] (Hashtbl.find_opt nets dst) in
+    if not (List.mem net have) then Hashtbl.replace nets dst (net :: have)
+  in
+  List.iter
+    (fun (a : Datapath.activity) ->
+      List.iteri (fun pos w -> note (`Port (a.Datapath.a_fu, pos)) w) a.Datapath.a_args)
+    dp.Datapath.activities;
+  List.iter (fun (l : Datapath.load) -> note (`Reg l.Datapath.l_reg) l.Datapath.l_wire) dp.Datapath.loads;
+  Hashtbl.fold (fun _ ns acc -> acc + List.length ns - 1) nets 0
+
+let check_one_wiring tag (d : Hls_core.Flow.design) =
+  let counted = Interconnect.mux_cost d.Hls_core.Flow.transfers
+  and built = datapath_mux_inputs d.Hls_core.Flow.datapath in
+  if counted <> built then
+    Alcotest.failf "%s: interconnect mux cost %d, datapath mux inputs %d" tag counted built
+
+(* Every workload x default sweep point x allocator (x narrowing x
+   if-conversion), through the DSE engine the way a sweep builds
+   designs; biquad3's flat block is past what branch-and-bound and 0/1
+   programming finish on, so it gets the polynomial schedulers. *)
+let iter_workload_cross ?(narrow = [ false ]) ?(if_conversion = [ false ]) f =
   let open Hls_core in
   let polynomial = [ Flow.Asap; Flow.List_path; Flow.Freedom; Flow.Trans_serial ] in
   List.iter
@@ -432,26 +460,69 @@ let test_interconnect_matches_oracle () =
       let engine = Dse.create src in
       let schedulers = if name = "biquad3" then polynomial else Explore.default_schedulers in
       List.iter
-        (fun (label, opts) ->
+        (fun if_conversion ->
           List.iter
-            (fun allocator ->
-              let opts = { opts with Flow.allocator } in
-              let tag =
-                Printf.sprintf "%s %s %s" name label
-                  (Flow.Knob.text Flow.Knob.allocator allocator)
-              in
-              match Dse.eval_result engine opts with
-              | Error _ -> Alcotest.failf "%s: design failed its checks" tag
-              | Ok d ->
-                  let expected =
-                    transfers_oracle d.Flow.sched ~fu:d.Flow.fu ~regs:d.Flow.regs
-                  in
-                  if d.Flow.transfers <> expected then
-                    Alcotest.failf "%s: transfers differ from the per-operand oracle" tag)
-            (Flow.Knob.values Flow.Knob.allocator))
-        (Explore.cross ~base:Flow.default_options ~schedulers
-           ~limits:Explore.default_limits ()))
+            (fun narrow ->
+              List.iter
+                (fun (label, opts) ->
+                  List.iter
+                    (fun allocator ->
+                      let opts = { opts with Flow.allocator; narrow; if_conversion } in
+                      let tag =
+                        Printf.sprintf "%s %s %s%s%s" name label
+                          (Flow.Knob.text Flow.Knob.allocator allocator)
+                          (if narrow then " narrow" else "")
+                          (if if_conversion then " if-convert" else "")
+                      in
+                      match Dse.eval_result engine opts with
+                      | Error _ -> Alcotest.failf "%s: design failed its checks" tag
+                      | Ok d -> f tag d)
+                    (Flow.Knob.values Flow.Knob.allocator))
+                (Explore.cross ~base:Flow.default_options ~schedulers
+                   ~limits:Explore.default_limits ()))
+            narrow)
+        if_conversion)
     Workloads.all
+
+let test_interconnect_matches_oracle () =
+  iter_workload_cross (fun tag d ->
+      let open Hls_core in
+      let expected = transfers_oracle d.Flow.sched ~fu:d.Flow.fu ~regs:d.Flow.regs in
+      if d.Flow.transfers <> expected then
+        Alcotest.failf "%s: transfers differ from the per-operand oracle" tag)
+
+let test_mux_cost_is_the_datapaths () =
+  iter_workload_cross ~narrow:[ false; true ] ~if_conversion:[ false; true ] check_one_wiring
+
+let prop_mux_cost_is_the_datapaths =
+  QCheck.Test.make ~name:"random programs: interconnect mux cost is the datapath's" ~count:60
+    Gen.program_arbitrary (fun seed ->
+      match Hls_core.Flow.synthesize_program_result (Gen.program_of_seed seed) with
+      | Error _ -> QCheck.Test.fail_report "synthesis failed"
+      | Ok d ->
+          check_one_wiring (Printf.sprintf "seed %d" seed) d;
+          true)
+
+let test_entry_read_stays_in_its_register () =
+  (* diffeq under ASAP on one unit: an entry read of u is consumed in the
+     step an overwrite of u moves it to a temporary, so fu1's second
+     operand is still read from u's register then *)
+  let open Hls_core in
+  let options =
+    { Flow.default_options with Flow.scheduler = Flow.Asap; limits = Limits.serial }
+  in
+  let d = Flow.synthesize ~options Workloads.diffeq in
+  let sources =
+    List.filter_map
+      (fun (t : Interconnect.transfer) ->
+        if t.Interconnect.t_dst = Interconnect.D_fu_in (1, 1) then
+          Some (Interconnect.wire_to_string t.Interconnect.t_src)
+        else None)
+      d.Flow.transfers
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "fu1.1 reads {%s}" (String.concat ", " sources))
+    true (List.mem "u" sources)
 
 (* An N-tap straight-line FIR: one block of N constant multiplications
    and N - 1 additions. *)
@@ -565,6 +636,10 @@ let () =
           Alcotest.test_case "mux cost on sharing" `Quick test_mux_cost_positive_on_sharing;
           Alcotest.test_case "matches the per-operand oracle" `Quick
             test_interconnect_matches_oracle;
+          Alcotest.test_case "mux cost is the datapath's" `Quick test_mux_cost_is_the_datapaths;
+          QCheck_alcotest.to_alcotest prop_mux_cost_is_the_datapaths;
+          Alcotest.test_case "entry read stays in its register" `Quick
+            test_entry_read_stays_in_its_register;
           Alcotest.test_case "linear allocation on FIR" `Quick test_interconnect_scales_linearly;
         ] );
       ( "ilp",

@@ -177,6 +177,60 @@ let test_emit_verilog () =
       Alcotest.(check bool) fragment true (contains v fragment))
     [ "module sqrt"; "endmodule"; "case (state)"; "posedge clk"; "assign done" ]
 
+(* Identifiers of Verilog text, comments dropped, in order. *)
+let verilog_identifiers text =
+  let code =
+    String.split_on_char '\n' text
+    |> List.map (fun line ->
+           match String.index_opt line '/' with
+           | Some i when i + 1 < String.length line && line.[i + 1] = '/' -> String.sub line 0 i
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  let is_start c = c = '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
+  let is_part c = is_start c || (c >= '0' && c <= '9') in
+  let n = String.length code in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else if is_start code.[i] then (
+      let j = ref i in
+      while !j < n && is_part code.[!j] do incr j done;
+      scan !j (String.sub code i (!j - i) :: acc))
+    else if code.[i] >= '0' && code.[i] <= '9' then (
+      (* a number literal, possibly sized: 3'b101 *)
+      let j = ref i in
+      while !j < n && (is_part code.[!j] || code.[!j] = '\'') do incr j done;
+      scan !j acc)
+    else scan (i + 1) acc
+  in
+  scan 0 []
+
+let test_emit_reads_declared_nets () =
+  let keywords =
+    [ "module"; "endmodule"; "input"; "output"; "reg"; "signed"; "assign"; "always";
+      "posedge"; "begin"; "end"; "case"; "endcase"; "default"; "if"; "else" ]
+  in
+  List.iter
+    (fun (name, src) ->
+      let v = Emit.verilog ~name (Flow.synthesize src).Flow.datapath in
+      (* the first non-keyword identifier after a declaring keyword is
+         declared; every other non-keyword identifier is a read *)
+      let rec walk declaring declared reads = function
+        | [] -> (declared, reads)
+        | id :: rest when List.mem id keywords ->
+            walk (declaring || List.mem id [ "module"; "input"; "output"; "reg" ]) declared reads
+              rest
+        | id :: rest when declaring -> walk false (id :: declared) reads rest
+        | id :: rest -> walk false declared (id :: reads) rest
+      in
+      let declared, reads = walk false [] [] (verilog_identifiers v) in
+      match List.filter (fun id -> not (List.mem id declared)) reads with
+      | [] -> ()
+      | undeclared ->
+          Alcotest.failf "%s reads undeclared %s" name
+            (String.concat ", " (List.sort_uniq compare undeclared)))
+    Workloads.all
+
 let test_emit_dot () =
   let d = Flow.synthesize Workloads.gcd in
   let dot = Emit.dot d.Flow.datapath in
@@ -236,6 +290,7 @@ let () =
       ( "emit",
         [
           Alcotest.test_case "verilog" `Quick test_emit_verilog;
+          Alcotest.test_case "verilog reads declared nets" `Quick test_emit_reads_declared_nets;
           Alcotest.test_case "dot" `Quick test_emit_dot;
         ] );
       ( "estimate",
