@@ -456,6 +456,92 @@ let test_lower_bound () =
     (Pipeline.resource_min_ii ~limits:limits2 (fig34_dfg ()))
     (Depgraph.resource_bound ~limits:limits2 dep)
 
+(* ---- golden schedule digests ---- *)
+
+(* Canonical text of a whole-program schedule: per block, every
+   step-occupying node as id@step, then the block's step count. Text,
+   not Marshal bytes, so the digest pins the step assignment alone. *)
+let schedule_text cs =
+  let cfg = Cfg_sched.cfg cs in
+  let b = Buffer.create 256 in
+  List.iter
+    (fun bid ->
+      let s = Cfg_sched.block_schedule cs bid in
+      Buffer.add_string b (Printf.sprintf "b%d:" bid);
+      List.iter
+        (fun nid -> Buffer.add_string b (Printf.sprintf " %d@%d" nid (Schedule.step_of s nid)))
+        (Dfg.compute_ops (Cfg.dfg cfg bid));
+      Buffer.add_string b (Printf.sprintf " /%d\n" (Schedule.n_steps s)))
+    (Cfg.block_ids cfg);
+  Buffer.contents b
+
+(* The default sweep's eight schedulers plus force-directed at the
+   critical path, each under the five default limits. *)
+let golden_schedulers = Hls_core.Explore.default_schedulers @ [ Hls_core.Flow.Force_directed 0 ]
+
+(* biquad3's flat block is past what branch-and-bound and 0/1
+   programming finish on: it gets every polynomial scheduler *)
+let polynomial_schedulers =
+  List.filter
+    (fun s -> s <> Hls_core.Flow.Branch_bound && s <> Hls_core.Flow.Ilp_exact)
+    golden_schedulers
+
+let add_cross b ~schedulers optimized =
+  let open Hls_core in
+  List.iter
+    (fun scheduler ->
+      List.iter
+        (fun limits ->
+          let options = { Flow.default_options with Flow.scheduler; limits } in
+          Buffer.add_string b
+            (Printf.sprintf "%s %s\n" (Flow.scheduler_to_string scheduler)
+               (Limits.to_string limits));
+          Buffer.add_string b (schedule_text (Flow.schedule options optimized)))
+        Explore.default_limits)
+    schedulers
+
+let optimized_of compiled =
+  let o = Hls_core.Flow.default_options in
+  Hls_core.Flow.midend ~passes:o.Hls_core.Flow.passes
+    ~if_conversion:o.Hls_core.Flow.if_conversion compiled
+
+(* Captured before the scheduler layer was consolidated onto one home
+   for time frames and step occupancy; any change to a placement by any
+   scheduler on any of these inputs changes a digest. *)
+let golden_workload_digests =
+  [
+    ("sqrt", "780e4b664c33155a85b4af42939786a1");
+    ("diffeq", "79b299fab73f4d24bc080cc02d65dd69");
+    ("fir8", "30eb672564a0d9e28c6c8a7c105184d7");
+    ("gcd", "726325c7d6417444ca8b5851a55298b9");
+    ("biquad3", "bdce0a57650664150fc60e463dbb81a3");
+    ("twophase", "35f4bf70e792b78e0f696b0c04c9ada0");
+  ]
+
+let golden_random_digest = "bf17a94deebf4afcfb6ffb0941a4947e"
+
+let test_golden_workloads () =
+  List.iter
+    (fun (name, src) ->
+      let b = Buffer.create 4096 in
+      let schedulers = if name = "biquad3" then polynomial_schedulers else golden_schedulers in
+      add_cross b ~schedulers (optimized_of (Hls_core.Flow.frontend src));
+      Alcotest.(check string)
+        (name ^ " schedule digest")
+        (List.assoc name golden_workload_digests)
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    Hls_core.Workloads.all
+
+let test_golden_random_programs () =
+  let b = Buffer.create 65536 in
+  for seed = 0 to 199 do
+    Buffer.add_string b (Printf.sprintf "seed %d\n" seed);
+    add_cross b ~schedulers:Hls_core.Explore.default_schedulers
+      (optimized_of (Hls_core.Flow.frontend_program (Gen.program_of_seed seed)))
+  done;
+  Alcotest.(check string) "seeds 0-199 schedule digest" golden_random_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "sched"
     [
@@ -508,5 +594,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_fds_matches_reference;
           QCheck_alcotest.to_alcotest prop_freedom_valid;
           QCheck_alcotest.to_alcotest prop_serial_length_is_op_count;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "paper workloads x 9 schedulers x 5 limits" `Quick
+            test_golden_workloads;
+          Alcotest.test_case "random programs x default cross" `Quick
+            test_golden_random_programs;
         ] );
     ]
