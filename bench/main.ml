@@ -17,6 +17,15 @@ let section title =
 
 let i16 = Ast.Tint 16
 
+(* Every block of a CFG through one scheduler kernel. *)
+let schedule_cfg kernel cfg =
+  Cfg_sched.init cfg (fun bid -> Depgraph.block kernel (Cfg.dfg cfg bid))
+
+(* An exact kernel (None past its size cap) as a block schedule. *)
+let exact kernel g =
+  let dep = Depgraph.of_dfg g in
+  Option.map (fun steps -> Depgraph.to_schedule dep ~steps) (kernel dep)
+
 (* ------------------------------------------------------------------ *)
 (* FIG1: specification and CDFG of the sqrt example                    *)
 (* ------------------------------------------------------------------ *)
@@ -55,7 +64,7 @@ let sqrt_optimized_cfg () =
     cfg
 
 let steps_of cfg limits =
-  Cfg_sched.compute_steps (Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits))
+  Cfg_sched.compute_steps (schedule_cfg (List_sched.schedule_dep ~limits) cfg)
 
 let fig2 () =
   section "FIG 2 — optimized control graph and schedule (sqrt)";
@@ -80,7 +89,7 @@ let fig2 () =
     [ "fully unrolled, 2 FUs"; "(n/a)"; string_of_int (steps_of unrolled Limits.two_fu);
       "straight-line" ];
   Table.print t;
-  let cs = Cfg_sched.make opt ~scheduler:(List_sched.schedule ~limits:Limits.two_fu) in
+  let cs = schedule_cfg (List_sched.schedule_dep ~limits:Limits.two_fu) opt in
   Printf.printf "\ntwo-FU schedule detail (free ops marked ~):\n";
   Format.printf "%a@." Cfg_sched.pp cs
 
@@ -106,10 +115,10 @@ let fig34 () =
   section "FIG 3/4 — ASAP blocks the critical path; list scheduling fixes it";
   let g = fig34_dfg () in
   let limits = Limits.Total 2 in
-  let asap = Asap.schedule ~limits g in
-  let list_s = List_sched.schedule ~limits g in
+  let asap = Depgraph.block (Asap.schedule_dep ~limits) g in
+  let list_s = Depgraph.block (List_sched.schedule_dep ~limits) g in
   let bb =
-    match Branch_bound.schedule ~limits g with
+    match exact (Branch_bound.schedule_dep ~limits) g with
     | Some s -> s
     | None -> list_s
   in
@@ -158,7 +167,7 @@ let fig5 () =
         ])
     dg;
   Table.print t;
-  let s = Force_directed.schedule ~deadline:3 g in
+  let s = Depgraph.block (Force_directed.schedule_dep ~deadline:3) g in
   Printf.printf "\nFDS places a3 into step %d (paper: step 3, 'the greatest effect\n"
     (Schedule.step_of s a3);
   Printf.printf "in balancing the graph'); resulting distribution is flat.\n";
@@ -191,8 +200,8 @@ let fig67_design () =
   let bid = Cfg.add_block cfg g Cfg.Halt in
   Cfg.set_entry cfg bid;
   let steps = [ (a1, 1); (b1, 1); (a2, 2); (a3, 3) ] in
-  Cfg_sched.make cfg ~scheduler:(fun dfg ->
-      Schedule.make dfg ~steps:(fun nid -> List.assoc nid steps))
+  Cfg_sched.init cfg (fun bid ->
+      Schedule.make (Cfg.dfg cfg bid) ~steps:(fun nid -> List.assoc nid steps))
 
 let fig67 () =
   section "FIG 6/7 — data-path allocation: greedy (local, cost-aware) vs clique";
@@ -277,18 +286,23 @@ let sched_compare () =
         Table.add_row t [ name; constraint_; string_of_int (Schedule.n_steps s); fu_str s ]
       in
       let limits = Limits.Total 2 in
-      add "ASAP" "2 FUs" (Asap.schedule ~limits g);
-      add "list / path" "2 FUs" (List_sched.schedule ~limits g);
+      add "ASAP" "2 FUs" (Depgraph.block (Asap.schedule_dep ~limits) g);
+      add "list / path" "2 FUs" (Depgraph.block (List_sched.schedule_dep ~limits) g);
       add "list / mobility" "2 FUs"
-        (List_sched.schedule ~priority:(List_sched.Mobility (cl + 2)) ~limits g);
-      (match Branch_bound.schedule ~limits g with
+        (Depgraph.block
+           (List_sched.schedule_dep ~priority:(List_sched.Mobility (cl + 2)) ~limits)
+           g);
+      (match exact (Branch_bound.schedule_dep ~limits) g with
       | Some s -> add "branch & bound" "2 FUs" s
       | None -> Table.add_row t [ "branch & bound"; "2 FUs"; "(too large)"; "" ]);
-      add "transformational / parallel" "2 FUs" (Transformational.from_parallel ~limits g);
-      add "transformational / serial" "2 FUs" (Transformational.from_serial ~limits g);
+      add "transformational / parallel" "2 FUs"
+        (Depgraph.block (Transformational.from_parallel_dep ~limits) g);
+      add "transformational / serial" "2 FUs"
+        (Depgraph.block (Transformational.from_serial_dep ~limits) g);
       add "force-directed (HAL)" (Printf.sprintf "time = %d" cl)
-        (Force_directed.schedule ~deadline:cl g);
-      add "freedom-based (MAHA)" (Printf.sprintf "time = %d" cl) (Freedom.schedule g);
+        (Depgraph.block (Force_directed.schedule_dep ~deadline:cl) g);
+      add "freedom-based (MAHA)" (Printf.sprintf "time = %d" cl)
+        (Depgraph.block Freedom.schedule_dep g);
       Table.print t)
     workloads;
   Printf.printf
@@ -586,10 +600,10 @@ let ilp_compare () =
       [
         name;
         limits_str;
-        row (Ilp_sched.schedule ~limits g);
-        row (Branch_bound.schedule ~limits g);
-        Some (List_sched.schedule ~limits g) |> row;
-        Some (Asap.schedule ~limits g) |> row;
+        row (exact (Ilp_sched.schedule_dep ~limits) g);
+        row (exact (Branch_bound.schedule_dep ~limits) g);
+        row (Some (Depgraph.block (List_sched.schedule_dep ~limits) g));
+        row (Some (Depgraph.block (Asap.schedule_dep ~limits) g));
       ]
   in
   let sqrt_body =
@@ -650,7 +664,7 @@ let if_convert_compare () =
       ~headers:[ "design"; "blocks"; "FSM states"; "worst-path steps"; "muxes (free)" ]
   in
   let measure label cfg =
-    let cs = Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits:Limits.two_fu) in
+    let cs = schedule_cfg (List_sched.schedule_dep ~limits:Limits.two_fu) cfg in
     let worst =
       (* longest acyclic state path: for this diamond, blocks on one arm *)
       Cfg_sched.total_states cs

@@ -24,7 +24,10 @@ let compute_steps src ~pipeline ~limits ~extra_passes =
         cfg)
       cfg extra_passes
   in
-  let cs = Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits) in
+  let cs =
+    Cfg_sched.init cfg (fun bid ->
+        Depgraph.block (List_sched.schedule_dep ~limits) (Hls_cdfg.Cfg.dfg cfg bid))
+  in
   Cfg_sched.compute_steps cs
 
 let () =

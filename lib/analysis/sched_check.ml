@@ -30,16 +30,16 @@ let check_block ?(limits = Limits.Unlimited) ~bid sched =
   let writes_at s =
     List.exists (fun (_, wnid) -> Schedule.write_step sched wnid = s) (Dfg.writes g)
   in
+  let occ = Schedule.occupancy sched in
   for s = 1 to Schedule.n_steps sched do
-    let counts = Schedule.usage sched s in
-    if not (Limits.within limits ~counts) then
+    if not (Limits.step_within limits occ ~step:s) then
       add
         (error Sched ~code:"SCHED002" (Step (bid, s))
            "resource usage {%s} exceeds limits %s"
            (String.concat ", "
               (List.map
                  (fun (cls, k) -> Printf.sprintf "%s:%d" (Op.fu_class_to_string cls) k)
-                 counts))
+                 (Limits.step_counts occ ~step:s)))
            (Limits.to_string limits));
     if s < Schedule.n_steps sched && Schedule.ops_in_step sched s = [] && not (writes_at s)
     then

@@ -1,36 +1,15 @@
-open Hls_cdfg
-
-(* usage.(s) is the per-class tally of ops already placed in step s,
-   stored in a growable hashtable keyed by step. *)
-let make_usage () : (int, (Op.fu_class * int) list) Hashtbl.t = Hashtbl.create 16
-
-let counts_at usage s = match Hashtbl.find_opt usage s with Some c -> c | None -> []
-
-let add_at usage s cls =
-  let counts = counts_at usage s in
-  let cur = match List.assoc_opt cls counts with Some n -> n | None -> 0 in
-  Hashtbl.replace usage s ((cls, cur + 1) :: List.remove_assoc cls counts)
-
 let schedule_dep ~limits dep =
   let n = Depgraph.n_ops dep in
   let steps = Array.make n 0 in
-  let usage = make_usage () in
+  let occ = Limits.occupancy () in
   for i = 0 to n - 1 do
     let ready =
       1 + List.fold_left (fun acc p -> max acc steps.(p)) 0 (Depgraph.preds dep i)
     in
     let cls = Depgraph.cls dep i in
-    let rec place s =
-      if Limits.can_add limits ~counts:(counts_at usage s) cls then s else place (s + 1)
-    in
+    let rec place s = if Limits.fits limits occ ~step:s cls then s else place (s + 1) in
     let s = place ready in
     steps.(i) <- s;
-    add_at usage s cls
+    Limits.occupy occ ~step:s cls
   done;
   steps
-
-let schedule ~limits g =
-  let dep = Depgraph.of_dfg g in
-  Depgraph.to_schedule dep ~steps:(schedule_dep ~limits dep)
-
-let unconstrained g = schedule ~limits:Limits.Unlimited g

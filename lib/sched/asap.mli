@@ -7,12 +7,6 @@
     operation scheduled first can block a critical one — the
     suboptimality the paper illustrates and list scheduling fixes. *)
 
-open Hls_cdfg
-
-val schedule : limits:Limits.t -> Dfg.t -> Schedule.t
-
 val schedule_dep : limits:Limits.t -> Depgraph.t -> int array
-(** Same, on a prebuilt dependence graph; returns op-indexed steps. *)
-
-val unconstrained : Dfg.t -> Schedule.t
-(** ASAP with unlimited resources: the maximally parallel schedule. *)
+(** Op-indexed steps. Under [Limits.Unlimited] this is the maximally
+    parallel schedule, {!Depgraph.asap}. *)

@@ -1,5 +1,3 @@
-open Hls_cdfg
-
 (* Depth-first over ops in topological order from the list incumbent,
    cutting every partial schedule that cannot end strictly shorter than
    the best complete one. *)
@@ -10,14 +8,8 @@ let search ~limits dep incumbent =
   (* tail.(i): ops on the longest chain from op i to a sink, inclusive *)
   let tail = Depgraph.path_length dep in
   let steps = Array.make n 0 in
-  (* per-step per-class usage of the partial schedule *)
-  let usage : (int * Op.fu_class, int) Hashtbl.t = Hashtbl.create 64 in
-  let used s cls = match Hashtbl.find_opt usage (s, cls) with Some k -> k | None -> 0 in
-  let counts_at s =
-    List.filter_map
-      (fun cls -> match used s cls with 0 -> None | k -> Some (cls, k))
-      [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift ]
-  in
+  (* step occupancy of the partial schedule *)
+  let occ = Limits.occupancy () in
   let nodes = ref 0 in
   let rec assign i current_max =
     incr nodes;
@@ -40,11 +32,11 @@ let search ~limits dep incumbent =
         let lb = max current_max (!s + tail.(i) - 1) in
         if lb >= !best_len then continue := false
         else begin
-          if Limits.can_add limits ~counts:(counts_at !s) cls then begin
+          if Limits.fits limits occ ~step:!s cls then begin
             steps.(i) <- !s;
-            Hashtbl.replace usage (!s, cls) (used !s cls + 1);
+            Limits.occupy occ ~step:!s cls;
             assign (i + 1) (max current_max !s);
-            Hashtbl.replace usage (!s, cls) (used !s cls - 1);
+            Limits.vacate occ ~step:!s cls;
             steps.(i) <- 0
           end;
           incr s
@@ -64,9 +56,3 @@ let schedule_dep ?(node_cap = 24) ~limits dep =
        search would return it unchanged *)
     if Array.fold_left max 1 incumbent <= Depgraph.lower_bound ~limits dep then Some incumbent
     else Some (search ~limits dep incumbent)
-
-let schedule ?node_cap ~limits g =
-  let dep = Depgraph.of_dfg g in
-  match schedule_dep ?node_cap ~limits dep with
-  | None -> None
-  | Some steps -> Some (Depgraph.to_schedule dep ~steps)

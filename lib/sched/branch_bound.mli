@@ -14,7 +14,5 @@
     blocks up to a few dozen operations (tests use it as the optimum
     oracle). Search nodes are counted in [bb/nodes]. *)
 
-val schedule : ?node_cap:int -> limits:Limits.t -> Hls_cdfg.Dfg.t -> Schedule.t option
-(** [None] when the block exceeds [node_cap] operations (default 24). *)
-
 val schedule_dep : ?node_cap:int -> limits:Limits.t -> Depgraph.t -> int array option
+(** [None] when the block exceeds [node_cap] operations (default 24). *)

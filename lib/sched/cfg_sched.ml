@@ -14,8 +14,6 @@ let init cfg f =
     (Array.fold_left (fun acc s -> acc + Schedule.n_steps s) 0 scheds);
   { cfg; scheds }
 
-let make cfg ~scheduler = init cfg (fun bid -> scheduler (Cfg.dfg cfg bid))
-
 let cfg t = t.cfg
 
 let block_schedule t bid = t.scheds.(bid)

@@ -10,10 +10,8 @@ open Hls_cdfg
 type t
 
 val init : Cfg.t -> (Cfg.bid -> Schedule.t) -> t
-(** Schedule every block [bid] with [f bid]. *)
-
-val make : Cfg.t -> scheduler:(Dfg.t -> Schedule.t) -> t
-(** Schedule every block's DFG with the given per-block scheduler. *)
+(** Schedule every block [bid] with [f bid] (e.g.
+    [fun bid -> Depgraph.block kernel (Cfg.dfg cfg bid)]). *)
 
 val cfg : t -> Cfg.t
 val block_schedule : t -> Cfg.bid -> Schedule.t

@@ -20,18 +20,6 @@ type t = {
   dep : Depgraph.t;
 }
 
-let counts_of dep steps s except =
-  let tally = Hashtbl.create 8 in
-  Array.iteri
-    (fun i si ->
-      if si = s && i <> except then begin
-        let cls = Depgraph.cls dep i in
-        let cur = try Hashtbl.find tally cls with Not_found -> 0 in
-        Hashtbl.replace tally cls (cur + 1)
-      end)
-    steps;
-  Hashtbl.fold (fun cls k acc -> (cls, k) :: acc) tally []
-
 let schedule ~period_ns ~limits g =
   let dep = Depgraph.of_dfg g in
   let n = Depgraph.n_ops dep in
@@ -48,6 +36,7 @@ let schedule ~period_ns ~limits g =
   let prio = Depgraph.path_length dep in
   let steps = Array.make n 0 in
   let ready = Array.make n 0.0 in
+  let occ = Limits.occupancy () in
   let remaining = ref (List.init n (fun i -> i)) in
   while !remaining <> [] do
     let ready_ops =
@@ -79,7 +68,7 @@ let schedule ~period_ns ~limits g =
         let fits s =
           let start = start_in s in
           start +. d <= period_ns
-          && Limits.can_add limits ~counts:(counts_of dep steps s (-1)) cls
+          && Limits.fits limits occ ~step:s cls
         in
         let lo =
           List.fold_left (fun acc p -> max acc steps.(p)) 1 (Depgraph.preds dep i)
@@ -92,6 +81,7 @@ let schedule ~period_ns ~limits g =
         in
         let s = place lo in
         steps.(i) <- s;
+        Limits.occupy occ ~step:s cls;
         ready.(i) <- start_in s +. d;
         remaining := List.filter (fun j -> j <> i) !remaining
   done;
@@ -101,8 +91,10 @@ let schedule ~period_ns ~limits g =
 let verify ?(limits = Limits.Unlimited) t =
   let errors = ref [] in
   let n = Depgraph.n_ops t.dep in
+  let occ = Limits.occupancy () in
+  Array.iteri (fun i s -> Limits.occupy occ ~step:s (Depgraph.cls t.dep i)) t.steps;
   for s = 1 to t.n_steps do
-    if not (Limits.within limits ~counts:(counts_of t.dep t.steps s (-1))) then
+    if not (Limits.step_within limits occ ~step:s) then
       errors := Printf.sprintf "step %d exceeds resource limits" s :: !errors
   done;
   for i = 0 to n - 1 do

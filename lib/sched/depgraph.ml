@@ -46,30 +46,50 @@ let preds t i = t.pred_table.(i)
 let succs t i = t.succ_table.(i)
 let cls t i = t.cls_table.(i)
 
-let asap t =
+(* The two passes of constrained time frames. [fixed i] pins op [i] to
+   one step; every other op takes the earliest step after its
+   predecessors (forward) or the latest before its successors and the
+   deadline (backward). *)
+let forward t ~fixed =
   let n = n_ops t in
   let a = Array.make n 1 in
   for i = 0 to n - 1 do
-    a.(i) <- 1 + List.fold_left (fun acc p -> max acc a.(p)) 0 t.pred_table.(i)
+    a.(i) <-
+      (match fixed i with
+      | Some s -> s
+      | None -> 1 + List.fold_left (fun acc p -> max acc a.(p)) 0 t.pred_table.(i))
   done;
   a
+
+let backward t ~deadline ~fixed =
+  let n = n_ops t in
+  let l = Array.make n deadline in
+  for i = n - 1 downto 0 do
+    l.(i) <-
+      (match fixed i with
+      | Some s -> s
+      | None -> List.fold_left (fun acc s -> min acc (l.(s) - 1)) deadline t.succ_table.(i))
+  done;
+  l
+
+let frames t ~deadline ~fixed =
+  let fixed = Array.get fixed in
+  (forward t ~fixed, backward t ~deadline ~fixed)
+
+let unpinned _ = None
+
+let asap t = forward t ~fixed:unpinned
 
 let critical_length t =
   let a = asap t in
   Array.fold_left max 0 a
 
 let alap t ~deadline =
-  let n = n_ops t in
   let cl = critical_length t in
   if deadline < cl then
     invalid_arg
       (Printf.sprintf "Depgraph.alap: deadline %d below critical path %d" deadline cl);
-  let l = Array.make n deadline in
-  for i = n - 1 downto 0 do
-    l.(i) <-
-      List.fold_left (fun acc s -> min acc (l.(s) - 1)) deadline t.succ_table.(i)
-  done;
-  l
+  backward t ~deadline ~fixed:unpinned
 
 let resource_bound ~limits t =
   let ceil_div a b = (a + b - 1) / b in
@@ -100,3 +120,7 @@ let path_length t =
 
 let to_schedule t ~steps =
   Schedule.make t.g ~steps:(fun nid -> steps.(index_of t nid))
+
+let block kernel g =
+  let t = of_dfg g in
+  to_schedule t ~steps:(kernel t)

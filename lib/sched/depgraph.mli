@@ -22,13 +22,25 @@ val preds : t -> int -> int list
 val succs : t -> int -> int list
 val cls : t -> int -> Op.fu_class
 
+val frames : t -> deadline:int -> fixed:int option array -> int array * int array
+(** Constrained ASAP/ALAP time frames, the one definition every
+    time-constrained scheduler reads. An op with [fixed.(i) = Some s]
+    has the frame [s, s]; any other op's ASAP is one past its
+    predecessors' ASAP steps and its ALAP one before its successors'
+    ALAP steps (at most [deadline]), so a fixed op clips its
+    neighbours' frames. No feasibility check: a frame may come out
+    empty (ASAP above ALAP) when the fixed steps or the deadline leave
+    an op no room. *)
+
 val asap : t -> int array
-(** Unconstrained as-soon-as-possible step of each op (1-based). *)
+(** As-soon-as-possible step of each op (1-based): the ASAP half of
+    {!frames} with nothing fixed. *)
 
 val alap : t -> deadline:int -> int array
-(** Unconstrained as-late-as-possible steps, anchored so every op
-    finishes by [deadline]. Raises [Invalid_argument] if the deadline is
-    shorter than the critical path. *)
+(** As-late-as-possible steps, anchored so every op finishes by
+    [deadline]: the ALAP half of {!frames} with nothing fixed. Raises
+    [Invalid_argument] if the deadline is shorter than the critical
+    path. *)
 
 val critical_length : t -> int
 (** Length of the longest dependence chain (minimum possible schedule
@@ -52,3 +64,8 @@ val path_length : t -> int array
 
 val to_schedule : t -> steps:int array -> Schedule.t
 (** Wrap an op-indexed step assignment into a {!Schedule.t}. *)
+
+val block : (t -> int array) -> Dfg.t -> Schedule.t
+(** [block kernel g] runs a scheduler kernel on [g]'s dependence graph
+    and wraps its steps: the one adapter from a [*_dep] kernel to a
+    block schedule (e.g. [block (List_sched.schedule_dep ~limits)]). *)

@@ -1,23 +1,3 @@
-
-(* Constrained ASAP/ALAP honoring already-fixed operations. *)
-let frames dep ~deadline ~fixed =
-  let n = Depgraph.n_ops dep in
-  let asap = Array.make n 1 in
-  for i = 0 to n - 1 do
-    let lo =
-      1 + List.fold_left (fun acc p -> max acc asap.(p)) 0 (Depgraph.preds dep i)
-    in
-    asap.(i) <- (match fixed.(i) with Some s -> s | None -> lo)
-  done;
-  let alap = Array.make n deadline in
-  for i = n - 1 downto 0 do
-    let hi =
-      List.fold_left (fun acc s -> min acc (alap.(s) - 1)) deadline (Depgraph.succs dep i)
-    in
-    alap.(i) <- (match fixed.(i) with Some s -> s | None -> hi)
-  done;
-  (asap, alap)
-
 let distribution dep ~asap ~alap ~cls ~deadline =
   let dg = Array.make deadline 0.0 in
   for i = 0 to Depgraph.n_ops dep - 1 do
@@ -99,7 +79,7 @@ let schedule_dep_reference ?on_fix ?(pins = []) ~deadline dep =
   in
   let remaining = ref (n - n_pinned) in
   while !remaining > 0 do
-    let asap, alap = frames dep ~deadline ~fixed in
+    let asap, alap = Depgraph.frames dep ~deadline ~fixed in
     let dgs =
       List.map (fun c -> (c, distribution dep ~asap ~alap ~cls:c ~deadline)) classes
     in
@@ -205,21 +185,8 @@ let schedule_dep ?on_fix ?(pins = []) ~deadline dep =
   in
   let fixed = Array.make n false in
   Array.iteri (fun i p -> if p <> None then fixed.(i) <- true) pinned;
-  (* initial frames: the reference's passes with exactly the pins fixed *)
-  let asap = Array.make n 1 in
-  for i = 0 to n - 1 do
-    let lo =
-      1 + List.fold_left (fun acc p -> max acc asap.(p)) 0 (Depgraph.preds dep i)
-    in
-    asap.(i) <- (match pinned.(i) with Some s -> s | None -> lo)
-  done;
-  let alap = Array.make n deadline in
-  for i = n - 1 downto 0 do
-    let hi =
-      List.fold_left (fun acc s -> min acc (alap.(s) - 1)) deadline (Depgraph.succs dep i)
-    in
-    alap.(i) <- (match pinned.(i) with Some s -> s | None -> hi)
-  done;
+  (* initial frames: the reference's with exactly the pins fixed *)
+  let asap, alap = Depgraph.frames dep ~deadline ~fixed:pinned in
   (* dense class ids *)
   let classes =
     List.sort_uniq compare (List.init n (fun i -> Depgraph.cls dep i))
@@ -484,8 +451,3 @@ let schedule_dep ?on_fix ?(pins = []) ~deadline dep =
     steps.(i) <- asap.(i)
   done;
   steps
-
-let schedule ?(pins = []) ~deadline g =
-  let dep = Depgraph.of_dfg g in
-  let pins = List.map (fun (nid, s) -> (Depgraph.index_of dep nid, s)) pins in
-  Depgraph.to_schedule dep ~steps:(schedule_dep ~pins ~deadline dep)

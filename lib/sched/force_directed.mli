@@ -35,11 +35,6 @@ val distribution :
 (** Distribution graph for one class over steps [1..deadline] (index 0 of
     the result is step 1). This is the quantity plotted in Fig 5. *)
 
-val schedule : ?pins:(Dfg.nid * int) list -> deadline:int -> Dfg.t -> Schedule.t
-(** Raises [Invalid_argument] if [deadline] is below the critical path
-    length. [pins] pre-fixes compute nodes at given steps (see
-    {!schedule_dep}). *)
-
 val schedule_dep :
   ?on_fix:(int -> int -> unit) ->
   ?pins:(int * int) list ->
@@ -52,7 +47,8 @@ val schedule_dep :
     weight at one step and clips its neighbours' time frames, which is
     how the refinement layer perturbs the distribution-graph priorities
     of a re-schedule. With [pins = []] the behaviour is unchanged.
-    Raises [Invalid_argument] for pins that are out of range, mutually
+    Raises [Invalid_argument] if [deadline] is below the critical path
+    length, and for pins that are out of range, mutually
     conflicting, violate a dependence among themselves, or leave some
     unpinned op without a feasible step. *)
 

@@ -1,39 +1,23 @@
 open Hls_cdfg
 
-let frames dep ~deadline ~fixed =
-  let n = Depgraph.n_ops dep in
-  let asap = Array.make n 1 in
-  for i = 0 to n - 1 do
-    let lo = 1 + List.fold_left (fun acc p -> max acc asap.(p)) 0 (Depgraph.preds dep i) in
-    asap.(i) <- (match fixed.(i) with Some s -> s | None -> lo)
-  done;
-  let alap = Array.make n deadline in
-  for i = n - 1 downto 0 do
-    let hi =
-      List.fold_left (fun acc s -> min acc (alap.(s) - 1)) deadline (Depgraph.succs dep i)
-    in
-    alap.(i) <- (match fixed.(i) with Some s -> s | None -> hi)
-  done;
-  (asap, alap)
-
 let schedule_dep ?deadline dep =
   let n = Depgraph.n_ops dep in
   let cl = max 1 (Depgraph.critical_length dep) in
   let deadline = match deadline with Some d -> max d cl | None -> cl in
   let fixed = Array.make n None in
-  (* usage.(cls)(s) — ops of the class already placed in step s *)
-  let usage : (Op.fu_class * int, int) Hashtbl.t = Hashtbl.create 32 in
-  let used cls s = match Hashtbl.find_opt usage (cls, s) with Some k -> k | None -> 0 in
+  (* ops of each class already placed in each step *)
+  let occ = Limits.occupancy () in
+  let used cls s = Limits.occupied occ ~step:s cls in
   let fu_count : (Op.fu_class, int) Hashtbl.t = Hashtbl.create 8 in
   let fus cls = match Hashtbl.find_opt fu_count cls with Some k -> k | None -> 0 in
   let place i s =
     fixed.(i) <- Some s;
     let cls = Depgraph.cls dep i in
-    Hashtbl.replace usage (cls, s) (used cls s + 1);
+    Limits.occupy occ ~step:s cls;
     if used cls s > fus cls then Hashtbl.replace fu_count cls (used cls s)
   in
   (* schedule the critical path first: ops with zero freedom *)
-  let asap0, alap0 = frames dep ~deadline ~fixed in
+  let asap0, alap0 = Depgraph.frames dep ~deadline ~fixed in
   for i = 0 to n - 1 do
     if alap0.(i) = asap0.(i) then place i asap0.(i)
   done;
@@ -44,7 +28,7 @@ let schedule_dep ?deadline dep =
     match remaining () with
     | [] -> ()
     | rem ->
-        let asap, alap = frames dep ~deadline ~fixed in
+        let asap, alap = Depgraph.frames dep ~deadline ~fixed in
         (* least freedom first *)
         let i =
           List.fold_left
@@ -71,7 +55,3 @@ let schedule_dep ?deadline dep =
   in
   loop ();
   Array.map (function Some s -> s | None -> 1) fixed
-
-let schedule ?deadline g =
-  let dep = Depgraph.of_dfg g in
-  Depgraph.to_schedule dep ~steps:(schedule_dep ?deadline dep)

@@ -10,7 +10,5 @@
     The result meets the critical-path deadline; the implied unit counts
     are the allocation. *)
 
-val schedule : ?deadline:int -> Hls_cdfg.Dfg.t -> Schedule.t
-(** [deadline] defaults to the critical path length. *)
-
 val schedule_dep : ?deadline:int -> Depgraph.t -> int array
+(** [deadline] defaults to the critical path length. *)

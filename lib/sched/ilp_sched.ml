@@ -86,7 +86,3 @@ let schedule_dep ?(node_cap = 12) ~limits dep =
     in
     Some (search (Depgraph.lower_bound ~limits dep))
   end
-
-let schedule ?node_cap ~limits g =
-  let dep = Depgraph.of_dfg g in
-  Option.map (fun steps -> Depgraph.to_schedule dep ~steps) (schedule_dep ?node_cap ~limits dep)

@@ -6,8 +6,6 @@
     {!Hls_util.Binprog} branch-and-bound; intended as the optimality
     oracle on small blocks (the heuristic schedulers cover the rest). *)
 
-open Hls_cdfg
-
 val feasible : limits:Limits.t -> deadline:int -> Depgraph.t -> int array option
 (** A schedule of at most [deadline] steps as the solver's first
     solution, or [None] when none exists. Each call counts one
@@ -18,6 +16,3 @@ val schedule_dep : ?node_cap:int -> limits:Limits.t -> Depgraph.t -> int array o
     deadlines from {!Depgraph.lower_bound}, since every shorter deadline
     is infeasible. [None] when the block exceeds [node_cap] operations
     (default 12). *)
-
-val schedule : ?node_cap:int -> limits:Limits.t -> Dfg.t -> Schedule.t option
-(** {!schedule_dep} on the block's dependence graph. *)

@@ -26,6 +26,44 @@ val can_add : t -> counts:(Op.fu_class * int) list -> Op.fu_class -> bool
 val within : t -> counts:(Op.fu_class * int) list -> bool
 (** Whether a step's tallies respect the limits. *)
 
+(** {2 Step occupancy}
+
+    The per-step, per-class tally of placed operations that every
+    resource-constrained scheduler asks "does one more operation of
+    class [c] fit at step [s]?". Steps are any non-negative integers
+    (a modulo scheduler passes its slots); the tally grows on demand and
+    reads 0 at steps never touched. {!fits} and {!step_within} answer
+    exactly what {!can_add} and {!within} answer on the step's
+    {!step_counts}. *)
+
+type occupancy
+
+val occupancy : unit -> occupancy
+(** An empty tally. *)
+
+val occupy : occupancy -> step:int -> Op.fu_class -> unit
+(** Count one more operation of the class at the step. Raises
+    [Invalid_argument] on a negative step. *)
+
+val vacate : occupancy -> step:int -> Op.fu_class -> unit
+(** Undo one {!occupy} (backtracking, moving an operation). *)
+
+val occupied : occupancy -> step:int -> Op.fu_class -> int
+(** Operations of the class counted at the step. *)
+
+val fits : t -> occupancy -> step:int -> Op.fu_class -> bool
+(** Whether one more operation of the class fits at the step. *)
+
+val step_within : t -> occupancy -> step:int -> bool
+(** Whether the step's tally respects the limits. *)
+
+val step_counts : occupancy -> step:int -> (Op.fu_class * int) list
+(** The step's nonzero per-class tallies, in class declaration order. *)
+
+val peak : occupancy -> (Op.fu_class * int) list
+(** Per class, the largest tally over all steps (classes never counted
+    omitted), in class declaration order. *)
+
 val to_string : t -> string
 
 val serial : t

@@ -40,23 +40,22 @@ let schedule_dep ?(priority = Path_length) ~limits dep =
   let unscheduled = ref n in
   let step = ref 0 in
   let deferred = ref [] in
+  let occ = Limits.occupancy () in
   while !unscheduled > 0 do
     incr step;
     let s = !step in
     let fresh = Pqueue.to_sorted_list newly_ready in
     let eligible = List.merge cmp !deferred fresh in
-    let counts = ref [] in
     let placed = ref [] in
     let still_deferred = ref [] in
     List.iter
       (fun i ->
         let cls = Depgraph.cls dep i in
-        if Limits.can_add limits ~counts:!counts cls then begin
+        if Limits.fits limits occ ~step:s cls then begin
           steps.(i) <- s;
           decr unscheduled;
           placed := i :: !placed;
-          let cur = match List.assoc_opt cls !counts with Some n -> n | None -> 0 in
-          counts := (cls, cur + 1) :: List.remove_assoc cls !counts
+          Limits.occupy occ ~step:s cls
         end
         else still_deferred := i :: !still_deferred)
       eligible;
@@ -113,7 +112,3 @@ let schedule_dep_reference ?(priority = Path_length) ~limits dep =
       ordered
   done;
   steps
-
-let schedule ?priority ~limits g =
-  let dep = Depgraph.of_dfg g in
-  Depgraph.to_schedule dep ~steps:(schedule_dep ?priority ~limits dep)

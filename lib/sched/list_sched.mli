@@ -13,19 +13,15 @@
     - [Fifo] — specification order, degenerating to resource-constrained
       ASAP (for comparison). *)
 
-open Hls_cdfg
-
 type priority =
   | Path_length
   | Urgency of int
   | Mobility of int
   | Fifo
 
-val schedule : ?priority:priority -> limits:Limits.t -> Dfg.t -> Schedule.t
-(** Default priority is [Path_length]. *)
-
 val schedule_dep : ?priority:priority -> limits:Limits.t -> Depgraph.t -> int array
-(** Step assignment over dependence-graph indices. In-degree counting
+(** Step assignment over dependence-graph indices (default priority
+    [Path_length]). In-degree counting
     feeds ready operations through a priority queue, so each step costs
     O(ready log ready) instead of the naive O(n) readiness rescan. *)
 

@@ -8,17 +8,12 @@ type result = {
 
 let resource_min_ii ~limits g = Depgraph.resource_bound ~limits (Depgraph.of_dfg g)
 
-(* Modulo list scheduling: usage is tallied per slot = (step-1) mod ii,
-   because iterations started every ii cycles overlap in those slots. *)
-let schedule_dep ~limits ~ii dep =
+(* Modulo list scheduling: occupancy is tallied per slot = (step-1) mod
+   ii, because iterations started every ii cycles overlap in those
+   slots. Returns the steps and the slot occupancy. *)
+let modulo ~limits ~ii dep =
   let n = Depgraph.n_ops dep in
-  let slot_counts = Array.make ii [] in
-  let add_at slot cls =
-    let cur =
-      match List.assoc_opt cls slot_counts.(slot) with Some k -> k | None -> 0
-    in
-    slot_counts.(slot) <- (cls, cur + 1) :: List.remove_assoc cls slot_counts.(slot)
-  in
+  let occ = Limits.occupancy () in
   let prio = Depgraph.path_length dep in
   let steps = Array.make n 0 in
   let remaining = ref (List.init n (fun i -> i)) in
@@ -45,63 +40,36 @@ let schedule_dep ~limits ~ii dep =
         (* searching ii consecutive steps visits every slot once *)
         let rec try_step s tried =
           if tried >= ii then None
-          else begin
-            let slot = (s - 1) mod ii in
-            if Limits.can_add limits ~counts:slot_counts.(slot) cls then Some s
-            else try_step (s + 1) (tried + 1)
-          end
+          else if Limits.fits limits occ ~step:((s - 1) mod ii) cls then Some s
+          else try_step (s + 1) (tried + 1)
         in
         (match try_step lo 0 with
         | Some s ->
             steps.(i) <- s;
-            add_at ((s - 1) mod ii) cls
+            Limits.occupy occ ~step:((s - 1) mod ii) cls
         | None -> feasible := false);
         remaining := List.filter (fun j -> j <> i) !remaining
   done;
-  if !feasible then Some steps else None
+  if !feasible then Some (steps, occ) else None
 
-let modulo_usage_of dep steps ~ii =
-  let table = Array.make ii [] in
-  Array.iteri
-    (fun i s ->
-      let slot = (s - 1) mod ii in
-      let cls = Depgraph.cls dep i in
-      let cur = match List.assoc_opt cls table.(slot) with Some k -> k | None -> 0 in
-      table.(slot) <- (cls, cur + 1) :: List.remove_assoc cls table.(slot))
-    steps;
-  Array.to_list (Array.mapi (fun slot counts -> (slot, List.sort compare counts)) table)
+let result dep ~ii (steps, occ) =
+  {
+    schedule = Depgraph.to_schedule dep ~steps;
+    ii;
+    modulo_usage = List.init ii (fun slot -> (slot, Limits.step_counts occ ~step:slot));
+  }
 
 let schedule ~limits ~ii g =
   if ii < 1 then invalid_arg "Pipeline.schedule: ii must be positive";
   let dep = Depgraph.of_dfg g in
-  match schedule_dep ~limits ~ii dep with
-  | None -> None
-  | Some steps ->
-      Some
-        {
-          schedule = Depgraph.to_schedule dep ~steps;
-          ii;
-          modulo_usage = modulo_usage_of dep steps ~ii;
-        }
+  Option.map (result dep ~ii) (modulo ~limits ~ii dep)
 
 let min_ii ~limits g =
+  let dep = Depgraph.of_dfg g in
   let rec search ii =
-    match schedule ~limits ~ii g with Some r -> r | None -> search (ii + 1)
+    match modulo ~limits ~ii dep with Some r -> result dep ~ii r | None -> search (ii + 1)
   in
-  search (resource_min_ii ~limits g)
-
-(* steady-state unit demand of a modulo schedule: per class, the maximum
-   concurrent slot load *)
-let demand_of r =
-  List.fold_left
-    (fun acc (_, counts) ->
-      List.fold_left
-        (fun acc (cls, k) ->
-          let cur = match List.assoc_opt cls acc with Some c -> c | None -> 0 in
-          (cls, max cur k) :: List.remove_assoc cls acc)
-        acc counts)
-    [] r.modulo_usage
-  |> List.sort compare
+  search (Depgraph.resource_bound ~limits dep)
 
 let throughput_table ~limits g =
   ignore limits;
@@ -113,8 +81,8 @@ let throughput_table ~limits g =
     let rec search k =
       if k > sequential then None
       else
-        match schedule ~limits:(Limits.Total k) ~ii g with
-        | Some r -> Some (k, r)
+        match modulo ~limits:(Limits.Total k) ~ii dep with
+        | Some r -> Some r
         | None -> search (k + 1)
     in
     search 1
@@ -124,13 +92,14 @@ let throughput_table ~limits g =
     if ii > sequential then List.rev acc
     else
       match min_units ii with
-      | Some (_, r) ->
+      | Some (steps, occ) ->
           (* keep a row only while it keeps saving hardware (units =
-             per-class steady-state demand, what the datapath must buy) *)
-          let d = demand_of r in
+             per-class steady-state demand: the peak slot occupancy,
+             what the datapath must buy) *)
+          let d = Limits.peak occ in
           let acc, last_units =
             if total d < last_units then
-              ((ii, Schedule.n_steps r.schedule, d) :: acc, total d)
+              ((ii, Schedule.n_steps (Depgraph.to_schedule dep ~steps), d) :: acc, total d)
             else (acc, last_units)
           in
           collect (ii + 1) acc last_units

@@ -57,28 +57,14 @@ let write_step t id =
 
 let n_steps t = t.total
 
-let usage t s =
-  Dfg.fold
-    (fun acc id _ ->
-      if t.step.(id) = s then begin
-        let cls = Dfg.fu_class_of t.g id in
-        let cur = match List.assoc_opt cls acc with Some n -> n | None -> 0 in
-        (cls, cur + 1) :: List.remove_assoc cls acc
-      end
-      else acc)
-    [] t.g
+let occupancy t =
+  let occ = Limits.occupancy () in
+  Array.iteri
+    (fun id s -> if s >= 0 then Limits.occupy occ ~step:s (Dfg.fu_class_of t.g id))
+    t.step;
+  occ
 
-let fu_requirement t =
-  let merged = Hashtbl.create 4 in
-  for s = 1 to n_steps t do
-    List.iter
-      (fun (cls, n) ->
-        let cur = try Hashtbl.find merged cls with Not_found -> 0 in
-        Hashtbl.replace merged cls (max cur n))
-      (usage t s)
-  done;
-  Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) merged []
-  |> List.sort compare
+let fu_requirement t = Limits.peak (occupancy t)
 
 let ops_in_step t s =
   Dfg.fold (fun acc id _ -> if t.step.(id) = s then id :: acc else acc) [] t.g
@@ -103,8 +89,9 @@ let verify limits t =
           node.Dfg.args
       end)
     g;
+  let occ = occupancy t in
   for s = 1 to n_steps t do
-    if not (Limits.within limits ~counts:(usage t s)) then
+    if not (Limits.step_within limits occ ~step:s) then
       errors := Printf.sprintf "step %d exceeds resource limits" s :: !errors
   done;
   match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))

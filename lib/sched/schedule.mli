@@ -47,8 +47,9 @@ val write_step : t -> Dfg.nid -> int
 val n_steps : t -> int
 (** Number of control steps the block occupies (at least 1). *)
 
-val usage : t -> int -> (Op.fu_class * int) list
-(** Per-class tally of step-occupying operations in a step. *)
+val occupancy : t -> Limits.occupancy
+(** Step occupancy of the block's step-occupying operations, built in
+    one pass over the nodes. *)
 
 val fu_requirement : t -> (Op.fu_class * int) list
 (** For each class, the maximum concurrent use over all steps — the

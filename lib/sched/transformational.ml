@@ -1,42 +1,33 @@
+(* The step occupancy of a complete assignment, kept current by [move]. *)
+let occupancy_of dep steps =
+  let occ = Limits.occupancy () in
+  Array.iteri (fun i s -> Limits.occupy occ ~step:s (Depgraph.cls dep i)) steps;
+  occ
 
-let counts_of dep steps s =
-  let tally = Hashtbl.create 8 in
-  Array.iteri
-    (fun i si ->
-      if si = s then begin
-        let cls = Depgraph.cls dep i in
-        let cur = try Hashtbl.find tally cls with Not_found -> 0 in
-        Hashtbl.replace tally cls (cur + 1)
-      end)
-    steps;
-  Hashtbl.fold (fun cls k acc -> (cls, k) :: acc) tally []
-
-(* remove one op's contribution from a tally *)
-let counts_without counts cls =
-  match List.assoc_opt cls counts with
-  | Some 1 -> List.remove_assoc cls counts
-  | Some k -> (cls, k - 1) :: List.remove_assoc cls counts
-  | None -> counts
+let move occ dep steps i s =
+  let cls = Depgraph.cls dep i in
+  Limits.vacate occ ~step:steps.(i) cls;
+  Limits.occupy occ ~step:s cls;
+  steps.(i) <- s
 
 let from_parallel_dep ~limits dep =
   let n = Depgraph.n_ops dep in
   let steps = Depgraph.asap dep in
   let prio = Depgraph.path_length dep in
+  let occ = occupancy_of dep steps in
   let retighten () =
     (* push successors down so dependences hold (ops are topological) *)
     for i = 0 to n - 1 do
       let lo = 1 + List.fold_left (fun acc p -> max acc steps.(p)) 0 (Depgraph.preds dep i) in
-      if steps.(i) < lo then steps.(i) <- lo
+      if steps.(i) < lo then move occ dep steps i lo
     done
   in
   let find_violation () =
     let max_step = Array.fold_left max 1 steps in
     let rec scan s =
       if s > max_step then None
-      else begin
-        let counts = counts_of dep steps s in
-        if Limits.within limits ~counts then scan (s + 1) else Some (s, counts)
-      end
+      else if Limits.step_within limits occ ~step:s then scan (s + 1)
+      else Some s
     in
     scan 1
   in
@@ -47,12 +38,15 @@ let from_parallel_dep ~limits dep =
     else
       match find_violation () with
       | None -> ()
-      | Some (s, counts) ->
+      | Some s ->
           (* displace the lowest-priority op of an over-capacity class:
              a class is over capacity iff, with one of its ops removed,
              adding it back still would not fit *)
           let over_capacity cls =
-            not (Limits.can_add limits ~counts:(counts_without counts cls) cls)
+            Limits.vacate occ ~step:s cls;
+            let over = not (Limits.fits limits occ ~step:s cls) in
+            Limits.occupy occ ~step:s cls;
+            over
           in
           let movable =
             List.filter
@@ -69,7 +63,7 @@ let from_parallel_dep ~limits dep =
               None movable
           in
           (match victim with
-          | Some i -> steps.(i) <- s + 1
+          | Some i -> move occ dep steps i (s + 1)
           | None -> ());
           retighten ();
           fix ()
@@ -86,6 +80,7 @@ let from_serial_dep ~limits dep =
   let n = Depgraph.n_ops dep in
   (* maximally serial: one op per step in topological order *)
   let steps = Array.init n (fun i -> i + 1) in
+  let occ = occupancy_of dep steps in
   let changed = ref true in
   let fuel = ref (n * n + 64) in
   while !changed && !fuel > 0 do
@@ -99,14 +94,12 @@ let from_serial_dep ~limits dep =
       (* earliest step >= ready with room, considering ops other than i *)
       let rec try_step s =
         if s >= steps.(i) then steps.(i)
-        else begin
-          let counts = counts_of dep steps s in
-          if Limits.can_add limits ~counts cls then s else try_step (s + 1)
-        end
+        else if Limits.fits limits occ ~step:s cls then s
+        else try_step (s + 1)
       in
       let s = try_step ready in
       if s < steps.(i) then begin
-        steps.(i) <- s;
+        move occ dep steps i s;
         changed := true
       end
     done
@@ -122,11 +115,3 @@ let from_serial_dep ~limits dep =
     shift.(s) <- !gap
   done;
   Array.map (fun s -> s - shift.(s)) steps
-
-let from_parallel ~limits g =
-  let dep = Depgraph.of_dfg g in
-  Depgraph.to_schedule dep ~steps:(from_parallel_dep ~limits dep)
-
-let from_serial ~limits g =
-  let dep = Depgraph.of_dfg g in
-  Depgraph.to_schedule dep ~steps:(from_serial_dep ~limits dep)

@@ -161,3 +161,9 @@ let intervals_arbitrary =
   QCheck.make
     ~print:(fun seed -> Printf.sprintf "intervals seed %d" seed)
     QCheck.Gen.(0 -- 10_000)
+
+(* ---- scheduling every block of a CFG with one kernel ---- *)
+
+let schedule_cfg kernel cfg =
+  Hls_sched.Cfg_sched.init cfg (fun bid ->
+      Hls_sched.Depgraph.block kernel (Hls_cdfg.Cfg.dfg cfg bid))

@@ -121,8 +121,8 @@ let fig67_design () =
   (* force the intended steps: a1,b1 @1; a2 @2; a3 @3 *)
   let steps = [ (a1, 1); (b1, 1); (a2, 2); (a3, 3) ] in
   let cs =
-    Cfg_sched.make cfg ~scheduler:(fun dfg ->
-        Schedule.make dfg ~steps:(fun nid -> List.assoc nid steps))
+    Cfg_sched.init cfg (fun bid ->
+        Schedule.make (Cfg.dfg cfg bid) ~steps:(fun nid -> List.assoc nid steps))
   in
   (cs, (a1, b1, a2, a3))
 
@@ -169,7 +169,7 @@ let scheduled_sqrt () =
       (Hls_transform.Passes.standard @ [ Hls_transform.Passes.find_exn "loop-recode" ])
       cfg
   in
-  Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits:Limits.two_fu)
+  Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.two_fu) cfg
 
 let test_lifetime_sqrt_body () =
   let cs = scheduled_sqrt () in
@@ -267,7 +267,7 @@ let test_conflict_one_block () =
     Compile.compile_source
       "module m(input a: int<8>; output y: int<8>); var p, q: int<8>; begin p := a + 1; y := p; q := a + 2; y := q; end"
   in
-  let scheduled limits = Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits) in
+  let scheduled limits = Gen.schedule_cfg (List_sched.schedule_dep ~limits) cfg in
   Alcotest.(check bool) "p q latched in different steps" false
     (conflict (scheduled Limits.serial) ~outputs:[ "y" ] "p" "q");
   Alcotest.(check bool) "p q latched in one step" true
@@ -280,7 +280,7 @@ let test_conflict_inside_block () =
     Compile.compile_source
       "module m(input a: int<8>; output y: int<8>); var p, q: int<8>; begin p := a + 1; if a > 3 then q := a * 2; y := p * q; else y := p; end; end"
   in
-  let cs = Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits:Limits.serial) in
+  let cs = Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.serial) cfg in
   Alcotest.(check bool) "p held while q latches" true (conflict cs ~outputs:[ "y" ] "p" "q")
 
 (* ---- register allocation ---- *)
@@ -298,7 +298,7 @@ let test_reg_alloc_shares_disjoint_vars () =
     "module m(input a: int<8>; output y: int<8>); var p, q: int<8>; begin p := a + 1; y := p * 2; q := y + 3; y := q * 4; end"
   in
   let _, cfg = Compile.compile_source src in
-  let cs = Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits:Limits.serial) in
+  let cs = Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.serial) cfg in
   let shared = Reg_alloc.run ~ports:[ "a"; "y" ] ~outputs:[ "y" ] cs in
   let unshared =
     Reg_alloc.run ~share_variables:false ~ports:[ "a"; "y" ] ~outputs:[ "y" ] cs

@@ -179,7 +179,7 @@ let sqrt_cs () =
       (Hls_transform.Passes.standard @ [ Hls_transform.Passes.find_exn "loop-recode" ])
       cfg
   in
-  Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits:Limits.two_fu)
+  Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.two_fu) cfg
 
 let test_fsm_sqrt () =
   let cs = sqrt_cs () in

@@ -30,21 +30,26 @@ let fig34_dfg () =
 
 let limits2 = Limits.Total 2
 
+(* An exact kernel (None past its size cap) as a block schedule. *)
+let exact kernel g =
+  let dep = Depgraph.of_dfg g in
+  Option.map (fun steps -> Depgraph.to_schedule dep ~steps) (kernel dep)
+
 let test_fig3_asap_suboptimal () =
   let g = fig34_dfg () in
-  let s = Asap.schedule ~limits:limits2 g in
+  let s = Depgraph.block (Asap.schedule_dep ~limits:limits2) g in
   Alcotest.(check (result unit string)) "valid" (Ok ()) (Schedule.verify limits2 s);
   Alcotest.(check int) "ASAP needs 4 steps" 4 (Schedule.n_steps s)
 
 let test_fig4_list_optimal () =
   let g = fig34_dfg () in
-  let s = List_sched.schedule ~limits:limits2 g in
+  let s = Depgraph.block (List_sched.schedule_dep ~limits:limits2) g in
   Alcotest.(check (result unit string)) "valid" (Ok ()) (Schedule.verify limits2 s);
   Alcotest.(check int) "list needs 3 steps" 3 (Schedule.n_steps s)
 
 let test_fig4_bb_confirms () =
   let g = fig34_dfg () in
-  match Branch_bound.schedule ~limits:limits2 g with
+  match exact (Branch_bound.schedule_dep ~limits:limits2) g with
   | Some s -> Alcotest.(check int) "optimum is 3" 3 (Schedule.n_steps s)
   | None -> Alcotest.fail "graph small enough for exact search"
 
@@ -74,7 +79,7 @@ let test_fig5_distribution () =
 
 let test_fig5_fds_balances () =
   let g, a3 = fig5_dfg () in
-  let s = Force_directed.schedule ~deadline:3 g in
+  let s = Depgraph.block (Force_directed.schedule_dep ~deadline:3) g in
   Alcotest.(check (result unit string)) "valid" (Ok ())
     (Schedule.verify Limits.Unlimited s);
   Alcotest.(check int) "a3 balanced into step 3" 3 (Schedule.step_of s a3);
@@ -88,7 +93,7 @@ let test_fds_deadline_too_tight () =
   let g, _ = fig5_dfg () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Force_directed.schedule ~deadline:2 g);
+       ignore (Depgraph.block (Force_directed.schedule_dep ~deadline:2) g);
        false
      with Invalid_argument _ -> true)
 
@@ -96,7 +101,7 @@ let test_fds_deadline_too_tight () =
 
 let test_fig2_lengths () =
   let _, cfg = Compile.compile_source Hls_core.Workloads.sqrt_newton in
-  let cs = Cfg_sched.make cfg ~scheduler:(List_sched.schedule ~limits:Limits.serial) in
+  let cs = Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.serial) cfg in
   Alcotest.(check int) "serial unoptimized = 23" 23 (Cfg_sched.compute_steps cs);
   let _, cfg2 = Compile.compile_source Hls_core.Workloads.sqrt_newton in
   let cfg2 =
@@ -104,7 +109,7 @@ let test_fig2_lengths () =
       (Hls_transform.Passes.standard @ [ Hls_transform.Passes.find_exn "loop-recode" ])
       cfg2
   in
-  let cs2 = Cfg_sched.make cfg2 ~scheduler:(List_sched.schedule ~limits:Limits.two_fu) in
+  let cs2 = Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.two_fu) cfg2 in
   Alcotest.(check int) "two FUs optimized = 10" 10 (Cfg_sched.compute_steps cs2);
   Alcotest.(check (result unit string)) "valid" (Ok ())
     (Cfg_sched.verify Limits.two_fu cs2)
@@ -114,7 +119,7 @@ let test_fig2_lengths () =
 let test_freedom_meets_critical_path () =
   let g = fig34_dfg () in
   let dep = Depgraph.of_dfg g in
-  let s = Freedom.schedule g in
+  let s = Depgraph.block Freedom.schedule_dep g in
   Alcotest.(check int) "critical-path length met" (Depgraph.critical_length dep)
     (Schedule.n_steps s);
   Alcotest.(check (result unit string)) "deps hold" (Ok ())
@@ -128,13 +133,13 @@ let test_transformational_legal () =
     (fun (name, s) ->
       Alcotest.(check (result unit string)) name (Ok ()) (Schedule.verify limits2 s))
     [
-      ("from parallel", Transformational.from_parallel ~limits:limits2 g);
-      ("from serial", Transformational.from_serial ~limits:limits2 g);
+      ("from parallel", Depgraph.block (Transformational.from_parallel_dep ~limits:limits2) g);
+      ("from serial", Depgraph.block (Transformational.from_serial_dep ~limits:limits2) g);
     ]
 
 let test_serial_compaction_beats_serial () =
   let g = fig34_dfg () in
-  let s = Transformational.from_serial ~limits:limits2 g in
+  let s = Depgraph.block (Transformational.from_serial_dep ~limits:limits2) g in
   Alcotest.(check bool) "compacted below 7 steps" true (Schedule.n_steps s < 7)
 
 (* ---- depgraph ---- *)
@@ -162,14 +167,15 @@ let limits_choices =
 
 let all_schedulers limits g =
   [
-    ("asap", Asap.schedule ~limits g);
-    ("list/path", List_sched.schedule ~limits g);
+    ("asap", Depgraph.block (Asap.schedule_dep ~limits) g);
+    ("list/path", Depgraph.block (List_sched.schedule_dep ~limits) g);
     ("list/mobility",
-     List_sched.schedule ~priority:(List_sched.Mobility 100) ~limits g);
-    ("list/urgency", List_sched.schedule ~priority:(List_sched.Urgency 100) ~limits g);
-    ("list/fifo", List_sched.schedule ~priority:List_sched.Fifo ~limits g);
-    ("trans/par", Transformational.from_parallel ~limits g);
-    ("trans/ser", Transformational.from_serial ~limits g);
+     Depgraph.block (List_sched.schedule_dep ~priority:(List_sched.Mobility 100) ~limits) g);
+    ("list/urgency",
+     Depgraph.block (List_sched.schedule_dep ~priority:(List_sched.Urgency 100) ~limits) g);
+    ("list/fifo", Depgraph.block (List_sched.schedule_dep ~priority:List_sched.Fifo ~limits) g);
+    ("trans/par", Depgraph.block (Transformational.from_parallel_dep ~limits) g);
+    ("trans/ser", Depgraph.block (Transformational.from_serial_dep ~limits) g);
   ]
 
 let prop_all_schedulers_valid =
@@ -212,7 +218,7 @@ let prop_bb_is_optimal =
       let g = Gen.dfg_of_seed ~max_ops:9 seed in
       List.for_all
         (fun limits ->
-          match Branch_bound.schedule ~limits g with
+          match exact (Branch_bound.schedule_dep ~limits) g with
           | None -> true
           | Some bb ->
               List.for_all
@@ -226,7 +232,7 @@ let prop_unconstrained_asap_is_critical_path =
     (fun seed ->
       let g = Gen.dfg_of_seed seed in
       let dep = Depgraph.of_dfg g in
-      Schedule.n_steps (Asap.unconstrained g) = max 1 (Depgraph.critical_length dep))
+      Schedule.n_steps (Depgraph.block (Asap.schedule_dep ~limits:Limits.Unlimited) g) = max 1 (Depgraph.critical_length dep))
 
 let prop_fds_respects_deadline =
   QCheck.Test.make ~name:"force-directed meets its deadline" ~count:80
@@ -235,7 +241,7 @@ let prop_fds_respects_deadline =
       let g = Gen.dfg_of_seed seed in
       let dep = Depgraph.of_dfg g in
       let deadline = max 1 (Depgraph.critical_length dep) + 1 in
-      let s = Force_directed.schedule ~deadline g in
+      let s = Depgraph.block (Force_directed.schedule_dep ~deadline) g in
       Schedule.n_steps s <= deadline && Schedule.verify Limits.Unlimited s = Ok ())
 
 let prop_fds_matches_reference =
@@ -279,7 +285,7 @@ let prop_freedom_valid =
     Gen.dfg_arbitrary
     (fun seed ->
       let g = Gen.dfg_of_seed seed in
-      let s = Freedom.schedule g in
+      let s = Depgraph.block Freedom.schedule_dep g in
       Schedule.verify Limits.Unlimited s = Ok ())
 
 let prop_serial_length_is_op_count =
@@ -287,7 +293,7 @@ let prop_serial_length_is_op_count =
     Gen.dfg_arbitrary
     (fun seed ->
       let g = Gen.dfg_of_seed seed in
-      let s = List_sched.schedule ~limits:Limits.Serial g in
+      let s = Depgraph.block (List_sched.schedule_dep ~limits:Limits.Serial) g in
       Schedule.n_steps s = List.length (Dfg.compute_ops g))
 
 (* ---- pipelined (modulo) scheduling — Sehwa ---- *)
@@ -399,7 +405,10 @@ let prop_chaining_valid =
 
 let test_ilp_matches_bb () =
   let g = fig34_dfg () in
-  match (Ilp_sched.schedule ~limits:limits2 g, Branch_bound.schedule ~limits:limits2 g) with
+  match
+    ( exact (Ilp_sched.schedule_dep ~limits:limits2) g,
+      exact (Branch_bound.schedule_dep ~limits:limits2) g )
+  with
   | Some ilp, Some bb ->
       Alcotest.(check int) "same optimum" (Schedule.n_steps bb) (Schedule.n_steps ilp);
       Alcotest.(check (result unit string)) "valid" (Ok ()) (Schedule.verify limits2 ilp)
@@ -412,7 +421,9 @@ let prop_ilp_optimal =
       let g = Gen.dfg_of_seed ~max_ops:7 seed in
       List.for_all
         (fun limits ->
-          match (Ilp_sched.schedule ~limits g, Branch_bound.schedule ~limits g) with
+          match
+            (exact (Ilp_sched.schedule_dep ~limits) g, exact (Branch_bound.schedule_dep ~limits) g)
+          with
           | Some ilp, Some bb ->
               Schedule.n_steps ilp = Schedule.n_steps bb
               && Schedule.verify limits ilp = Ok ()
