@@ -37,7 +37,7 @@ let signature (d : Flow.design) =
     Hls_sched.Cfg_sched.digest d.Flow.sched )
 
 let stage_obj entries =
-  Obj (List.map (fun (e : Timing.entry) -> (e.Timing.stage, Num (1e3 *. e.Timing.seconds))) entries)
+  Obj (List.map (fun (stage, seconds, _) -> (stage, Num (1e3 *. seconds))) entries)
 
 let layer_obj (l : Dse.layer) = Obj [ ("hits", of_int l.Dse.hits); ("misses", of_int l.Dse.misses) ]
 
@@ -54,16 +54,16 @@ let run get =
   let points = ref 0 and promoted = ref 0 and pruned_points = ref 0 in
   let workers_used = ref 0 and serial_fallback = ref false in
   for _ = 1 to iters do
-    Timing.reset ();
+    Hls_obs.Trace.reset_durations ();
     let ps, t_serial = Harness.time_ms (sweep ~memoize:false ~jobs:1) in
-    stages_serial := Timing.snapshot ();
+    stages_serial := Hls_obs.Trace.durations_snapshot ();
     let p1, t_memo1 = Harness.time_ms (sweep ~memoize:true ~jobs:1) in
     (* full trace reset (durations and counters) so the report's
        counters cover exactly the last memo/N and pruned sweeps *)
     Hls_obs.Trace.reset ();
     let e = engine ~memoize:true ~jobs in
     let pn, t_memon = Harness.time_ms (fun () -> Explore.sweep ~engine:e src) in
-    stages_memo := Timing.snapshot ();
+    stages_memo := Hls_obs.Trace.durations_snapshot ();
     cache := Some (Dse.stats e);
     (* true parallelism: workers that participated in the memo/N sweep,
        not the requested count — the pool's per-map watermark reports

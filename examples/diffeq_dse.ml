@@ -23,7 +23,7 @@ let jobs =
 let () =
   let src = Workloads.diffeq in
   let engine = Dse.create ~config:{ Dse.default_config with Dse.jobs } src in
-  Timing.reset ();
+  Hls_obs.Trace.reset_durations ();
   print_endline "== resource-limit sweep (list scheduling) ==";
   let by_limits = Explore.sweep ~engine ~schedulers:[ Flow.List_path ] src in
   print_string (Explore.table by_limits);

@@ -58,7 +58,7 @@ let () =
   write "sqrt_fsm.dot" (Hls_ctrl.Fsm.to_dot design.Flow.datapath.Hls_rtl.Datapath.fsm);
 
   print_newline ();
-  Timing.reset ();
+  Hls_obs.Trace.reset_durations ();
   print_string
     (Explore.table ~timings:true
        (Explore.sweep ~config:{ Dse.default_config with Dse.jobs = 4 }

@@ -145,7 +145,9 @@ let table ?(timings = false) points =
     points mask;
   let body = Table.render t in
   if timings then
-    body ^ Format.asprintf "@.stage timings:@.%a" Timing.pp (Timing.snapshot ())
+    body
+    ^ Format.asprintf "@.stage timings:@.%a" Metrics.pp_durations
+        (Hls_obs.Trace.durations_snapshot ())
   else body
 
 (* ---- sound lower bounds from the cheap stages ---- *)

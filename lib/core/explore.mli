@@ -202,5 +202,5 @@ val table : ?timings:bool -> point list -> string
 (** Rendered comparison table (label, FUs, steps, area, latency, Pareto
     marker). Frontier membership is decided by the dominance criterion
     (structural), so points coming from a shared design cache are marked
-    correctly. [timings:true] appends the {!Timing.snapshot} per-stage
+    correctly. [timings:true] appends the {!Hls_obs.Trace.durations_snapshot} per-stage
     breakdown accumulated so far. *)

@@ -158,8 +158,8 @@ type design = {
     runs under an {!Hls_obs.Trace} span named [frontend], [midend],
     [schedule], [allocate], [bind], [control] or [estimate], carrying
     the option fields its result depends on as span attributes — the
-    {!Timing} breakdown and the Chrome trace export both read from
-    those spans. *)
+    per-stage duration breakdown and the Chrome trace export both read
+    from those spans. *)
 
 type compiled = { c_prog : Typed.tprogram }
 type optimized = {

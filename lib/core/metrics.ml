@@ -70,8 +70,14 @@ let render_counters () =
     String.concat ""
       (List.map (fun (k, v) -> Printf.sprintf "%-*s %10d\n" width k v) cs)
 
+let pp_durations ppf durations =
+  List.iter
+    (fun (stage, seconds, calls) ->
+      Format.fprintf ppf "%-10s %8.3f ms  (%d calls)@." stage (1e3 *. seconds) calls)
+    durations
+
 let render () =
-  let stages = Format.asprintf "%a" Timing.pp (Timing.snapshot ()) in
+  let stages = Format.asprintf "%a" pp_durations (T.durations_snapshot ()) in
   let spans = T.spans () in
   Printf.sprintf "stage timings:\n%s\ncounters:\n%s\nspans captured: %d (dropped %d)\n"
     stages (render_counters ()) (List.length spans) (T.dropped ())

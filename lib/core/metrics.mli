@@ -21,9 +21,13 @@ val counters_with_prefix : string -> (string * int) list
 val counters_json_with_prefix : string -> Hls_util.Json.t
 (** {!counters_with_prefix} as one JSON object. *)
 
+val pp_durations : Format.formatter -> (string * float * int) list -> unit
+(** One [stage  ms  (calls)] line per entry of
+    {!Hls_obs.Trace.durations_snapshot}: the per-stage time breakdown. *)
+
 val render : unit -> string
-(** Text report: the {!Timing} stage breakdown, the counters, and the
-    span-ring occupancy. *)
+(** Text report: the {!pp_durations} stage breakdown, the counters, and
+    the span-ring occupancy. *)
 
 val render_counters : unit -> string
 (** Just the counters, one aligned [name value] line each. *)

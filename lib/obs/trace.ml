@@ -3,8 +3,7 @@
    Three kinds of state, all global and guarded by one mutex so worker
    domains report into a single view:
 
-   - duration accumulators: per-stage wall-clock totals, always on —
-     Hls_core.Timing is a thin view over these;
+   - duration accumulators: per-stage wall-clock totals, always on;
    - counters: named monotonic integers (cache hits, ops scheduled,
      clique merges, ...), always on — a counter bump is a mutex
      acquire and a hashtable update, cheap against the work it counts;
@@ -34,7 +33,7 @@ type span = {
 let lock = Mutex.create ()
 let locked f = Sync.with_lock lock f
 
-(* ---- always-on stage duration accumulators (the Timing view) ---- *)
+(* ---- always-on stage duration accumulators ---- *)
 
 let durations : (string, float * int) Hashtbl.t = Hashtbl.create 16
 let duration_order : string list ref = ref []

@@ -5,8 +5,8 @@
     [Hls_util.Pool] workers alike):
 
     - {e duration accumulators} — per-stage wall-clock totals and call
-      counts, always on; [Hls_core.Timing] is a thin view over these,
-      so the classic per-stage breakdown keeps working unchanged;
+      counts, always on — the per-stage breakdown that
+      [Hls_core.Metrics.pp_durations] prints;
     - {e counters} — named monotonic integers, always on. Names are
       namespaced by subsystem ([dse/backend.hits], [sched/ops_scheduled],
       [alloc/clique_merges], [ctrl/qm_iterations], [pool/steals], ...).
@@ -80,7 +80,7 @@ val fresh_id : unit -> int
 (** Process-unique monotonically increasing id (atomic, never reset) —
     what the serve daemon stamps each request's trace span with. *)
 
-(** {2 Durations (the Timing view)} *)
+(** {2 Durations} *)
 
 val record_duration : string -> float -> unit
 (** Add raw seconds to a stage accumulator without a span. *)
@@ -89,7 +89,8 @@ val durations_snapshot : unit -> (string * float * int) list
 (** [(stage, total seconds, calls)] in first-recorded order. *)
 
 val reset_durations : unit -> unit
-(** Clear only the duration accumulators (what [Timing.reset] does). *)
+(** Clear only the duration accumulators, leaving counters and the
+    span ring alone: a fresh measurement window. *)
 
 val reset : unit -> unit
 (** Clear everything — durations, counters, the span ring — and re-arm

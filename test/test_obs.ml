@@ -1,5 +1,5 @@
 (* Observability subsystem: the Hls_obs.Trace sink (counters, duration
-   accumulators, span ring with parent links), the Timing view over it,
+   accumulators, span ring with parent links), the duration report,
    the Chrome trace_event export and its shape checker, and the two
    contracts the tracing design rests on: a full synthesis covers all
    seven pipeline stages, and counter totals outside pool/ are
@@ -81,25 +81,27 @@ let test_disabled_spans_still_time () =
     (List.exists (fun (stage, _, calls) -> stage = "quiet" && calls = 1)
        (Trace.durations_snapshot ()))
 
-(* ---- the Timing view ---- *)
+(* ---- stage durations ---- *)
 
-let test_timing_view () =
+let test_durations () =
   fresh ();
-  Timing.record "alpha" 0.25;
-  Timing.record "alpha" 0.25;
-  ignore (Timing.time "beta" (fun () -> 7));
-  let snap = Timing.snapshot () in
-  let entry stage =
-    List.find (fun (e : Timing.entry) -> e.Timing.stage = stage) snap
-  in
-  Alcotest.(check int) "two recorded calls" 2 (entry "alpha").Timing.calls;
-  Alcotest.(check (float 1e-9)) "seconds accumulate" 0.5 (entry "alpha").Timing.seconds;
-  Alcotest.(check int) "Timing.time records one call" 1 (entry "beta").Timing.calls;
-  Alcotest.(check bool) "Timing reads the Trace accumulators" true
-    (List.exists (fun (s, _, _) -> s = "alpha") (Trace.durations_snapshot ()));
-  Timing.reset ();
-  Alcotest.(check int) "Timing.reset clears the view" 0
-    (List.length (Timing.snapshot ()))
+  Trace.record_duration "alpha" 0.25;
+  Trace.record_duration "alpha" 0.25;
+  ignore (Trace.with_span "beta" (fun () -> 7));
+  let snap = Trace.durations_snapshot () in
+  let entry stage = List.find (fun (s, _, _) -> s = stage) snap in
+  let _, seconds, calls = entry "alpha" in
+  Alcotest.(check int) "two recorded calls" 2 calls;
+  Alcotest.(check (float 1e-9)) "seconds accumulate" 0.5 seconds;
+  let _, _, calls = entry "beta" in
+  Alcotest.(check int) "a span records one call" 1 calls;
+  Alcotest.(check string) "report line" "alpha       500.000 ms  (2 calls)\n"
+    (Format.asprintf "%a" Metrics.pp_durations [ entry "alpha" ]);
+  Trace.incr "durations/kept";
+  Trace.reset_durations ();
+  Alcotest.(check int) "reset clears the durations" 0
+    (List.length (Trace.durations_snapshot ()));
+  Alcotest.(check int) "and keeps the counters" 1 (Trace.counter "durations/kept")
 
 (* ---- Chrome export ---- *)
 
@@ -235,7 +237,7 @@ let () =
           Alcotest.test_case "ring overflow" `Quick test_span_ring_overflow;
           Alcotest.test_case "durations without capture" `Quick
             test_disabled_spans_still_time;
-          Alcotest.test_case "Timing is a view over Trace" `Quick test_timing_view;
+          Alcotest.test_case "durations accumulate and reset" `Quick test_durations;
         ] );
       ( "chrome",
         [

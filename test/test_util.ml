@@ -36,54 +36,6 @@ let test_pqueue_pop_empty () =
   Alcotest.(check (option int)) "pop" (Some 7) (Pqueue.pop q);
   Alcotest.(check (option int)) "empty again" None (Pqueue.pop q)
 
-(* ---- Union_find ---- *)
-
-let test_union_find_groups () =
-  let u = Union_find.create 6 in
-  Union_find.union u 0 1;
-  Union_find.union u 2 3;
-  Union_find.union u 1 2;
-  Alcotest.(check bool) "same 0 3" true (Union_find.same u 0 3);
-  Alcotest.(check bool) "not same 0 4" false (Union_find.same u 0 4);
-  Alcotest.(check (list (list int)))
-    "groups" [ [ 0; 1; 2; 3 ]; [ 4 ]; [ 5 ] ] (Union_find.groups u)
-
-let test_union_find_idempotent () =
-  let u = Union_find.create 3 in
-  Union_find.union u 0 1;
-  Union_find.union u 0 1;
-  Union_find.union u 1 0;
-  Alcotest.(check (list (list int))) "groups" [ [ 0; 1 ]; [ 2 ] ] (Union_find.groups u)
-
-let prop_union_find_transitive =
-  QCheck.Test.make ~name:"union-find is transitive" ~count:100
-    QCheck.(list (pair (int_bound 9) (int_bound 9)))
-    (fun pairs ->
-      let u = Union_find.create 10 in
-      List.iter (fun (a, b) -> Union_find.union u a b) pairs;
-      (* same-ness must match connected components computed naively *)
-      let adj = Array.make 10 [] in
-      List.iter
-        (fun (a, b) ->
-          adj.(a) <- b :: adj.(a);
-          adj.(b) <- a :: adj.(b))
-        pairs;
-      let component src =
-        let seen = Array.make 10 false in
-        let rec dfs v =
-          if not seen.(v) then begin
-            seen.(v) <- true;
-            List.iter dfs adj.(v)
-          end
-        in
-        dfs src;
-        seen
-      in
-      List.for_all
-        (fun a -> List.for_all (fun b -> Union_find.same u a b = (component a).(b))
-            (List.init 10 Fun.id))
-        (List.init 10 Fun.id))
-
 (* ---- Fixedpt ---- *)
 
 let q8_8 = Fixedpt.format ~int_bits:8 ~frac_bits:8
@@ -301,12 +253,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "pop empty" `Quick test_pqueue_pop_empty;
           QCheck_alcotest.to_alcotest prop_pqueue_sorts;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "groups" `Quick test_union_find_groups;
-          Alcotest.test_case "idempotent" `Quick test_union_find_idempotent;
-          QCheck_alcotest.to_alcotest prop_union_find_transitive;
         ] );
       ( "fixedpt",
         [
