@@ -93,13 +93,17 @@ type building = {
 
 let greedy ?(selection = `Min_mux) cs =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let lt = Lifetime.table cs in
   let ops = collect cs in
   let instances : building list ref = ref [] in
   let next_id = ref 0 in
-  let arg_sources r =
-    let g = Cfg.dfg cfg r.bid in
-    List.map (fun a -> source_of lt r.bid a) (Dfg.args g r.nid)
+  (* operand sources only steer the mux-aware choice: first fit never
+     reads them, so it skips the lifetime table too *)
+  let arg_sources =
+    match selection with
+    | `First_fit -> fun _ -> []
+    | `Min_mux ->
+        let lt = Lifetime.table cs in
+        fun r -> List.map (fun a -> source_of lt r.bid a) (Dfg.args (Cfg.dfg cfg r.bid) r.nid)
   in
   let busy inst r = List.exists (fun o -> o.bid = r.bid && o.step = r.step) inst.b_ops in
   let added_cost inst srcs =

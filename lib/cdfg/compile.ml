@@ -17,21 +17,15 @@ type bb = {
 let fresh_bb () =
   { dfg = Dfg.create (); env = Hashtbl.create 8; assigned = []; consts = Hashtbl.create 8 }
 
-let fmt_of_ty (ty : Ast.ty) =
-  match ty with
-  | Ast.Tbool -> Fixedpt.format ~int_bits:1 ~frac_bits:0
-  | Ast.Tint w -> Fixedpt.format ~int_bits:w ~frac_bits:0
-  | Ast.Tfix (i, f) -> Fixedpt.format ~int_bits:i ~frac_bits:f
-
 let const_pattern (ty : Ast.ty) = function
   | `Int n -> (
       match ty with
       | Ast.Tbool -> if n <> 0 then 1 else 0
-      | Ast.Tint _ -> Fixedpt.wrap (fmt_of_ty ty) n
-      | Ast.Tfix _ -> Fixedpt.of_int (fmt_of_ty ty) n)
+      | Ast.Tint _ -> Fixedpt.wrap (Op.fmt_of ty) n
+      | Ast.Tfix _ -> Fixedpt.of_int (Op.fmt_of ty) n)
   | `Real x -> (
       match ty with
-      | Ast.Tfix _ -> Fixedpt.of_float (fmt_of_ty ty) x
+      | Ast.Tfix _ -> Fixedpt.of_float (Op.fmt_of ty) x
       | Ast.Tbool | Ast.Tint _ ->
           invalid_arg "Compile: real literal outside fixed-point context")
 

@@ -100,6 +100,12 @@ let fmt_of (ty : Hls_lang.Ast.ty) =
   | Hls_lang.Ast.Tint w -> Fixedpt.format ~int_bits:w ~frac_bits:0
   | Hls_lang.Ast.Tfix (i, f) -> Fixedpt.format ~int_bits:i ~frac_bits:f
 
+let bits_of (ty : Hls_lang.Ast.ty) =
+  match ty with
+  | Hls_lang.Ast.Tbool -> 1
+  | Hls_lang.Ast.Tint w -> w
+  | Hls_lang.Ast.Tfix (i, f) -> i + f
+
 let bool_of v = v <> 0
 
 let eval ty op args =

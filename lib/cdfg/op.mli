@@ -54,6 +54,9 @@ val fmt_of : Hls_lang.Ast.ty -> Hls_util.Fixedpt.format
     (booleans are 1-bit integers). Shared with the range analysis so its
     transfer functions wrap exactly like {!eval}. *)
 
+val bits_of : Hls_lang.Ast.ty -> int
+(** Storage width of the type in bits: the total width of {!fmt_of}. *)
+
 val eval : Hls_lang.Ast.ty -> t -> int list -> int
 (** Bit-exact evaluation of an operator at a result type, shared by the
     CDFG interpreter and the RTL simulator. Comparison arguments are

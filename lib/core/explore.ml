@@ -161,34 +161,8 @@ let table ?(timings = false) points =
    values (dominance is monotone in both coordinates), and dominance is
    transitive, so no pruned point can ever have made the frontier. *)
 module Bound = struct
-  let bits_of (ty : Hls_lang.Ast.ty) =
-    match ty with
-    | Hls_lang.Ast.Tbool -> 1
-    | Hls_lang.Ast.Tint w -> w
-    | Hls_lang.Ast.Tfix (i, f) -> i + f
-
   let real_classes =
     [ Hls_cdfg.Op.C_alu; Hls_cdfg.Op.C_mul; Hls_cdfg.Op.C_div; Hls_cdfg.Op.C_shift ]
-
-  let min_class_area cls ~width =
-    let a =
-      List.fold_left
-        (fun acc (c : Hls_rtl.Component.t) ->
-          if c.Hls_rtl.Component.cls = cls then min acc (Hls_rtl.Component.area c ~width)
-          else acc)
-        max_int Hls_rtl.Component.library
-    in
-    if a = max_int then 0 else a
-
-  let min_class_delay cls =
-    let d =
-      List.fold_left
-        (fun acc (c : Hls_rtl.Component.t) ->
-          if c.Hls_rtl.Component.cls = cls then min acc c.Hls_rtl.Component.delay_ns
-          else acc)
-        infinity Hls_rtl.Component.library
-    in
-    if d = infinity then 0.0 else d
 
   (* Per-class peak demand across blocks: the allocator can share units
      between blocks but never within a step. Two floors per class, keep
@@ -228,7 +202,7 @@ module Bound = struct
           (fun (cls, n) ->
             match Hashtbl.find_opt minw cls with
             | Some w when List.mem cls real_classes ->
-                bump cls (n * min_class_area cls ~width:w)
+                bump cls (n * Hls_rtl.Component.min_area cls ~width:w)
             | _ -> ())
           (Schedule.fu_requirement sched);
         for s = 0 to Schedule.n_steps sched - 1 do
@@ -238,7 +212,7 @@ module Bound = struct
               if Hls_cdfg.Dfg.occupies_step g nid then begin
                 let cls = Hls_cdfg.Dfg.fu_class_of g nid in
                 if List.mem cls real_classes then begin
-                  let a = min_class_area cls ~width:(node_w g bid nid) in
+                  let a = Hls_rtl.Component.min_area cls ~width:(node_w g bid nid) in
                   let cur = Option.value (Hashtbl.find_opt sums cls) ~default:0 in
                   Hashtbl.replace sums cls (cur + a)
                 end
@@ -307,7 +281,7 @@ module Bound = struct
           | Some tbl -> Option.value (Hashtbl.find_opt tbl cls) ~default:0
           | None -> 0
         in
-        let a_min = min_class_area cls ~width:w in
+        let a_min = Hls_rtl.Component.min_area cls ~width:w in
         let d pos =
           List.length (Option.value (Hashtbl.find_opt consts (cls, pos)) ~default:[])
           + if Hashtbl.mem nonconst (cls, pos) then 1 else 0
@@ -347,7 +321,7 @@ module Bound = struct
     List.fold_left
       (fun acc (p : Hls_lang.Ast.port) ->
         if Hashtbl.mem touched p.Hls_lang.Ast.pname then
-          acc + Hls_rtl.Component.register_area ~width:(bits_of p.Hls_lang.Ast.pty)
+          acc + Hls_rtl.Component.register_area ~width:(Hls_cdfg.Op.bits_of p.Hls_lang.Ast.pty)
         else acc)
       0 o.Flow.o_prog.Hls_lang.Typed.tports
 
@@ -471,7 +445,7 @@ module Bound = struct
           Hls_cdfg.Dfg.fold
             (fun acc nid _ ->
               if Hls_cdfg.Dfg.occupies_step g nid then
-                max acc (min_class_delay (Hls_cdfg.Dfg.fu_class_of g nid))
+                max acc (Hls_rtl.Component.min_delay_ns (Hls_cdfg.Dfg.fu_class_of g nid))
               else acc)
             acc g)
         0.0
@@ -502,7 +476,7 @@ module Bound = struct
         in
         fun _g bid nid -> Hls_analysis.Range.node_bits facts ~bid ~nid
       end
-      else fun g _bid nid -> bits_of (Hls_cdfg.Dfg.ty g nid)
+      else fun g _bid nid -> Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid)
     in
     (* a point with [iterate > 0] may ship a refined schedule that
        differs from the one the cheap stages produced (refinement

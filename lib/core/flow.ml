@@ -349,7 +349,7 @@ let block_scheduler options dep =
 
 (* Every stage runs under a trace span carrying the option-point
    attributes the stage's result depends on; the span durations are
-   what Timing.snapshot reports. *)
+   what Hls_obs.Trace.durations_snapshot reports. *)
 
 type compiled = { c_prog : Typed.tprogram }
 type optimized = {
@@ -378,23 +378,10 @@ let nonneg_oracle ~ports cfg =
 (* Extraction cost derived from the RTL component library: cheapest
    component of each class, delays in picoseconds. *)
 let component_cost =
-  let by_class cls =
-    List.filter (fun c -> c.Hls_rtl.Component.cls = cls) Hls_rtl.Component.library
-  in
-  let class_area cls ~width =
-    match by_class cls with
-    | [] -> 0
-    | cs -> List.fold_left (fun acc c -> min acc (Hls_rtl.Component.area c ~width)) max_int cs
-  in
-  let class_delay_ps cls =
-    match by_class cls with
-    | [] -> 0
-    | cs ->
-        int_of_float
-          (1000.0
-          *. List.fold_left (fun acc c -> min acc c.Hls_rtl.Component.delay_ns) infinity cs)
-  in
-  { Hls_transform.Extract.class_area; class_delay_ps }
+  {
+    Hls_transform.Extract.class_area = Hls_rtl.Component.min_area;
+    class_delay_ps = (fun cls -> int_of_float (1000.0 *. Hls_rtl.Component.min_delay_ns cls));
+  }
 
 let midend ~passes ~if_conversion c =
   Hls_obs.Trace.with_span "midend"

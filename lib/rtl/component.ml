@@ -79,6 +79,21 @@ let find name = List.find (fun c -> c.cname = name) library
 
 let area c ~width = c.area_base + (c.area_per_bit * width)
 
+(* cheapest (fastest) component of the class; 0 when it has none *)
+let min_area cls ~width =
+  let a =
+    List.fold_left
+      (fun acc c -> if c.cls = cls then min acc (area c ~width) else acc)
+      max_int library
+  in
+  if a = max_int then 0 else a
+
+let min_delay_ns cls =
+  let d =
+    List.fold_left (fun acc c -> if c.cls = cls then min acc c.delay_ns else acc) infinity library
+  in
+  if d = infinity then 0.0 else d
+
 let bind ~cls ~ops =
   let candidates =
     List.filter

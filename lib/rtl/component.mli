@@ -35,6 +35,15 @@ val find : string -> t
 
 val area : t -> width:int -> int
 
+val min_area : Op.fu_class -> width:int -> int
+(** Area of the class's cheapest library component at the width; 0 for
+    a class the library has no component of (free and non-executing
+    operations). *)
+
+val min_delay_ns : Op.fu_class -> float
+(** Delay of the class's fastest library component; 0 for a class the
+    library has no component of. *)
+
 val bind : cls:Op.fu_class -> ops:Op.t list -> t
 (** Cheapest library component of the class covering all the operations
     (module binding). Raises [Not_found] if nothing covers them. *)

@@ -28,19 +28,13 @@ type t = {
   fsm : Hls_ctrl.Fsm.t;
 }
 
-let bits_of (ty : Hls_lang.Ast.ty) =
-  match ty with
-  | Hls_lang.Ast.Tbool -> 1
-  | Hls_lang.Ast.Tint w -> w
-  | Hls_lang.Ast.Tfix (i, f) -> i + f
-
 let build ?node_bits cs ~fu ~regs ~ports =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
   let fsm = Hls_ctrl.Fsm.of_schedule cs in
   (* storage width of one node's value: declared type width by default,
      or the caller's (range-inferred) narrowing *)
   let nb bid nid (node : Dfg.node) =
-    match node_bits with Some f -> f bid nid | None -> bits_of node.Dfg.ty
+    match node_bits with Some f -> f bid nid | None -> Op.bits_of node.Dfg.ty
   in
   (* ---- register inventory ---- *)
   let widths : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -59,7 +53,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
     (fun (p, dir, ty) ->
       note_reg
         (Reg_alloc.register_of_var regs p)
-        (bits_of ty)
+        (Op.bits_of ty)
         (match dir with `In -> `In_port | `Out -> `Out_port))
     ports;
   (* a temp register's width is the max over the values sharing its track *)

@@ -19,25 +19,19 @@ let ty w reg_ty =
       t
   | W_zdetect _ -> Ast.Tbool
 
-let fmt_of_ty (ty : Ast.ty) =
-  match ty with
-  | Ast.Tbool -> Fixedpt.format ~int_bits:1 ~frac_bits:0
-  | Ast.Tint w -> Fixedpt.format ~int_bits:w ~frac_bits:0
-  | Ast.Tfix (i, f) -> Fixedpt.format ~int_bits:i ~frac_bits:f
-
 let rec eval w ~reg ~fu =
   match w with
   | W_reg r -> reg r
   | W_const (v, _) -> v
   | W_fu_out (u, _) -> fu u
-  | W_shl (a, k, t) -> Fixedpt.shift_left (fmt_of_ty t) (eval a ~reg ~fu) k
-  | W_shr (a, k, t) -> Fixedpt.shift_right (fmt_of_ty t) (eval a ~reg ~fu) k
+  | W_shl (a, k, t) -> Fixedpt.shift_left (Hls_cdfg.Op.fmt_of t) (eval a ~reg ~fu) k
+  | W_shr (a, k, t) -> Fixedpt.shift_right (Hls_cdfg.Op.fmt_of t) (eval a ~reg ~fu) k
   | W_zdetect a -> if eval a ~reg ~fu = 0 then 1 else 0
   | W_mux (c, a, b, _) -> if eval c ~reg ~fu <> 0 then eval a ~reg ~fu else eval b ~reg ~fu
   | W_not (a, t) -> (
       match t with
       | Ast.Tbool -> if eval a ~reg ~fu <> 0 then 0 else 1
-      | _ -> Fixedpt.wrap (fmt_of_ty t) (lnot (eval a ~reg ~fu)))
+      | _ -> Fixedpt.wrap (Hls_cdfg.Op.fmt_of t) (lnot (eval a ~reg ~fu)))
 
 let rec depth_delay_ns = function
   | W_reg _ | W_const _ | W_fu_out _ -> 0.0

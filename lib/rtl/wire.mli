@@ -19,10 +19,6 @@ type t =
 val ty : t -> (string -> Ast.ty) -> Ast.ty
 (** Result type; the callback resolves register widths. *)
 
-val fmt_of_ty : Ast.ty -> Hls_util.Fixedpt.format
-(** Fixed-point format of a wire type — the wrap discipline {!eval}
-    applies, exposed for staged evaluators that resolve it once. *)
-
 val eval : t -> reg:(string -> int) -> fu:(int -> int) -> int
 (** Evaluate against current register values and (already computed)
     functional-unit outputs. *)

@@ -4,9 +4,8 @@ open Hls_lang.Typed
 
 exception Sim_error of string
 
-let fmt_of_ty = Hls_cdfg.Op.fmt_of
-let to_raw ty x = Fixedpt.of_float (fmt_of_ty ty) x
-let of_raw ty v = Fixedpt.to_float (fmt_of_ty ty) v
+let to_raw ty x = Fixedpt.of_float (Hls_cdfg.Op.fmt_of ty) x
+let of_raw ty v = Fixedpt.to_float (Hls_cdfg.Op.fmt_of ty) v
 
 let output_ports (p : tprogram) =
   List.filter_map
@@ -33,7 +32,7 @@ let compile (p : tprogram) =
   let names = Array.of_list (List.sort_uniq compare (List.map fst (Typed.all_vars p))) in
   let slots = Hashtbl.create 16 in
   Array.iteri (fun i v -> Hashtbl.replace slots v i) names;
-  let fmts = Array.map (fun v -> fmt_of_ty (Typed.var_ty p v)) names in
+  let fmts = Array.map (fun v -> Hls_cdfg.Op.fmt_of (Typed.var_ty p v)) names in
   let env = Array.make (max (Array.length names) 1) 0 in
   let fuel = ref 0 in
   let spend () =
@@ -50,9 +49,9 @@ let compile (p : tprogram) =
     match e.te with
     | TEint n -> (
         match e.ty with
-        | Ast.Tfix _ -> const (Fixedpt.of_int (fmt_of_ty e.ty) n)
-        | Ast.Tint _ | Ast.Tbool -> const (Fixedpt.wrap (fmt_of_ty e.ty) n))
-    | TEreal x -> const (Fixedpt.of_float (fmt_of_ty e.ty) x)
+        | Ast.Tfix _ -> const (Fixedpt.of_int (Hls_cdfg.Op.fmt_of e.ty) n)
+        | Ast.Tint _ | Ast.Tbool -> const (Fixedpt.wrap (Hls_cdfg.Op.fmt_of e.ty) n))
+    | TEreal x -> const (Fixedpt.of_float (Hls_cdfg.Op.fmt_of e.ty) x)
     | TEbool b -> const (if b then 1 else 0)
     | TEvar v -> read v
     | TEbin (op, a, b) ->

@@ -92,10 +92,10 @@ let compile ?controller (dp : Datapath.t) =
             if fu_stamp.(u) = !cycle then fu_vals.(u)
             else raise (Sim_error (Printf.sprintf "combinational use of idle unit %d" u))
     | Wire.W_shl (a, k, t) ->
-        let fmt = Wire.fmt_of_ty t and ca = compile_wire a in
+        let fmt = Hls_cdfg.Op.fmt_of t and ca = compile_wire a in
         fun () -> Hls_util.Fixedpt.shift_left fmt (ca ()) k
     | Wire.W_shr (a, k, t) ->
-        let fmt = Wire.fmt_of_ty t and ca = compile_wire a in
+        let fmt = Hls_cdfg.Op.fmt_of t and ca = compile_wire a in
         fun () -> Hls_util.Fixedpt.shift_right fmt (ca ()) k
     | Wire.W_zdetect a ->
         let ca = compile_wire a in
@@ -108,7 +108,7 @@ let compile ?controller (dp : Datapath.t) =
         match t with
         | Hls_lang.Ast.Tbool -> fun () -> if ca () <> 0 then 0 else 1
         | _ ->
-            let fmt = Wire.fmt_of_ty t in
+            let fmt = Hls_cdfg.Op.fmt_of t in
             fun () -> Hls_util.Fixedpt.wrap fmt (lnot (ca ())))
   in
   let ix = Datapath.index dp in

@@ -1,15 +1,9 @@
 open Hls_util
 open Hls_cdfg
 
-let fmt_of_ty (ty : Hls_lang.Ast.ty) =
-  match ty with
-  | Hls_lang.Ast.Tbool -> Fixedpt.format ~int_bits:1 ~frac_bits:0
-  | Hls_lang.Ast.Tint w -> Fixedpt.format ~int_bits:w ~frac_bits:0
-  | Hls_lang.Ast.Tfix (i, f) -> Fixedpt.format ~int_bits:i ~frac_bits:f
-
 let zero_pattern _ty = 0
 
-let one_pattern (ty : Hls_lang.Ast.ty) = Fixedpt.of_int (fmt_of_ty ty) 1
+let one_pattern (ty : Hls_lang.Ast.ty) = Fixedpt.of_int (Op.fmt_of ty) 1
 
 let const_of out nid =
   match Dfg.op out nid with Op.Const v -> Some v | _ -> None
@@ -20,7 +14,7 @@ let make_rule () : Rewrite.rule =
   fun ~out ~remap:_ _id node ~mapped_args ->
     let ty = node.Dfg.ty in
     let add_const v =
-      let v = Fixedpt.wrap (fmt_of_ty ty) v in
+      let v = Fixedpt.wrap (Op.fmt_of ty) v in
       let key = Printf.sprintf "%d:%s" v (Hls_lang.Ast.ty_to_string ty) in
       match Hashtbl.find_opt const_table key with
       | Some nid -> Rewrite.Subst nid
@@ -146,7 +140,7 @@ let apply_facts cfg ~value =
               rule ~out ~remap id node ~mapped_args
           | _ -> (
               match value bid id with
-              | Some v when Fixedpt.wrap (fmt_of_ty node.Dfg.ty) v = v ->
+              | Some v when Fixedpt.wrap (Op.fmt_of node.Dfg.ty) v = v ->
                   (* re-enter the shared rule with a constant node so the
                      per-block constant dedup table applies *)
                   rule ~out ~remap id

@@ -57,7 +57,7 @@ let default_cost =
         | Op.C_free | Op.C_none -> 0);
   }
 
-let width_of ty = Fixedpt.bits (Rules.fmt_of_ty ty)
+let width_of ty = Fixedpt.bits (Op.fmt_of ty)
 
 let run ?(nonneg = Rules.no_facts) ?(cost = default_cost) ~objective
     ?(rules = Rules.extraction_rules) cfg =

@@ -29,12 +29,6 @@ let stateless f = fun (_src : Dfg.t) (_env : env) -> f
 
 (* ---- shared pattern helpers ---- *)
 
-let fmt_of_ty (ty : Hls_lang.Ast.ty) =
-  match ty with
-  | Hls_lang.Ast.Tbool -> Fixedpt.format ~int_bits:1 ~frac_bits:0
-  | Hls_lang.Ast.Tint w -> Fixedpt.format ~int_bits:w ~frac_bits:0
-  | Hls_lang.Ast.Tfix (i, f) -> Fixedpt.format ~int_bits:i ~frac_bits:f
-
 let frac_bits (ty : Hls_lang.Ast.ty) =
   match ty with Hls_lang.Ast.Tfix (_, f) -> f | Hls_lang.Ast.Tbool | Hls_lang.Ast.Tint _ -> 0
 
@@ -198,7 +192,7 @@ let add_one_incr =
       stateless (fun v ->
           match v.node.Dfg.op with
           | Op.Add -> (
-              let one = Fixedpt.of_int (fmt_of_ty v.node.Dfg.ty) 1 in
+              let one = Fixedpt.of_int (Op.fmt_of v.node.Dfg.ty) 1 in
               match with_const v.out v.mapped_args with
               | Some (x, c) when c = one ->
                   Some (Rewrite.Subst (Dfg.add v.out Op.Incr [ x ] v.node.Dfg.ty))
@@ -215,7 +209,7 @@ let sub_one_decr =
       stateless (fun v ->
           match v.node.Dfg.op with
           | Op.Sub -> (
-              let one = Fixedpt.of_int (fmt_of_ty v.node.Dfg.ty) 1 in
+              let one = Fixedpt.of_int (Op.fmt_of v.node.Dfg.ty) 1 in
               match v.mapped_args with
               | [ x; c ] when const_of v.out c = Some one ->
                   Some (Rewrite.Subst (Dfg.add v.out Op.Decr [ x ] v.node.Dfg.ty))

@@ -74,7 +74,6 @@ val cse_global : Cfg.t -> bool
 
 (** {1 Pattern helpers shared with {!Extract}} *)
 
-val fmt_of_ty : Hls_lang.Ast.ty -> Hls_util.Fixedpt.format
 val frac_bits : Hls_lang.Ast.ty -> int
 val log2_exact : int -> int option
 val const_of : Dfg.t -> Dfg.nid -> int option

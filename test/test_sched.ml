@@ -159,6 +159,87 @@ let test_depgraph_through_free_ops () =
   let i1 = Depgraph.index_of dep a1 and i2 = Depgraph.index_of dep a2 in
   Alcotest.(check (list int)) "edge through shift" [ i1 ] (Depgraph.preds dep i2)
 
+let test_depgraph_pinned_frames () =
+  (* Fig 3/4 graph, deadline 4: x1, x2 free; chain c1 -> c2 -> c3 *)
+  let dep = Depgraph.of_dfg (fig34_dfg ()) in
+  let n = Depgraph.n_ops dep in
+  let c1 = 2 and c3 = 4 in
+  Alcotest.(check (list string)) "op classes" [ "alu"; "alu"; "mul"; "alu"; "alu" ]
+    (List.init n (fun i -> Op.fu_class_to_string (Depgraph.cls dep i)));
+  let frames pins =
+    let fixed = Array.make n None in
+    List.iter (fun (i, s) -> fixed.(i) <- Some s) pins;
+    Depgraph.frames dep ~deadline:4 ~fixed
+  in
+  let check name (asap, alap) (asap', alap') =
+    Alcotest.(check (array int)) (name ^ ": asap") asap asap';
+    Alcotest.(check (array int)) (name ^ ": alap") alap alap'
+  in
+  check "nothing fixed is asap/alap"
+    (Depgraph.asap dep, Depgraph.alap dep ~deadline:4)
+    (frames []);
+  check "unpinned" ([| 1; 1; 1; 2; 3 |], [| 4; 4; 2; 3; 4 |]) (frames []);
+  (* c1 at its latest step leaves the rest of the chain no slack *)
+  check "c1 pinned at 2" ([| 1; 1; 2; 3; 4 |], [| 4; 4; 2; 3; 4 |]) (frames [ (c1, 2) ]);
+  (* a pin that squeezes c2 out: its frame comes out empty *)
+  let asap, alap = frames [ (c3, 2) ] in
+  Alcotest.(check (pair int int)) "c2 frame empty under c3 at 2" (2, 1) (asap.(3), alap.(3));
+  Alcotest.(check bool) "alap keeps its deadline check" true
+    (try
+       ignore (Depgraph.alap dep ~deadline:2);
+       false
+     with Invalid_argument _ -> true)
+
+(* ---- step occupancy against the assoc-list semantics ---- *)
+
+let all_classes = [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift; Op.C_free; Op.C_none ]
+
+let prop_occupancy_matches_counts =
+  QCheck.Test.make ~name:"occupancy answers what can_add/within answer on counts"
+    ~count:300 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let steps = 5 in
+      (* the tallies schedulers used to build: one assoc list per step *)
+      let counts = Array.make steps [] in
+      let occ = Limits.occupancy () in
+      for _ = 1 to Random.State.int rng 25 do
+        let step = Random.State.int rng steps and cls = pick all_classes in
+        let cur = Option.value (List.assoc_opt cls counts.(step)) ~default:0 in
+        if cur > 0 && Random.State.int rng 4 = 0 then begin
+          counts.(step) <-
+            (if cur = 1 then List.remove_assoc cls counts.(step)
+             else (cls, cur - 1) :: List.remove_assoc cls counts.(step));
+          Limits.vacate occ ~step cls
+        end
+        else begin
+          counts.(step) <- (cls, cur + 1) :: List.remove_assoc cls counts.(step);
+          Limits.occupy occ ~step cls
+        end
+      done;
+      let caps () =
+        List.init (Random.State.int rng 4) (fun _ -> (pick all_classes, Random.State.int rng 4))
+      in
+      let shapes =
+        [ Limits.Serial; Limits.Unlimited ]
+        @ List.init 4 (fun k -> Limits.Total k)
+        @ List.init 6 (fun _ -> Limits.Classes (caps ()))
+      in
+      List.for_all
+        (fun limits ->
+          List.for_all
+            (fun step ->
+              let counts = if step < steps then counts.(step) else [] in
+              Limits.step_within limits occ ~step = Limits.within limits ~counts
+              && Limits.step_counts occ ~step = List.sort compare counts
+              && List.for_all
+                   (fun cls ->
+                     Limits.fits limits occ ~step cls = Limits.can_add limits ~counts cls)
+                   all_classes)
+            (List.init (steps + 2) Fun.id))
+        shapes)
+
 (* ---- properties over random DAGs ---- *)
 
 let limits_choices =
@@ -572,6 +653,8 @@ let () =
           Alcotest.test_case "transformational legal" `Quick test_transformational_legal;
           Alcotest.test_case "serial compaction" `Quick test_serial_compaction_beats_serial;
           Alcotest.test_case "depgraph free-op chaining" `Quick test_depgraph_through_free_ops;
+          Alcotest.test_case "depgraph pinned frames" `Quick test_depgraph_pinned_frames;
+          QCheck_alcotest.to_alcotest prop_occupancy_matches_counts;
         ] );
       ( "pipeline",
         [
