@@ -91,8 +91,7 @@ let schedule ~period_ns ~limits g =
 let verify ?(limits = Limits.Unlimited) t =
   let errors = ref [] in
   let n = Depgraph.n_ops t.dep in
-  let occ = Limits.occupancy () in
-  Array.iteri (fun i s -> Limits.occupy occ ~step:s (Depgraph.cls t.dep i)) t.steps;
+  let occ = Depgraph.occupancy t.dep ~steps:t.steps in
   for s = 1 to t.n_steps do
     if not (Limits.step_within limits occ ~step:s) then
       errors := Printf.sprintf "step %d exceeds resource limits" s :: !errors

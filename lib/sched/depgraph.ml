@@ -118,6 +118,11 @@ let path_length t =
   done;
   pl
 
+let occupancy t ~steps =
+  let occ = Limits.occupancy () in
+  Array.iteri (fun i s -> Limits.occupy occ ~step:s t.cls_table.(i)) steps;
+  occ
+
 let to_schedule t ~steps =
   Schedule.make t.g ~steps:(fun nid -> steps.(index_of t nid))
 

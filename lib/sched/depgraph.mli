@@ -62,6 +62,9 @@ val path_length : t -> int array
 (** Ops on the longest chain from each op to a sink, inclusive — the
     list-scheduling priority of Fig 4. *)
 
+val occupancy : t -> steps:int array -> Limits.occupancy
+(** Step occupancy of a complete op-indexed step assignment. *)
+
 val to_schedule : t -> steps:int array -> Schedule.t
 (** Wrap an op-indexed step assignment into a {!Schedule.t}. *)
 

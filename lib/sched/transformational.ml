@@ -1,9 +1,4 @@
-(* The step occupancy of a complete assignment, kept current by [move]. *)
-let occupancy_of dep steps =
-  let occ = Limits.occupancy () in
-  Array.iteri (fun i s -> Limits.occupy occ ~step:s (Depgraph.cls dep i)) steps;
-  occ
-
+(* keeps the occupancy of [steps] current *)
 let move occ dep steps i s =
   let cls = Depgraph.cls dep i in
   Limits.vacate occ ~step:steps.(i) cls;
@@ -14,7 +9,7 @@ let from_parallel_dep ~limits dep =
   let n = Depgraph.n_ops dep in
   let steps = Depgraph.asap dep in
   let prio = Depgraph.path_length dep in
-  let occ = occupancy_of dep steps in
+  let occ = Depgraph.occupancy dep ~steps in
   let retighten () =
     (* push successors down so dependences hold (ops are topological) *)
     for i = 0 to n - 1 do
@@ -80,7 +75,7 @@ let from_serial_dep ~limits dep =
   let n = Depgraph.n_ops dep in
   (* maximally serial: one op per step in topological order *)
   let steps = Array.init n (fun i -> i + 1) in
-  let occ = occupancy_of dep steps in
+  let occ = Depgraph.occupancy dep ~steps in
   let changed = ref true in
   let fuel = ref (n * n + 64) in
   while !changed && !fuel > 0 do
