@@ -24,7 +24,9 @@ val can_add : t -> counts:(Op.fu_class * int) list -> Op.fu_class -> bool
     already placed there). Free and non-executing classes always fit. *)
 
 val within : t -> counts:(Op.fu_class * int) list -> bool
-(** Whether a step's tallies respect the limits. *)
+(** Whether a step's tallies respect the limits. These two are the
+    semantics on explicit count lists, which the reference oracles use;
+    schedulers ask a {!occupancy}. *)
 
 (** {2 Step occupancy}
 

@@ -1,6 +1,7 @@
 (* Shared generators for the property-based tests: random DAGs for the
    schedulers, random straight-line/structured programs for semantic-
-   preservation checks, random intervals for register allocation. *)
+   preservation checks, random intervals for register allocation; and
+   the whole-CFG scheduling helper the suites share. *)
 
 open Hls_lang
 

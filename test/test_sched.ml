@@ -313,7 +313,8 @@ let prop_unconstrained_asap_is_critical_path =
     (fun seed ->
       let g = Gen.dfg_of_seed seed in
       let dep = Depgraph.of_dfg g in
-      Schedule.n_steps (Depgraph.block (Asap.schedule_dep ~limits:Limits.Unlimited) g) = max 1 (Depgraph.critical_length dep))
+      let s = Depgraph.block (Asap.schedule_dep ~limits:Limits.Unlimited) g in
+      Schedule.n_steps s = max 1 (Depgraph.critical_length dep))
 
 let prop_fds_respects_deadline =
   QCheck.Test.make ~name:"force-directed meets its deadline" ~count:80
