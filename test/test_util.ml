@@ -244,6 +244,35 @@ let prop_binprog_exactly_one =
             (fun g -> List.length (List.filter value g) = 1)
             groups)
 
+(* ---- Json typed coercions ---- *)
+
+let test_json_to_int_exact () =
+  let oi = Alcotest.(check (option int)) in
+  oi "integral" (Some 42) (Json.to_int (Json.Num 42.0));
+  oi "negative" (Some (-7)) (Json.to_int (Json.Num (-7.0)));
+  oi "fractional" None (Json.to_int (Json.Num 2.5));
+  oi "beyond exact range" None (Json.to_int (Json.Num 1e16));
+  oi "not a number" None (Json.to_int (Json.Str "3"))
+
+let test_json_typed_members () =
+  let v =
+    Json.Obj [ ("n", Json.of_int 3); ("s", Json.Str "x"); ("b", Json.Bool false) ]
+  in
+  Alcotest.(check (option int)) "int" (Some 3) (Json.int_member "n" v);
+  Alcotest.(check (option string)) "str" (Some "x") (Json.str_member "s" v);
+  Alcotest.(check (option bool)) "bool" (Some false) (Json.bool_member "b" v);
+  Alcotest.(check (option int)) "wrong type" None (Json.int_member "s" v);
+  Alcotest.(check (option string)) "missing" None (Json.str_member "z" v);
+  Alcotest.(check (option int)) "not an object" None (Json.int_member "n" (Json.Num 3.0))
+
+let prop_json_of_int_roundtrip =
+  QCheck.Test.make ~name:"of_int then to_int is identity" ~count:300
+    QCheck.(int_range (-1_000_000_000) 1_000_000_000)
+    (fun n ->
+      match Json.parse (Json.to_string (Json.of_int n)) with
+      | Ok j -> Json.to_int j = Some n
+      | Error _ -> false)
+
 let () =
   Alcotest.run "util"
     [
@@ -284,5 +313,11 @@ let () =
           Alcotest.test_case "unsat" `Quick test_binprog_unsat;
           Alcotest.test_case "at-most" `Quick test_binprog_at_most;
           QCheck_alcotest.to_alcotest prop_binprog_exactly_one;
+        ] );
+      ( "json-typed",
+        [
+          Alcotest.test_case "to_int exactness" `Quick test_json_to_int_exact;
+          Alcotest.test_case "typed members" `Quick test_json_typed_members;
+          QCheck_alcotest.to_alcotest prop_json_of_int_roundtrip;
         ] );
     ]
