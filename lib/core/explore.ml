@@ -205,7 +205,7 @@ module Bound = struct
                 bump cls (n * Hls_rtl.Component.min_area cls ~width:w)
             | _ -> ())
           (Schedule.fu_requirement sched);
-        for s = 0 to Schedule.n_steps sched - 1 do
+        for s = 1 to Schedule.n_steps sched do
           let sums = Hashtbl.create 4 in
           List.iter
             (fun nid ->

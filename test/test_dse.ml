@@ -405,6 +405,38 @@ let test_bounds_sound () =
         points)
     Workloads.all
 
+(* Steps are 1-based: the width-aware FU floor must scan the block's
+   last step. Here the one 8-bit add runs in step 1 and the two 32-bit
+   adds share step 2, so the ALU floor is two 32-bit adders (operand
+   steering adds nothing: each port sees one computed source). *)
+let test_bound_scans_last_step () =
+  let src =
+    {|
+module m(input a, b: int<8>; input c, d, e, f: int<32>;
+         output y: int<8>; output z, w: int<32>);
+begin
+  y := a + b;
+  z := c + d;
+  w := e + f;
+end
+|}
+  in
+  let o =
+    Flow.midend ~passes:Hls_transform.Passes.default_pipeline ~if_conversion:false
+      (Flow.frontend src)
+  in
+  let cfg = o.Flow.o_cfg in
+  let cs =
+    Hls_sched.Cfg_sched.init cfg (fun bid ->
+        let g = Hls_cdfg.Cfg.dfg cfg bid in
+        Hls_sched.Schedule.make g ~steps:(fun nid ->
+            if Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid) = 8 then 1 else 2))
+  in
+  let node_w g _bid nid = Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid) in
+  Alcotest.(check int) "two 32-bit adders"
+    (2 * Hls_rtl.Component.min_area Hls_cdfg.Op.C_alu ~width:32)
+    (Explore.Bound.fu_input_mux_area_lb ~node_w ~schedule_free:false cs)
+
 (* The pruned sweep's decision procedure with one Bound.compute per
    point: rank, decide classes most promising first with a window of
    four verdicts in flight, then settle the survivors. Evaluations run serially at
@@ -725,6 +757,7 @@ let () =
           Alcotest.test_case "lower bounds never exceed the estimate" `Slow
             test_bounds_sound;
           Alcotest.test_case "one bound per backend class" `Slow test_bounds_per_class;
+          Alcotest.test_case "FU floor scans the last step" `Quick test_bound_scans_last_step;
         ] );
       ( "refine",
         [
