@@ -579,7 +579,7 @@ let pipeline_compare () =
                    (fun (c, n) -> Printf.sprintf "%d %s" n (Op.fu_class_to_string c))
                    demand);
             ])
-        (Pipeline.throughput_table ~limits:(Limits.Total 2) g);
+        (Pipeline.throughput_table g);
       Table.print t)
     [ ("fir8", true); ("biquad3", false) ];
   Printf.printf

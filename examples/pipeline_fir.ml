@@ -51,7 +51,7 @@ let () =
                  Printf.sprintf "%d %s" n (Hls_cdfg.Op.fu_class_to_string c))
                demand);
         ])
-    (Pipeline.throughput_table ~limits:(Limits.Total 2) g);
+    (Pipeline.throughput_table g);
   Table.print t;
 
   (* zoom in on one design point: smallest interval on two units *)

@@ -22,21 +22,22 @@ let of_op t (bid, nid) =
       invalid_arg
         (Printf.sprintf "Fu_alloc: operation b%d.%%%d is not allocated to any unit" bid nid)
 
-let collect cs =
+let collect ?lifetimes cs =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
   List.concat_map
     (fun bid ->
       let g = Cfg.dfg cfg bid in
-      let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-      Dfg.compute_ops g
-      |> List.map (fun nid ->
-             {
-               bid;
-               nid;
-               cls = Dfg.fu_class_of g nid;
-               step = Hls_sched.Schedule.step_of sched nid;
-             })
-      |> List.sort (fun a b -> compare (a.step, a.nid) (b.step, b.nid)))
+      let by_step =
+        match lifetimes with
+        | Some lt -> Lifetime.by_step lt bid
+        | None -> Hls_sched.Schedule.by_step (Hls_sched.Cfg_sched.block_schedule cs bid)
+      in
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun step nids ->
+                List.map (fun nid -> { bid; nid; cls = Dfg.fu_class_of g nid; step }) nids)
+              by_step)))
     (Cfg.block_ids cfg)
 
 let source_of lt bid nid =
@@ -64,8 +65,8 @@ let make_lookup instances =
     instances;
   table
 
-let by_clique cs =
-  let ops = Array.of_list (collect cs) in
+let by_clique ?lifetimes cs =
+  let ops = Array.of_list (collect ?lifetimes cs) in
   let n = Array.length ops in
   let compatible i j =
     let a = ops.(i) and b = ops.(j) in
@@ -91,9 +92,9 @@ type building = {
   mutable b_arity : int;
 }
 
-let greedy ?(selection = `Min_mux) cs =
+let greedy ?(selection = `Min_mux) ?lifetimes cs =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let ops = collect cs in
+  let ops = collect ?lifetimes cs in
   let instances : building list ref = ref [] in
   let next_id = ref 0 in
   (* operand sources only steer the mux-aware choice: first fit never
@@ -102,7 +103,7 @@ let greedy ?(selection = `Min_mux) cs =
     match selection with
     | `First_fit -> fun _ -> []
     | `Min_mux ->
-        let lt = Lifetime.table cs in
+        let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
         fun r -> List.map (fun a -> source_of lt r.bid a) (Dfg.args (Cfg.dfg cfg r.bid) r.nid)
   in
   let busy inst r = List.exists (fun o -> o.bid = r.bid && o.step = r.step) inst.b_ops in

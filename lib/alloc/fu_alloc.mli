@@ -50,15 +50,18 @@ val of_op : t -> Cfg.bid * Dfg.nid -> int
 (** Unit id the operation was allocated to. Raises [Invalid_argument]
     for an operation outside the allocation. *)
 
-val collect : Hls_sched.Cfg_sched.t -> op_ref list
+val collect : ?lifetimes:Lifetime.t -> Hls_sched.Cfg_sched.t -> op_ref list
 (** All step-occupying operations of the scheduled program, in (block,
-    step, node) order. *)
+    step, node) order; [lifetimes], the schedule's table, supplies its
+    step grouping. *)
 
-val by_clique : Hls_sched.Cfg_sched.t -> t
+val by_clique : ?lifetimes:Lifetime.t -> Hls_sched.Cfg_sched.t -> t
 (** One clique partition per functional-unit class. *)
 
-val greedy : ?selection:[ `Min_mux | `First_fit ] -> Hls_sched.Cfg_sched.t -> t
-(** Constructive allocation in step order (default [`Min_mux]). *)
+val greedy :
+  ?selection:[ `Min_mux | `First_fit ] -> ?lifetimes:Lifetime.t -> Hls_sched.Cfg_sched.t -> t
+(** Constructive allocation in step order (default [`Min_mux]).
+    [lifetimes] is the schedule's table, built here when absent. *)
 
 val n_units : t -> int
 val units_by_class : t -> (Op.fu_class * int) list

@@ -48,8 +48,12 @@ type dest =
 type resolver
 
 val resolver :
-  Hls_sched.Cfg_sched.t -> fu:Fu_alloc.t -> regs:Reg_alloc.t -> resolver
-(** Builds the design's lifetime table once; every {!resolve} reads it. *)
+  ?lifetimes:Lifetime.t -> Hls_sched.Cfg_sched.t -> fu:Fu_alloc.t -> regs:Reg_alloc.t -> resolver
+(** Reads the schedule's lifetime table [lifetimes] (built here when
+    absent); every {!resolve} reads it. *)
+
+val unit_of : resolver -> Cfg.bid -> Dfg.nid -> int
+(** {!Fu_alloc.of_op} of the resolver's allocation, from an array. *)
 
 val resolve : resolver -> Cfg.bid -> Dfg.nid -> step:int -> wire
 (** The net driving value [nid] of block [bid] when it is read at
@@ -76,7 +80,11 @@ val latches : resolver -> Cfg.bid -> (string * Dfg.nid * int) list
 type transfer = { t_src : wire; t_dst : dest; t_bid : Cfg.bid; t_step : int }
 
 val transfers :
-  Hls_sched.Cfg_sched.t -> fu:Fu_alloc.t -> regs:Reg_alloc.t -> transfer list
+  ?lifetimes:Lifetime.t ->
+  Hls_sched.Cfg_sched.t ->
+  fu:Fu_alloc.t ->
+  regs:Reg_alloc.t ->
+  transfer list
 (** All data transfers of the design, in block order: each block's
     functional-unit operands, then its {!latches}. *)
 

@@ -19,7 +19,7 @@ let rec stored_sources g id acc =
   | _ when Dfg.occupies_step g id -> id :: acc
   | _ -> List.fold_left (fun acc a -> stored_sources g a acc) acc (Dfg.args g id)
 
-let analyze sched ~term_cond =
+let analyze ?writes sched ~term_cond =
   let g = Hls_sched.Schedule.dfg sched in
   let n = Dfg.n_nodes g in
   let n_steps = Hls_sched.Schedule.n_steps sched in
@@ -45,7 +45,7 @@ let analyze sched ~term_cond =
       | _ -> ())
     g;
   (match term_cond with Some c -> consume c n_steps | None -> ());
-  let writes = Dfg.writes g in
+  let writes = match writes with Some ws -> ws | None -> Dfg.writes g in
   let write_step wnid = Hls_sched.Schedule.write_step sched wnid in
   (* earliest write to a variable in this block, if any *)
   let first_write v =
@@ -112,26 +112,41 @@ let branch_condition cfg bid =
 
 (* ---- the table: every block of one scheduled CFG ---- *)
 
-type block = { values : value_info list; by_node : storage array }
-type t = { cs : Hls_sched.Cfg_sched.t; blocks : block array }
+type block = {
+  values : value_info list;
+  by_node : storage array;
+  writes : (string * Dfg.nid) list;
+  by_step : Dfg.nid list array;
+}
 
-let table cs =
+type t = { cs : Hls_sched.Cfg_sched.t; facts : Cfg_facts.t option; blocks : block array }
+
+let tables = Atomic.make 0
+let tables_built () = Atomic.get tables
+
+let table ?facts cs =
+  Atomic.incr tables;
   let cfg = Hls_sched.Cfg_sched.cfg cs in
   let blocks =
     Array.init (Cfg.n_blocks cfg) (fun bid ->
-        let values =
-          analyze (Hls_sched.Cfg_sched.block_schedule cs bid)
-            ~term_cond:(branch_condition cfg bid)
+        let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
+        let writes, term_cond =
+          match facts with
+          | Some (f : Cfg_facts.t) -> (f.blocks.(bid).writes, f.blocks.(bid).cond)
+          | None -> (Dfg.writes (Cfg.dfg cfg bid), branch_condition cfg bid)
         in
+        let values = analyze ~writes sched ~term_cond in
         let by_node = Array.make (Dfg.n_nodes (Cfg.dfg cfg bid)) No_storage in
         List.iter (fun info -> by_node.(info.nid) <- info.storage) values;
-        { values; by_node })
+        { values; by_node; writes; by_step = Hls_sched.Schedule.by_step sched })
   in
-  { cs; blocks }
+  { cs; facts; blocks }
 
 let schedule t = t.cs
 let values t bid = t.blocks.(bid).values
 let storage t bid nid = t.blocks.(bid).by_node.(nid)
+let writes t bid = t.blocks.(bid).writes
+let by_step t bid = t.blocks.(bid).by_step
 
 type interference = { vars : string array; conflicts : Bytes.t (* vars x vars *) }
 
@@ -139,53 +154,55 @@ let vars ix = ix.vars
 let conflict ix i j = Bytes.get ix.conflicts ((i * Array.length ix.vars) + j) <> '\000'
 
 let interference t ~outputs =
-  let cfg = Hls_sched.Cfg_sched.cfg t.cs in
-  let live = Liveness.analyze ~live_at_exit:outputs cfg in
-  let vars = Array.of_list (Liveness.all_variables live) in
+  let facts =
+    match t.facts with
+    | Some f when f.Cfg_facts.outputs = outputs -> f
+    | _ -> Cfg_facts.make ~outputs (Hls_sched.Cfg_sched.cfg t.cs)
+  in
+  let vars = facts.Cfg_facts.vars in
   let nv = Array.length vars in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) vars;
   let conflicts = Bytes.make (nv * nv) '\000' in
   Array.iteri
     (fun bid blk ->
-      let g = Cfg.dfg cfg bid in
+      let fb = facts.Cfg_facts.blocks.(bid) in
+      let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg t.cs) bid in
       let sched = Hls_sched.Cfg_sched.block_schedule t.cs bid in
       let n = Hls_sched.Schedule.n_steps sched in
       (* held.[k * nv + i]: variable i's register is occupied at step
-         boundary k *)
+         boundary k; members.(k) lists those variables *)
       let held = Bytes.make ((n + 1) * nv) '\000' in
+      let members = Array.make (n + 1) [] in
       let last_write = Array.make nv 0 in
       let occupy i lo hi =
         for k = max 0 lo to min n hi do
-          Bytes.set held ((k * nv) + i) '\001'
+          if Bytes.get held ((k * nv) + i) = '\000' then begin
+            Bytes.set held ((k * nv) + i) '\001';
+            members.(k) <- i :: members.(k)
+          end
         done
       in
-      (* live sets may name an output nothing assigns *)
-      let live_vars f = List.filter_map (Hashtbl.find_opt index) (f live bid) in
-      List.iter (fun i -> occupy i 0 0) (live_vars Liveness.live_in);
+      let id = Cfg_facts.var_id facts in
+      List.iter (fun i -> occupy i 0 0) fb.Cfg_facts.live_in;
       List.iter
         (fun info ->
           match (info.storage, Dfg.op g info.nid) with
-          | In_variable v, _ -> occupy (Hashtbl.find index v) info.produced (info.last_use - 1)
-          | Temp iv, Op.Read v -> occupy (Hashtbl.find index v) 0 (iv.Interval.lo - 1)
+          | In_variable v, _ -> occupy (id v) info.produced (info.last_use - 1)
+          | Temp iv, Op.Read v -> occupy (id v) 0 (iv.Interval.lo - 1)
           | (Temp _ | No_storage), _ -> ())
         blk.values;
       List.iter
-        (fun (v, w) ->
-          let s = Hls_sched.Schedule.write_step sched w and i = Hashtbl.find index v in
+        (fun (i, w) ->
+          let s = Hls_sched.Schedule.write_step sched w in
           last_write.(i) <- max last_write.(i) s;
           occupy i s s)
-        (Dfg.writes g);
-      List.iter (fun i -> occupy i last_write.(i) n) (live_vars Liveness.live_out);
-      for k = 0 to n do
-        for i = 0 to nv - 1 do
-          if Bytes.get held ((k * nv) + i) <> '\000' then
-            for j = 0 to nv - 1 do
-              if Bytes.get held ((k * nv) + j) <> '\000' then
-                Bytes.set conflicts ((i * nv) + j) '\001'
-            done
-        done
-      done)
+        fb.Cfg_facts.write_ids;
+      List.iter (fun i -> occupy i last_write.(i) n) fb.Cfg_facts.live_out;
+      Array.iter
+        (fun held_k ->
+          List.iter
+            (fun i -> List.iter (fun j -> Bytes.set conflicts ((i * nv) + j) '\001') held_k)
+            held_k)
+        members)
     t.blocks;
   { vars; conflicts }
 

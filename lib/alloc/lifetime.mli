@@ -35,10 +35,14 @@ type value_info = {
 }
 
 val analyze :
-  Hls_sched.Schedule.t -> term_cond:Dfg.nid option -> value_info list
+  ?writes:(string * Dfg.nid) list ->
+  Hls_sched.Schedule.t ->
+  term_cond:Dfg.nid option ->
+  value_info list
 (** Analyze one scheduled block. [term_cond] is the branch condition (if
-    the block ends in a conditional branch). Values are listed in node-id
-    order. *)
+    the block ends in a conditional branch); [writes] the block's
+    {!Dfg.writes}, when the caller has them. Values are listed in
+    node-id order. *)
 
 val branch_condition : Cfg.t -> Cfg.bid -> Dfg.nid option
 (** The condition a block's terminator samples at its last step. *)
@@ -47,11 +51,19 @@ val branch_condition : Cfg.t -> Cfg.bid -> Dfg.nid option
 
     Every block analyzed once, with its own branch condition. Allocation,
     binding, the live-storage bound and refinement all read it; build it
-    once per pass over a schedule. It is never part of a design. *)
+    once per pass over a schedule (one backend run builds one). It is
+    never part of a design. *)
 
 type t
 
-val table : Hls_sched.Cfg_sched.t -> t
+val table : ?facts:Cfg_facts.t -> Hls_sched.Cfg_sched.t -> t
+(** [facts] — the CFG's schedule-free facts — supplies each block's
+    writes and branch condition, and {!interference} reads its liveness
+    instead of running the analysis again. *)
+
+val tables_built : unit -> int
+(** Tables built by this process so far, on any domain: a work count for
+    tests that pin how often a pass builds one. *)
 
 val schedule : t -> Hls_sched.Cfg_sched.t
 (** The scheduled CFG the table was built from. *)
@@ -62,6 +74,13 @@ val values : t -> Cfg.bid -> value_info list
 val storage : t -> Cfg.bid -> Dfg.nid -> storage
 (** Classification of one node; [No_storage] for nodes that are not
     stored values (constants, free operations, writes). *)
+
+val writes : t -> Cfg.bid -> (string * Dfg.nid) list
+(** The block's {!Dfg.writes}. *)
+
+val by_step : t -> Cfg.bid -> Dfg.nid list array
+(** The block's {!Hls_sched.Schedule.by_step}: its step-occupying
+    operations grouped by step. *)
 
 type interference
 
@@ -74,7 +93,9 @@ val conflict : interference -> int -> int -> bool
 
 val interference : t -> outputs:string list -> interference
 (** The variable conflict relation register sharing is decided on.
-    [outputs] are live at program exit.
+    [outputs] are live at program exit; the liveness comes from the
+    table's {!Cfg_facts} when they were built for the same [outputs],
+    and from a fresh analysis otherwise.
 
     Step boundary [k] of a block lies between its steps [k] and [k + 1];
     boundary 0 is block entry and boundary [n_steps] block exit. In each

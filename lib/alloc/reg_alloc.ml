@@ -7,8 +7,8 @@ type t = {
   groups : string list list;
 }
 
-let run ?(share_variables = true) ~ports ~outputs cs =
-  let lt = Lifetime.table cs in
+let run ?(share_variables = true) ?lifetimes ~ports ~outputs cs =
+  let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
   (* --- temporaries: left-edge per block, tracks shared across blocks --- *)
   let temp_tracks = Hashtbl.create 32 in
   let n_temps = ref 0 in
@@ -21,11 +21,11 @@ let run ?(share_variables = true) ~ports ~outputs cs =
   (* --- variables: clique-share the non-conflicting ones --- *)
   let ix = Lifetime.interference lt ~outputs in
   let vars = Lifetime.vars ix in
-  let is_port v = List.mem v ports in
+  let is_port = Array.map (fun v -> List.mem v ports) vars in
   let groups =
     if share_variables then
       Clique.partition ~n:(Array.length vars) ~compatible:(fun i j ->
-          (not (is_port vars.(i))) && (not (is_port vars.(j))) && not (Lifetime.conflict ix i j))
+          (not is_port.(i)) && (not is_port.(j)) && not (Lifetime.conflict ix i j))
       |> List.map (List.map (fun i -> vars.(i)))
     else List.map (fun v -> [ v ]) (Array.to_list vars)
   in

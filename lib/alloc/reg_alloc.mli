@@ -24,12 +24,14 @@ type t
 
 val run :
   ?share_variables:bool ->
+  ?lifetimes:Lifetime.t ->
   ports:string list ->
   outputs:string list ->
   Hls_sched.Cfg_sched.t ->
   t
 (** [ports] lists all port names (never merged); [outputs] are the output
-    ports, live at program exit. Sharing defaults to true. *)
+    ports, live at program exit. Sharing defaults to true. [lifetimes] is
+    the schedule's table, built here when absent. *)
 
 val temp_track : t -> Cfg.bid -> Dfg.nid -> int option
 (** Track (physical temp register index) of a value, if it needed one. *)

@@ -27,11 +27,12 @@ let check_block ?(limits = Limits.Unlimited) ~bid sched =
           node.Dfg.args
       end)
     g;
-  let writes_at s =
-    List.exists (fun (_, wnid) -> Schedule.write_step sched wnid = s) (Dfg.writes g)
-  in
+  let n = Schedule.n_steps sched in
+  let ops = Schedule.by_step sched in
+  let latches = Array.make (n + 1) false in
+  List.iter (fun (_, wnid) -> latches.(Schedule.write_step sched wnid) <- true) (Dfg.writes g);
   let occ = Schedule.occupancy sched in
-  for s = 1 to Schedule.n_steps sched do
+  for s = 1 to n do
     if not (Limits.step_within limits occ ~step:s) then
       add
         (error Sched ~code:"SCHED002" (Step (bid, s))
@@ -41,8 +42,7 @@ let check_block ?(limits = Limits.Unlimited) ~bid sched =
                  (fun (cls, k) -> Printf.sprintf "%s:%d" (Op.fu_class_to_string cls) k)
                  (Limits.step_counts occ ~step:s)))
            (Limits.to_string limits));
-    if s < Schedule.n_steps sched && Schedule.ops_in_step sched s = [] && not (writes_at s)
-    then
+    if s < n && ops.(s) = [] && not latches.(s) then
       add
         (warning Sched ~code:"SCHED003" (Step (bid, s))
            "step holds no operation and latches no value")

@@ -58,10 +58,7 @@ let fu_class_of g id =
       | _ -> Op.C_none)
   | op -> Op.base_class op
 
-let occupies_step g id =
-  match fu_class_of g id with
-  | Op.C_alu | Op.C_mul | Op.C_div | Op.C_shift -> true
-  | Op.C_free | Op.C_none -> false
+let occupies_step g id = Op.occupies (fu_class_of g id)
 
 let compute_ops g =
   fold (fun acc id _ -> if occupies_step g id then id :: acc else acc) [] g

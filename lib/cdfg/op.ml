@@ -83,6 +83,12 @@ let fu_class_to_string = function
   | C_free -> "free"
   | C_none -> "none"
 
+let occupying_classes = [ C_alu; C_mul; C_div; C_shift ]
+
+let occupies = function
+  | C_alu | C_mul | C_div | C_shift -> true
+  | C_free | C_none -> false
+
 let base_class = function
   | Const _ | Read _ | Write _ -> C_none
   | Add | Sub | And | Or | Xor | Not | Neg | Cmp _ | Incr | Decr -> C_alu

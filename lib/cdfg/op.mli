@@ -45,6 +45,14 @@ type fu_class = C_alu | C_mul | C_div | C_shift | C_free | C_none
 
 val fu_class_to_string : fu_class -> string
 
+val occupying_classes : fu_class list
+(** The classes whose operations take a control step on a functional
+    unit — [C_alu], [C_mul], [C_div], [C_shift], in declaration order.
+    Resource limits, bounds and allocation range over exactly these. *)
+
+val occupies : fu_class -> bool
+(** Membership in {!occupying_classes}. *)
+
 val base_class : t -> fu_class
 (** Context-free classification: shifts are classified [C_shift] and writes
     [C_none]; {!Dfg.fu_class_of} refines both. *)

@@ -11,6 +11,9 @@ open Hls_sched
    midend    stage_key [Midend]
    schedule  stage_key [Midend; Schedule]         — stores the schedule's
              content digest with it, computed once per miss
+   block     midend key + block id + scheduler + the limits that can
+             bind on the block (Depgraph.binding_limits) — probed by
+             schedule misses only, one probe per block
    backend   midend key + schedule digest + stage_key [Backend]
    control   midend key + encoding + each block's step count — probed
              by backend misses only
@@ -60,27 +63,58 @@ open Hls_sched
 (* Every key is built from Flow.Knob.stage_key: the canonical text of
    the option fields a stage reads, so equal points print equally and
    any semantic difference (pass set, fact folding, scheduler slack,
-   class caps, ...) is a distinct key. *)
-let midend_key options = Flow.Knob.stage_key [ Midend ] options
-let schedule_key options = Flow.Knob.stage_key [ Midend; Schedule ] options
+   class caps, ...) is a distinct key. A point's stage texts are
+   printed once per call, then every layer's key is assembled from
+   them. *)
+type keys = {
+  options : Flow.options;
+  mid : string;
+  sched : string;
+  back : string;  (** the [Backend] part *)
+  refine : string;  (** the [Refine] part *)
+}
 
-let backend_key options ~digest =
-  String.concat "|" [ midend_key options; digest; Flow.Knob.stage_key [ Backend ] options ]
+let keys options =
+  let part = Flow.Knob.stage_keys options in
+  let mid = part Midend in
+  { options; mid; sched = mid ^ part Schedule; back = part Backend; refine = part Refine }
+
+let backend_key k ~digest = String.concat "|" [ k.mid; digest; k.back ]
 
 (* Refinement layer: the one-shot backend seed plus the constraints the
    acceptance loop runs under (the effective limits candidates are
    checked against, and the iterate bound). *)
-let refine_key options ~digest =
-  backend_key options ~digest ^ "|" ^ Flow.Knob.stage_key [ Refine ] options
+let refine_key k ~digest = backend_key k ~digest ^ "|" ^ k.refine
 
-let class_key options ~digest =
-  if options.Flow.iterate <= 0 then backend_key options ~digest
-  else refine_key options ~digest
+let class_key k ~digest =
+  if k.options.Flow.iterate <= 0 then backend_key k ~digest else refine_key k ~digest
+
+(* Block layer: a block's schedule depends on the block (fixed by the
+   midend key and its id), the scheduler, and only the caps that can
+   bind on it — limits a scheduler ignores are already [Unlimited]. It
+   is probed once per block of every schedule miss, so its key is a
+   value, not printed text. *)
+type block_key = {
+  b_mid : string;
+  b_bid : int;
+  b_scheduler : Flow.scheduler;
+  b_limits : Limits.t;
+}
+
+let block_key k (o : Flow.optimized) bid =
+  let options = k.options in
+  {
+    b_mid = k.mid;
+    b_bid = bid;
+    b_scheduler = options.Flow.scheduler;
+    b_limits =
+      Depgraph.binding_limits ~limits:(Flow.effective_limits options) o.Flow.o_deps.(bid);
+  }
 
 (* Control layer: the FSM is a function of the CFG (fixed by the midend
    key) and each block's step count, and the controller of the FSM and
    the encoding. *)
-let control_key options sched =
+let control_key k sched =
   let cfg = Cfg_sched.cfg sched in
   let steps =
     List.map
@@ -88,7 +122,7 @@ let control_key options sched =
       (Hls_cdfg.Cfg.block_ids cfg)
   in
   String.concat "|"
-    [ midend_key options; Flow.Knob.text Flow.Knob.encoding options.Flow.encoding;
+    [ k.mid; Flow.Knob.text Flow.Knob.encoding k.options.Flow.encoding;
       String.concat "," steps ]
 
 type config = {
@@ -105,12 +139,27 @@ type stats = {
   frontend : layer;
   midend : layer;
   schedule : layer;
+  block : layer;
   backend : layer;
   control : layer;
   refine : layer;
 }
 
-type counter = { mutable c_hits : int; mutable c_misses : int }
+(* a layer's tallies and its two trace counter names *)
+type counter = {
+  trace_hits : Hls_obs.Trace.handle;
+  trace_misses : Hls_obs.Trace.handle;
+  mutable c_hits : int;
+  mutable c_misses : int;
+}
+
+let counter name =
+  {
+    trace_hits = Hls_obs.Trace.handle ("dse/" ^ name ^ ".hits");
+    trace_misses = Hls_obs.Trace.handle ("dse/" ^ name ^ ".misses");
+    c_hits = 0;
+    c_misses = 0;
+  }
 type 'v slot = Done of 'v | Pending
 
 type presult = (Flow.design, Hls_analysis.Diagnostic.t list) result
@@ -124,6 +173,7 @@ type t = {
   front : (unit, Flow.compiled slot) Hashtbl.t;
   mid : (string, Flow.optimized slot) Hashtbl.t;
   scheds : (string, (Cfg_sched.t * string) slot) Hashtbl.t;
+  blocks : (block_key, Schedule.t slot) Hashtbl.t;
   backs : (string, presult slot) Hashtbl.t;
   controls : (string, Hls_ctrl.Ctrl_synth.t slot) Hashtbl.t;
   refines : (string, presult slot) Hashtbl.t;
@@ -131,6 +181,7 @@ type t = {
   n_front : counter;
   n_mid : counter;
   n_sched : counter;
+  n_block : counter;
   n_back : counter;
   n_control : counter;
   n_refine : counter;
@@ -161,17 +212,19 @@ let make_engine config source =
     front = Hashtbl.create 1;
     mid = Hashtbl.create 8;
     scheds = Hashtbl.create 64;
+    blocks = Hashtbl.create 256;
     backs = Hashtbl.create 64;
     controls = Hashtbl.create 64;
     refines = Hashtbl.create 16;
     persist = Hashtbl.create 64;
-    n_front = { c_hits = 0; c_misses = 0 };
-    n_mid = { c_hits = 0; c_misses = 0 };
-    n_sched = { c_hits = 0; c_misses = 0 };
-    n_back = { c_hits = 0; c_misses = 0 };
-    n_control = { c_hits = 0; c_misses = 0 };
-    n_refine = { c_hits = 0; c_misses = 0 };
-    n_persist = { c_hits = 0; c_misses = 0 };
+    n_front = counter "frontend";
+    n_mid = counter "midend";
+    n_sched = counter "schedule";
+    n_block = counter "block";
+    n_back = counter "backend";
+    n_control = counter "control";
+    n_refine = counter "refine";
+    n_persist = counter "persist";
   }
 
 let create ?(config = default_config) src = make_engine config (`Src src)
@@ -183,6 +236,7 @@ let clear t =
       Hashtbl.reset t.front;
       Hashtbl.reset t.mid;
       Hashtbl.reset t.scheds;
+      Hashtbl.reset t.blocks;
       Hashtbl.reset t.backs;
       Hashtbl.reset t.controls;
       Hashtbl.reset t.refines;
@@ -191,7 +245,8 @@ let clear t =
         (fun c ->
           c.c_hits <- 0;
           c.c_misses <- 0)
-        [ t.n_front; t.n_mid; t.n_sched; t.n_back; t.n_control; t.n_refine; t.n_persist ])
+        [ t.n_front; t.n_mid; t.n_sched; t.n_block; t.n_back; t.n_control; t.n_refine;
+          t.n_persist ])
 
 let stats t =
   Hls_obs.Sync.with_lock t.lock (fun () ->
@@ -200,6 +255,7 @@ let stats t =
         frontend = layer t.n_front;
         midend = layer t.n_mid;
         schedule = layer t.n_sched;
+        block = layer t.n_block;
         backend = layer t.n_back;
         control = layer t.n_control;
         refine = layer t.n_refine;
@@ -210,6 +266,7 @@ let pp_stats ppf s =
   line "frontend" s.frontend;
   line "midend" s.midend;
   line "schedule" s.schedule;
+  line "block" s.block;
   line "backend" s.backend;
   line "control" s.control;
   line "refine" s.refine
@@ -221,12 +278,9 @@ let pp_stats ppf s =
    and the first to notice takes the compute over. Hit/miss counts are
    decided at a probe's first look, so totals are identical for any
    worker count: one miss per unique key, hits for every other probe. *)
-let memo t name ctr tbl key compute =
+let memo t ctr tbl key compute =
   let locked f = Hls_obs.Sync.with_lock t.lock f in
-  let bump_trace hit =
-    Hls_obs.Trace.incr
-      (if hit then "dse/" ^ name ^ ".hits" else "dse/" ^ name ^ ".misses")
-  in
+  let bump_trace hit = Hls_obs.Trace.bump (if hit then ctr.trace_hits else ctr.trace_misses) in
   if not t.config.memoize then begin
     locked (fun () -> ctr.c_misses <- ctr.c_misses + 1);
     bump_trace false;
@@ -301,28 +355,34 @@ let memo t name ctr tbl key compute =
    evaluation of the survivors probe exactly the same cache keys. The
    schedule's content digest is computed once, on a schedule miss, and
    cached with it. *)
-let eval_stages t (options : Flow.options) =
+let eval_stages t k =
+  let options = k.options in
   let c =
-    memo t "frontend" t.n_front t.front () (fun () ->
+    memo t t.n_front t.front () (fun () ->
         match t.source with
         | `Src s -> Flow.frontend s
         | `Ast a -> Flow.frontend_program a)
   in
   let o =
-    memo t "midend" t.n_mid t.mid (midend_key options) (fun () ->
+    memo t t.n_mid t.mid k.mid (fun () ->
         Flow.midend ~passes:options.passes ~if_conversion:options.if_conversion c)
   in
   let sched, digest =
-    memo t "schedule" t.n_sched t.scheds (schedule_key options) (fun () ->
-        let sched = Flow.schedule options o in
+    memo t t.n_sched t.scheds k.sched (fun () ->
+        let block bid compute = memo t t.n_block t.blocks (block_key k o bid) compute in
+        let sched = Flow.schedule ~block options o in
         (sched, Cfg_sched.digest sched))
   in
   (o, sched, digest)
 
+(* span attributes only while tracing captures spans *)
+let span_args options = if Hls_obs.Trace.enabled () then Flow.Knob.attrs options else []
+
 let eval_class t (options : Flow.options) =
-  Hls_obs.Trace.with_span "dse/cheap" ~args:(Flow.Knob.attrs options) (fun () ->
-      let o, sched, digest = eval_stages t options in
-      (o, sched, class_key options ~digest))
+  Hls_obs.Trace.with_span "dse/cheap" ~args:(span_args options) (fun () ->
+      let k = keys options in
+      let o, sched, digest = eval_stages t k in
+      (o, sched, class_key k ~digest))
 
 let eval_cheap t options =
   let o, sched, _ = eval_class t options in
@@ -330,17 +390,18 @@ let eval_cheap t options =
 
 (* One full point through the staged in-memory layers (everything the
    engine did before the persistent layer existed). *)
-let eval_staged t (options : Flow.options) =
-  let o, sched, digest = eval_stages t options in
+let eval_staged t k =
+  let options = k.options in
+  let o, sched, digest = eval_stages t k in
   let control fsm =
     let ctrl =
-      memo t "control" t.n_control t.controls (control_key options sched) (fun () ->
+      memo t t.n_control t.controls (control_key k sched) (fun () ->
           Hls_ctrl.Ctrl_synth.synthesize ~style:options.encoding fsm)
     in
     Hls_ctrl.Ctrl_synth.with_fsm ctrl fsm
   in
   let seeded =
-    memo t "backend" t.n_back t.backs (backend_key options ~digest) (fun () ->
+    memo t t.n_back t.backs (backend_key k ~digest) (fun () ->
         Flow.complete_result ~control options o ~sched)
   in
   let refined =
@@ -350,7 +411,7 @@ let eval_staged t (options : Flow.options) =
          candidates must verify under, and the iteration bound — all in
          the key, so the memo can be shared across points and stays
          deterministic at any job count (single-flight) *)
-      memo t "refine" t.n_refine t.refines (refine_key options ~digest) (fun () ->
+      memo t t.n_refine t.refines (refine_key k ~digest) (fun () ->
           match seeded with
           | Error ds -> Error ds
           | Ok seed -> Ok (fst (Flow.refine_design options o seed)))
@@ -433,15 +494,17 @@ let disk_probe t key compute =
           | exception _ -> compute_and_store ())
       | None -> compute_and_store ())
 
+let points_counter = Hls_obs.Trace.handle "dse/points"
+
 let eval_result t (options : Flow.options) =
-  Hls_obs.Trace.with_span "dse/point" ~args:(Flow.Knob.attrs options) (fun () ->
-      Hls_obs.Trace.incr "dse/points";
-      if t.config.cache_dir = None || not t.config.memoize then eval_staged t options
+  Hls_obs.Trace.with_span "dse/point" ~args:(span_args options) (fun () ->
+      Hls_obs.Trace.bump points_counter;
+      if t.config.cache_dir = None || not t.config.memoize then eval_staged t (keys options)
       else
         let key = point_key t options in
         let r =
-          memo t "persist" t.n_persist t.persist key (fun () ->
-              disk_probe t key (fun () -> eval_staged t options))
+          memo t t.n_persist t.persist key (fun () ->
+              disk_probe t key (fun () -> eval_staged t (keys options)))
         in
         (* a persist hit may carry another point's options (same key =
            same canonicalized options, but e.g. a different ignored

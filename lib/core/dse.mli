@@ -10,6 +10,12 @@
     - {e schedule} once per midend key + [(scheduler, limits)], with
       the limits canonicalized away for schedulers that ignore them
       ({!Flow.scheduler_ignores_limits});
+    - {e block} (inside a schedule miss) once per midend key + block +
+      scheduler + the caps that can bind on that block
+      ({!Hls_sched.Depgraph.binding_limits}): a cap at least the
+      number of operations it constrains never changes a block's
+      schedule, so e.g. 3 and 4 general units share every block of at
+      most 3 operations;
     - {e backend} (allocate/bind/control/estimate) once per midend key
       + schedule {e content} digest + the backend options
       ([allocator, share_variables, encoding, narrow]) — points whose
@@ -120,6 +126,9 @@ type stats = {
   frontend : layer;
   midend : layer;
   schedule : layer;
+  block : layer;
+      (** block schedulings, probed once per block by schedule misses
+          only *)
   backend : layer;
   control : layer;
       (** controller syntheses, probed by backend misses only: never

@@ -161,183 +161,48 @@ let table ?(timings = false) points =
    values (dominance is monotone in both coordinates), and dominance is
    transitive, so no pruned point can ever have made the frontier. *)
 module Bound = struct
-  let real_classes =
-    [ Hls_cdfg.Op.C_alu; Hls_cdfg.Op.C_mul; Hls_cdfg.Op.C_div; Hls_cdfg.Op.C_shift ]
-
   (* Per-class peak demand across blocks: the allocator can share units
      between blocks but never within a step. Two floors per class, keep
      the larger. Width-aware: the operations of one step run on distinct
      units, each at least as wide as its own operation, so the busiest
      step's sum of cheapest-component areas at each operation's width is
-     unavoidable. Count-based: the peak concurrent count (which also
-     covers multi-step occupancy no single start step exhibits) times
-     the cheapest component at the block's narrowest class width.
-     [node_w] supplies each operation's storage width — declared type
-     width normally, the range-inferred width under [narrow], matching
-     what {!Hls_rtl.Datapath.build} will bind. *)
-  let fu_class_floors ~node_w cs =
-    let cfg = Cfg_sched.cfg cs in
-    let best = Hashtbl.create 4 in
-    let bump cls a =
-      let cur = Option.value (Hashtbl.find_opt best cls) ~default:0 in
-      if a > cur then Hashtbl.replace best cls a
-    in
-    List.iter
-      (fun bid ->
-        let sched = Cfg_sched.block_schedule cs bid in
-        let g = Hls_cdfg.Cfg.dfg cfg bid in
-        let minw = Hashtbl.create 4 in
-        Hls_cdfg.Dfg.iter
-          (fun nid _ ->
-            if Hls_cdfg.Dfg.occupies_step g nid then begin
-              let cls = Hls_cdfg.Dfg.fu_class_of g nid in
-              if List.mem cls real_classes then begin
-                let w = node_w g bid nid in
-                let cur = Option.value (Hashtbl.find_opt minw cls) ~default:max_int in
-                Hashtbl.replace minw cls (min cur w)
-              end
-            end)
-          g;
-        List.iter
-          (fun (cls, n) ->
-            match Hashtbl.find_opt minw cls with
-            | Some w when List.mem cls real_classes ->
-                bump cls (n * Hls_rtl.Component.min_area cls ~width:w)
-            | _ -> ())
-          (Schedule.fu_requirement sched);
-        for s = 1 to Schedule.n_steps sched do
-          let sums = Hashtbl.create 4 in
+     unavoidable. Count-based: the peak concurrent count times the
+     cheapest component at the block's narrowest class width. One pass
+     over each block's step grouping (steps 1 .. n). *)
+  let step_floors (fl : Floors.t) lt =
+    let n = List.length Hls_cdfg.Op.occupying_classes in
+    let best = Array.make n 0 in
+    let count = Array.make n 0 and sum = Array.make n 0 in
+    Array.iteri
+      (fun bid (b : Floors.block) ->
+        let rows = Hls_alloc.Lifetime.by_step lt bid in
+        for s = 1 to Array.length rows - 1 do
+          Array.fill count 0 n 0;
+          Array.fill sum 0 n 0;
           List.iter
             (fun nid ->
-              if Hls_cdfg.Dfg.occupies_step g nid then begin
-                let cls = Hls_cdfg.Dfg.fu_class_of g nid in
-                if List.mem cls real_classes then begin
-                  let a = Hls_rtl.Component.min_area cls ~width:(node_w g bid nid) in
-                  let cur = Option.value (Hashtbl.find_opt sums cls) ~default:0 in
-                  Hashtbl.replace sums cls (cur + a)
-                end
-              end)
-            (Schedule.ops_in_step sched s);
-          Hashtbl.iter bump sums
+              let c = b.Floors.op_class.(nid) in
+              count.(c) <- count.(c) + 1;
+              sum.(c) <- sum.(c) + b.Floors.op_area.(nid))
+            rows.(s);
+          for c = 0 to n - 1 do
+            best.(c) <- max best.(c) (max sum.(c) (count.(c) * b.Floors.unit_area.(c)))
+          done
         done)
-      (Hls_cdfg.Cfg.block_ids cfg);
+      fl.Floors.blocks;
     best
-
-  (* Units of one class are a machine-wide resource, and so is the
-     interconnect in front of their operand ports. For argument
-     position p of class c, every distinct constant operand is a
-     dedicated wire the allocator cannot merge (plus one more wire when
-     any operand is computed or register-borne — those may all merge
-     into one register, but never into a constant). With U units those
-     wires split across at most U port-p muxes, and mux area is linear
-     in inputs beyond the first, so the inputs the splitting cannot
-     absorb cost [mux_area (D - U + 1)] at the class's narrowest width.
-     The unit count itself is the allocator's to choose — more units
-     shrink the muxes but each unit costs at least the cheapest class
-     component — so the class's true (FU + input-mux) area is at least
-     the minimum over U of the coupled sum. [schedule_free] drops the
-     schedule-derived per-class floor, leaving floors valid for any
-     legal schedule of the same CFG (what an [iterate > 0] point may
-     ship after refinement). *)
-  let fu_input_mux_area_lb ~node_w ~schedule_free cs =
-    let cfg = Cfg_sched.cfg cs in
-    let minw : (Hls_cdfg.Op.fu_class, int) Hashtbl.t = Hashtbl.create 4 in
-    let arity : (Hls_cdfg.Op.fu_class, int) Hashtbl.t = Hashtbl.create 4 in
-    let consts : (Hls_cdfg.Op.fu_class * int, int list) Hashtbl.t = Hashtbl.create 8 in
-    let nonconst : (Hls_cdfg.Op.fu_class * int, unit) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun bid ->
-        let g = Hls_cdfg.Cfg.dfg cfg bid in
-        Hls_cdfg.Dfg.iter
-          (fun nid node ->
-            if Hls_cdfg.Dfg.occupies_step g nid then begin
-              let cls = Hls_cdfg.Dfg.fu_class_of g nid in
-              if List.mem cls real_classes then begin
-                let w = node_w g bid nid in
-                let cur = Option.value (Hashtbl.find_opt minw cls) ~default:max_int in
-                Hashtbl.replace minw cls (min cur w);
-                let ar = Option.value (Hashtbl.find_opt arity cls) ~default:0 in
-                Hashtbl.replace arity cls (max ar (List.length node.Hls_cdfg.Dfg.args));
-                List.iteri
-                  (fun pos a ->
-                    match Hls_cdfg.Dfg.op g a with
-                    | Hls_cdfg.Op.Const c ->
-                        let cur =
-                          Option.value (Hashtbl.find_opt consts (cls, pos)) ~default:[]
-                        in
-                        if not (List.mem c cur) then
-                          Hashtbl.replace consts (cls, pos) (c :: cur)
-                    | _ -> Hashtbl.replace nonconst (cls, pos) ())
-                  node.Hls_cdfg.Dfg.args
-              end
-            end)
-          g)
-      (Hls_cdfg.Cfg.block_ids cfg);
-    let floors = if schedule_free then None else Some (fu_class_floors ~node_w cs) in
-    Hashtbl.fold
-      (fun cls w acc ->
-        let fc =
-          match floors with
-          | Some tbl -> Option.value (Hashtbl.find_opt tbl cls) ~default:0
-          | None -> 0
-        in
-        let a_min = Hls_rtl.Component.min_area cls ~width:w in
-        let d pos =
-          List.length (Option.value (Hashtbl.find_opt consts (cls, pos)) ~default:[])
-          + if Hashtbl.mem nonconst (cls, pos) then 1 else 0
-        in
-        let ds = List.init (Option.value (Hashtbl.find_opt arity cls) ~default:0) d in
-        let cost u =
-          max fc (u * a_min)
-          + List.fold_left
-              (fun s dp ->
-                s + Hls_rtl.Component.mux_area ~inputs:(max 1 (dp - u + 1)) ~width:w)
-              0 ds
-        in
-        let best = ref (cost 1) in
-        for u = 2 to List.fold_left max 1 ds do
-          if cost u < !best then best := cost u
-        done;
-        acc + !best)
-      minw 0
-
-  let port_names (o : Flow.optimized) =
-    List.map (fun (p : Hls_lang.Ast.port) -> p.Hls_lang.Ast.pname)
-      o.Flow.o_prog.Hls_lang.Typed.tports
-
-  (* Every port read or written anywhere keeps a dedicated register for
-     the whole run — the allocator never merges ports (their values are
-     externally observable) — so their areas are unavoidable at every
-     step boundary. *)
-  let port_reg_area (o : Flow.optimized) cs =
-    let cfg = Cfg_sched.cfg cs in
-    let touched = Hashtbl.create 16 in
-    List.iter
-      (fun bid ->
-        let g = Hls_cdfg.Cfg.dfg cfg bid in
-        List.iter (fun (v, _) -> Hashtbl.replace touched v ()) (Hls_cdfg.Dfg.reads g);
-        List.iter (fun (v, _) -> Hashtbl.replace touched v ()) (Hls_cdfg.Dfg.writes g))
-      (Hls_cdfg.Cfg.block_ids cfg);
-    List.fold_left
-      (fun acc (p : Hls_lang.Ast.port) ->
-        if Hashtbl.mem touched p.Hls_lang.Ast.pname then
-          acc + Hls_rtl.Component.register_area ~width:(Hls_cdfg.Op.bits_of p.Hls_lang.Ast.pty)
-        else acc)
-      0 o.Flow.o_prog.Hls_lang.Typed.tports
 
   (* Peak non-port storage demand: at any step boundary of a block,
      every live stored value (Lifetime) occupies a distinct register at
      least as wide as the value — variables merged across blocks and
      shared temp tracks cannot shrink a single boundary's footprint.
-     Port-variable spans are excluded because {!port_reg_area} already
-     counts those registers unconditionally, so the two bounds add. *)
-  let live_reg_area ~node_w (o : Flow.optimized) cs =
-    let ports = port_names o in
-    let cfg = Cfg_sched.cfg cs in
-    let lt = Hls_alloc.Lifetime.table cs in
-    List.fold_left
-      (fun acc bid ->
-        let g = Hls_cdfg.Cfg.dfg cfg bid in
+     Port-variable spans are excluded because the port registers are
+     already counted unconditionally, so the two floors add. *)
+  let live_reg_area (fl : Floors.t) lt =
+    let cs = Hls_alloc.Lifetime.schedule lt in
+    let acc = ref 0 in
+    Array.iteri
+      (fun bid (b : Floors.block) ->
         let n = Schedule.n_steps (Cfg_sched.block_schedule cs bid) in
         let diff = Array.make (n + 2) 0 in
         let add lo hi w =
@@ -349,111 +214,27 @@ module Bound = struct
         in
         List.iter
           (fun (vi : Hls_alloc.Lifetime.value_info) ->
-            let w =
-              Hls_rtl.Component.register_area
-                ~width:(node_w g bid vi.Hls_alloc.Lifetime.nid)
-            in
+            let w = b.Floors.reg_area.(vi.Hls_alloc.Lifetime.nid) in
             match vi.Hls_alloc.Lifetime.storage with
             | Hls_alloc.Lifetime.Temp iv -> add iv.Interval.lo iv.Interval.hi w
-            | Hls_alloc.Lifetime.In_variable v when not (List.mem v ports) ->
+            | Hls_alloc.Lifetime.In_variable v when not (List.mem v fl.Floors.port_names) ->
                 add vi.Hls_alloc.Lifetime.produced (vi.Hls_alloc.Lifetime.last_use - 1) w
             | Hls_alloc.Lifetime.In_variable _ | Hls_alloc.Lifetime.No_storage -> ())
           (Hls_alloc.Lifetime.values lt bid);
-        let best = ref 0 and run = ref 0 in
+        let run = ref 0 in
         Array.iter
           (fun d ->
             run := !run + d;
-            if !run > !best then best := !run)
-          diff;
-        max acc !best)
-      0
-      (Hls_cdfg.Cfg.block_ids cfg)
+            if !run > !acc then acc := !run)
+          diff)
+      fl.Floors.blocks;
+    !acc
 
-  (* Steering into registers: every write in the CFG produces a load on
-     its variable's register, so the register's input mux selects among
-     at least as many distinct wires as the variable has distinct
-     constant assignments (each constant is its own wire), plus one more
-     when any assignment comes from computation. Ports own dedicated
-     registers, never merged, so their demands add; non-port variables
-     may share registers, so only the largest single demand is
-     unavoidable. The mux is at least as wide as the register, which is
-     at least as wide as the variable's widest stored value — [node_w]
-     again mirrors the datapath's width choice. *)
-  let reg_mux_area_lb ~node_w (o : Flow.optimized) cs =
-    let ports = port_names o in
-    let cfg = Cfg_sched.cfg cs in
-    let consts : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-    let nonconst : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-    let width : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun bid ->
-        let g = Hls_cdfg.Cfg.dfg cfg bid in
-        Hls_cdfg.Dfg.iter
-          (fun nid node ->
-            match node.Hls_cdfg.Dfg.op with
-            | Hls_cdfg.Op.Read v | Hls_cdfg.Op.Write v ->
-                let w = node_w g bid nid in
-                let cur = Option.value (Hashtbl.find_opt width v) ~default:0 in
-                if w > cur then Hashtbl.replace width v w;
-                if
-                  match node.Hls_cdfg.Dfg.op with
-                  | Hls_cdfg.Op.Write _ -> true
-                  | _ -> false
-                then begin
-                  match node.Hls_cdfg.Dfg.args with
-                  | [ a ] -> (
-                      match Hls_cdfg.Dfg.op g a with
-                      | Hls_cdfg.Op.Const c ->
-                          let cur =
-                            Option.value (Hashtbl.find_opt consts v) ~default:[]
-                          in
-                          if not (List.mem c cur) then
-                            Hashtbl.replace consts v (c :: cur)
-                      | _ -> Hashtbl.replace nonconst v ())
-                  | _ -> ()
-                end
-            | _ -> ())
-          g)
-      (Hls_cdfg.Cfg.block_ids cfg);
-    Hashtbl.fold
-      (fun v w (sum, mx) ->
-        let m =
-          List.length (Option.value (Hashtbl.find_opt consts v) ~default:[])
-          + if Hashtbl.mem nonconst v then 1 else 0
-        in
-        let a = Hls_rtl.Component.mux_area ~inputs:m ~width:w in
-        if List.mem v ports then (sum + a, mx) else (sum, max mx a))
-      width (0, 0)
-    |> fun (sum, mx) -> sum + mx
-
-  (* The controller keeps at least its state register; combinational
-     next-state logic only adds on top. *)
-  let ctrl_area_lb (options : Flow.options) cs =
-    let states = max 1 (Cfg_sched.total_states cs) in
-    Hls_rtl.Component.register_area
-      ~width:(Hls_ctrl.Encoding.width options.Flow.encoding ~n_states:states)
-
-  (* Every scheduled operation's activity pays register read + one mux
-     level + its unit's component delay, and that component belongs to
-     the operation's class. *)
-  let cycle_lb cs =
-    let cfg = Cfg_sched.cfg cs in
-    let worst =
-      List.fold_left
-        (fun acc bid ->
-          let g = Hls_cdfg.Cfg.dfg cfg bid in
-          Hls_cdfg.Dfg.fold
-            (fun acc nid _ ->
-              if Hls_cdfg.Dfg.occupies_step g nid then
-                max acc (Hls_rtl.Component.min_delay_ns (Hls_cdfg.Dfg.fu_class_of g nid))
-              else acc)
-            acc g)
-        0.0
-        (Hls_cdfg.Cfg.block_ids cfg)
-    in
-    if worst > 0.0 then
-      Hls_rtl.Component.register_delay_ns +. Hls_rtl.Component.mux_delay_ns +. worst
-    else Hls_rtl.Component.register_delay_ns
+  let class_floors (o : Flow.optimized) cs =
+    let lt = Hls_alloc.Lifetime.table ~facts:o.Flow.o_facts cs in
+    List.combine Hls_cdfg.Op.occupying_classes
+      (Array.to_list (step_floors o.Flow.o_floors lt))
+    |> List.filter (fun (_, a) -> a > 0)
 
   (* Schedule-free structural floors. Any legal schedule of a block
      spans at least its critical dependence chain, so a step (and
@@ -469,14 +250,20 @@ module Bound = struct
     Array.fold_left (fun acc dep -> acc + Depgraph.critical_length dep) 0 o.Flow.o_deps
 
   let compute (options : Flow.options) (o : Flow.optimized) cs =
-    let node_w =
+    (* the midend's floors are at declared widths; under [narrow] the
+       width-dependent floors use the range analysis' inferred widths,
+       the same facts the datapath narrowing consumes *)
+    let fl =
       if options.Flow.narrow then begin
         let facts =
           Hls_analysis.Range.analyze ~ports:(Flow.ports_of o.Flow.o_prog) o.Flow.o_cfg
         in
-        fun _g bid nid -> Hls_analysis.Range.node_bits facts ~bid ~nid
+        Floors.make
+          ~node_w:(fun _g bid nid -> Hls_analysis.Range.node_bits facts ~bid ~nid)
+          ~ports:(List.map (fun (n, _, ty) -> (n, ty)) (Flow.ports_of o.Flow.o_prog))
+          o.Flow.o_facts
       end
-      else fun g _bid nid -> Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid)
+      else o.Flow.o_floors
     in
     (* a point with [iterate > 0] may ship a refined schedule that
        differs from the one the cheap stages produced (refinement
@@ -486,19 +273,23 @@ module Bound = struct
        points keep the tighter schedule-derived bounds. *)
     let sf = options.Flow.iterate > 0 in
     let states = if sf then states_lb o else Cfg_sched.total_states cs in
+    (* the controller keeps at least its state register *)
     let ctrl =
       Hls_rtl.Component.register_area
         ~width:(Hls_ctrl.Encoding.width options.Flow.encoding ~n_states:(max 1 states))
     in
-    let area =
-      fu_input_mux_area_lb ~node_w ~schedule_free:sf cs
-      + port_reg_area o cs
-      + (if sf then 0 else live_reg_area ~node_w o cs)
-      + reg_mux_area_lb ~node_w o cs + ctrl
+    let schedule_area =
+      if sf then Floors.fu_area fl ~class_floor:(fun _ -> 0)
+      else begin
+        let lt = Hls_alloc.Lifetime.table ~facts:o.Flow.o_facts cs in
+        let floors = step_floors fl lt in
+        Floors.fu_area fl ~class_floor:(fun cls -> floors.(Floors.class_index cls))
+        + live_reg_area fl lt
+      end
     in
+    let area = schedule_area + fl.Floors.port_reg_area + fl.Floors.reg_mux_area + ctrl in
     let steps = if sf then critical_steps o else Cfg_sched.compute_steps cs in
-    let latency = cycle_lb cs *. float_of_int steps in
-    (area, latency)
+    (area, fl.Floors.cycle_ns *. float_of_int steps)
 end
 
 (* ---- pruned sweep: pareto-guided successive halving ---- *)

@@ -116,64 +116,15 @@ val sweep_pruned :
     Exposed so tests can assert soundness ([compute] never exceeds the
     true estimate) directly. *)
 module Bound : sig
-  val port_reg_area : Flow.optimized -> Hls_sched.Cfg_sched.t -> int
-  (** Registers of every port read or written in the CFG — ports are
-      never shared (and never narrowed), so these exist at their
-      declared widths at every step boundary. *)
-
-  val live_reg_area :
-    node_w:(Hls_cdfg.Dfg.t -> int -> int -> int) ->
-    Flow.optimized ->
-    Hls_sched.Cfg_sched.t ->
-    int
-  (** Peak simultaneous {e non-port} stored-value footprint over all
-      step boundaries ({!Hls_alloc.Lifetime}); adds to
-      {!port_reg_area}. *)
-
-  val reg_mux_area_lb :
-    node_w:(Hls_cdfg.Dfg.t -> int -> int -> int) ->
-    Flow.optimized ->
-    Hls_sched.Cfg_sched.t ->
-    int
-  (** Register-input steering floor: every distinct constant assigned
-      to a variable is a distinct wire on its register's load mux (plus
-      one wire when any assignment is computed). Port registers are
-      dedicated, so their demands add; non-port variables may share
-      registers, so only the largest single demand counts. *)
-
-  val fu_input_mux_area_lb :
-    node_w:(Hls_cdfg.Dfg.t -> int -> int -> int) ->
-    schedule_free:bool ->
-    Hls_sched.Cfg_sched.t ->
-    int
-  (** Coupled functional-unit + operand-steering floor, per class: the
-      distinct constant operands at each argument position are
-      dedicated wires (plus one for all computed/register operands
-      together — those may merge), split across at most one input mux
-      per unit; more units absorb more wires but each costs at least
-      the cheapest class component, so the floor is the minimum over
-      the unit count of the coupled sum. The FU term is floored per
-      class by the schedule's peak demand: the larger of the busiest
-      step's width-aware cheapest-component sum (concurrent operations
-      run on distinct units, each at least as wide as its own
-      operation) and peak concurrency × cheapest component at the
-      narrowest class width. [schedule_free] drops that floor so the
-      bound stays sound for {e any} legal schedule of the CFG — what an
-      [iterate > 0] point may ship after refinement. [node_w g bid nid]
-      is the operation's storage width — declared type width normally,
-      the range-inferred width under [narrow] (see {!compute}). *)
-
-  val ctrl_area_lb : Flow.options -> Hls_sched.Cfg_sched.t -> int
-  (** The controller's state register under the point's encoding. *)
-
-  val cycle_lb : Hls_sched.Cfg_sched.t -> float
-  (** Register read + one mux level + the slowest operation's cheapest
-      class component. *)
-
   val compute : Flow.options -> Flow.optimized -> Hls_sched.Cfg_sched.t -> int * float
   (** [(area_lb, latency_lb)] — componentwise under the true
-      {!Hls_rtl.Estimate} of any backend completion of the point. Under
-      [options.narrow] the width-dependent floors use the range
+      {!Hls_rtl.Estimate} of any backend completion of the point: the
+      midend's {!Floors} (port registers, register steering, the cycle
+      floor and the coupled unit + operand-steering floor) plus, from
+      the schedule, each class's peak demand ({!class_floors}), the
+      peak live non-port storage over all step boundaries
+      ({!Hls_alloc.Lifetime}), the state register and the step count.
+      Under [options.narrow] the width-dependent floors use the range
       analysis' inferred widths (the same facts the datapath narrowing
       consumes), so the bounds stay sound {e and} tight for narrowed
       backends. For [options.iterate > 0] the schedule-derived floors
@@ -182,6 +133,15 @@ module Bound : sig
       floors, presence-only unit floors — because refinement may ship a
       different schedule than the one ranked here; the bounds then hold
       for the refined design too. *)
+
+  val class_floors :
+    Flow.optimized -> Hls_sched.Cfg_sched.t -> (Hls_cdfg.Op.fu_class * int) list
+  (** Per class (in {!Hls_cdfg.Op.occupying_classes} order, zero floors
+      omitted), the schedule's peak unit demand at declared widths: the
+      larger of the busiest step's sum of cheapest components at each
+      operation's width (concurrent operations run on distinct units)
+      and the peak concurrent count times the cheapest component at the
+      block's narrowest class width, maximized over blocks. *)
 end
 
 val dominates : point -> point -> bool

@@ -171,11 +171,10 @@ module Knob = struct
      caps such as alu:1,mul:1,div:1 *)
   let limits =
     let cls c = Hls_cdfg.Op.fu_class_to_string c in
-    let classes = Hls_cdfg.Op.[ C_alu; C_mul; C_div; C_shift ] in
     let cap s =
       match String.split_on_char ':' s with
       | [ c; n ] -> (
-          match (List.find_opt (fun k -> cls k = c) classes, int_of_string_opt n) with
+          match (List.find_opt (fun k -> cls k = c) Hls_cdfg.Op.occupying_classes, int_of_string_opt n) with
           | Some c, Some n when n > 0 -> Some (c, n)
           | _ -> None)
       | _ -> None
@@ -263,21 +262,39 @@ module Knob = struct
   let attrs o =
     List.filter_map (fun (Any k) -> if k.exposed then Some (attr k (k.get o)) else None) all
 
+  let add_entry b name text =
+    Buffer.add_string b name;
+    Buffer.add_char b '=';
+    Buffer.add_string b text;
+    Buffer.add_char b ';'
+
   let stage_key stages o =
     (* limits a scheduler ignores never split a key *)
     let o = { o with limits = effective_limits o } in
     let b = Buffer.create 128 in
     List.iter
       (fun (Any k) ->
-        if List.exists (fun s -> List.memq s stages) k.stages then begin
-          Buffer.add_string b k.name;
-          Buffer.add_char b '=';
-          Buffer.add_string b (text k (k.get o));
-          Buffer.add_char b ';'
-        end)
+        if List.exists (fun s -> List.memq s stages) k.stages then
+          add_entry b k.name (text k (k.get o)))
       all;
     Buffer.contents b
+
+  let stage_index = function Midend -> 0 | Schedule -> 1 | Backend -> 2 | Refine -> 3
+
+  let stage_keys o =
+    let o = { o with limits = effective_limits o } in
+    let bs = Array.init 4 (fun _ -> Buffer.create 64) in
+    List.iter
+      (fun (Any k) ->
+        let t = text k (k.get o) in
+        List.iter (fun s -> add_entry bs.(stage_index s) k.name t) k.stages)
+      all;
+    fun s -> Buffer.contents bs.(stage_index s)
 end
+
+(* Span attributes are only read while tracing captures spans; build
+   them only then. *)
+let span_args f = if Hls_obs.Trace.enabled () then f () else []
 
 let default_options =
   {
@@ -357,6 +374,8 @@ type optimized = {
   o_cfg : Hls_cdfg.Cfg.t;
   o_outputs : string list;
   o_deps : Hls_sched.Depgraph.t array;
+  o_facts : Hls_alloc.Cfg_facts.t;
+  o_floors : Floors.t;
 }
 
 let front ast = { c_prog = Typecheck.check (Inline.expand ast) }
@@ -385,7 +404,9 @@ let component_cost =
 
 let midend ~passes ~if_conversion c =
   Hls_obs.Trace.with_span "midend"
-    ~args:[ Knob.attr Knob.passes passes; Knob.attr Knob.if_conversion if_conversion ]
+    ~args:
+      (span_args (fun () ->
+           [ Knob.attr Knob.passes passes; Knob.attr Knob.if_conversion if_conversion ]))
     (fun () ->
       let prog = c.c_prog in
       let cfg0 = Hls_cdfg.Compile.compile prog in
@@ -427,23 +448,34 @@ let midend ~passes ~if_conversion c =
         Array.init (Hls_cdfg.Cfg.n_blocks cfg) (fun bid ->
             Hls_sched.Depgraph.of_dfg (Hls_cdfg.Cfg.dfg cfg bid))
       in
-      { o_prog = prog; o_cfg = cfg; o_outputs = outputs; o_deps })
+      let o_facts = Hls_alloc.Cfg_facts.make ~outputs cfg in
+      let o_floors =
+        Floors.make
+          ~node_w:(fun g _bid nid -> Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid))
+          ~ports:(List.map (fun (n, _, ty) -> (n, ty)) ports)
+          o_facts
+      in
+      { o_prog = prog; o_cfg = cfg; o_outputs = outputs; o_deps; o_facts; o_floors })
 
-let schedule options o =
+let schedule ?block options o =
   Hls_obs.Trace.with_span "schedule"
     ~args:
-      [
-        Knob.attr Knob.scheduler options.scheduler; Knob.attr Knob.limits options.limits;
-      ]
+      (span_args (fun () ->
+           [ Knob.attr Knob.scheduler options.scheduler; Knob.attr Knob.limits options.limits ]))
     (fun () ->
-      let sched = Cfg_sched.init o.o_cfg (fun bid -> block_scheduler options o.o_deps.(bid)) in
       (* for limit-ignoring schedulers verify only the dependence half of
          the contract, the full contract otherwise *)
-      (match Cfg_sched.verify (effective_limits options) sched with
-      | Ok () -> ()
-      | Error e ->
-          invalid_arg (Printf.sprintf "Flow: scheduler produced invalid schedule: %s" e));
-      sched)
+      let limits = effective_limits options in
+      let one bid () =
+        let s = block_scheduler options o.o_deps.(bid) in
+        match Schedule.verify limits s with
+        | Ok () -> s
+        | Error e ->
+            invalid_arg
+              (Printf.sprintf "Flow: scheduler produced invalid schedule: block %d: %s" bid e)
+      in
+      let f = match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid () in
+      Cfg_sched.init ~n_ops:o.o_facts.Hls_alloc.Cfg_facts.n_ops o.o_cfg f)
 
 (* ---- design-level lint ------------------------------------------------ *)
 
@@ -548,24 +580,28 @@ let lint (d : design) =
 (* The Result-returning pipeline is primary; [synthesize] below is the
    one Lint_failed wrapper over it. *)
 
+let designs_counter = Hls_obs.Trace.handle "flow/designs"
+
 let complete_result ?(verify = false) ?control options o ~sched =
   let prog = o.o_prog in
+  (* one storage table per backend run: allocation, interconnect and
+     binding all read it *)
+  let lifetimes = Hls_alloc.Lifetime.table ~facts:o.o_facts sched in
   let fu, regs, transfers =
     Hls_obs.Trace.with_span "allocate"
-      ~args:[ Knob.attr Knob.allocator options.allocator ]
+      ~args:(span_args (fun () -> [ Knob.attr Knob.allocator options.allocator ]))
       (fun () ->
         let fu =
           match options.allocator with
-          | `Clique -> Hls_alloc.Fu_alloc.by_clique sched
-          | `Greedy_min_mux -> Hls_alloc.Fu_alloc.greedy ~selection:`Min_mux sched
-          | `Greedy_first_fit -> Hls_alloc.Fu_alloc.greedy ~selection:`First_fit sched
+          | `Clique -> Hls_alloc.Fu_alloc.by_clique ~lifetimes sched
+          | `Greedy_min_mux -> Hls_alloc.Fu_alloc.greedy ~selection:`Min_mux ~lifetimes sched
+          | `Greedy_first_fit -> Hls_alloc.Fu_alloc.greedy ~selection:`First_fit ~lifetimes sched
         in
-        let port_names = List.map (fun (n, _, _) -> n) (ports_of prog) in
         let regs =
-          Hls_alloc.Reg_alloc.run ~share_variables:options.share_variables
-            ~ports:port_names ~outputs:o.o_outputs sched
+          Hls_alloc.Reg_alloc.run ~share_variables:options.share_variables ~lifetimes
+            ~ports:o.o_floors.Floors.port_names ~outputs:o.o_outputs sched
         in
-        let transfers = Hls_alloc.Interconnect.transfers sched ~fu ~regs in
+        let transfers = Hls_alloc.Interconnect.transfers ~lifetimes sched ~fu ~regs in
         (fu, regs, transfers))
   in
   let node_bits =
@@ -578,7 +614,7 @@ let complete_result ?(verify = false) ?control options o ~sched =
   let datapath_r =
     Hls_obs.Trace.with_span "bind" (fun () ->
         let datapath =
-          Hls_rtl.Datapath.build ?node_bits sched ~fu ~regs ~ports:(ports_of prog)
+          Hls_rtl.Datapath.build ?node_bits ~lifetimes sched ~fu ~regs ~ports:(ports_of prog)
         in
         match Hls_rtl.Check.run datapath with
         | Ok () -> Ok datapath
@@ -589,7 +625,7 @@ let complete_result ?(verify = false) ?control options o ~sched =
   | Ok datapath ->
       let controller =
         Hls_obs.Trace.with_span "control"
-          ~args:[ Knob.attr Knob.encoding options.encoding ]
+          ~args:(span_args (fun () -> [ Knob.attr Knob.encoding options.encoding ]))
           (fun () ->
             let fsm = datapath.Hls_rtl.Datapath.fsm in
             match control with
@@ -605,7 +641,7 @@ let complete_result ?(verify = false) ?control options o ~sched =
         { options; prog; cfg = o.o_cfg; sched; fu; regs; transfers; datapath;
           controller; estimate }
       in
-      Hls_obs.Trace.incr "flow/designs";
+      Hls_obs.Trace.bump designs_counter;
       if verify then
         Hls_obs.Trace.with_span "lint" (fun () ->
             match Hls_analysis.Diagnostic.errors (lint d) with
@@ -642,7 +678,7 @@ let refine_design options o seed =
   let signals cs =
     {
       Hls_sched.Refine.op_delay = refine_op_delay;
-      live_pins = refine_live_pins (Hls_alloc.Lifetime.table cs);
+      live_pins = refine_live_pins (Hls_alloc.Lifetime.table ~facts:o.o_facts cs);
     }
   in
   let limits = effective_limits options in
@@ -659,7 +695,7 @@ let refine_design options o seed =
       d.estimate.Hls_rtl.Estimate.latency_ns )
   in
   Hls_obs.Trace.with_span "refine"
-    ~args:[ Knob.attr Knob.iterate options.iterate ]
+    ~args:(span_args (fun () -> [ Knob.attr Knob.iterate options.iterate ]))
     (fun () ->
       Hls_sched.Refine.refine ~max_iters:options.iterate
         ~propose:(fun ~iter:_ d -> Hls_sched.Refine.extract (signals d.sched) d.sched)

@@ -132,6 +132,12 @@ module Knob : sig
   (** The canonical text of the options any of the stages depends on;
       limits a scheduler ignores ({!scheduler_ignores_limits}) print as
       unlimited. *)
+
+  val stage_keys : options -> stage -> string
+  (** [stage_keys o s] is [stage_key [s] o], with every option printed
+      once for all four stages. Knobs are declared in stage order, so
+      [stage_keys o Midend ^ stage_keys o Schedule] is
+      [stage_key [Midend; Schedule] o]. *)
 end
 
 type design = {
@@ -170,6 +176,13 @@ type optimized = {
       (** each block's dependence graph, indexed by block id, built once
           when the midend finishes: every scheduler and bound of every
           point on this result reads it instead of rebuilding it *)
+  o_facts : Hls_alloc.Cfg_facts.t;
+      (** liveness, variable ids and each block's reads, writes, branch
+          condition and operation count: every backend run's
+          {!Hls_alloc.Lifetime.table} reads them *)
+  o_floors : Floors.t;
+      (** the schedule-free bound floors at declared widths, read by
+          every {!Explore.Bound.compute} on this result *)
 }
 
 val frontend : string -> compiled
@@ -207,11 +220,20 @@ val component_cost : Hls_transform.Extract.cost
 (** Extraction cost model derived from {!Hls_rtl.Component.library}:
     cheapest component per class, delays in picoseconds. *)
 
-val schedule : options -> optimized -> Cfg_sched.t
+val schedule :
+  ?block:(Hls_cdfg.Cfg.bid -> (unit -> Hls_sched.Schedule.t) -> Hls_sched.Schedule.t) ->
+  options ->
+  optimized ->
+  Cfg_sched.t
 (** Schedule every block with [options.scheduler] under
-    [options.limits], and verify the result (dependences always;
-    limits too unless {!scheduler_ignores_limits}). Raises
-    [Invalid_argument] if the scheduler breaks its contract. *)
+    [options.limits], and verify each block's schedule (dependences
+    always; limits too unless {!scheduler_ignores_limits}). Raises
+    [Invalid_argument] if the scheduler breaks its contract. [block bid
+    compute] gets each block's schedule, by default [compute ()]; the
+    {!Dse} engine passes its block memo, which may return a schedule
+    [compute] produced for another point only when that point's limits
+    differ in caps that cannot bind on the block
+    ({!Hls_sched.Depgraph.binding_limits}). *)
 
 (** {2 Result API}
 

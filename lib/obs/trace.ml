@@ -5,8 +5,9 @@
 
    - duration accumulators: per-stage wall-clock totals, always on;
    - counters: named monotonic integers (cache hits, ops scheduled,
-     clique merges, ...), always on — a counter bump is a mutex
-     acquire and a hashtable update, cheap against the work it counts;
+     clique merges, ...), always on. Each name owns one atomic cell,
+     registered once; a bump through a {!handle} is one atomic add, and
+     a bump by name adds a locked table lookup;
    - the span ring: completed spans with attributes, parent links and
      the owning domain, captured only while [enabled] — this is what
      the Chrome trace_event export renders.
@@ -63,27 +64,56 @@ let durations_snapshot () =
 
 (* ---- counters ---- *)
 
-let counters_tbl : (string, int) Hashtbl.t = Hashtbl.create 32
+(* A cell stays registered for the life of the process; [touched] says
+   whether it was bumped since the last reset, i.e. whether it is
+   listed. *)
+type handle = { value : int Atomic.t; touched : bool Atomic.t }
 
-let add name v =
-  locked (fun () ->
-      match Hashtbl.find_opt counters_tbl name with
-      | Some c -> Hashtbl.replace counters_tbl name (c + v)
-      | None -> Hashtbl.add counters_tbl name v)
+let counters_tbl : (string, handle) Hashtbl.t = Hashtbl.create 32
 
+let handle_locked name =
+  match Hashtbl.find_opt counters_tbl name with
+  | Some h -> h
+  | None ->
+      let h = { value = Atomic.make 0; touched = Atomic.make false } in
+      Hashtbl.add counters_tbl name h;
+      h
+
+let handle name = locked (fun () -> handle_locked name)
+
+let touch h = if not (Atomic.get h.touched) then Atomic.set h.touched true
+
+let add_to h v =
+  ignore (Atomic.fetch_and_add h.value v);
+  touch h
+
+let bump h = add_to h 1
+let add name v = add_to (handle name) v
 let incr name = add name 1
 
 let record_max name v =
-  locked (fun () ->
-      match Hashtbl.find_opt counters_tbl name with
-      | Some c -> if v > c then Hashtbl.replace counters_tbl name v
-      | None -> Hashtbl.add counters_tbl name v)
+  let h = handle name in
+  let rec raise_to () =
+    let c = Atomic.get h.value in
+    if (v > c || not (Atomic.get h.touched)) && not (Atomic.compare_and_set h.value c v) then
+      raise_to ()
+  in
+  raise_to ();
+  touch h
 
 let counter name =
-  locked (fun () -> Option.value (Hashtbl.find_opt counters_tbl name) ~default:0)
+  locked (fun () ->
+      match Hashtbl.find_opt counters_tbl name with
+      | Some h when Atomic.get h.touched -> Atomic.get h.value
+      | _ -> 0)
 
 let counters () =
-  let l = locked (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters_tbl []) in
+  let l =
+    locked (fun () ->
+        Hashtbl.fold
+          (fun k h acc -> if Atomic.get h.touched then (k, Atomic.get h.value) :: acc else acc)
+          counters_tbl [])
+  in
   List.sort compare l
 
 (* ---- ids ---- *)
@@ -112,7 +142,11 @@ let reset () =
   locked (fun () ->
       Hashtbl.reset durations;
       duration_order := [];
-      Hashtbl.reset counters_tbl;
+      Hashtbl.iter
+        (fun _ h ->
+          Atomic.set h.value 0;
+          Atomic.set h.touched false)
+        counters_tbl;
       Array.fill !ring 0 (Array.length !ring) None;
       ring_next := 0;
       epoch := Unix.gettimeofday ())

@@ -65,6 +65,18 @@ val trace_epoch : unit -> float
 val incr : string -> unit
 val add : string -> int -> unit
 
+type handle
+(** A counter's cell, for hot paths: look it up once with {!handle},
+    then {!bump} or {!add_to} it without a table lookup or the lock. *)
+
+val handle : string -> handle
+(** The named counter's cell, registered on first use. A registered
+    counter is listed by {!counters} only once it has been bumped since
+    the last {!reset}. *)
+
+val bump : handle -> unit
+val add_to : handle -> int -> unit
+
 val record_max : string -> int -> unit
 (** High-watermark counter: keep the maximum of the recorded values. *)
 

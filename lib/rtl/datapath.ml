@@ -28,9 +28,11 @@ type t = {
   fsm : Hls_ctrl.Fsm.t;
 }
 
-let build ?node_bits cs ~fu ~regs ~ports =
+let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
+  let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
   let fsm = Hls_ctrl.Fsm.of_schedule cs in
+  let state_of = Hls_ctrl.Fsm.state_lookup fsm in
   (* storage width of one node's value: declared type width by default,
      or the caller's (range-inferred) narrowing *)
   let nb bid nid (node : Dfg.node) =
@@ -56,7 +58,8 @@ let build ?node_bits cs ~fu ~regs ~ports =
         (Op.bits_of ty)
         (match dir with `In -> `In_port | `Out -> `Out_port))
     ports;
-  (* a temp register's width is the max over the values sharing its track *)
+  (* a temp register's width is the max over the values sharing its
+     track; only values the lifetime table keeps in a temporary have one *)
   List.iter
     (fun bid ->
       Dfg.iter
@@ -65,9 +68,12 @@ let build ?node_bits cs ~fu ~regs ~ports =
           | Op.Read v | Op.Write v ->
               note_reg (Reg_alloc.register_of_var regs v) (nb bid nid node) `Var
           | _ -> ());
-          match Reg_alloc.temp_register regs bid nid with
-          | Some name -> note_reg name (nb bid nid node) `Temp
-          | None -> ())
+          match Lifetime.storage lt bid nid with
+          | Lifetime.Temp _ -> (
+              match Reg_alloc.temp_register regs bid nid with
+              | Some name -> note_reg name (nb bid nid node) `Temp
+              | None -> ())
+          | Lifetime.In_variable _ | Lifetime.No_storage -> ())
         (Cfg.dfg cfg bid))
     (Cfg.block_ids cfg);
   let reg_defs =
@@ -80,7 +86,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
   (* ---- wire construction: the interconnect names the net a value is
      read from; a free chain's root expands into its logic over the nets
      its operands are read from at the same step ---- *)
-  let resolver = Interconnect.resolver cs ~fu ~regs in
+  let resolver = Interconnect.resolver ~lifetimes:lt cs ~fu ~regs in
   let rec wire_for bid nid ~step =
     let g = Cfg.dfg cfg bid in
     let node = Dfg.node g nid in
@@ -110,8 +116,8 @@ let build ?node_bits cs ~fu ~regs ~ports =
     (fun (r : Fu_alloc.op_ref) ->
       let g = Cfg.dfg cfg r.Fu_alloc.bid in
       let node = Dfg.node g r.Fu_alloc.nid in
-      let unit_id = Fu_alloc.of_op fu (r.Fu_alloc.bid, r.Fu_alloc.nid) in
-      let state = Hls_ctrl.Fsm.state_of fsm r.Fu_alloc.bid r.Fu_alloc.step in
+      let unit_id = Interconnect.unit_of resolver r.Fu_alloc.bid r.Fu_alloc.nid in
+      let state = state_of r.Fu_alloc.bid r.Fu_alloc.step in
       let args =
         List.map (fun a -> wire_for r.Fu_alloc.bid a ~step:r.Fu_alloc.step) node.Dfg.args
       in
@@ -129,7 +135,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
           a_args = args;
         }
         :: !activities)
-    (Fu_alloc.collect cs);
+    (Fu_alloc.collect ~lifetimes:lt cs);
   let fus =
     List.map
       (fun (inst : Fu_alloc.instance) ->
@@ -147,7 +153,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
         List.map
           (fun (reg, nid, step) ->
             {
-              l_state = Hls_ctrl.Fsm.state_of fsm bid step;
+              l_state = state_of bid step;
               l_reg = reg;
               l_wire = wire_for bid nid ~step;
             })
@@ -161,7 +167,7 @@ let build ?node_bits cs ~fu ~regs ~ports =
         match Cfg.term cfg bid with
         | Cfg.Branch (c, _, _) ->
             let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
-            let state = Hls_ctrl.Fsm.state_of fsm bid n in
+            let state = state_of bid n in
             Some (state, wire_for bid c ~step:n)
         | Cfg.Goto _ | Cfg.Halt -> None)
       (Cfg.block_ids cfg)

@@ -38,6 +38,7 @@ type t = {
 
 val build :
   ?node_bits:(int -> int -> int) ->
+  ?lifetimes:Hls_alloc.Lifetime.t ->
   Hls_sched.Cfg_sched.t ->
   fu:Hls_alloc.Fu_alloc.t ->
   regs:Hls_alloc.Reg_alloc.t ->
@@ -48,7 +49,8 @@ val build :
     inferred widths here to narrow variable/temp registers and functional
     units; ports always keep their declared widths, and simulation is
     width-blind (it evaluates at [Op.eval] precision), so narrowing is
-    area-only and bit-identical by construction. *)
+    area-only and bit-identical by construction. [lifetimes] is the
+    schedule's table, built here when absent. *)
 
 val reg_width : t -> string -> int
 (** Raises [Not_found] for unknown registers. *)

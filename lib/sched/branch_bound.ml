@@ -1,3 +1,5 @@
+let nodes_counter = Hls_obs.Trace.handle "bb/nodes"
+
 (* Depth-first over ops in topological order from the list incumbent,
    cutting every partial schedule that cannot end strictly shorter than
    the best complete one. *)
@@ -45,7 +47,7 @@ let search ~limits dep incumbent =
     end
   in
   assign 0 1;
-  Hls_obs.Trace.add "bb/nodes" !nodes;
+  Hls_obs.Trace.add_to nodes_counter !nodes;
   !best
 
 let schedule_dep ?(node_cap = 24) ~limits dep =

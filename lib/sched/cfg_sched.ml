@@ -2,15 +2,21 @@ open Hls_cdfg
 
 type t = { cfg : Cfg.t; scheds : Schedule.t array }
 
-let init cfg f =
+let ops_counter = Hls_obs.Trace.handle "sched/ops_scheduled"
+let steps_counter = Hls_obs.Trace.handle "sched/steps"
+
+let init ?n_ops cfg f =
   let scheds = Array.init (Cfg.n_blocks cfg) f in
   let ops =
-    List.fold_left
-      (fun acc bid -> acc + List.length (Dfg.compute_ops (Cfg.dfg cfg bid)))
-      0 (Cfg.block_ids cfg)
+    match n_ops with
+    | Some n -> n
+    | None ->
+        List.fold_left
+          (fun acc bid -> acc + List.length (Dfg.compute_ops (Cfg.dfg cfg bid)))
+          0 (Cfg.block_ids cfg)
   in
-  Hls_obs.Trace.add "sched/ops_scheduled" ops;
-  Hls_obs.Trace.add "sched/steps"
+  Hls_obs.Trace.add_to ops_counter ops;
+  Hls_obs.Trace.add_to steps_counter
     (Array.fold_left (fun acc s -> acc + Schedule.n_steps s) 0 scheds);
   { cfg; scheds }
 
@@ -24,8 +30,9 @@ let with_block t bid sched =
   { t with scheds }
 
 let digest t =
-  Digest.string
-    (String.concat "" (Array.to_list (Array.map Schedule.digest t.scheds)))
+  let b = Buffer.create 256 in
+  Array.iter (Schedule.add_key b) t.scheds;
+  Digest.string (Buffer.contents b)
 
 let compute_steps t =
   let freq = Cfg.exec_frequencies t.cfg in

@@ -9,9 +9,11 @@ open Hls_cdfg
 
 type t
 
-val init : Cfg.t -> (Cfg.bid -> Schedule.t) -> t
+val init : ?n_ops:int -> Cfg.t -> (Cfg.bid -> Schedule.t) -> t
 (** Schedule every block [bid] with [f bid] (e.g.
-    [fun bid -> Depgraph.block kernel (Cfg.dfg cfg bid)]). *)
+    [fun bid -> Depgraph.block kernel (Cfg.dfg cfg bid)]). Bumps
+    [sched/ops_scheduled] by the CFG's step-occupying operation count
+    ([n_ops] when the caller knows it) and [sched/steps]. *)
 
 val cfg : t -> Cfg.t
 val block_schedule : t -> Cfg.bid -> Schedule.t
@@ -24,7 +26,7 @@ val with_block : t -> Cfg.bid -> Schedule.t -> t
     DFG. *)
 
 val digest : t -> string
-(** Content digest over all block schedules ({!Schedule.digest} of
+(** Content digest over all block schedules ({!Schedule.add_key} of
     each, in block order). Equal digests on the same CFG mean every
     operation is placed in the same step. *)
 

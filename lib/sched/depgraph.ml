@@ -3,7 +3,7 @@ open Hls_cdfg
 type t = {
   g : Dfg.t;
   ops : Dfg.nid array;
-  index : (Dfg.nid, int) Hashtbl.t;
+  index : int array;  (** by node id: op index, -1 for a node that takes no step *)
   pred_table : int list array;
   succ_table : int list array;
   cls_table : Op.fu_class array;
@@ -19,8 +19,8 @@ let rec eff_sources g id acc =
 
 let of_dfg g =
   let ops = Array.of_list (Dfg.compute_ops g) in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i nid -> Hashtbl.replace index nid i) ops;
+  let index = Array.make (Dfg.n_nodes g) (-1) in
+  Array.iteri (fun i nid -> index.(nid) <- i) ops;
   let n = Array.length ops in
   let pred_table = Array.make n [] in
   let succ_table = Array.make n [] in
@@ -32,7 +32,7 @@ let of_dfg g =
         List.fold_left (fun acc a -> eff_sources g a acc) [] (Dfg.args g nid)
         |> List.sort_uniq compare
       in
-      let pred_idx = List.map (Hashtbl.find index) sources in
+      let pred_idx = List.map (fun nid -> index.(nid)) sources in
       pred_table.(i) <- pred_idx;
       List.iter (fun p -> succ_table.(p) <- i :: succ_table.(p)) pred_idx)
     ops;
@@ -41,7 +41,7 @@ let of_dfg g =
 
 let n_ops t = Array.length t.ops
 let nid_of t i = t.ops.(i)
-let index_of t nid = Hashtbl.find t.index nid
+let index_of t nid = match t.index.(nid) with -1 -> raise Not_found | i -> i
 let preds t i = t.pred_table.(i)
 let succs t i = t.succ_table.(i)
 let cls t i = t.cls_table.(i)
@@ -105,8 +105,22 @@ let resource_bound ~limits t =
           match List.assoc_opt cls caps with
           | Some cap when cap > 0 -> max acc (ceil_div (count cls) cap)
           | _ -> acc)
-        1
-        [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift ]
+        1 Op.occupying_classes
+
+let binding_limits ~limits t =
+  let n = n_ops t in
+  match limits with
+  | Limits.Unlimited -> limits
+  | Limits.Serial -> if n <= 1 then Limits.Unlimited else limits
+  | Limits.Total k -> if k >= n then Limits.Unlimited else limits
+  | Limits.Classes caps -> (
+      let count cls = Array.fold_left (fun acc c -> if c = cls then acc + 1 else acc) 0 t.cls_table in
+      (* a class's caps go together: the first one listed answers [fits],
+         all of them [step_within] *)
+      let binds (cls, _) = List.exists (fun (c, cap) -> c = cls && cap < count cls) caps in
+      match List.filter binds caps with
+      | [] -> Limits.Unlimited
+      | kept -> if List.compare_lengths kept caps = 0 then limits else Limits.Classes kept)
 
 let lower_bound ~limits t = max (critical_length t) (resource_bound ~limits t)
 
@@ -124,7 +138,7 @@ let occupancy t ~steps =
   occ
 
 let to_schedule t ~steps =
-  Schedule.make t.g ~steps:(fun nid -> steps.(index_of t nid))
+  Schedule.make t.g ~steps:(fun nid -> steps.(t.index.(nid)))
 
 let block kernel g =
   let t = of_dfg g in

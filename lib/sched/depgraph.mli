@@ -53,6 +53,24 @@ val resource_bound : limits:Limits.t -> t -> int
     op count over the shared budget for [Serial] and [Total k]; at
     least 1. *)
 
+val binding_limits : limits:Limits.t -> t -> Limits.t
+(** The part of [limits] that can bind on this block: a cap at least
+    the number of operations it constrains is dropped — [Total k] with
+    [k >=] {!n_ops}, [Serial] on at most one operation, and a class's
+    caps when each is at least the block's operations of that class —
+    and nothing left reads as [Unlimited].
+
+    Every scheduler kernel schedules the block under [limits] exactly
+    as under [binding_limits ~limits]. They read limits only through
+    {!Limits.fits} and {!Limits.step_within} (a cap not below the
+    operations it counts always answers yes), {!resource_bound} and
+    {!lower_bound} (such a cap contributes 1), and the 0/1 program's
+    per-step {!Hls_util.Binprog.at_most} rows (a row holds at most one
+    variable per operation, so it is never violated, and
+    {!Hls_util.Binprog.solve} branches on groups only, so its search
+    visits the same nodes with or without the row). A schedule may
+    therefore be shared between limits with equal binding parts. *)
+
 val lower_bound : limits:Limits.t -> t -> int
 (** [max (critical_length t) (resource_bound ~limits t)]: no schedule
     of the block under the limits is shorter. The exact schedulers

@@ -1,11 +1,11 @@
 open Hls_util
 open Hls_cdfg
 
-let occupying_classes = [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift ]
+let deadlines_counter = Hls_obs.Trace.handle "sched/ilp_deadlines"
 
 (* Feasibility of a schedule of length [deadline] as a 0/1 program. *)
 let feasible ~limits ~deadline dep =
-  Hls_obs.Trace.incr "sched/ilp_deadlines";
+  Hls_obs.Trace.bump deadlines_counter;
   let n = Depgraph.n_ops dep in
   let asap = Depgraph.asap dep in
   let alap = Depgraph.alap dep ~deadline in
@@ -58,7 +58,7 @@ let feasible ~limits ~deadline dep =
                          else []))
                 in
                 if vars <> [] then Binprog.at_most prog cap vars)
-          occupying_classes
+          Op.occupying_classes
     | Limits.Unlimited -> ())
   done;
   match Binprog.solve prog with

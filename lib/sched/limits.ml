@@ -2,17 +2,13 @@ open Hls_cdfg
 
 type t = Serial | Total of int | Classes of (Op.fu_class * int) list | Unlimited
 
-let occupying_class = function
-  | Op.C_alu | Op.C_mul | Op.C_div | Op.C_shift -> true
-  | Op.C_free | Op.C_none -> false
-
 let total counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts
 
 let class_count counts cls =
   match List.assoc_opt cls counts with Some n -> n | None -> 0
 
 let can_add t ~counts cls =
-  if not (occupying_class cls) then true
+  if not (Op.occupies cls) then true
   else
     match t with
     | Unlimited -> true
@@ -76,7 +72,7 @@ let occupy o ~step cls = bump o ~step cls 1
 let vacate o ~step cls = bump o ~step cls (-1)
 
 let fits t o ~step cls =
-  if not (occupying_class cls) then true
+  if not (Op.occupies cls) then true
   else
     match t with
     | Unlimited -> true

@@ -71,8 +71,7 @@ let min_ii ~limits g =
   in
   search (Depgraph.resource_bound ~limits dep)
 
-let throughput_table ~limits g =
-  ignore limits;
+let throughput_table g =
   let dep = Depgraph.of_dfg g in
   let sequential = max 1 (Depgraph.n_ops dep) in
   (* for each interval, the fewest general-purpose units that still

@@ -39,11 +39,9 @@ val resource_min_ii : limits:Limits.t -> Dfg.t -> int
 (** Classic resource-constrained lower bound:
     max over classes of ⌈ops-of-class / units-of-class⌉. *)
 
-val throughput_table :
-  limits:Limits.t -> Dfg.t -> (int * int * (Op.fu_class * int) list) list
+val throughput_table : Dfg.t -> (int * int * (Op.fu_class * int) list) list
 (** Sehwa's cost/performance trade-off curve: for each initiation
     interval (ascending), the fewest general-purpose units admitting a
     modulo schedule, as (ii, latency, steady-state per-class demand).
     Rows that stop saving hardware are elided, so the curve is strictly
-    decreasing in units. The [limits] argument is kept for interface
-    stability and ignored. *)
+    decreasing in units. *)

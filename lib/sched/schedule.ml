@@ -2,43 +2,40 @@ open Hls_cdfg
 
 type t = { g : Dfg.t; step : int array; produced : int array; total : int }
 
-(* producer_step per node given the occupying-op step table *)
-let compute_produced g step =
-  let n = Dfg.n_nodes g in
-  let produced = Array.make n 0 in
-  for id = 0 to n - 1 do
-    let node = Dfg.node g id in
-    let arg_max = List.fold_left (fun acc a -> max acc produced.(a)) 0 node.Dfg.args in
-    produced.(id) <-
-      (match node.Dfg.op with
-      | Op.Const _ | Op.Read _ -> 0
-      | _ -> if Dfg.occupies_step g id then step.(id) else arg_max)
-  done;
-  produced
-
+(* One pass in node order (arguments precede their users): an occupying
+   node's step, every node's producing step, and the block's length. *)
 let make g ~steps =
   let n = Dfg.n_nodes g in
-  let step = Array.make n (-1) in
-  for id = 0 to n - 1 do
-    if Dfg.occupies_step g id then begin
-      let s = steps id in
-      if s < 1 then invalid_arg (Printf.sprintf "Schedule.make: node %%%d at step %d" id s);
-      step.(id) <- s
-    end
-  done;
-  let produced = compute_produced g step in
+  let step = Array.make n (-1) and produced = Array.make n 0 in
   let total = ref 1 in
   for id = 0 to n - 1 do
-    if step.(id) >= 0 then total := max !total step.(id);
-    match Dfg.op g id with
-    | Op.Write _ -> total := max !total (max 1 produced.(id))
-    | _ -> ()
+    let node = Dfg.node g id in
+    match node.Dfg.op with
+    | Op.Const _ | Op.Read _ -> ()
+    | op ->
+        let p =
+          if Dfg.occupies_step g id then begin
+            let s = steps id in
+            if s < 1 then invalid_arg (Printf.sprintf "Schedule.make: node %%%d at step %d" id s);
+            step.(id) <- s;
+            s
+          end
+          else List.fold_left (fun acc a -> max acc produced.(a)) 0 node.Dfg.args
+        in
+        produced.(id) <- p;
+        total := max !total (match op with Op.Write _ -> max 1 p | _ -> p)
   done;
   { g; step; produced; total = !total }
 
 let dfg t = t.g
 
 let digest t = Digest.string (Marshal.to_string (t.step, t.total) [])
+
+let add_key b t =
+  let int x = Buffer.add_int32_le b (Int32.of_int x) in
+  int t.total;
+  int (Array.length t.step);
+  Array.iter int t.step
 
 let step_of t id =
   if t.step.(id) < 0 then
@@ -66,16 +63,20 @@ let occupancy t =
 
 let fu_requirement t = Limits.peak (occupancy t)
 
-let ops_in_step t s =
-  Dfg.fold (fun acc id _ -> if t.step.(id) = s then id :: acc else acc) [] t.g
-  |> List.rev
+let by_step t =
+  let rows = Array.make (t.total + 1) [] in
+  for id = Array.length t.step - 1 downto 0 do
+    let s = t.step.(id) in
+    if s >= 0 then rows.(s) <- id :: rows.(s)
+  done;
+  rows
 
 let verify limits t =
   let g = t.g in
   let errors = ref [] in
   Dfg.iter
     (fun id node ->
-      if Dfg.occupies_step g id then begin
+      if t.step.(id) >= 0 then begin
         let s = t.step.(id) in
         List.iter
           (fun a ->
@@ -98,23 +99,19 @@ let verify limits t =
 
 let pp ppf t =
   let g = t.g in
-  for s = 1 to n_steps t do
-    let ops =
-      Dfg.fold
-        (fun acc id node ->
-          let show =
-            (t.step.(id) = s)
-            || (Dfg.fu_class_of g id = Op.C_free && t.produced.(id) = s)
-            || (match node.Dfg.op with
-               | Op.Write _ -> (not (Dfg.occupies_step g id)) && max 1 t.produced.(id) = s
-               | _ -> false)
-          in
-          if show then
-            let tag = if Dfg.occupies_step g id then "" else "~" in
-            Printf.sprintf "%s%%%d:%s" tag id (Op.to_string node.Dfg.op) :: acc
-          else acc)
-        [] g
-      |> List.rev
+  (* each node shows on one step: an occupying op on its own, a free
+     chain on its producer's, a latching write on the step it latches *)
+  let rows = Array.make (t.total + 1) [] in
+  for id = Dfg.n_nodes g - 1 downto 0 do
+    let node = Dfg.node g id in
+    let s, tag =
+      if t.step.(id) >= 0 then (t.step.(id), "")
+      else if Dfg.fu_class_of g id = Op.C_free then (t.produced.(id), "~")
+      else match node.Dfg.op with Op.Write _ -> (max 1 t.produced.(id), "~") | _ -> (0, "")
     in
-    Format.fprintf ppf "step %2d: %s@." s (String.concat "  " ops)
+    if s >= 1 then
+      rows.(s) <- Printf.sprintf "%s%%%d:%s" tag id (Op.to_string node.Dfg.op) :: rows.(s)
+  done;
+  for s = 1 to t.total do
+    Format.fprintf ppf "step %2d: %s@." s (String.concat "  " rows.(s))
   done

@@ -31,6 +31,10 @@ val digest : t -> string
     the key the DSE engine uses to share backend results between
     option points whose schedules coincide. *)
 
+val add_key : Buffer.t -> t -> unit
+(** Append a self-delimiting encoding of the step assignment: equal
+    encodings iff equal {!digest}s. *)
+
 val step_of : t -> Dfg.nid -> int
 (** Step of a step-occupying node. Raises [Invalid_argument] for
     non-occupying nodes (use {!producer_step}). *)
@@ -56,8 +60,10 @@ val fu_requirement : t -> (Op.fu_class * int) list
     number of functional units the schedule implies (force-directed
     scheduling's objective). *)
 
-val ops_in_step : t -> int -> Dfg.nid list
-(** Step-occupying operations assigned to the step, ascending. *)
+val by_step : t -> Dfg.nid list array
+(** The step-occupying operations of each step, ascending, indexed by
+    step [0 .. n_steps] (row 0 is empty): one pass over the nodes, for
+    callers that scan every step. *)
 
 val verify : Limits.t -> t -> (unit, string) result
 (** Check data dependences (every occupying operation starts strictly

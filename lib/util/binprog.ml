@@ -1,5 +1,7 @@
 type var = int
 
+let nodes_counter = Hls_obs.Trace.handle "binprog/nodes"
+
 type constraint_ =
   | At_most of int * var list
   | Implies of var * var
@@ -47,17 +49,11 @@ let forbid_pair t a b = t.constraints <- Forbid (a, b) :: t.constraints
 let solve ?(objective = []) t =
   let groups = List.rev t.groups in
   (* variables not in any group are independent binary decisions *)
-  let grouped = Hashtbl.create 16 in
-  List.iter (fun g -> List.iter (fun v -> Hashtbl.replace grouped v ()) g) groups;
-  let free =
-    List.filter
-      (fun v -> not (Hashtbl.mem grouped v))
-      (List.init t.count Fun.id)
-  in
-  let decision_sets = groups @ List.map (fun v -> [ v ]) free in
-  let free_set = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace free_set v ()) free;
   let nvars = max 1 t.count in
+  let is_free = Array.make nvars true in
+  List.iter (fun g -> List.iter (fun v -> is_free.(v) <- false) g) groups;
+  let free = List.filter (fun v -> is_free.(v)) (List.init t.count Fun.id) in
+  let decision_sets = groups @ List.map (fun v -> [ v ]) free in
   let weight = Array.make nvars 0 in
   List.iter (fun (v, w) -> weight.(v) <- weight.(v) + w) objective;
   let assign = Array.make nvars (-1) in
@@ -111,7 +107,7 @@ let solve ?(objective = []) t =
   let rec search sets cost =
     incr nodes;
     if !nodes > budget then begin
-      Hls_obs.Trace.add "binprog/nodes" !nodes;
+      Hls_obs.Trace.add_to nodes_counter !nodes;
       invalid_arg "Binprog.solve: search budget exceeded"
     end;
     if cost >= !best_cost then ()
@@ -126,9 +122,9 @@ let solve ?(objective = []) t =
           let choices =
             (* a group picks exactly one member; a free variable may also
                be left at 0 *)
-            if List.length set = 1 && Hashtbl.mem free_set (List.hd set) then
-              [ None; Some (List.hd set) ]
-            else List.map (fun v -> Some v) set
+            match set with
+            | [ v ] when is_free.(v) -> [ None; Some v ]
+            | _ -> List.map (fun v -> Some v) set
           in
           List.iter
             (fun choice ->
@@ -144,7 +140,7 @@ let solve ?(objective = []) t =
           List.iter (fun v -> assign_var v (-1)) set
   in
   search decision_sets 0;
-  Hls_obs.Trace.add "binprog/nodes" !nodes;
+  Hls_obs.Trace.add_to nodes_counter !nodes;
   match !best with
   | Some a -> Some (fun v -> a.(v) = 1)
   | None -> None

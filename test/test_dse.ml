@@ -407,8 +407,7 @@ let test_bounds_sound () =
 
 (* Steps are 1-based: the width-aware FU floor must scan the block's
    last step. Here the one 8-bit add runs in step 1 and the two 32-bit
-   adds share step 2, so the ALU floor is two 32-bit adders (operand
-   steering adds nothing: each port sees one computed source). *)
+   adds share step 2, so the ALU floor is two 32-bit adders. *)
 let test_bound_scans_last_step () =
   let src =
     {|
@@ -432,10 +431,12 @@ end
         Hls_sched.Schedule.make g ~steps:(fun nid ->
             if Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid) = 8 then 1 else 2))
   in
-  let node_w g _bid nid = Hls_cdfg.Op.bits_of (Hls_cdfg.Dfg.ty g nid) in
-  Alcotest.(check int) "two 32-bit adders"
-    (2 * Hls_rtl.Component.min_area Hls_cdfg.Op.C_alu ~width:32)
-    (Explore.Bound.fu_input_mux_area_lb ~node_w ~schedule_free:false cs)
+  Alcotest.(check (list (pair string int)))
+    "two 32-bit adders"
+    [ ("alu", 2 * Hls_rtl.Component.min_area Hls_cdfg.Op.C_alu ~width:32) ]
+    (List.map
+       (fun (c, a) -> (Hls_cdfg.Op.fu_class_to_string c, a))
+       (Explore.Bound.class_floors o cs))
 
 (* The pruned sweep's decision procedure with one Bound.compute per
    point: rank, decide classes most promising first with a window of

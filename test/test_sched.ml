@@ -412,7 +412,7 @@ let test_pipeline_serial_ii_is_op_count () =
 
 let test_pipeline_throughput_monotone () =
   let g = fig34_dfg () in
-  let rows = Pipeline.throughput_table ~limits:limits2 g in
+  let rows = Pipeline.throughput_table g in
   Alcotest.(check bool) "has rows" true (rows <> []);
   let total demand = List.fold_left (fun acc (_, k) -> acc + k) 0 demand in
   let rec decreasing = function
