@@ -21,17 +21,18 @@ let bit_clear b i =
   Bytes.unsafe_set b (i lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) land lnot (1 lsl (i land 7))))
 
+(* built at initialization: a [lazy] forced from two domains at once
+   raises *)
 let popcount_table =
-  lazy
-    (let t = Bytes.make 256 '\000' in
-     for i = 0 to 255 do
-       let rec bits x = if x = 0 then 0 else (x land 1) + bits (x lsr 1) in
-       Bytes.set t i (Char.chr (bits i))
-     done;
-     t)
+  let t = Bytes.make 256 '\000' in
+  for i = 0 to 255 do
+    let rec bits x = if x = 0 then 0 else (x land 1) + bits (x lsr 1) in
+    Bytes.set t i (Char.chr (bits i))
+  done;
+  t
 
 let popcount_and a b =
-  let t = Lazy.force popcount_table in
+  let t = popcount_table in
   let acc = ref 0 in
   for i = 0 to Bytes.length a - 1 do
     acc :=

@@ -192,11 +192,22 @@ type t = {
    entries are Marshal images of design values, and unmarshalling an
    image written by a binary with different type layouts is undefined
    behavior. Keying on the executable digest turns "stale cache after
-   rebuild" into ordinary misses. *)
+   rebuild" into ordinary misses. Computed once, under a lock: a daemon's
+   first requests may arrive on several domains at once, and forcing one
+   [lazy] from two domains raises. *)
 let binary_digest =
-  lazy
-    (try Digest.to_hex (Digest.file Sys.executable_name)
-     with Sys_error _ -> "unknown-binary")
+  let lock = Mutex.create () and cell = ref None in
+  fun () ->
+    Hls_obs.Sync.with_lock lock (fun () ->
+        match !cell with
+        | Some d -> d
+        | None ->
+            let d =
+              try Digest.to_hex (Digest.file Sys.executable_name)
+              with Sys_error _ -> "unknown-binary"
+            in
+            cell := Some d;
+            d)
 
 let source_key = function
   | `Src s -> Digest.to_hex (Digest.string s)
@@ -450,7 +461,7 @@ let point_key t (options : Flow.options) =
     (Digest.string
        (String.concat "|"
           [
-            Lazy.force binary_digest;
+            binary_digest ();
             t.source_key;
             string_of_bool t.config.verify;
             Flow.Knob.stage_key [ Midend; Schedule; Backend; Refine ] options;

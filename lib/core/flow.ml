@@ -281,15 +281,22 @@ module Knob = struct
 
   let stage_index = function Midend -> 0 | Schedule -> 1 | Backend -> 2 | Refine -> 3
 
+  let prefixed = List.map (fun (Any k as a) -> (a, k.name ^ "=")) all
+
   let stage_keys o =
     let o = { o with limits = effective_limits o } in
-    let bs = Array.init 4 (fun _ -> Buffer.create 64) in
+    let parts = Array.make 4 [] in
     List.iter
-      (fun (Any k) ->
+      (fun (Any k, prefix) ->
         let t = text k (k.get o) in
-        List.iter (fun s -> add_entry bs.(stage_index s) k.name t) k.stages)
-      all;
-    fun s -> Buffer.contents bs.(stage_index s)
+        List.iter
+          (fun s ->
+            let i = stage_index s in
+            parts.(i) <- ";" :: t :: prefix :: parts.(i))
+          k.stages)
+      prefixed;
+    let keys = Array.map (fun l -> String.concat "" (List.rev l)) parts in
+    fun s -> keys.(stage_index s)
 end
 
 (* Span attributes are only read while tracing captures spans; build

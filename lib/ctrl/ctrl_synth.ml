@@ -11,12 +11,12 @@ type t = {
 }
 
 let collect_conds fsm =
+  let block = Array.make (Fsm.n_states fsm) 0 in
+  List.iter (fun (s : Fsm.state) -> block.(s.Fsm.sid) <- s.Fsm.block) (Fsm.states fsm);
   List.filter_map
     (fun (tr : Fsm.transition) ->
       match tr.Fsm.t_guard with
-      | Fsm.G_cond (_, nid) ->
-          let st = List.find (fun (s : Fsm.state) -> s.Fsm.sid = tr.Fsm.t_from) (Fsm.states fsm) in
-          Some (st.Fsm.block, nid)
+      | Fsm.G_cond (_, nid) -> Some (block.(tr.Fsm.t_from), nid)
       | Fsm.G_always -> None)
     (Fsm.transitions fsm)
   |> List.sort_uniq compare
@@ -35,6 +35,11 @@ let state_cube style ~state_bits ~code =
    its outgoing transitions as (guard cube, target code), with condition
    bits resolved once per transition *)
 let moves_of fsm codes state_bits conds =
+  (* each state's outgoing transitions, in transition order *)
+  let outgoing = Array.make (Fsm.n_states fsm) [] in
+  List.iter
+    (fun (tr : Fsm.transition) -> outgoing.(tr.Fsm.t_from) <- tr :: outgoing.(tr.Fsm.t_from))
+    (List.rev (Fsm.transitions fsm));
   List.map
     (fun (s : Fsm.state) ->
       let move (tr : Fsm.transition) =
@@ -48,7 +53,7 @@ let moves_of fsm codes state_bits conds =
         in
         (guard, codes.(tr.Fsm.t_to))
       in
-      (codes.(s.Fsm.sid), List.map move (Fsm.outgoing fsm s.Fsm.sid)))
+      (codes.(s.Fsm.sid), List.map move outgoing.(s.Fsm.sid)))
     (Fsm.states fsm)
 
 let direct_logic_of style state_bits moves =

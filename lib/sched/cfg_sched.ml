@@ -36,12 +36,11 @@ let digest t =
 
 let compute_steps t =
   let freq = Cfg.exec_frequencies t.cfg in
-  List.fold_left
-    (fun acc bid ->
-      let g = Cfg.dfg t.cfg bid in
-      if Dfg.compute_ops g = [] then acc
-      else acc + (Schedule.n_steps t.scheds.(bid) * freq.(bid)))
-    0 (Cfg.block_ids t.cfg)
+  let acc = ref 0 in
+  Array.iteri
+    (fun bid s -> if Schedule.n_ops s > 0 then acc := !acc + (Schedule.n_steps s * freq.(bid)))
+    t.scheds;
+  !acc
 
 let total_states t =
   Array.fold_left (fun acc s -> acc + Schedule.n_steps s) 0 t.scheds

@@ -53,6 +53,7 @@ let write_step t id =
            (Op.to_string op))
 
 let n_steps t = t.total
+let n_ops t = Array.fold_left (fun acc s -> if s >= 0 then acc + 1 else acc) 0 t.step
 
 let occupancy t =
   let occ = Limits.occupancy () in

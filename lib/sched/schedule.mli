@@ -51,6 +51,9 @@ val write_step : t -> Dfg.nid -> int
 val n_steps : t -> int
 (** Number of control steps the block occupies (at least 1). *)
 
+val n_ops : t -> int
+(** Number of step-occupying operations. *)
+
 val occupancy : t -> Limits.occupancy
 (** Step occupancy of the block's step-occupying operations, built in
     one pass over the nodes. *)

@@ -208,7 +208,60 @@ let test_cache_accounting () =
   let s3 = Dse.stats engine in
   Alcotest.(check int) "clear zeroes counters" 0
     (total s3.Dse.frontend + total s3.Dse.midend + total s3.Dse.schedule
-   + total s3.Dse.backend + total s3.Dse.control)
+   + total s3.Dse.block + total s3.Dse.backend + total s3.Dse.control)
+
+(* The block layer sits inside schedule misses, one probe per block, and
+   shares blocks whose binding limits coincide: under 3 and 4 general
+   units every diffeq block of at most 3 operations schedules once. *)
+let test_block_layer () =
+  let src = Workloads.diffeq in
+  let engine = Dse.create src in
+  ignore (Explore.sweep ~engine src);
+  let s = Dse.stats engine in
+  let o, _ = Dse.eval_cheap engine Flow.default_options in
+  let blocks = Hls_cdfg.Cfg.n_blocks o.Flow.o_cfg in
+  Alcotest.(check int) "one probe per block of every schedule miss"
+    (blocks * s.Dse.schedule.Dse.misses)
+    (s.Dse.block.Dse.hits + s.Dse.block.Dse.misses);
+  Alcotest.(check bool) "blocks shared across limits" true (s.Dse.block.Dse.hits > 0)
+
+(* Each analysis runs once per thing it depends on: one storage table
+   per backend run, one liveness analysis per midend result. *)
+let test_storage_analyses_once () =
+  let src = Workloads.diffeq in
+  let o =
+    Flow.midend ~passes:Flow.default_options.Flow.passes ~if_conversion:false
+      (Flow.frontend src)
+  in
+  let sched = Flow.schedule Flow.default_options o in
+  let tables = Hls_alloc.Lifetime.tables_built () in
+  (match Flow.complete_result Flow.default_options o ~sched with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "diffeq does not complete");
+  Alcotest.(check int) "one table per backend run" 1
+    (Hls_alloc.Lifetime.tables_built () - tables);
+  let runs = Hls_alloc.Cfg_facts.liveness_runs () in
+  let engine = Dse.create src in
+  ignore (Explore.sweep_pruned ~engine src);
+  let s = Dse.stats engine in
+  Alcotest.(check int) "one midend result" 1 s.Dse.midend.Dse.misses;
+  Alcotest.(check int) "liveness once per midend result" s.Dse.midend.Dse.misses
+    (Hls_alloc.Cfg_facts.liveness_runs () - runs)
+
+(* The per-stage key texts the engine assembles its keys from. *)
+let test_stage_keys () =
+  List.iter
+    (fun (_, (o : Flow.options)) ->
+      let keys = Flow.Knob.stage_keys o in
+      List.iter
+        (fun s ->
+          Alcotest.(check string) "stage key" (Flow.Knob.stage_key [ s ] o) (keys s))
+        Flow.Knob.[ Midend; Schedule; Backend; Refine ];
+      Alcotest.(check string) "midend then schedule"
+        (Flow.Knob.stage_key [ Midend; Schedule ] o)
+        (keys Midend ^ keys Schedule))
+    (Explore.cross ~base:Flow.default_options ~schedulers:Explore.default_schedulers
+       ~limits:Explore.default_limits ~iterates:[ 0; 2 ] ())
 
 (* ---- shared controllers ---- *)
 
@@ -735,6 +788,9 @@ let () =
           Alcotest.test_case "sweep deterministic across jobs" `Quick test_sweep_deterministic;
           Alcotest.test_case "points keep their options" `Quick test_point_keeps_own_options;
           Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
+          Alcotest.test_case "block layer" `Quick test_block_layer;
+          Alcotest.test_case "storage analyses run once" `Quick test_storage_analyses_once;
+          Alcotest.test_case "stage keys" `Quick test_stage_keys;
           Alcotest.test_case "shared controllers: workloads x encodings x narrow" `Slow
             test_shared_controllers_workloads;
           Alcotest.test_case "shared controllers: random programs" `Slow

@@ -307,6 +307,57 @@ let prop_bb_is_optimal =
                 (all_schedulers limits g))
         [ Limits.Serial; Limits.Total 2 ])
 
+(* The audit behind the block memo: a cap at least the operations it
+   constrains changes no kernel's placement, nor the 0/1 search's node
+   count. *)
+let prop_kernels_ignore_slack_caps =
+  QCheck.Test.make ~name:"kernels schedule under the binding limits alone" ~count:80
+    Gen.dfg_arbitrary
+    (fun seed ->
+      let g = Gen.dfg_of_seed ~max_ops:9 seed in
+      let dep = Depgraph.of_dfg g in
+      let n = Depgraph.n_ops dep in
+      let kernels limits =
+        [
+          Asap.schedule_dep ~limits dep;
+          List_sched.schedule_dep ~limits dep;
+          List_sched.schedule_dep ~priority:(List_sched.Mobility (max 1 n)) ~limits dep;
+          Transformational.from_parallel_dep ~limits dep;
+          Transformational.from_serial_dep ~limits dep;
+          Option.value ~default:[||] (Branch_bound.schedule_dep ~limits dep);
+        ]
+      in
+      let ilp limits =
+        let before = Hls_obs.Trace.counter "binprog/nodes" in
+        let steps = Ilp_sched.schedule_dep ~limits dep in
+        (steps, Hls_obs.Trace.counter "binprog/nodes" - before)
+      in
+      List.for_all
+        (fun limits ->
+          let binding = Depgraph.binding_limits ~limits dep in
+          kernels limits = kernels binding && ilp limits = ilp binding)
+        [
+          Limits.Serial; Limits.Total 1; Limits.Total (max 1 (n - 1)); Limits.Total n;
+          Limits.Total (n + 3);
+          Limits.Classes [ (Op.C_alu, n); (Op.C_mul, 1) ];
+          Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, n); (Op.C_div, 1) ];
+          Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 2) ];
+          Limits.Classes [ (Op.C_alu, n); (Op.C_alu, 1) ];
+        ])
+
+let test_binding_limits () =
+  let g = fig34_dfg () in
+  let dep = Depgraph.of_dfg g in
+  let n = Depgraph.n_ops dep in
+  let show l = Limits.to_string (Depgraph.binding_limits ~limits:l dep) in
+  Alcotest.(check string) "total at the op count" "unlimited" (show (Limits.Total n));
+  Alcotest.(check string) "total below it" "2 FUs" (show (Limits.Total 2));
+  Alcotest.(check string) "serial" "serial" (show Limits.Serial);
+  Alcotest.(check string) "caps on absent classes" "unlimited"
+    (show (Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 1) ]));
+  Alcotest.(check string) "a class's caps go together" "1 alu, 9 alu"
+    (show (Limits.Classes [ (Op.C_div, 1); (Op.C_alu, 1); (Op.C_alu, 9) ]))
+
 let prop_unconstrained_asap_is_critical_path =
   QCheck.Test.make ~name:"unconstrained ASAP equals critical path" ~count:150
     Gen.dfg_arbitrary
@@ -651,6 +702,7 @@ let () =
       ( "algorithms",
         [
           Alcotest.test_case "freedom meets critical path" `Quick test_freedom_meets_critical_path;
+          Alcotest.test_case "binding limits" `Quick test_binding_limits;
           Alcotest.test_case "transformational legal" `Quick test_transformational_legal;
           Alcotest.test_case "serial compaction" `Quick test_serial_compaction_beats_serial;
           Alcotest.test_case "depgraph free-op chaining" `Quick test_depgraph_through_free_ops;
@@ -685,6 +737,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_list_sched_matches_reference;
           QCheck_alcotest.to_alcotest prop_bb_is_optimal;
           QCheck_alcotest.to_alcotest prop_unconstrained_asap_is_critical_path;
+          QCheck_alcotest.to_alcotest prop_kernels_ignore_slack_caps;
           QCheck_alcotest.to_alcotest prop_fds_respects_deadline;
           QCheck_alcotest.to_alcotest prop_fds_matches_reference;
           QCheck_alcotest.to_alcotest prop_freedom_valid;

@@ -6,7 +6,8 @@
    raising item, the options wire codec (fds+K slack, class limits,
    unknown keys, decode . encode = id), and the server core: concurrent
    requests with deterministic counters, plus busy rejection over a
-   real socket. *)
+   real socket; torn stdio frames and an unwritable cache directory
+   degrade to answers, never to exceptions. *)
 
 open Hls_util
 open Hls_core
@@ -440,6 +441,60 @@ let test_proto_synth_with_passes () =
         (J.str_member "passes" o)
   | None -> Alcotest.fail "design options missing"
 
+(* ---- robustness: torn frames, an unwritable cache ---- *)
+
+(* Feed [bytes] to [serve_frames] through a pipe closed after them, and
+   collect every reply frame. *)
+let serve_bytes bytes =
+  let t = Serve.Server.create () in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  ignore (Unix.write_substring in_w bytes 0 (String.length bytes));
+  Unix.close in_w;
+  Serve.Server.serve_frames t ~input:in_r ~output:out_w;
+  Unix.close in_r;
+  Unix.close out_w;
+  let rec replies acc =
+    match Serve.Proto.read_frame out_r with
+    | Some (Ok payload) -> (
+        match J.parse payload with
+        | Ok j -> replies (j :: acc)
+        | Error e -> Alcotest.fail ("unparsable reply: " ^ e))
+    | Some (Error e) -> Alcotest.fail ("torn reply: " ^ e)
+    | None -> List.rev acc
+  in
+  let rs = replies [] in
+  Unix.close out_r;
+  rs
+
+let frame s = string_of_int (String.length s) ^ "\n" ^ s
+
+let test_torn_frames () =
+  let ping = frame {|{"cmd":"ping"}|} in
+  let statuses bytes = List.map (str_field "status") (serve_bytes bytes) in
+  Alcotest.(check (list string)) "cut in the header" [ "ok"; "error" ] (statuses (ping ^ "12"));
+  Alcotest.(check (list string))
+    "cut in the payload" [ "ok"; "error" ]
+    (statuses (ping ^ "40\n{\"cmd\":\"synth\""));
+  Alcotest.(check (list string)) "clean end" [ "ok" ] (statuses ping)
+
+let test_unwritable_cache_dir () =
+  (* a directory under a regular file cannot be created, even as root *)
+  let file = fresh_dir "plainfile" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc "not a directory");
+  let dir = Filename.concat file "cache" in
+  let t =
+    Serve.Server.create
+      ~config:{ Serve.Server.default_config with Serve.Server.cache_dir = Some dir }
+      ()
+  in
+  let misses0 = Trace.counter "serve/disk_misses" in
+  let reply = Serve.Server.handle t (synth_req ()) in
+  Alcotest.(check string) "answers ok" "ok" (str_field "status" reply);
+  Alcotest.(check int) "one disk miss" 1 (Trace.counter "serve/disk_misses" - misses0);
+  Alcotest.(check (list string)) "stores nothing" [] (Disk_cache.entries ~dir);
+  Alcotest.(check bool) "the file is untouched" false (Sys.is_directory file);
+  Sys.remove file
+
 (* ---- sockets: busy rejection and graceful stop ---- *)
 
 let test_socket_busy_rejection () =
@@ -513,5 +568,7 @@ let () =
           Alcotest.test_case "concurrent requests deterministic" `Quick
             test_handle_concurrent_deterministic;
           Alcotest.test_case "busy rejection over a socket" `Quick test_socket_busy_rejection;
+          Alcotest.test_case "torn frames end the stream" `Quick test_torn_frames;
+          Alcotest.test_case "unwritable cache directory" `Quick test_unwritable_cache_dir;
         ] );
     ]
