@@ -109,10 +109,12 @@ let resource_bound ~limits t =
 
 let binding_limits ~limits t =
   let n = n_ops t in
+  (* one unit answers as [Serial] does *)
+  let total k = if k >= n then Limits.Unlimited else if k = 1 then Limits.Serial else Limits.Total k in
   match limits with
   | Limits.Unlimited -> limits
-  | Limits.Serial -> if n <= 1 then Limits.Unlimited else limits
-  | Limits.Total k -> if k >= n then Limits.Unlimited else limits
+  | Limits.Serial -> total 1
+  | Limits.Total k -> total k
   | Limits.Classes caps -> (
       let count cls = Array.fold_left (fun acc c -> if c = cls then acc + 1 else acc) 0 t.cls_table in
       (* a class's caps go together: the first one listed answers [fits],
@@ -120,6 +122,8 @@ let binding_limits ~limits t =
       let binds (cls, _) = List.exists (fun (c, cap) -> c = cls && cap < count cls) caps in
       match List.filter binds caps with
       | [] -> Limits.Unlimited
+      (* every operation is of the one capped class: its cap is a total *)
+      | [ (cls, k) ] when count cls = n -> total k
       | kept -> if List.compare_lengths kept caps = 0 then limits else Limits.Classes kept)
 
 let lower_bound ~limits t = max (critical_length t) (resource_bound ~limits t)

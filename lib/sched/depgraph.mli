@@ -54,11 +54,13 @@ val resource_bound : limits:Limits.t -> t -> int
     least 1. *)
 
 val binding_limits : limits:Limits.t -> t -> Limits.t
-(** The part of [limits] that can bind on this block: a cap at least
-    the number of operations it constrains is dropped — [Total k] with
-    [k >=] {!n_ops}, [Serial] on at most one operation, and a class's
-    caps when each is at least the block's operations of that class —
-    and nothing left reads as [Unlimited].
+(** The part of [limits] that can bind on this block, canonically: a
+    cap at least the number of operations it constrains is dropped —
+    [Total k] with [k >=] {!n_ops}, [Serial] on at most one operation,
+    and a class's caps when each is at least the block's operations of
+    that class — and nothing left reads as [Unlimited]; a single cap on
+    the class of every operation reads as [Total k], and [Total 1] as
+    [Serial].
 
     Every scheduler kernel schedules the block under [limits] exactly
     as under [binding_limits ~limits]. They read limits only through
@@ -68,8 +70,10 @@ val binding_limits : limits:Limits.t -> t -> Limits.t
     per-step {!Hls_util.Binprog.at_most} rows (a row holds at most one
     variable per operation, so it is never violated, and
     {!Hls_util.Binprog.solve} branches on groups only, so its search
-    visits the same nodes with or without the row). A schedule may
-    therefore be shared between limits with equal binding parts. *)
+    visits the same nodes with or without the row). Where every
+    operation is of one class, that class's cap counts exactly what a
+    total counts, and builds the same 0/1 rows. A schedule may therefore
+    be shared between limits with equal binding parts. *)
 
 val lower_bound : limits:Limits.t -> t -> int
 (** [max (critical_length t) (resource_bound ~limits t)]: no schedule
