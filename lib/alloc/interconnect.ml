@@ -22,18 +22,23 @@ type resolver = {
 let resolver ?lifetimes cs ~fu ~regs =
   let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let units = Array.init (Cfg.n_blocks cfg) (fun bid -> Array.make (Dfg.n_nodes (Cfg.dfg cfg bid)) (-1)) in
+  let units =
+    Array.init (Cfg.n_blocks cfg) (fun bid -> Array.make (Dfg.n_nodes (Cfg.dfg cfg bid)) (-1))
+  in
   List.iter
     (fun (inst : Fu_alloc.instance) ->
       List.iter
-        (fun (r : Fu_alloc.op_ref) -> units.(r.Fu_alloc.bid).(r.Fu_alloc.nid) <- inst.Fu_alloc.fu_id)
+        (fun (r : Fu_alloc.op_ref) ->
+          units.(r.Fu_alloc.bid).(r.Fu_alloc.nid) <- inst.Fu_alloc.fu_id)
         inst.Fu_alloc.ops)
     fu.Fu_alloc.instances;
   { cs; lt; units; regs }
 
 let unit_of r bid nid =
   match r.units.(bid).(nid) with
-  | -1 -> invalid_arg (Printf.sprintf "Fu_alloc: operation b%d.%%%d is not allocated to any unit" bid nid)
+  | -1 ->
+      invalid_arg
+        (Printf.sprintf "Fu_alloc: operation b%d.%%%d is not allocated to any unit" bid nid)
   | u -> u
 
 let temp_reg r bid nid =

@@ -145,7 +145,7 @@ type stats = {
   refine : layer;
 }
 
-(* a layer's tallies and its two trace counter names *)
+(* a layer's tallies and its two trace counter cells *)
 type counter = {
   trace_hits : Hls_obs.Trace.handle;
   trace_misses : Hls_obs.Trace.handle;

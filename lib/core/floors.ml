@@ -48,7 +48,8 @@ let make ~node_w ~ports (facts : Hls_alloc.Cfg_facts.t) =
     if pos >= Array.length slots.(c) then
       slots.(c) <-
         Array.init (pos + 1) (fun p ->
-            if p < Array.length slots.(c) then slots.(c).(p) else { consts = []; computed = false });
+            if p < Array.length slots.(c) then slots.(c).(p)
+            else { consts = []; computed = false });
     slots.(c).(pos)
   in
   (* per variable: the widest stored value and its assigned wires *)
@@ -137,7 +138,8 @@ let make ~node_w ~ports (facts : Hls_alloc.Cfg_facts.t) =
       (List.mapi
          (fun c cls ->
            if min_w.(c) = max_int then []
-           else [ { cls; min_w = min_w.(c); wires = Array.to_list (Array.map wire_count slots.(c)) } ])
+           else
+             [ { cls; min_w = min_w.(c); wires = Array.to_list (Array.map wire_count slots.(c)) } ])
          Op.occupying_classes)
   in
   { port_names; port_reg_area; reg_mux_area; cycle_ns; classes; blocks }

@@ -174,7 +174,8 @@ module Knob = struct
     let cap s =
       match String.split_on_char ':' s with
       | [ c; n ] -> (
-          match (List.find_opt (fun k -> cls k = c) Hls_cdfg.Op.occupying_classes, int_of_string_opt n) with
+          let named = List.find_opt (fun k -> cls k = c) Hls_cdfg.Op.occupying_classes in
+          match (named, int_of_string_opt n) with
           | Some c, Some n when n > 0 -> Some (c, n)
           | _ -> None)
       | _ -> None
@@ -481,7 +482,9 @@ let schedule ?block options o =
             invalid_arg
               (Printf.sprintf "Flow: scheduler produced invalid schedule: block %d: %s" bid e)
       in
-      let f = match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid () in
+      let f =
+        match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid ()
+      in
       Cfg_sched.init ~n_ops:o.o_facts.Hls_alloc.Cfg_facts.n_ops o.o_cfg f)
 
 (* ---- design-level lint ------------------------------------------------ *)

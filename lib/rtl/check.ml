@@ -17,7 +17,9 @@ let diagnostics (dp : Datapath.t) =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let regs = Hashtbl.create 32 in
-  List.iter (fun (r : Datapath.reg_def) -> Hashtbl.replace regs r.Datapath.rname ()) dp.Datapath.regs;
+  List.iter
+    (fun (r : Datapath.reg_def) -> Hashtbl.replace regs r.Datapath.rname ())
+    dp.Datapath.regs;
   let reg_exists name = Hashtbl.mem regs name in
   (* [ctx] names the reader, printed only for a diagnostic *)
   let check_wire entity ctx w =

@@ -110,13 +110,17 @@ let resource_bound ~limits t =
 let binding_limits ~limits t =
   let n = n_ops t in
   (* one unit answers as [Serial] does *)
-  let total k = if k >= n then Limits.Unlimited else if k = 1 then Limits.Serial else Limits.Total k in
+  let total k =
+    if k >= n then Limits.Unlimited else if k = 1 then Limits.Serial else Limits.Total k
+  in
   match limits with
   | Limits.Unlimited -> limits
   | Limits.Serial -> total 1
   | Limits.Total k -> total k
   | Limits.Classes caps -> (
-      let count cls = Array.fold_left (fun acc c -> if c = cls then acc + 1 else acc) 0 t.cls_table in
+      let count cls =
+        Array.fold_left (fun acc c -> if c = cls then acc + 1 else acc) 0 t.cls_table
+      in
       (* a class's caps go together: the first one listed answers [fits],
          all of them [step_within] *)
       let binds (cls, _) = List.exists (fun (c, cap) -> c = cls && cap < count cls) caps in
