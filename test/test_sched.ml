@@ -343,6 +343,7 @@ let prop_kernels_ignore_slack_caps =
           Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, n); (Op.C_div, 1) ];
           Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 2) ];
           Limits.Classes [ (Op.C_alu, n); (Op.C_alu, 1) ];
+          Limits.Classes [ (Op.C_alu, 1) ]; Limits.Classes [ (Op.C_alu, 2) ];
         ])
 
 let test_binding_limits () =
@@ -356,7 +357,21 @@ let test_binding_limits () =
   Alcotest.(check string) "caps on absent classes" "unlimited"
     (show (Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 1) ]));
   Alcotest.(check string) "a class's caps go together" "1 alu, 9 alu"
-    (show (Limits.Classes [ (Op.C_div, 1); (Op.C_alu, 1); (Op.C_alu, 9) ]))
+    (show (Limits.Classes [ (Op.C_div, 1); (Op.C_alu, 1); (Op.C_alu, 9) ]));
+  Alcotest.(check string) "a slack cap dropped" "1 alu"
+    (show (Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, 1) ]));
+  (* three adds: a cap on their one class is a total, one unit is serial *)
+  let adds = Dfg.create () in
+  let a = Dfg.add adds (Op.Read "a") [] i16 in
+  let s1 = Dfg.add adds Op.Add [ a; a ] i16 in
+  let s2 = Dfg.add adds Op.Add [ s1; a ] i16 in
+  ignore (Dfg.add adds (Op.Write "o") [ Dfg.add adds Op.Add [ s2; a ] i16 ] i16);
+  let dep = Depgraph.of_dfg adds in
+  let show l = Limits.to_string (Depgraph.binding_limits ~limits:l dep) in
+  Alcotest.(check string) "one class capped" "2 FUs"
+    (show (Limits.Classes [ (Op.C_alu, 2); (Op.C_mul, 1) ]));
+  Alcotest.(check string) "one unit" "serial" (show (Limits.Classes [ (Op.C_alu, 1) ]));
+  Alcotest.(check string) "one general unit" "serial" (show (Limits.Total 1))
 
 let prop_unconstrained_asap_is_critical_path =
   QCheck.Test.make ~name:"unconstrained ASAP equals critical path" ~count:150
