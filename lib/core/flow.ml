@@ -117,7 +117,13 @@ module Knob = struct
             (Printf.sprintf "unknown %s %S (expected one of: %s)" what s
                (String.concat ", " (List.map fst words)))
     in
-    let print v = fst (List.find (fun (_, x) -> x = v) words) in
+    (* physical equality finds a constant constructor without the
+       polymorphic compare *)
+    let print v =
+      match List.find_opt (fun (_, x) -> x == v) words with
+      | Some (w, _) -> w
+      | None -> fst (List.find (fun (_, x) -> x = v) words)
+    in
     { words; parse; print }
 
   let passes =

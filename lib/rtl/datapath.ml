@@ -81,7 +81,7 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
       (fun name width acc ->
         { rname = name; rwidth = width; rkind = Hashtbl.find kinds name } :: acc)
       widths []
-    |> List.sort (fun a b -> compare a.rname b.rname)
+    |> List.sort (fun a b -> String.compare a.rname b.rname)
   in
   (* ---- wire construction: the interconnect names the net a value is
      read from; a free chain's root expands into its logic over the nets
