@@ -96,11 +96,20 @@ let shutdown pool =
 
 (* ---- shared process-wide pool ---- *)
 
+(* created on first use, under a lock: the first calls may come from
+   several domains at once, and forcing one [lazy] from two domains
+   raises *)
 let shared =
-  lazy
-    (let p = create ~workers:(max 0 (Domain.recommended_domain_count () - 1)) in
-     at_exit (fun () -> if not p.closed then shutdown p);
-     p)
+  let lock = Mutex.create () and cell = ref None in
+  fun () ->
+    Hls_obs.Sync.with_lock lock (fun () ->
+        match !cell with
+        | Some p -> p
+        | None ->
+            let p = create ~workers:(max 0 (Domain.recommended_domain_count () - 1)) in
+            at_exit (fun () -> if not p.closed then shutdown p);
+            cell := Some p;
+            p)
 
 (* ---- futures ---- *)
 
@@ -151,7 +160,7 @@ let async ?pool ?(jobs = 1) f =
   | Some p -> resolve p
   | None ->
       if jobs <= 1 then fresh (F_deferred f) None
-      else resolve (Lazy.force shared)
+      else resolve (shared ())
 
 let await fut =
   let deferred =
@@ -234,7 +243,7 @@ let map ?pool ?(jobs = 1) f xs =
   let n = List.length xs in
   if jobs <= 1 || n <= 1 then List.map f xs
   else begin
-    let pool = match pool with Some p -> p | None -> Lazy.force shared in
+    let pool = match pool with Some p -> p | None -> shared () in
     (* the caller is a full participant (it helps drain), so available
        parallelism is the worker cap plus one *)
     let lanes = min jobs (pool.max_workers + 1) in
