@@ -5,7 +5,6 @@ type block = {
   writes : (string * Dfg.nid) list;
   write_ids : (int * Dfg.nid) list;
   cond : Dfg.nid option;
-  n_ops : int;
   live_in : int list;
   live_out : int list;
 }
@@ -15,7 +14,6 @@ type t = {
   outputs : string list;
   vars : string array;
   blocks : block array;
-  n_ops : int;
 }
 
 (* [vars] is sorted: binary search *)
@@ -41,15 +39,14 @@ let make ~outputs cfg =
   let blocks =
     Array.init (Cfg.n_blocks cfg) (fun bid ->
         let g = Cfg.dfg cfg bid in
-        let reads, writes, n_ops =
+        let reads, writes =
           Dfg.fold
-            (fun (rs, ws, n) id node ->
+            (fun (rs, ws) id node ->
               match node.Dfg.op with
-              | Op.Read v -> ((v, id) :: rs, ws, n)
-              | Op.Write v ->
-                  ((rs, (v, id) :: ws, if Dfg.occupies_step g id then n + 1 else n))
-              | _ -> (rs, ws, if Dfg.occupies_step g id then n + 1 else n))
-            ([], [], 0) g
+              | Op.Read v -> ((v, id) :: rs, ws)
+              | Op.Write v -> (rs, (v, id) :: ws)
+              | _ -> (rs, ws))
+            ([], []) g
         in
         let writes = List.rev writes in
         {
@@ -57,12 +54,10 @@ let make ~outputs cfg =
           writes;
           write_ids = List.map (fun (v, w) -> (Option.get (find vars v), w)) writes;
           cond = (match Cfg.term cfg bid with Cfg.Branch (c, _, _) -> Some c | _ -> None);
-          n_ops;
           live_in = ids (Liveness.live_in live bid);
           live_out = ids (Liveness.live_out live bid);
         })
   in
-  { cfg; outputs; vars; blocks;
-    n_ops = Array.fold_left (fun acc (b : block) -> acc + b.n_ops) 0 blocks }
+  { cfg; outputs; vars; blocks }
 
 let var_id t v = match find t.vars v with Some i -> i | None -> raise Not_found

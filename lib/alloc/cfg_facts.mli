@@ -1,6 +1,6 @@
 (** The storage facts of an optimized CFG that no schedule changes:
     variable liveness, the variables with dense ids, and each block's
-    reads, writes, branch condition and step-occupying operation count.
+    reads, writes and branch condition.
 
     Build it once per midend result ({!Hls_core.Flow.optimized} keeps
     one) and hand it to {!Lifetime.table}: every schedule of the CFG
@@ -13,7 +13,6 @@ type block = {
   writes : (string * Dfg.nid) list;  (** {!Dfg.writes} order *)
   write_ids : (int * Dfg.nid) list;  (** [writes] by variable id *)
   cond : Dfg.nid option;  (** the branch condition the terminator samples *)
-  n_ops : int;  (** step-occupying operations *)
   live_in : int list;  (** variable ids live on entry, ascending *)
   live_out : int list;  (** variable ids live on exit, ascending *)
 }
@@ -26,7 +25,6 @@ type t = {
           ({!Hls_cdfg.Liveness.all_variables}); a variable's id is its
           index *)
   blocks : block array;  (** indexed by block id *)
-  n_ops : int;  (** step-occupying operations over all blocks *)
 }
 
 val make : outputs:string list -> Cfg.t -> t

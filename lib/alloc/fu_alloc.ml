@@ -57,15 +57,6 @@ let source_of lt bid nid =
           From_wire (bid, nid))
   | _ -> From_wire (bid, nid)
 
-(* structural equality of sources, without the polymorphic compare *)
-let same_source a b =
-  match (a, b) with
-  | From_var x, From_var y -> String.equal x y
-  | From_const x, From_const y -> x = y
-  | From_temp (b1, n1), From_temp (b2, n2) | From_wire (b1, n1), From_wire (b2, n2) ->
-      b1 = b2 && n1 = n2
-  | (From_var _ | From_const _ | From_temp _ | From_wire _), _ -> false
-
 let make_lookup instances =
   let table = Hashtbl.create 64 in
   List.iter
@@ -116,12 +107,14 @@ let greedy ?(selection = `Min_mux) ?lifetimes cs =
         fun r -> List.map (fun a -> source_of lt r.bid a) (Dfg.args (Cfg.dfg cfg r.bid) r.nid)
   in
   let busy inst r = List.exists (fun o -> o.bid = r.bid && o.step = r.step) inst.b_ops in
-  let known src have = List.exists (same_source src) have in
   let added_cost inst srcs =
     List.mapi
       (fun pos src ->
         if pos >= inst.b_arity then 0
-        else match inst.b_inputs.(pos) with [] -> 0 | have -> if known src have then 0 else 1)
+        else begin
+          let have = inst.b_inputs.(pos) in
+          if have = [] || List.mem src have then 0 else 1
+        end)
       srcs
     |> List.fold_left ( + ) 0
   in
@@ -136,7 +129,7 @@ let greedy ?(selection = `Min_mux) ?lifetimes cs =
     end;
     List.iteri
       (fun pos src ->
-        if not (known src inst.b_inputs.(pos)) then
+        if not (List.mem src inst.b_inputs.(pos)) then
           inst.b_inputs.(pos) <- src :: inst.b_inputs.(pos))
       srcs
   in
@@ -146,19 +139,20 @@ let greedy ?(selection = `Min_mux) ?lifetimes cs =
       let candidates =
         List.filter (fun inst -> inst.b_cls = r.cls && not (busy inst r)) !instances
       in
-      (* the candidate least by (cost, unit id); ids are distinct *)
-      let cost =
-        match selection with `First_fit -> fun _ -> 0 | `Min_mux -> fun inst -> added_cost inst srcs
-      in
       let chosen =
-        List.fold_left
-          (fun best inst ->
-            let c = cost inst in
-            match best with
-            | Some (b, bc) when bc < c || (bc = c && b.b_id < inst.b_id) -> best
-            | _ -> Some (inst, c))
-          None candidates
-        |> Option.map fst
+        match selection with
+        | `First_fit -> (
+            match List.sort (fun a b -> compare a.b_id b.b_id) candidates with
+            | c :: _ -> Some c
+            | [] -> None)
+        | `Min_mux -> (
+            match
+              List.sort
+                (fun a b -> compare (added_cost a srcs, a.b_id) (added_cost b srcs, b.b_id))
+                candidates
+            with
+            | c :: _ -> Some c
+            | [] -> None)
       in
       match chosen with
       | Some inst -> commit inst r srcs

@@ -10,36 +10,16 @@ type dest = D_fu_in of int * int | D_reg of string
 
 type transfer = { t_src : wire; t_dst : dest; t_bid : Cfg.bid; t_step : int }
 
-(* [units.(bid).(nid)] is the unit of an allocated operation, -1
-   elsewhere; the allocation's table, read once into arrays *)
 type resolver = {
   cs : Hls_sched.Cfg_sched.t;
   lt : Lifetime.t;
-  units : int array array;
+  fu : Fu_alloc.t;
   regs : Reg_alloc.t;
 }
 
 let resolver ?lifetimes cs ~fu ~regs =
   let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
-  let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let units =
-    Array.init (Cfg.n_blocks cfg) (fun bid -> Array.make (Dfg.n_nodes (Cfg.dfg cfg bid)) (-1))
-  in
-  List.iter
-    (fun (inst : Fu_alloc.instance) ->
-      List.iter
-        (fun (r : Fu_alloc.op_ref) ->
-          units.(r.Fu_alloc.bid).(r.Fu_alloc.nid) <- inst.Fu_alloc.fu_id)
-        inst.Fu_alloc.ops)
-    fu.Fu_alloc.instances;
-  { cs; lt; units; regs }
-
-let unit_of r bid nid =
-  match r.units.(bid).(nid) with
-  | -1 ->
-      invalid_arg
-        (Printf.sprintf "Fu_alloc: operation b%d.%%%d is not allocated to any unit" bid nid)
-  | u -> u
+  { cs; lt; fu; regs }
 
 let temp_reg r bid nid =
   match Reg_alloc.temp_register r.regs bid nid with
@@ -59,7 +39,7 @@ let resolve r bid nid ~step =
   | Op.Write _ -> invalid_arg (Printf.sprintf "Interconnect: b%d.%%%d is a write" bid nid)
   | _ when Dfg.occupies_step g nid -> (
       if step = Hls_sched.Schedule.step_of (Hls_sched.Cfg_sched.block_schedule r.cs bid) nid
-      then W_fu_out (unit_of r bid nid)
+      then W_fu_out (Fu_alloc.of_op r.fu (bid, nid))
       else
         match Lifetime.storage r.lt bid nid with
         | Lifetime.In_variable v -> W_reg (Reg_alloc.register_of_var r.regs v)
@@ -99,7 +79,7 @@ let transfers ?lifetimes cs ~fu ~regs =
       let operands =
         List.concat_map
           (fun nid ->
-            let unit_id = unit_of r bid nid in
+            let unit_id = Fu_alloc.of_op fu (bid, nid) in
             let step = Hls_sched.Schedule.step_of sched nid in
             List.mapi (fun pos a -> at step (D_fu_in (unit_id, pos)) a) (Dfg.args g nid))
           (Dfg.compute_ops g)

@@ -52,9 +52,6 @@ val resolver :
 (** Reads the schedule's lifetime table [lifetimes] (built here when
     absent); every {!resolve} reads it. *)
 
-val unit_of : resolver -> Cfg.bid -> Dfg.nid -> int
-(** {!Fu_alloc.of_op} of the resolver's allocation, from an array. *)
-
 val resolve : resolver -> Cfg.bid -> Dfg.nid -> step:int -> wire
 (** The net driving value [nid] of block [bid] when it is read at
     [step]:

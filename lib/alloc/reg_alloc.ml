@@ -47,9 +47,7 @@ let temp_register t bid nid =
 let n_temp_registers t = t.n_temps
 
 let register_of_var t v =
-  match List.find_opt (fun (v', _) -> String.equal v v') t.var_reg with
-  | Some (_, r) -> r
-  | None -> v
+  match List.assoc_opt v t.var_reg with Some r -> r | None -> v
 
 let variable_groups t = t.groups
 

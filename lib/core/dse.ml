@@ -75,7 +75,7 @@ type keys = {
 }
 
 let keys options =
-  let part = Flow.Knob.stage_keys options in
+  let part s = Flow.Knob.stage_key [ s ] options in
   let mid = part Midend in
   { options; mid; sched = mid ^ part Schedule; back = part Backend; refine = part Refine }
 

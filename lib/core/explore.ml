@@ -217,8 +217,7 @@ module Bound = struct
             let w = b.Floors.reg_area.(vi.Hls_alloc.Lifetime.nid) in
             match vi.Hls_alloc.Lifetime.storage with
             | Hls_alloc.Lifetime.Temp iv -> add iv.Interval.lo iv.Interval.hi w
-            | Hls_alloc.Lifetime.In_variable v
-              when not (List.exists (String.equal v) fl.Floors.port_names) ->
+            | Hls_alloc.Lifetime.In_variable v when not (List.mem v fl.Floors.port_names) ->
                 add vi.Hls_alloc.Lifetime.produced (vi.Hls_alloc.Lifetime.last_use - 1) w
             | Hls_alloc.Lifetime.In_variable _ | Hls_alloc.Lifetime.No_storage -> ())
           (Hls_alloc.Lifetime.values lt bid);

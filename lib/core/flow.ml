@@ -117,13 +117,7 @@ module Knob = struct
             (Printf.sprintf "unknown %s %S (expected one of: %s)" what s
                (String.concat ", " (List.map fst words)))
     in
-    (* physical equality finds a constant constructor without the
-       polymorphic compare *)
-    let print v =
-      match List.find_opt (fun (_, x) -> x == v) words with
-      | Some (w, _) -> w
-      | None -> fst (List.find (fun (_, x) -> x = v) words)
-    in
+    let print v = fst (List.find (fun (_, x) -> x = v) words) in
     { words; parse; print }
 
   let passes =
@@ -269,41 +263,20 @@ module Knob = struct
   let attrs o =
     List.filter_map (fun (Any k) -> if k.exposed then Some (attr k (k.get o)) else None) all
 
-  let add_entry b name text =
-    Buffer.add_string b name;
-    Buffer.add_char b '=';
-    Buffer.add_string b text;
-    Buffer.add_char b ';'
-
   let stage_key stages o =
     (* limits a scheduler ignores never split a key *)
     let o = { o with limits = effective_limits o } in
     let b = Buffer.create 128 in
     List.iter
       (fun (Any k) ->
-        if List.exists (fun s -> List.memq s stages) k.stages then
-          add_entry b k.name (text k (k.get o)))
+        if List.exists (fun s -> List.memq s stages) k.stages then begin
+          Buffer.add_string b k.name;
+          Buffer.add_char b '=';
+          Buffer.add_string b (text k (k.get o));
+          Buffer.add_char b ';'
+        end)
       all;
     Buffer.contents b
-
-  let stage_index = function Midend -> 0 | Schedule -> 1 | Backend -> 2 | Refine -> 3
-
-  let prefixed = List.map (fun (Any k as a) -> (a, k.name ^ "=")) all
-
-  let stage_keys o =
-    let o = { o with limits = effective_limits o } in
-    let parts = Array.make 4 [] in
-    List.iter
-      (fun (Any k, prefix) ->
-        let t = text k (k.get o) in
-        List.iter
-          (fun s ->
-            let i = stage_index s in
-            parts.(i) <- ";" :: t :: prefix :: parts.(i))
-          k.stages)
-      prefixed;
-    let keys = Array.map (fun l -> String.concat "" (List.rev l)) parts in
-    fun s -> keys.(stage_index s)
 end
 
 (* Span attributes are only read while tracing captures spans; build
@@ -491,7 +464,7 @@ let schedule ?block options o =
       let f =
         match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid ()
       in
-      Cfg_sched.init ~n_ops:o.o_facts.Hls_alloc.Cfg_facts.n_ops o.o_cfg f)
+      Cfg_sched.init o.o_cfg f)
 
 (* ---- design-level lint ------------------------------------------------ *)
 

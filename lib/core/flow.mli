@@ -132,12 +132,6 @@ module Knob : sig
   (** The canonical text of the options any of the stages depends on;
       limits a scheduler ignores ({!scheduler_ignores_limits}) print as
       unlimited. *)
-
-  val stage_keys : options -> stage -> string
-  (** [stage_keys o s] is [stage_key [s] o], with every option printed
-      once for all four stages. Knobs are declared in stage order, so
-      [stage_keys o Midend ^ stage_keys o Schedule] is
-      [stage_key [Midend; Schedule] o]. *)
 end
 
 type design = {

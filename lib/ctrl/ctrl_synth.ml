@@ -47,9 +47,7 @@ let moves_of fsm codes state_bits conds =
           match tr.Fsm.t_guard with
           | Fsm.G_always -> { Logic.mask = 0; value = 0 }
           | Fsm.G_cond (pol, nid) ->
-              let i =
-                Option.get (List.find_index (fun (b, n) -> b = s.Fsm.block && n = nid) conds)
-              in
+              let i = Option.get (List.find_index (( = ) (s.Fsm.block, nid)) conds) in
               let bit = 1 lsl (state_bits + i) in
               { Logic.mask = bit; value = (if pol then bit else 0) }
         in

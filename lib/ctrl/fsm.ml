@@ -72,13 +72,6 @@ let transitions t = t.trans
 let entry t = t.entry_sid
 let done_state t = t.done_sid
 let state_of t bid step = Hashtbl.find t.index (bid, step)
-
-(* a block's states are numbered consecutively from its step 1 *)
-let state_lookup t =
-  let n_blocks = List.fold_left (fun acc s -> max acc (s.block + 1)) 0 t.state_list in
-  let first = Array.make n_blocks 0 in
-  List.iter (fun s -> if s.step = 1 then first.(s.block) <- s.sid) t.state_list;
-  fun bid step -> first.(bid) + step - 1
 let outgoing t sid = List.filter (fun tr -> tr.t_from = sid) t.trans
 
 let pp ppf t =

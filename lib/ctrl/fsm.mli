@@ -36,11 +36,6 @@ val done_state : t -> int
 val state_of : t -> Cfg.bid -> int -> int
 (** State id of (block, step). Raises [Not_found] if absent. *)
 
-val state_lookup : t -> Cfg.bid -> int -> int
-(** [state_lookup t] answers {!state_of}[ t] for every block and step
-    [1 .. n_steps] from an array built once, for callers that look up
-    many states. *)
-
 val outgoing : t -> int -> transition list
 
 val pp : Format.formatter -> t -> unit

@@ -91,15 +91,12 @@ let bump h = add_to h 1
 let add name v = add_to (handle name) v
 let incr name = add name 1
 
+(* under the lock, so two domains recording at once keep the larger *)
 let record_max name v =
-  let h = handle name in
-  let rec raise_to () =
-    let c = Atomic.get h.value in
-    if (v > c || not (Atomic.get h.touched)) && not (Atomic.compare_and_set h.value c v) then
-      raise_to ()
-  in
-  raise_to ();
-  touch h
+  locked (fun () ->
+      let h = handle_locked name in
+      if v > Atomic.get h.value || not (Atomic.get h.touched) then Atomic.set h.value v;
+      Atomic.set h.touched true)
 
 let counter name =
   locked (fun () ->

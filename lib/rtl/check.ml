@@ -16,22 +16,23 @@ let rules =
 let diagnostics (dp : Datapath.t) =
   let ds = ref [] in
   let add d = ds := d :: !ds in
-  let regs = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Datapath.reg_def) -> Hashtbl.replace regs r.Datapath.rname ())
-    dp.Datapath.regs;
-  let reg_exists name = Hashtbl.mem regs name in
-  (* [ctx] names the reader, printed only for a diagnostic *)
+  let reg_exists name =
+    List.exists (fun (r : Datapath.reg_def) -> r.Datapath.rname = name) dp.Datapath.regs
+  in
   let check_wire entity ctx w =
     List.iter
       (fun r ->
         if not (reg_exists r) then
-          add (error Rtl ~code:"RTL001" entity "%s reads missing register %s" (ctx ()) r))
+          add (error Rtl ~code:"RTL001" entity "%s reads missing register %s" ctx r))
       (Wire.regs_read w)
   in
-  (* activations; [seen_fu_state] then answers which units are active *)
+  let active fu state =
+    List.exists
+      (fun (a : Datapath.activity) -> a.Datapath.a_fu = fu && a.Datapath.a_state = state)
+      dp.Datapath.activities
+  in
+  (* activations *)
   let seen_fu_state = Hashtbl.create 32 in
-  let active fu state = Hashtbl.mem seen_fu_state (fu, state) in
   List.iter
     (fun (a : Datapath.activity) ->
       let key = (a.Datapath.a_fu, a.Datapath.a_state) in
@@ -57,7 +58,7 @@ let diagnostics (dp : Datapath.t) =
                  f.Datapath.fuid f.Datapath.comp.Component.cname
                  (Hls_cdfg.Op.to_string a.Datapath.a_op)));
       List.iter
-        (check_wire (Fu a.Datapath.a_fu) (fun () -> Printf.sprintf "fu%d input" a.Datapath.a_fu))
+        (check_wire (Fu a.Datapath.a_fu) (Printf.sprintf "fu%d input" a.Datapath.a_fu))
         a.Datapath.a_args;
       (* FU inputs must not depend on same-state FU outputs *)
       List.iter
@@ -84,7 +85,7 @@ let diagnostics (dp : Datapath.t) =
           (error Rtl ~code:"RTL006" (Register l.Datapath.l_reg)
              "load into missing register %s" l.Datapath.l_reg);
       check_wire (Register l.Datapath.l_reg)
-        (fun () -> Printf.sprintf "load of %s" l.Datapath.l_reg)
+        (Printf.sprintf "load of %s" l.Datapath.l_reg)
         l.Datapath.l_wire;
       (* any FU outputs consumed must be active in this state *)
       List.iter
@@ -109,7 +110,7 @@ let diagnostics (dp : Datapath.t) =
     (Hls_ctrl.Fsm.transitions dp.Datapath.fsm);
   List.iter
     (fun (state, w) ->
-      check_wire (State state) (fun () -> Printf.sprintf "condition of state %d" state) w;
+      check_wire (State state) (Printf.sprintf "condition of state %d" state) w;
       List.iter
         (fun u ->
           if not (active u state) then

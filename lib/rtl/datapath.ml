@@ -32,7 +32,6 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
   let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
   let fsm = Hls_ctrl.Fsm.of_schedule cs in
-  let state_of = Hls_ctrl.Fsm.state_lookup fsm in
   (* storage width of one node's value: declared type width by default,
      or the caller's (range-inferred) narrowing *)
   let nb bid nid (node : Dfg.node) =
@@ -58,8 +57,7 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
         (Op.bits_of ty)
         (match dir with `In -> `In_port | `Out -> `Out_port))
     ports;
-  (* a temp register's width is the max over the values sharing its
-     track; only values the lifetime table keeps in a temporary have one *)
+  (* a temp register's width is the max over the values sharing its track *)
   List.iter
     (fun bid ->
       Dfg.iter
@@ -68,12 +66,9 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
           | Op.Read v | Op.Write v ->
               note_reg (Reg_alloc.register_of_var regs v) (nb bid nid node) `Var
           | _ -> ());
-          match Lifetime.storage lt bid nid with
-          | Lifetime.Temp _ -> (
-              match Reg_alloc.temp_register regs bid nid with
-              | Some name -> note_reg name (nb bid nid node) `Temp
-              | None -> ())
-          | Lifetime.In_variable _ | Lifetime.No_storage -> ())
+          match Reg_alloc.temp_register regs bid nid with
+          | Some name -> note_reg name (nb bid nid node) `Temp
+          | None -> ())
         (Cfg.dfg cfg bid))
     (Cfg.block_ids cfg);
   let reg_defs =
@@ -81,7 +76,7 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
       (fun name width acc ->
         { rname = name; rwidth = width; rkind = Hashtbl.find kinds name } :: acc)
       widths []
-    |> List.sort (fun a b -> String.compare a.rname b.rname)
+    |> List.sort (fun a b -> compare a.rname b.rname)
   in
   (* ---- wire construction: the interconnect names the net a value is
      read from; a free chain's root expands into its logic over the nets
@@ -116,8 +111,8 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
     (fun (r : Fu_alloc.op_ref) ->
       let g = Cfg.dfg cfg r.Fu_alloc.bid in
       let node = Dfg.node g r.Fu_alloc.nid in
-      let unit_id = Interconnect.unit_of resolver r.Fu_alloc.bid r.Fu_alloc.nid in
-      let state = state_of r.Fu_alloc.bid r.Fu_alloc.step in
+      let unit_id = Fu_alloc.of_op fu (r.Fu_alloc.bid, r.Fu_alloc.nid) in
+      let state = Hls_ctrl.Fsm.state_of fsm r.Fu_alloc.bid r.Fu_alloc.step in
       let args =
         List.map (fun a -> wire_for r.Fu_alloc.bid a ~step:r.Fu_alloc.step) node.Dfg.args
       in
@@ -153,7 +148,7 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
         List.map
           (fun (reg, nid, step) ->
             {
-              l_state = state_of bid step;
+              l_state = Hls_ctrl.Fsm.state_of fsm bid step;
               l_reg = reg;
               l_wire = wire_for bid nid ~step;
             })
@@ -167,7 +162,7 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
         match Cfg.term cfg bid with
         | Cfg.Branch (c, _, _) ->
             let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
-            let state = state_of bid n in
+            let state = Hls_ctrl.Fsm.state_of fsm bid n in
             Some (state, wire_for bid c ~step:n)
         | Cfg.Goto _ | Cfg.Halt -> None)
       (Cfg.block_ids cfg)

@@ -21,16 +21,7 @@ type t = {
 let net (w : Wire.t) =
   match w with Wire.W_fu_out (u, _) -> `Fu u | Wire.W_const (c, _) -> `Const c | w -> `Wire w
 
-(* the datapath's units by id, first definition first, as [List.find] *)
-let unit_table (dp : Datapath.t) =
-  let fus = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Datapath.fu_def) ->
-      if not (Hashtbl.mem fus f.Datapath.fuid) then Hashtbl.add fus f.Datapath.fuid f)
-    dp.Datapath.fus;
-  fus
-
-let mux_area_of ~fus (dp : Datapath.t) =
+let mux_area_of (dp : Datapath.t) =
   let by_dest = Hashtbl.create 32 in
   let note key width wire =
     let have =
@@ -40,21 +31,17 @@ let mux_area_of ~fus (dp : Datapath.t) =
     if not (List.mem n have) then Hashtbl.replace by_dest key (width, n :: have)
   in
   let fu_width id =
-    match Hashtbl.find_opt fus id with
-    | Some (f : Datapath.fu_def) -> f.Datapath.fwidth
+    match List.find_opt (fun (f : Datapath.fu_def) -> f.Datapath.fuid = id) dp.Datapath.fus
+    with
+    | Some f -> f.Datapath.fwidth
     | None ->
         invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
   in
-  let widths = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Datapath.reg_def) ->
-      if not (Hashtbl.mem widths r.Datapath.rname) then
-        Hashtbl.add widths r.Datapath.rname r.Datapath.rwidth)
-    dp.Datapath.regs;
   let reg_w name =
-    match Hashtbl.find_opt widths name with
-    | Some w -> w
-    | None -> invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
+    match Datapath.reg_width dp name with
+    | w -> w
+    | exception Not_found ->
+        invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
   in
   List.iter
     (fun (a : Datapath.activity) ->
@@ -73,7 +60,7 @@ let mux_area_of ~fus (dp : Datapath.t) =
       acc + Component.mux_area ~inputs:(List.length nets) ~width)
     by_dest 0
 
-let cycle_time ~fus (dp : Datapath.t) =
+let cycle_time (dp : Datapath.t) =
   (* worst state: register read + input mux + FU + output wiring + setup *)
   let worst = ref Component.register_delay_ns in
   List.iter
@@ -81,7 +68,7 @@ let cycle_time ~fus (dp : Datapath.t) =
       let input_delay =
         List.fold_left (fun acc w -> max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
       in
-      let f = Hashtbl.find fus a.Datapath.a_fu in
+      let f = Datapath.fu_of dp a.Datapath.a_fu in
       let d =
         Component.register_delay_ns +. Component.mux_delay_ns +. input_delay
         +. f.Datapath.comp.Component.delay_ns
@@ -110,8 +97,7 @@ let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =
       (fun acc (r : Datapath.reg_def) -> acc + Component.register_area ~width:r.Datapath.rwidth)
       0 dp.Datapath.regs
   in
-  let fus = unit_table dp in
-  let mux_area = mux_area_of ~fus dp in
+  let mux_area = mux_area_of dp in
   let ctrl =
     match ctrl with
     | Some c -> c
@@ -121,7 +107,7 @@ let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =
     (2 * Hls_ctrl.Ctrl_synth.literal_cost ctrl)
     + Component.register_area ~width:(Hls_ctrl.Ctrl_synth.n_state_bits ctrl)
   in
-  let cycle_ns = cycle_time ~fus dp in
+  let cycle_ns = cycle_time dp in
   let compute_steps = Hls_sched.Cfg_sched.compute_steps cs in
   {
     fu_area;

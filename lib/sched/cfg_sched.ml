@@ -5,17 +5,10 @@ type t = { cfg : Cfg.t; scheds : Schedule.t array }
 let ops_counter = Hls_obs.Trace.handle "sched/ops_scheduled"
 let steps_counter = Hls_obs.Trace.handle "sched/steps"
 
-let init ?n_ops cfg f =
+let init cfg f =
   let scheds = Array.init (Cfg.n_blocks cfg) f in
-  let ops =
-    match n_ops with
-    | Some n -> n
-    | None ->
-        List.fold_left
-          (fun acc bid -> acc + List.length (Dfg.compute_ops (Cfg.dfg cfg bid)))
-          0 (Cfg.block_ids cfg)
-  in
-  Hls_obs.Trace.add_to ops_counter ops;
+  Hls_obs.Trace.add_to ops_counter
+    (Array.fold_left (fun acc s -> acc + Schedule.n_ops s) 0 scheds);
   Hls_obs.Trace.add_to steps_counter
     (Array.fold_left (fun acc s -> acc + Schedule.n_steps s) 0 scheds);
   { cfg; scheds }

@@ -9,11 +9,11 @@ open Hls_cdfg
 
 type t
 
-val init : ?n_ops:int -> Cfg.t -> (Cfg.bid -> Schedule.t) -> t
+val init : Cfg.t -> (Cfg.bid -> Schedule.t) -> t
 (** Schedule every block [bid] with [f bid] (e.g.
     [fun bid -> Depgraph.block kernel (Cfg.dfg cfg bid)]). Bumps
-    [sched/ops_scheduled] by the CFG's step-occupying operation count
-    ([n_ops] when the caller knows it) and [sched/steps]. *)
+    [sched/ops_scheduled] by the schedules' step-occupying operation
+    count and [sched/steps]. *)
 
 val cfg : t -> Cfg.t
 val block_schedule : t -> Cfg.bid -> Schedule.t

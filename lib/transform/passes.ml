@@ -215,14 +215,7 @@ let pipeline_of_string s =
         (Ok spec) mods
 
 let pipeline_to_string spec =
-  (* the named specs are distinct, so a physically equal one is the
-     structurally equal one, found without comparing pass lists *)
-  let named =
-    match List.find_opt (fun (_, s) -> s == spec) named_pipelines with
-    | Some _ as hit -> hit
-    | None -> List.find_opt (fun (_, s) -> s = spec) named_pipelines
-  in
-  match named with
+  match List.find_opt (fun (_, s) -> s = spec) named_pipelines with
   | Some (n, _) -> n
   | None ->
       (* a named base may be used when modifiers can only add on top *)

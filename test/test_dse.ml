@@ -248,21 +248,6 @@ let test_storage_analyses_once () =
   Alcotest.(check int) "liveness once per midend result" s.Dse.midend.Dse.misses
     (Hls_alloc.Cfg_facts.liveness_runs () - runs)
 
-(* The per-stage key texts the engine assembles its keys from. *)
-let test_stage_keys () =
-  List.iter
-    (fun (_, (o : Flow.options)) ->
-      let keys = Flow.Knob.stage_keys o in
-      List.iter
-        (fun s ->
-          Alcotest.(check string) "stage key" (Flow.Knob.stage_key [ s ] o) (keys s))
-        Flow.Knob.[ Midend; Schedule; Backend; Refine ];
-      Alcotest.(check string) "midend then schedule"
-        (Flow.Knob.stage_key [ Midend; Schedule ] o)
-        (keys Midend ^ keys Schedule))
-    (Explore.cross ~base:Flow.default_options ~schedulers:Explore.default_schedulers
-       ~limits:Explore.default_limits ~iterates:[ 0; 2 ] ())
-
 (* ---- shared controllers ---- *)
 
 (* The control layer hands designs whose FSMs coincide one controller
@@ -790,7 +775,6 @@ let () =
           Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
           Alcotest.test_case "block layer" `Quick test_block_layer;
           Alcotest.test_case "storage analyses run once" `Quick test_storage_analyses_once;
-          Alcotest.test_case "stage keys" `Quick test_stage_keys;
           Alcotest.test_case "shared controllers: workloads x encodings x narrow" `Slow
             test_shared_controllers_workloads;
           Alcotest.test_case "shared controllers: random programs" `Slow
