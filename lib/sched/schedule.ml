@@ -29,13 +29,16 @@ let make g ~steps =
 
 let dfg t = t.g
 
-let digest t = Digest.string (Marshal.to_string (t.step, t.total) [])
-
 let add_key b t =
   let int x = Buffer.add_int32_le b (Int32.of_int x) in
   int t.total;
   int (Array.length t.step);
   Array.iter int t.step
+
+let digest t =
+  let b = Buffer.create 64 in
+  add_key b t;
+  Digest.string (Buffer.contents b)
 
 let step_of t id =
   if t.step.(id) < 0 then

@@ -30,10 +30,10 @@ val digest : t -> string
     DFG digest equally iff they place every operation identically. *)
 
 val add_key : Buffer.t -> t -> unit
-(** Append a self-delimiting encoding of the step assignment: equal
-    encodings iff equal {!digest}s. {!Cfg_sched.digest} hashes the
-    blocks' encodings in one pass — the key the DSE engine uses to share
-    backend results between option points whose schedules coincide. *)
+(** Append the self-delimiting encoding of the step assignment that
+    {!digest} hashes. {!Cfg_sched.digest} hashes the blocks' encodings
+    in one pass — the key the DSE engine uses to share backend results
+    between option points whose schedules coincide. *)
 
 val step_of : t -> Dfg.nid -> int
 (** Step of a step-occupying node. Raises [Invalid_argument] for

@@ -240,10 +240,15 @@ let ignore_sigpipe () =
 
 let serve_unix t ~path =
   ignore_sigpipe ();
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  (* the socket appears at [path] only once it listens: a client that
+     waits for the file and connects in the gap between bind and listen
+     would be refused *)
+  let staging = path ^ ".new" in
+  (try Unix.unlink staging with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX path);
+  Unix.bind listen_fd (Unix.ADDR_UNIX staging);
   Unix.listen listen_fd 64;
+  Unix.rename staging path;
   let handlers =
     List.init t.config.workers (fun _ -> Domain.spawn (fun () -> handler_loop t))
   in
