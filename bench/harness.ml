@@ -55,8 +55,8 @@ let measure s settings =
     Obj
       ([ ("benchmark", Str s.benchmark);
          ("host_cores", of_int cores);
-         (* the shared pool's worker cap: the caller's domain is the
-            remaining lane *)
+         (* the spare lanes Pool.map may spawn: the caller's domain is
+            the remaining lane *)
          ("pool_cap", of_int (max 0 (cores - 1)));
          ("settings", Obj (List.map (fun (k, v) -> (k, of_int v)) settings)) ]
       @ r.body

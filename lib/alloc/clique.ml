@@ -152,17 +152,3 @@ let partition ~n ~compatible =
     |> List.sort (fun a b ->
            match (a, b) with x :: _, y :: _ -> compare x y | _, _ -> 0)
   end
-
-let max_clique_lower_bound ~n ~compatible =
-  (* greedy max clique in the complement (incompatibility) graph *)
-  let incompatible a b = not (compatible a b) in
-  let best = ref 0 in
-  for seed = 0 to n - 1 do
-    let clique = ref [ seed ] in
-    for v = 0 to n - 1 do
-      if v <> seed && List.for_all (fun u -> incompatible u v) !clique then
-        clique := v :: !clique
-    done;
-    best := max !best (List.length !clique)
-  done;
-  if n = 0 then 0 else !best

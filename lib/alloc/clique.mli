@@ -19,8 +19,3 @@ val partition : n:int -> compatible:(int -> int -> bool) -> int list list
     matrix with incrementally maintained common-neighbor scores, so each
     merge round costs O(groups²) bit probes instead of re-walking member
     lists. [compatible] is consulted exactly once per unordered pair. *)
-
-val max_clique_lower_bound : n:int -> compatible:(int -> int -> bool) -> int
-(** Size of the largest {e incompatibility} clique found greedily — a
-    quick lower bound on the number of groups any partition needs
-    (used by tests as a sanity check, not exact). *)

@@ -179,15 +179,6 @@ let greedy ?(selection = `Min_mux) ?lifetimes cs =
 
 let n_units t = List.length t.instances
 
-let units_by_class t =
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun inst ->
-      let cur = try Hashtbl.find tally inst.fu_cls with Not_found -> 0 in
-      Hashtbl.replace tally inst.fu_cls (cur + 1))
-    t.instances;
-  Hashtbl.fold (fun cls k acc -> (cls, k) :: acc) tally [] |> List.sort compare
-
 let mux_inputs cs t =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
   let lt = Lifetime.table cs in

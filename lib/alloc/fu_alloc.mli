@@ -64,7 +64,6 @@ val greedy :
     [lifetimes] is the schedule's table, built here when absent. *)
 
 val n_units : t -> int
-val units_by_class : t -> (Op.fu_class * int) list
 
 val source_of : Lifetime.t -> Cfg.bid -> Dfg.nid -> source
 (** Greedy's pre-binding source of an operand, per the lifetime table. *)

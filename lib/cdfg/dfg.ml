@@ -95,12 +95,6 @@ let depth g =
   done;
   d
 
-let structural_key g id =
-  let n = node g id in
-  Printf.sprintf "%s(%s):%s" (Op.to_string n.op)
-    (String.concat "," (List.map string_of_int n.args))
-    (Hls_lang.Ast.ty_to_string n.ty)
-
 let pp ppf g =
   iter
     (fun id n ->

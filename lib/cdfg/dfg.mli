@@ -65,11 +65,6 @@ val depth : t -> int array
 (** Dual of {!path_length}: number of step-occupying operations on the
     longest path from any source {e to} each node, inclusive. *)
 
-val structural_key : t -> nid -> string
-(** Key identifying the node's operator/arguments/type, used by common
-    subexpression elimination. Two nodes with equal keys compute the same
-    value within a block. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_dot : ?name:string -> t -> string

@@ -523,8 +523,8 @@ let eval_result t (options : Flow.options) =
         match r with Ok d -> Ok { d with Flow.options } | Error ds -> Error ds)
 
 let run_result t options_list =
-  (* jobs as configured; the shared pool adapts parallelism to the
-     machine (serial fallback on boxes without spare cores), and the
+  (* jobs as configured; Pool.map adapts parallelism to the spare
+     cores free (serial fallback when there are none), and the
      single-flight cache makes counter totals worker-count independent
      either way *)
   Hls_util.Pool.map ~jobs:t.config.jobs (eval_result t) options_list

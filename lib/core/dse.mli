@@ -34,8 +34,8 @@
 
     How an engine evaluates is a {!config} record fixed at creation,
     mirroring how {!Flow.options} fixes what is synthesized. {!run_result}
-    evaluates a point list on a {!Hls_util.Pool} of [config.jobs]
-    worker domains. Results are returned in input order and are
+    evaluates a point list with {!Hls_util.Pool.map} on up to
+    [config.jobs] domains. Results are returned in input order and are
     identical for any job count: memoization is {e single-flight} —
     workers racing on one key block until the first computes it — so
     each stage runs exactly once per unique key. That also makes the
@@ -114,11 +114,12 @@ val run_result :
   t ->
   Flow.options list ->
   (Flow.design, Hls_analysis.Diagnostic.t list) result list
-(** Evaluate the points on up to [config.jobs] workers of the shared
-    {!Hls_util.Pool}; results in input order. Effective parallelism
-    adapts to the machine — on a box with no spare cores the pool
-    falls back to the calling domain — but results and every non-pool
-    counter are identical either way. *)
+(** Evaluate the points with {!Hls_util.Pool.map} on up to
+    [config.jobs] domains (the caller and domains spawned for this call
+    only); results in input order. Effective parallelism adapts to the
+    machine — with no spare core free the map runs on the calling
+    domain — but results and every non-pool counter are identical
+    either way. *)
 
 type layer = { hits : int; misses : int }
 

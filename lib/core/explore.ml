@@ -307,12 +307,11 @@ type pruned_sweep = {
   rounds : int;
 }
 
-(* In-flight promotion window: at most this many backend evaluations
-   outstanding while class decisions are still being made. Fixed —
-   independent of [jobs] — so that the decision sequence, and with it
-   every promotion, pruning and counter, is identical at any job count:
-   a verdict is incorporated only when the oldest outstanding future is
-   awaited, in submission order, never when it happens to land. *)
+(* Promotion window: at most this many promoted classes wait for their
+   backend verdict while later classes are decided. A promotion is
+   evaluated on the calling domain when it leaves the window, oldest
+   first, so every promotion, pruning and counter is identical at any
+   job count. *)
 let promote_window = 4
 
 let run_points_pruned ~config ~engine src labelled =
@@ -369,7 +368,7 @@ let run_points_pruned ~config ~engine src labelled =
   (* one decision per backend class — duplicate schedules never burn a
      promotion slot — most promising bound-score first: the successive-
      halving ranking collapsed to a total order now that verdicts
-     stream back in flight instead of round-synchronously *)
+     arrive through the window instead of round-synchronously *)
   let class_order =
     Hashtbl.fold (fun _ i acc -> i :: acc) first_of []
     |> List.sort (fun i j -> compare (score i, i) (score j, j))
@@ -377,9 +376,9 @@ let run_points_pruned ~config ~engine src labelled =
   let window = Queue.create () in
   let rounds = ref 0 in
   let drain_one () =
-    let i, fut = Queue.pop window in
+    let i = Queue.pop window in
     incr rounds;
-    settle i (Pool.await fut)
+    settle i (Dse.eval_result engine (snd items.(i)))
   in
   List.iter
     (fun rep ->
@@ -395,9 +394,7 @@ let run_points_pruned ~config ~engine src labelled =
       | [] -> () (* the whole class fell to its bounds — never promoted *)
       | i :: _ ->
           if Queue.length window >= promote_window then drain_one ();
-          let _, options = items.(i) in
-          Queue.push (i, Pool.async ~jobs (fun () -> Dse.eval_result engine options))
-            window)
+          Queue.push i window)
     class_order;
   while not (Queue.is_empty window) do
     drain_one ()

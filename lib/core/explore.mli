@@ -75,8 +75,8 @@ type pruned_sweep = {
           exhaustive sweep's frontier exactly *)
   pruned : pruned_point list;  (** points discarded before their backend ran *)
   rounds : int;
-      (** backend verdicts incorporated in flight (promoted class
-          representatives) *)
+      (** backend verdicts incorporated through the promotion window
+          (promoted class representatives) *)
 }
 
 val sweep_pruned :
@@ -89,7 +89,7 @@ val sweep_pruned :
   ?iterates:int list ->
   string ->
   pruned_sweep
-(** The scheduler × limits cross product under pareto-guided in-flight
+(** The scheduler × limits cross product under pareto-guided
     pruning. Every point runs the cheap stages (frontend/midend/
     schedule, memoized) and gets {e sound} area/latency lower bounds
     derived from the schedule alone — coupled per-class unit + operand
@@ -97,14 +97,15 @@ val sweep_pruned :
     cheapest-component cycle floor (for [iterate > 0] points, their
     schedule-free counterparts — see {!Bound.compute}). Backend classes
     are then decided one at a time, most promising bound-score first,
-    with up to a fixed window of promotions evaluating through the
-    shared {!Hls_util.Pool} in flight: each backend verdict is
-    incorporated the moment its future is awaited (oldest first, in
-    submission order — never when it happens to land, keeping every
-    decision and counter identical at any job count), and a pending
-    point is pruned as soon as an evaluated design dominates its bounds
-    (or its exact value, once a point sharing its backend cache key has
-    been evaluated). Because the bounds underestimate the true estimate
+    with up to a fixed window of 4 promoted classes awaiting their
+    backend run: a promotion is evaluated on the calling domain when it
+    leaves the window, oldest first, and a pending point is pruned as
+    soon as an evaluated design dominates its bounds (or its exact
+    value, once a point sharing its backend cache key has been
+    evaluated). With [config.jobs > 1] only the ranking pass and the
+    final materialization of the survivors run on
+    {!Hls_util.Pool.map}, so every decision and counter is identical
+    at any job count. Because the bounds underestimate the true estimate
     componentwise and dominance is monotone and transitive, a pruned
     point can never be on the frontier: [pareto evaluated] is
     bit-identical to [pareto] of the exhaustive {!sweep}. Reports

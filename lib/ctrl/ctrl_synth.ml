@@ -123,7 +123,6 @@ let n_inputs t = t.state_bits + List.length t.conds
 let cond_signals t = t.conds
 let state_code t sid = t.codes.(sid)
 let next_logic t = t.minimized
-let direct_logic t = t.direct
 
 let next_state t ~state ~conds =
   let x = ref t.codes.(state) in

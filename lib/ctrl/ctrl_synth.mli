@@ -53,8 +53,6 @@ val next_logic : t -> Logic.sop array
 (** Per next-state bit, the minimized (or direct, if minimization was
     intractable) sum of products. *)
 
-val direct_logic : t -> Logic.sop array
-
 val next_state : t -> state:int -> conds:((Cfg.bid * Dfg.nid) * bool) list -> int
 (** Simulate one FSM step on state ids (used by the RTL simulator and by
     the logic-equivalence tests). Unknown conditions default to false. *)

@@ -16,8 +16,6 @@ let ty_to_string = function
   | Tint w -> Printf.sprintf "int<%d>" w
   | Tfix (i, f) -> Printf.sprintf "fix<%d,%d>" i f
 
-let pp_ty ppf t = Format.pp_print_string ppf (ty_to_string t)
-
 type binop =
   | Add | Sub | Mul | Div | Mod
   | Shl | Shr

@@ -20,7 +20,6 @@ val dummy_pos : pos
 type ty = Tbool | Tint of int | Tfix of int * int
 
 val equal_ty : ty -> ty -> bool
-val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string
 
 type binop =

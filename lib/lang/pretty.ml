@@ -83,8 +83,6 @@ let rec stmt_lines ~indent (st : stmt) : string list =
 
 and stmts_lines ~indent stmts = List.concat_map (stmt_lines ~indent) stmts
 
-let stmt_to_string ?(indent = 0) st = String.concat "\n" (stmt_lines ~indent st)
-
 let program_to_string (p : program) =
   let buf = Buffer.create 512 in
   let port_str (port : port) =
@@ -121,5 +119,3 @@ let program_to_string (p : program) =
     (stmts_lines ~indent:2 p.body);
   Buffer.add_string buf "end\n";
   Buffer.contents buf
-
-let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)

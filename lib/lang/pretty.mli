@@ -4,6 +4,4 @@
     source positions), a property exercised by the round-trip tests. *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
 val program_to_string : Ast.program -> string
-val pp_program : Format.formatter -> Ast.program -> unit

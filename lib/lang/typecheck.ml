@@ -116,8 +116,6 @@ and infer_pair_logic env pos a b expected =
         (Printf.sprintf "logic operands do not mix: %s vs %s" (ty_to_string ta.ty)
            (ty_to_string tb.ty))
 
-let check_expr ~env ?expected e = infer env e expected
-
 let check (p : Ast.program) : tprogram =
   (* duplicate-declaration check *)
   let names =

@@ -15,7 +15,3 @@
 
 val check : Ast.program -> Typed.tprogram
 (** Raises {!Ast.Frontend_error} with a source position on any violation. *)
-
-val check_expr :
-  env:(string * Ast.ty) list -> ?expected:Ast.ty -> Ast.expr -> Typed.texpr
-(** Check a standalone expression against an environment (used in tests). *)

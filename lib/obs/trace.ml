@@ -15,7 +15,7 @@
    The ring has fixed capacity and overwrites oldest-first; overwrites
    are counted so an export can say how much history it lost. Span
    nesting is tracked per domain (domain-local stacks), so spans from
-   concurrent Pool workers never corrupt each other's parent links.
+   concurrent Pool.map lanes never corrupt each other's parent links.
 
    Every critical section goes through Sync.with_lock: the sink is
    shared by long-lived servers, where a raise while holding the lock
@@ -147,8 +147,6 @@ let reset () =
       Array.fill !ring 0 (Array.length !ring) None;
       ring_next := 0;
       epoch := Unix.gettimeofday ())
-
-let trace_epoch () = !epoch
 
 let dropped () = locked (fun () -> max 0 (!ring_next - Array.length !ring))
 

@@ -1,17 +1,17 @@
 (** Structured event tracing and metrics for the synthesis pipeline.
 
     One global, mutex-guarded sink with three kinds of state, designed
-    to be written from any domain (the calling domain and
-    [Hls_util.Pool] workers alike):
+    to be written from any domain (the calling domain and the domains
+    [Hls_util.Pool.map] spawns alike):
 
     - {e duration accumulators} — per-stage wall-clock totals and call
       counts, always on — the per-stage breakdown that
       [Hls_core.Metrics.pp_durations] prints;
     - {e counters} — named monotonic integers, always on. Names are
       namespaced by subsystem ([dse/backend.hits], [sched/ops_scheduled],
-      [alloc/clique_merges], [ctrl/qm_iterations], [pool/steals], ...).
-      Counters under [pool/] describe execution topology (queue depths,
-      steals) and legitimately differ between [--jobs] settings; every
+      [alloc/clique_merges], [ctrl/qm_iterations], [pool/serial_fallbacks], ...).
+      Counters under [pool/] describe execution topology (fallbacks,
+      lanes that ran items) and legitimately differ between [--jobs] settings; every
       other counter is a deterministic function of the work done, and —
       because the DSE cache is single-flight — of the option points
       evaluated, independent of worker count;
@@ -56,9 +56,6 @@ val dropped : unit -> int
 val current_parent : unit -> string option
 (** Name of the innermost open span on the calling domain, if any. *)
 
-val trace_epoch : unit -> float
-(** Absolute time ([Unix.gettimeofday]) that span [sp_start] offsets
-    are relative to; re-armed by {!reset}. *)
 
 (** {2 Counters} *)
 

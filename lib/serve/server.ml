@@ -11,8 +11,10 @@
    are heavyweight and capped (~128); bounded because admission control
    must be explicit — when the queue is full the acceptor answers a
    typed `busy` frame immediately instead of letting latency hide in an
-   unbounded backlog. Within a request, parallelism comes from the
-   shared Hls_util.Pool via the engine's `jobs`, exactly as in the CLI.
+   unbounded backlog. Within a request, parallelism comes from
+   Hls_util.Pool.map via the engine's `jobs`, exactly as in the CLI: each
+   map spawns its own domains, and maps from several handlers at once
+   share one budget of spare cores.
 
    Shutdown is graceful by construction: `stop` closes the queue, which
    refuses new connections while the handlers finish everything already

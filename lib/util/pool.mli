@@ -1,84 +1,32 @@
-(** Domain-based worker pool (OCaml 5 [Domain] with a [Mutex]/[Condition]
-    work queue), used to evaluate independent synthesis jobs — e.g. the
-    points of a design-space sweep — concurrently.
+(** Fork-join parallel map over OCaml 5 domains, used to evaluate
+    independent synthesis jobs — e.g. the points of a design-space
+    sweep — concurrently.
 
-    Workers are spawned {e lazily}: creating a pool starts no domain,
-    and {!submit} only spins one up when the queue is backing up (no
-    worker is idle) and the pool is under its cap. {!map} runs on a
-    process-wide shared pool sized to the machine
-    ([Domain.recommended_domain_count () - 1] workers — the calling
-    domain is the remaining lane and helps drain the queue), submits
-    {e chunks} of items rather than one locked task per item, and
-    falls back to the plain inline [List.map] whenever the machine,
-    the chunk count, or the job count leaves no parallelism to
-    exploit — so [jobs > 1] is never slower than [jobs = 1].
+    Each {!map} call spawns its own domains and joins them before it
+    returns: no pool outlives a call. The domains a call may spawn
+    come from one process-wide budget of
+    [Domain.recommended_domain_count () - 1] spare lanes (the calling
+    domain is the remaining lane), so maps running at once from
+    several domains — e.g. the serve daemon's handlers — never spawn
+    more domains together than the machine has spare cores.
 
-    The scheduling order of tasks across workers is nondeterministic,
-    but {!map} always collects results in input order, so a parallel
-    sweep returns exactly the list a serial one would.
+    It reports two counters into {!Hls_obs.Trace}:
+    [pool/serial_fallbacks] ({!map} calls at [jobs > 1] that ran
+    inline: too few items, or no spare lane free) and
+    [pool/workers_active] (high watermark of the lanes — caller
+    included — that ran at least one item of a single {!map}: the
+    parallelism achieved, 1 under fallback). They describe how the work
+    was run, not what was computed, so — unlike every other counter
+    namespace — they legitimately differ between machines and job
+    counts. *)
 
-    The pool reports execution-topology counters into
-    {!Hls_obs.Trace}: [pool/submitted] (tasks enqueued),
-    [pool/steals] (tasks dequeued by a worker domain),
-    [pool/caller_runs] (tasks the calling domain drained itself),
-    [pool/domains_spawned] (lazy worker spin-ups),
-    [pool/serial_fallbacks] ({!map} calls that degraded to inline),
-    [pool/queue_peak] (deepest the queue ever got) and
-    [pool/workers_active] (high watermark of distinct domains — workers
-    or caller — that ran at least one chunk of a single {!map} call:
-    the {e true} parallelism achieved, as opposed to the worker count
-    requested). These describe how the work was run, not what was
-    computed, so — unlike every other counter namespace — they
-    legitimately differ between machines and job counts. *)
-
-type t
-
-val create : workers:int -> t
-(** A pool capped at [workers] domains. No domain is spawned yet —
-    workers appear one at a time as {!submit} finds the queue backed
-    up. [workers = 0] is allowed: such a pool never spawns and
-    {!shutdown} (or {!map}'s fallback) runs everything on the calling
-    domain. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a task, spinning up a worker first if none is idle and the
-    cap allows. Tasks must not raise — wrap fallible work yourself (as
-    {!map} does). Raises [Invalid_argument] after {!shutdown}. *)
-
-val shutdown : t -> unit
-(** Close the queue, let queued tasks finish, and join all workers. If
-    no worker was ever spawned, queued tasks are run on the calling
-    domain. *)
-
-type 'a future
-(** A single in-flight computation: either a task running on the pool
-    or a deferred thunk that will run on the calling domain at
-    {!await} when no parallelism is available. *)
-
-val async : ?pool:t -> ?jobs:int -> (unit -> 'a) -> 'a future
-(** [async ~jobs f] starts [f] on the shared pool (or [pool] if
-    given). With [jobs <= 1], a zero-worker pool, or a closed pool the
-    computation is {e deferred}: it runs on the calling domain inside
-    {!await}. Either way the caller observes the result exactly at its
-    {!await} call, so a driver that interleaves [async]/[await] makes
-    the same decisions at any job count — in-flight pipelining without
-    scheduling nondeterminism. *)
-
-val await : 'a future -> 'a
-(** Block until the future settles, re-raising its exception if it
-    raised. While blocked on a pooled future the caller helps drain
-    that pool's queue ([pool/caller_runs]), so awaiting one verdict
-    still advances all other queued work. Awaiting a settled or
-    deferred future is cheap and idempotent from a single domain;
-    futures are not meant to be awaited from several domains at
-    once. *)
-
-val map : ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs] evaluated in chunks on the
-    shared pool (or [pool] if given — tests use this to exercise the
-    chunked path regardless of the machine), results in input order.
-    Parallelism is [min jobs (workers + 1)]: the caller participates.
-    With [jobs <= 1], a single chunk (fewer than ~8 items), or no
-    spare worker, no domain is spawned and the map runs inline — the
-    adaptive serial fallback. If any application raises, the first
-    exception in input order is re-raised after all chunks settle. *)
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] is [List.map f xs] evaluated on up to [jobs]
+    lanes: the calling domain plus up to [jobs - 1] domains spawned for
+    this call, as many as the spare-lane budget has free. All lanes
+    pull item indices from one shared counter. Results come back in
+    input order. With [jobs <= 1] (the default) the map is [List.map];
+    a map of at most 4 items, or one that finds no lane free, runs on
+    the calling domain alone. At [jobs > 1], if any application raises,
+    every item still runs and the first exception in input order is
+    re-raised. *)

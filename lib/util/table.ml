@@ -4,8 +4,6 @@ let create ~headers = { headers; rows = [] }
 
 let add_row t row = t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let render t =
   let rows = List.rev t.rows in
   let ncols =

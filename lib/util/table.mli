@@ -9,8 +9,6 @@ val add_row : t -> string list -> unit
 (** Append a row. Rows shorter than the header are padded with empty
     cells; longer rows extend the table width. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** Multi-line string with aligned columns and a header separator. *)
 

@@ -37,11 +37,6 @@ let to_list v =
   let rec build i acc = if i < 0 then acc else build (i - 1) (get v i :: acc) in
   build (v.size - 1) []
 
-let of_list xs =
-  let v = create () in
-  List.iter (fun x -> ignore (push v x)) xs;
-  v
-
 let fold_left f init v =
   let acc = ref init in
   iteri (fun _ x -> acc := f !acc x) v;

@@ -13,6 +13,5 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
-val of_list : 'a list -> 'a t
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool

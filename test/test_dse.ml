@@ -1,4 +1,4 @@
-(* DSE engine tests: the worker pool (real domains, result ordering,
+(* DSE engine tests: the fork-join Pool.map (real domains, result ordering,
    exception propagation), the JSON emitter/parser behind the benchmark
    report, determinism of the memoized parallel sweep (jobs=1 = jobs=4 =
    unmemoized serial, design for design), cache-layer accounting, and
@@ -15,7 +15,7 @@ let eval_ok engine options =
       Alcotest.failf "lint: %s"
         (String.concat "; " (List.map Hls_analysis.Diagnostic.to_string ds))
 
-(* ---- worker pool ---- *)
+(* ---- Pool.map ---- *)
 
 let test_pool_map_order () =
   let xs = List.init 50 Fun.id in
@@ -41,47 +41,100 @@ let test_pool_exception () =
            (fun x -> if x >= 2 then failwith (Printf.sprintf "boom %d" x) else x)
            [ 0; 1; 2; 3; 4 ]))
 
-let test_pool_submit_after_shutdown () =
-  let p = Pool.create ~workers:2 in
-  let hits = Atomic.make 0 in
-  Pool.submit p (fun () -> Atomic.incr hits);
-  Pool.submit p (fun () -> Atomic.incr hits);
-  Pool.shutdown p;
-  Alcotest.(check int) "queued tasks ran" 2 (Atomic.get hits);
-  Alcotest.check_raises "submit after shutdown rejected"
-    (Invalid_argument "Pool.submit: pool is shut down")
-    (fun () -> Pool.submit p (fun () -> ()))
+let spare_lanes = Domain.recommended_domain_count () - 1
 
-let test_pool_lazy_no_spawn () =
-  (* a sweep that fits one chunk must run inline: no domain spawned,
-     whatever the machine *)
-  let spawned0 = Hls_obs.Trace.counter "pool/domains_spawned" in
+let test_pool_all_items_run () =
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "first exception in input order" (Failure "boom 3") (fun () ->
+      ignore
+        (Pool.map ~jobs:4
+           (fun x ->
+             Atomic.incr ran;
+             if x > 0 && x mod 3 = 0 then failwith (Printf.sprintf "boom %d" x) else x)
+           (List.init 24 Fun.id)));
+  Alcotest.(check int) "every item of the raising map ran" 24 (Atomic.get ran)
+
+let test_pool_short_inline () =
+  (* a map of at most 4 items runs on the calling domain, whatever the
+     machine *)
   let fallbacks0 = Hls_obs.Trace.counter "pool/serial_fallbacks" in
-  let r = Pool.map ~jobs:8 (fun x -> x + 1) [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "result" [ 2; 3; 4 ] r;
-  Alcotest.(check int) "no domain spawned for a one-chunk sweep" spawned0
-    (Hls_obs.Trace.counter "pool/domains_spawned");
-  Alcotest.(check bool) "serial fallback engaged" true
+  let caller = Domain.self () in
+  let r = Pool.map ~jobs:8 (fun x -> (Domain.self () = caller, x + 1)) [ 1; 2; 3; 4 ] in
+  Alcotest.(check (list (pair bool int)))
+    "every item ran on the caller" [ (true, 2); (true, 3); (true, 4); (true, 5) ] r;
+  Alcotest.(check bool) "serial fallback counted" true
     (Hls_obs.Trace.counter "pool/serial_fallbacks" > fallbacks0)
 
-let test_pool_explicit_chunked () =
-  (* an explicit pool with spare workers exercises the chunked path
-     deterministically even on a single-core machine *)
-  let p = Pool.create ~workers:2 in
-  let xs = List.init 24 Fun.id in
-  let spawned0 = Hls_obs.Trace.counter "pool/domains_spawned" in
-  let r = Pool.map ~pool:p ~jobs:2 (fun x -> x * 3) xs in
-  Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * 3) xs) r;
-  Alcotest.(check bool) "worker spawned lazily on demand" true
-    (Hls_obs.Trace.counter "pool/domains_spawned" > spawned0);
-  Alcotest.(check (list int)) "pool is reusable" xs (Pool.map ~pool:p ~jobs:2 Fun.id xs);
-  Alcotest.check_raises "first exception in input order through chunks"
-    (Failure "boom 7") (fun () ->
-      ignore
-        (Pool.map ~pool:p ~jobs:2
-           (fun x -> if x >= 7 then failwith (Printf.sprintf "boom %d" x) else x)
-           xs));
-  Pool.shutdown p
+(* [Pool.map ~jobs:2] over 24 items. Item 0 waits (up to 2 s) until a
+   second item has started, so with a spare core the spawned lane gets
+   work before the caller can run every item itself. *)
+let check_two_lanes () =
+  Hls_obs.Trace.reset ();
+  let started = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let r =
+    Pool.map ~jobs:2
+      (fun x ->
+        Atomic.incr started;
+        if x = 0 && spare_lanes > 0 then
+          while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+        x * 3)
+      (List.init 24 Fun.id)
+  in
+  Alcotest.(check (list int)) "order preserved" (List.init 24 (fun x -> x * 3)) r;
+  let active = Hls_obs.Trace.counter "pool/workers_active" in
+  if spare_lanes > 0 then Alcotest.(check int) "two lanes ran items" 2 active
+  else begin
+    Alcotest.(check int) "one lane: inline fallback" 1 active;
+    Alcotest.(check int) "fallback counted" 1 (Hls_obs.Trace.counter "pool/serial_fallbacks")
+  end
+
+let test_pool_two_lanes () =
+  check_two_lanes ();
+  Alcotest.(check (list int)) "map is reusable" (List.init 24 Fun.id)
+    (Pool.map ~jobs:2 Fun.id (List.init 24 Fun.id))
+
+let test_pool_shared_budget () =
+  (* two callers map at once: the domains spawned for both maps together
+     never run more items at once than the machine has spare lanes *)
+  let callers = ref [] and go = Atomic.make false in
+  let spawned_running = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec raise_peak v =
+    let p = Atomic.get peak in
+    if v > p && not (Atomic.compare_and_set peak p v) then raise_peak v
+  in
+  let item x =
+    let spawned = not (List.mem (Domain.self ()) !callers) in
+    if spawned then raise_peak (1 + Atomic.fetch_and_add spawned_running 1);
+    let until = Unix.gettimeofday () +. 0.002 in
+    while Unix.gettimeofday () < until do
+      Domain.cpu_relax ()
+    done;
+    if spawned then Atomic.decr spawned_running;
+    x
+  in
+  let xs = List.init 40 Fun.id in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Pool.map ~jobs:8 item xs)
+  in
+  callers := [ Domain.self (); Domain.get_id other ];
+  Atomic.set go true;
+  let mine = Pool.map ~jobs:8 item xs in
+  Alcotest.(check (list int)) "this caller's result" xs mine;
+  Alcotest.(check (list int)) "other caller's result" xs (Domain.join other);
+  Alcotest.(check bool)
+    (Printf.sprintf "spawned lanes at once (%d) within the %d spare" (Atomic.get peak)
+       spare_lanes)
+    true
+    (Atomic.get peak <= spare_lanes);
+  (* both maps gave their lanes back *)
+  check_two_lanes ()
 
 (* ---- json ---- *)
 
@@ -756,11 +809,12 @@ let () =
           Alcotest.test_case "inline and empty" `Quick test_pool_inline;
           Alcotest.test_case "more workers than work" `Quick test_pool_more_jobs_than_work;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "shutdown" `Quick test_pool_submit_after_shutdown;
-          Alcotest.test_case "lazy spawn: one chunk stays inline" `Quick
-            test_pool_lazy_no_spawn;
-          Alcotest.test_case "explicit pool: chunked path" `Quick
-            test_pool_explicit_chunked;
+          Alcotest.test_case "every item of a raising map runs" `Quick
+            test_pool_all_items_run;
+          Alcotest.test_case "short map stays inline" `Quick test_pool_short_inline;
+          Alcotest.test_case "two lanes over 24 items" `Quick test_pool_two_lanes;
+          Alcotest.test_case "concurrent maps share the lane budget" `Quick
+            test_pool_shared_budget;
         ] );
       ( "json",
         [

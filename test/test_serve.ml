@@ -156,18 +156,16 @@ let test_bqueue_close_wakes_takers () =
 (* ---- Pool.map after a raising item ---- *)
 
 let test_pool_usable_after_raise () =
-  let p = Pool.create ~workers:2 in
   Alcotest.check_raises "original exception re-raised" (Failure "item 3 exploded")
     (fun () ->
       ignore
-        (Pool.map ~pool:p
+        (Pool.map ~jobs:2
            (fun x -> if x = 3 then failwith "item 3 exploded" else x * 10)
            (List.init 8 Fun.id)));
-  (* no stranded chunks: the same pool still completes a full map *)
-  Alcotest.(check (list int)) "pool survives the raising map"
-    [ 0; 10; 20; 30 ]
-    (Pool.map ~pool:p (fun x -> x * 10) [ 0; 1; 2; 3 ]);
-  Pool.shutdown p
+  (* no lane kept: the next map still completes *)
+  Alcotest.(check (list int)) "map works after the raising map"
+    (List.init 8 (fun x -> x * 10))
+    (Pool.map ~jobs:2 (fun x -> x * 10) (List.init 8 Fun.id))
 
 (* ---- server core ---- *)
 
