@@ -93,8 +93,14 @@ let check_two_lanes () =
 
 let test_pool_two_lanes () =
   check_two_lanes ();
-  Alcotest.(check (list int)) "map is reusable" (List.init 24 Fun.id)
-    (Pool.map ~jobs:2 Fun.id (List.init 24 Fun.id))
+  let xs = List.init 24 Fun.id in
+  Alcotest.(check (list int)) "map is reusable" xs (Pool.map ~jobs:2 Fun.id xs);
+  Alcotest.check_raises "first exception in input order over two lanes"
+    (Failure "boom 7") (fun () ->
+      ignore
+        (Pool.map ~jobs:2
+           (fun x -> if x >= 7 then failwith (Printf.sprintf "boom %d" x) else x)
+           xs))
 
 let test_pool_shared_budget () =
   (* two callers map at once: the domains spawned for both maps together
@@ -812,7 +818,8 @@ let () =
           Alcotest.test_case "every item of a raising map runs" `Quick
             test_pool_all_items_run;
           Alcotest.test_case "short map stays inline" `Quick test_pool_short_inline;
-          Alcotest.test_case "two lanes over 24 items" `Quick test_pool_two_lanes;
+          (* jobs = 2 over 24 items: two lanes, order, reuse, first exception *)
+          Alcotest.test_case "explicit pool: chunked path" `Quick test_pool_two_lanes;
           Alcotest.test_case "concurrent maps share the lane budget" `Quick
             test_pool_shared_budget;
         ] );
