@@ -200,6 +200,119 @@ let test_report_sections () =
       "-- estimate --";
     ]
 
+(* ---- golden designs ---- *)
+
+(* Canonical text of a finished design's backend: registers, units,
+   activations, loads, conditions, transfers, the estimate and the
+   controller's cost. Text, not Marshal bytes, so the digest pins what
+   allocation and binding decide and survives record layout changes. *)
+let design_text b (d : Flow.design) =
+  let module D = Hls_rtl.Datapath in
+  let module I = Hls_alloc.Interconnect in
+  let add fmt = Printf.bprintf b fmt in
+  let dp = d.Flow.datapath in
+  let kind = function `In_port -> "in" | `Out_port -> "out" | `Var -> "var" | `Temp -> "temp" in
+  List.iter (fun (r : D.reg_def) -> add "reg %s %d %s\n" r.D.rname r.D.rwidth (kind r.D.rkind)) dp.D.regs;
+  List.iter
+    (fun (f : D.fu_def) ->
+      add "fu %d %s %d\n" f.D.fuid f.D.comp.Hls_rtl.Component.cname f.D.fwidth)
+    dp.D.fus;
+  List.iter
+    (fun (a : D.activity) ->
+      add "act s%d fu%d %s %s (%s)\n" a.D.a_state a.D.a_fu (Hls_cdfg.Op.to_string a.D.a_op)
+        (Hls_lang.Ast.ty_to_string a.D.a_ty)
+        (String.concat ", " (List.map Hls_rtl.Wire.to_string a.D.a_args)))
+    dp.D.activities;
+  List.iter
+    (fun (l : D.load) -> add "load s%d %s <= %s\n" l.D.l_state l.D.l_reg (Hls_rtl.Wire.to_string l.D.l_wire))
+    dp.D.loads;
+  List.iter (fun (s, w) -> add "cond s%d %s\n" s (Hls_rtl.Wire.to_string w)) dp.D.conds;
+  List.iter
+    (fun (t : I.transfer) ->
+      add "xfer b%d.s%d %s -> %s\n" t.I.t_bid t.I.t_step (I.wire_to_string t.I.t_src)
+        (I.dest_to_string t.I.t_dst))
+    d.Flow.transfers;
+  let e = d.Flow.estimate in
+  add "estimate %d %d %d %d %d %h %d %h\n" e.Hls_rtl.Estimate.fu_area e.Hls_rtl.Estimate.reg_area
+    e.Hls_rtl.Estimate.mux_area e.Hls_rtl.Estimate.ctrl_area e.Hls_rtl.Estimate.total_area
+    e.Hls_rtl.Estimate.cycle_ns e.Hls_rtl.Estimate.compute_steps e.Hls_rtl.Estimate.latency_ns;
+  add "ctrl %d %d\n"
+    (Hls_ctrl.Ctrl_synth.literal_cost d.Flow.controller)
+    (Hls_ctrl.Ctrl_synth.n_state_bits d.Flow.controller)
+
+(* The default sweep's points, each under [variants] of the options, one
+   design text per point through one engine. *)
+let add_designs b ~engine ~schedulers ~variants =
+  List.iter
+    (fun (label, opts) ->
+      List.iter
+        (fun (tag, vary) ->
+          Printf.bprintf b "== %s %s\n" label tag;
+          match Dse.eval_result engine (vary opts) with
+          | Ok d -> design_text b d
+          | Error _ -> Buffer.add_string b "error\n")
+        variants)
+    (Explore.cross ~base:Flow.default_options ~schedulers ~limits:Explore.default_limits ())
+
+(* biquad3's flat block is past what branch-and-bound and 0/1
+   programming finish on: it gets the polynomial schedulers *)
+let polynomial_schedulers =
+  List.filter
+    (fun s -> s <> Flow.Branch_bound && s <> Flow.Ilp_exact)
+    Explore.default_schedulers
+
+(* Captured before the backend moved onto one dense index per run; any
+   change to a register, unit, wire, transfer or estimate of any of
+   these designs changes a digest. *)
+let golden_design_digests =
+  [
+    ("sqrt", "7efb920a315b86cef2eed24da321733d");
+    ("diffeq", "1ac1f587d08c5a6272c93dcb897c7c3e");
+    ("fir8", "fc2d847d226d3140140034c69ded6cac");
+    ("gcd", "66b10b62640df1690d12281f9768adcb");
+    ("biquad3", "4f204a35c8a259e4ec04198f9aa9b2f8");
+    ("twophase", "fbc5bf85159263f5d2f9cbe01929ce2c");
+  ]
+
+let golden_random_design_digest = "f1f6cff0a0a312a00d3862595616c07c"
+
+let test_golden_workload_designs () =
+  let variants =
+    List.concat_map
+      (fun allocator ->
+        List.map
+          (fun narrow ->
+            ( Printf.sprintf "%s%s" (Flow.Knob.text Flow.Knob.allocator allocator)
+                (if narrow then " narrow" else ""),
+              fun o -> { o with Flow.allocator; narrow } ))
+          [ false; true ])
+      (Flow.Knob.values Flow.Knob.allocator)
+  in
+  List.iter
+    (fun (name, src) ->
+      let b = Buffer.create 65536 in
+      let schedulers =
+        if name = "biquad3" then polynomial_schedulers else Explore.default_schedulers
+      in
+      add_designs b ~engine:(Dse.create src) ~schedulers ~variants;
+      Alcotest.(check string)
+        (name ^ " design digest")
+        (List.assoc name golden_design_digests)
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    Workloads.all
+
+let test_golden_random_designs () =
+  let b = Buffer.create (1 lsl 20) in
+  for seed = 0 to 199 do
+    Printf.bprintf b "seed %d\n" seed;
+    add_designs b
+      ~engine:(Dse.create_program (Gen.program_of_seed seed))
+      ~schedulers:Explore.default_schedulers
+      ~variants:[ ("", Fun.id) ]
+  done;
+  Alcotest.(check string) "seeds 0-199 design digest" golden_random_design_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "flow"
     [
@@ -223,4 +336,11 @@ let () =
           Alcotest.test_case "table" `Quick test_explore_table_renders;
         ] );
       ("report", [ Alcotest.test_case "sections" `Quick test_report_sections ]);
+      ( "golden",
+        [
+          Alcotest.test_case "workloads x default cross x allocators x narrow" `Quick
+            test_golden_workload_designs;
+          Alcotest.test_case "random programs x default cross" `Quick
+            test_golden_random_designs;
+        ] );
     ]
