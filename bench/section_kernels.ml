@@ -25,6 +25,12 @@
                       default sweep of diffeq and gcd, reusing verdicts
                       vs on Marshal copies (one image per check), with
                       both sides' sim/images_compiled
+     backend        — the distinct backend runs of the workloads'
+                      default sweeps (biquad3: polynomial schedulers),
+                      each through Flow.complete_result with its
+                      controller in hand: the run count, minor words per
+                      run, and the median µs per run of the allocate,
+                      bind and estimate stages (no reference side)
 
    Every optimized/reference pair is compared for identical answers on
    every iteration; each pair is a gate, as are the sched/fd_ and sim/
@@ -396,6 +402,76 @@ let cosim_frontier ~iters ~size:_ =
   in
   per_workload one [ ("diffeq", Workloads.diffeq); ("gcd", Workloads.gcd) ]
 
+(* One backend input per distinct schedule (by content digest) of each
+   workload's default sweep, with its controller synthesized once. *)
+let backend_inputs () =
+  let open Hls_core in
+  List.concat_map
+    (fun (name, src) ->
+      let engine = Dse.create src in
+      let schedulers =
+        if name = "biquad3" then
+          List.filter
+            (fun s -> s <> Flow.Branch_bound && s <> Flow.Ilp_exact)
+            Explore.default_schedulers
+        else Explore.default_schedulers
+      in
+      let seen = Hashtbl.create 64 in
+      List.filter_map
+        (fun (_, options) ->
+          let o, sched = Dse.eval_cheap engine options in
+          let key = Hls_sched.Cfg_sched.digest sched in
+          if Hashtbl.mem seen key then None
+          else begin
+            Hashtbl.replace seen key ();
+            match Flow.complete_result options o ~sched with
+            | Ok d -> Some (options, o, sched, d.Flow.controller)
+            | Error _ -> None
+          end)
+        (Explore.cross ~base:Flow.default_options ~schedulers ~limits:Explore.default_limits ()))
+    Hls_core.Workloads.all
+
+(* The backend has no reference side: the row records the run count,
+   minor words per run over one pass (exact on one domain) and the
+   median over iterations of each stage's µs per run. *)
+let backend ~iters ~size:_ =
+  let inputs = backend_inputs () in
+  let runs = float_of_int (List.length inputs) in
+  let pass () =
+    List.iter
+      (fun (options, o, sched, ctrl) ->
+        ignore (Hls_core.Flow.complete_result ~control:(fun _ -> ctrl) options o ~sched))
+      inputs
+  in
+  let stage_total stage =
+    List.fold_left
+      (fun acc (name, s, _) -> if name = stage then acc +. s else acc)
+      0.0
+      (Hls_obs.Trace.durations_snapshot ())
+  in
+  let stages = [ "allocate"; "bind"; "estimate" ] in
+  pass ();
+  let words0 = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. words0 in
+  let times = List.map (fun _ -> ref []) stages in
+  for _ = 1 to iters do
+    let before = List.map stage_total stages in
+    pass ();
+    List.iteri
+      (fun i stage ->
+        let acc = List.nth times i in
+        acc := (1e6 *. (stage_total stage -. List.nth before i) /. runs) :: !acc)
+      stages
+  done;
+  let json =
+    Obj
+      ([ ("distinct_runs", of_int (List.length inputs));
+         ("minor_words_per_run", of_int (int_of_float (words /. runs))) ]
+      @ List.map2 (fun stage acc -> (stage ^ "_us", Harness.runs_json !acc)) stages times)
+  in
+  ((json, []) : kernel)
+
 let run get =
   let iters = get "iters" and size = get "size" in
   let kernels =
@@ -410,7 +486,8 @@ let run get =
         ("rtl_sim", rtl_sim);
         ("beh_sim", beh_sim);
         ("cfg_sim", cfg_sim);
-        ("cosim_frontier", cosim_frontier) ]
+        ("cosim_frontier", cosim_frontier);
+        ("backend", backend) ]
   in
   let pairs =
     List.concat_map

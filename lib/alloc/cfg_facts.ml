@@ -4,6 +4,7 @@ type block = {
   reads : (string * Dfg.nid) list;
   writes : (string * Dfg.nid) list;
   write_ids : (int * Dfg.nid) list;
+  node_var : int array;
   cond : Dfg.nid option;
   live_in : int list;
   live_out : int list;
@@ -14,10 +15,11 @@ type t = {
   outputs : string list;
   vars : string array;
   blocks : block array;
+  freq : int array;
 }
 
 (* [vars] is sorted: binary search *)
-let find vars v =
+let index_in vars v =
   let rec go lo hi =
     if lo >= hi then None
     else
@@ -35,16 +37,21 @@ let make ~outputs cfg =
   let live = Liveness.analyze ~live_at_exit:outputs cfg in
   let vars = Array.of_list (Liveness.all_variables live) in
   (* live sets may name an output nothing assigns *)
-  let ids names = List.filter_map (find vars) names in
+  let ids names = List.filter_map (index_in vars) names in
   let blocks =
     Array.init (Cfg.n_blocks cfg) (fun bid ->
         let g = Cfg.dfg cfg bid in
+        let node_var = Array.make (Dfg.n_nodes g) (-1) in
         let reads, writes =
           Dfg.fold
             (fun (rs, ws) id node ->
               match node.Dfg.op with
-              | Op.Read v -> ((v, id) :: rs, ws)
-              | Op.Write v -> (rs, (v, id) :: ws)
+              | Op.Read v ->
+                  node_var.(id) <- Option.get (index_in vars v);
+                  ((v, id) :: rs, ws)
+              | Op.Write v ->
+                  node_var.(id) <- Option.get (index_in vars v);
+                  (rs, (v, id) :: ws)
               | _ -> (rs, ws))
             ([], []) g
         in
@@ -52,12 +59,14 @@ let make ~outputs cfg =
         {
           reads = List.rev reads;
           writes;
-          write_ids = List.map (fun (v, w) -> (Option.get (find vars v), w)) writes;
+          write_ids = List.map (fun (_, w) -> (node_var.(w), w)) writes;
+          node_var;
           cond = (match Cfg.term cfg bid with Cfg.Branch (c, _, _) -> Some c | _ -> None);
           live_in = ids (Liveness.live_in live bid);
           live_out = ids (Liveness.live_out live bid);
         })
   in
-  { cfg; outputs; vars; blocks }
+  { cfg; outputs; vars; blocks; freq = Cfg.exec_frequencies cfg }
 
-let var_id t v = match find t.vars v with Some i -> i | None -> raise Not_found
+let find_var t v = index_in t.vars v
+let var_id t v = match index_in t.vars v with Some i -> i | None -> raise Not_found

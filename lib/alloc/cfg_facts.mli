@@ -1,6 +1,7 @@
 (** The storage facts of an optimized CFG that no schedule changes:
-    variable liveness, the variables with dense ids, and each block's
-    reads, writes and branch condition.
+    variable liveness, the variables with dense ids, each block's reads,
+    writes and branch condition, and each block's static execution
+    frequency.
 
     Build it once per midend result ({!Hls_core.Flow.optimized} keeps
     one) and hand it to {!Lifetime.table}: every schedule of the CFG
@@ -12,6 +13,9 @@ type block = {
   reads : (string * Dfg.nid) list;  (** {!Dfg.reads} order *)
   writes : (string * Dfg.nid) list;  (** {!Dfg.writes} order *)
   write_ids : (int * Dfg.nid) list;  (** [writes] by variable id *)
+  node_var : int array;
+      (** indexed by node: the variable id a [Read] or [Write] node
+          names, [-1] for every other node *)
   cond : Dfg.nid option;  (** the branch condition the terminator samples *)
   live_in : int list;  (** variable ids live on entry, ascending *)
   live_out : int list;  (** variable ids live on exit, ascending *)
@@ -25,6 +29,9 @@ type t = {
           ({!Hls_cdfg.Liveness.all_variables}); a variable's id is its
           index *)
   blocks : block array;  (** indexed by block id *)
+  freq : int array;
+      (** {!Hls_cdfg.Cfg.exec_frequencies}, indexed by block id: what a
+          schedule of the CFG weights its block lengths by *)
 }
 
 val make : outputs:string list -> Cfg.t -> t
@@ -35,5 +42,13 @@ val liveness_runs : unit -> int
     liveness analysis once: a work count for tests that pin how often a
     pass runs it. *)
 
+val index_in : string array -> string -> int option
+(** The index of a name in an ascending array, by binary search. *)
+
+val find_var : t -> string -> int option
+(** The id of a variable, by binary search over {!vars}; [None] for a
+    name no block reads or writes. *)
+
 val var_id : t -> string -> int
-(** Raises [Not_found] for a name no block reads or writes. *)
+(** {!find_var}; raises [Not_found] for a name no block reads or
+    writes. *)

@@ -41,6 +41,8 @@ let popcount_and a b =
   done;
   !acc
 
+let merges = Hls_obs.Trace.handle "alloc/clique_merges"
+
 let partition ~n ~compatible =
   if n = 0 then []
   else begin
@@ -69,8 +71,10 @@ let partition ~n ~compatible =
       done
     done;
     let order = ref (List.init n (fun i -> i)) in
+    (* the best pair lands in [best_a]/[best_b]; [best_s] < 0: none *)
+    let best_s = ref (-1) and best_a = ref 0 and best_b = ref 0 in
     let find_best () =
-      let best = ref None in
+      best_s := -1;
       let rec pairs = function
         | [] -> ()
         | ga :: rest ->
@@ -78,15 +82,16 @@ let partition ~n ~compatible =
               (fun gb ->
                 if bit_get adj.(ga) gb then begin
                   let s = score.((ga * n) + gb) in
-                  match !best with
-                  | Some (s', _, _) when s' >= s -> ()
-                  | _ -> best := Some (s, ga, gb)
+                  if s > !best_s then begin
+                    best_s := s;
+                    best_a := ga;
+                    best_b := gb
+                  end
                 end)
               rest;
             pairs rest
       in
-      pairs !order;
-      !best
+      pairs !order
     in
     let alive = Array.make n true in
     let merge ga gb =
@@ -138,12 +143,12 @@ let partition ~n ~compatible =
       order := ga :: survivors
     in
     let rec loop () =
-      match find_best () with
-      | None -> ()
-      | Some (_, ga, gb) ->
-          merge ga gb;
-          Hls_obs.Trace.incr "alloc/clique_merges";
-          loop ()
+      find_best ();
+      if !best_s >= 0 then begin
+        merge !best_a !best_b;
+        Hls_obs.Trace.bump merges;
+        loop ()
+      end
     in
     loop ();
     List.filter_map

@@ -40,13 +40,17 @@ type instance = { fu_id : int; fu_cls : Op.fu_class; ops : op_ref list }
 
 type t = {
   instances : instance list;
-  op_units : (Cfg.bid * Dfg.nid, int) Hashtbl.t;
-      (** op → unit id, as data (not a closure) so an allocation can be
-          marshalled into the persistent design cache; query it through
-          {!of_op} *)
+  units : int array array;
+      (** op → unit id, per block and node ([-1]: not allocated), as
+          data (not a closure) so an allocation can be marshalled into
+          the persistent design cache; query it through {!of_op} *)
 }
 
-val of_op : t -> Cfg.bid * Dfg.nid -> int
+val make : Hls_sched.Cfg_sched.t -> instance list -> t
+(** An allocation of the scheduled program's operations onto the given
+    units (a later instance wins an operation listed twice). *)
+
+val of_op : t -> Cfg.bid -> Dfg.nid -> int
 (** Unit id the operation was allocated to. Raises [Invalid_argument]
     for an operation outside the allocation. *)
 

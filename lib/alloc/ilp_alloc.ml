@@ -95,15 +95,7 @@ let allocate ?(op_cap = 14) cs =
           |> List.sort compare
           |> List.mapi (fun fu_id (fu_cls, ops) -> { Fu_alloc.fu_id; fu_cls; ops })
         in
-        let lookup = Hashtbl.create 32 in
-        List.iter
-          (fun (inst : Fu_alloc.instance) ->
-            List.iter
-              (fun (r : Fu_alloc.op_ref) ->
-                Hashtbl.replace lookup (r.Fu_alloc.bid, r.Fu_alloc.nid) inst.Fu_alloc.fu_id)
-              inst.Fu_alloc.ops)
-          instances;
-        Some { Fu_alloc.instances; op_units = lookup }
+        Some (Fu_alloc.make cs instances)
   end
 
 let min_units ?op_cap cs =

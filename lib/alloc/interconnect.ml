@@ -15,77 +15,91 @@ type resolver = {
   lt : Lifetime.t;
   fu : Fu_alloc.t;
   regs : Reg_alloc.t;
+  reg_wires : wire array;  (* register -> its net *)
 }
 
 let resolver ?lifetimes cs ~fu ~regs =
   let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
-  { cs; lt; fu; regs }
+  let reg_wires = Array.init (Reg_alloc.n_names regs) (fun r -> W_reg (Reg_alloc.name regs r)) in
+  { cs; lt; fu; regs; reg_wires }
 
 let temp_reg r bid nid =
-  match Reg_alloc.temp_register r.regs bid nid with
-  | Some name -> name
-  | None -> invalid_arg (Printf.sprintf "Interconnect: no temp register for b%d.%%%d" bid nid)
+  let reg = Reg_alloc.temp_register_id r.regs bid nid in
+  if reg < 0 then invalid_arg (Printf.sprintf "Interconnect: no temp register for b%d.%%%d" bid nid)
+  else reg
 
-let resolve r bid nid ~step =
-  let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg r.cs) bid in
-  match Dfg.op g nid with
-  | Op.Const c -> W_const c
-  | Op.Read v -> (
+let var_reg r bid nid =
+  Reg_alloc.var_register r.regs (Lifetime.facts r.lt).Cfg_facts.blocks.(bid).Cfg_facts.node_var.(nid)
+
+(* [resolve] over register ids: the register a stored value is read
+   from at [step], or -1 when it is not read from a register then *)
+let resolve_reg r bid nid ~step =
+  let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in
+  match Dfg.op (Hls_sched.Schedule.dfg sched) nid with
+  | Op.Read _ -> (
       (* an entry read an overwrite moves to a temporary stays in its
          variable's register through the step that latches the move *)
       match Lifetime.storage r.lt bid nid with
-      | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> W_reg (temp_reg r bid nid)
-      | _ -> W_reg (Reg_alloc.register_of_var r.regs v))
+      | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> temp_reg r bid nid
+      | _ -> var_reg r bid nid)
   | Op.Write _ -> invalid_arg (Printf.sprintf "Interconnect: b%d.%%%d is a write" bid nid)
-  | _ when Dfg.occupies_step g nid -> (
-      if step = Hls_sched.Schedule.step_of (Hls_sched.Cfg_sched.block_schedule r.cs bid) nid
-      then W_fu_out (Fu_alloc.of_op r.fu (bid, nid))
-      else
+  | _ ->
+      let s = Hls_sched.Schedule.occupying_step sched nid in
+      if s < 0 || step = s then -1
+      else (
         match Lifetime.storage r.lt bid nid with
-        | Lifetime.In_variable v -> W_reg (Reg_alloc.register_of_var r.regs v)
-        | Lifetime.Temp _ -> W_reg (temp_reg r bid nid)
+        | Lifetime.In_variable _ -> Reg_alloc.var_register r.regs (Lifetime.held_var r.lt bid nid)
+        | Lifetime.Temp _ -> temp_reg r bid nid
         | Lifetime.No_storage ->
             invalid_arg
               (Printf.sprintf "Interconnect: b%d.%%%d read at step %d but not stored" bid nid step))
-  | _ -> W_wire (bid, nid)
 
-let latches r bid =
-  let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg r.cs) bid in
+let resolve r bid nid ~step =
   let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in
-  let writes =
-    List.map
-      (fun (v, wnid) ->
-        match Dfg.args g wnid with
-        | [ a ] ->
-            (Reg_alloc.register_of_var r.regs v, a, Hls_sched.Schedule.write_step sched wnid)
-        | _ -> invalid_arg (Printf.sprintf "Interconnect: malformed write b%d.%%%d" bid wnid))
-      (Lifetime.writes r.lt bid)
-  in
-  writes
-  @ List.map
-      (fun (nid, iv) -> (temp_reg r bid nid, nid, iv.Hls_util.Interval.lo))
-      (Lifetime.temps (Lifetime.values r.lt bid))
+  match Dfg.op (Hls_sched.Schedule.dfg sched) nid with
+  | Op.Const c -> W_const c
+  | Op.Read _ | Op.Write _ -> r.reg_wires.(resolve_reg r bid nid ~step)
+  | _ ->
+      let s = Hls_sched.Schedule.occupying_step sched nid in
+      if s < 0 then W_wire (bid, nid)
+      else if step = s then W_fu_out (Fu_alloc.of_op r.fu bid nid)
+      else r.reg_wires.(resolve_reg r bid nid ~step)
+
+let iter_latches r bid f =
+  let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in
+  let g = Hls_sched.Schedule.dfg sched in
+  List.iter
+    (fun (_, wnid) ->
+      match Dfg.args g wnid with
+      | [ a ] -> f (var_reg r bid wnid) a (Hls_sched.Schedule.write_step sched wnid)
+      | _ -> invalid_arg (Printf.sprintf "Interconnect: malformed write b%d.%%%d" bid wnid))
+    (Lifetime.writes r.lt bid);
+  List.iter
+    (fun (info : Lifetime.value_info) ->
+      match info.Lifetime.storage with
+      | Lifetime.Temp iv -> f (temp_reg r bid info.Lifetime.nid) info.Lifetime.nid iv.Hls_util.Interval.lo
+      | Lifetime.In_variable _ | Lifetime.No_storage -> ())
+    (Lifetime.values r.lt bid)
 
 let transfers ?lifetimes cs ~fu ~regs =
   let r = resolver ?lifetimes cs ~fu ~regs in
-  let cfg = Hls_sched.Cfg_sched.cfg cs in
-  List.concat_map
-    (fun bid ->
-      let g = Cfg.dfg cfg bid in
-      let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-      let at step t_dst nid =
-        { t_src = resolve r bid nid ~step; t_dst; t_bid = bid; t_step = step }
-      in
-      let operands =
-        List.concat_map
-          (fun nid ->
-            let unit_id = Fu_alloc.of_op fu (bid, nid) in
-            let step = Hls_sched.Schedule.step_of sched nid in
-            List.mapi (fun pos a -> at step (D_fu_in (unit_id, pos)) a) (Dfg.args g nid))
-          (Dfg.compute_ops g)
-      in
-      operands @ List.map (fun (reg, nid, step) -> at step (D_reg reg) nid) (latches r bid))
-    (Cfg.block_ids cfg)
+  let acc = ref [] in
+  for bid = 0 to Cfg.n_blocks (Hls_sched.Cfg_sched.cfg cs) - 1 do
+    let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
+    let g = Hls_sched.Schedule.dfg sched in
+    let at step t_dst nid =
+      acc := { t_src = resolve r bid nid ~step; t_dst; t_bid = bid; t_step = step } :: !acc
+    in
+    for nid = 0 to Dfg.n_nodes g - 1 do
+      let step = Hls_sched.Schedule.occupying_step sched nid in
+      if step >= 0 then begin
+        let unit_id = Fu_alloc.of_op fu bid nid in
+        List.iteri (fun pos a -> at step (D_fu_in (unit_id, pos)) a) (Dfg.args g nid)
+      end
+    done;
+    iter_latches r bid (fun reg nid step -> at step (D_reg (Reg_alloc.name regs reg)) nid)
+  done;
+  List.rev !acc
 
 let mux_cost ts =
   let by_dest : (dest, wire list) Hashtbl.t = Hashtbl.create 32 in

@@ -67,10 +67,11 @@ val resolve : resolver -> Cfg.bid -> Dfg.nid -> step:int -> wire
     Raises [Invalid_argument] for a write (not a value) and for a
     computed value read after its producing step that has no storage. *)
 
-val latches : resolver -> Cfg.bid -> (string * Dfg.nid * int) list
-(** The register loads of a block, each as (register, value latched,
-    step): every variable write at its write step, then every temporary
-    at the step it is latched in, in node-id order. *)
+val iter_latches : resolver -> Cfg.bid -> (int -> Dfg.nid -> int -> unit) -> unit
+(** [iter_latches r bid f] calls [f reg value step] for each register
+    load of a block, the register by its {!Reg_alloc} id
+    ({!Reg_alloc.name}): every variable write at its write step, then
+    every temporary at the step it is latched in, in node-id order. *)
 
 (** {2 Transfers} *)
 
@@ -83,7 +84,7 @@ val transfers :
   regs:Reg_alloc.t ->
   transfer list
 (** All data transfers of the design, in block order: each block's
-    functional-unit operands, then its {!latches}. *)
+    functional-unit operands, then its latches ({!iter_latches}). *)
 
 val mux_cost : transfer list -> int
 (** Σ over destinations of [max 0 (distinct sources − 1)]: total 2-input

@@ -4,24 +4,16 @@ let assign items =
   let sorted =
     List.sort (fun (_, a) (_, b) -> Interval.compare_lo a b) items
   in
-  (* track_end.(t) = hi of the last interval placed on track t *)
-  let track_end = ref [] in
+  (* ends.(t) = hi of the last interval placed on track t < n *)
+  let ends = Array.make (List.length items) 0 and n = ref 0 in
   let assignment =
     List.map
       (fun (key, (iv : Interval.t)) ->
-        let rec find idx = function
-          | [] -> None
-          | last_hi :: rest ->
-              if last_hi < iv.Interval.lo then Some idx else find (idx + 1) rest
-        in
-        match find 0 !track_end with
-        | Some t ->
-            track_end := List.mapi (fun i hi -> if i = t then iv.Interval.hi else hi) !track_end;
-            (key, t)
-        | None ->
-            let t = List.length !track_end in
-            track_end := !track_end @ [ iv.Interval.hi ];
-            (key, t))
+        let rec find t = if t >= !n || ends.(t) < iv.Interval.lo then t else find (t + 1) in
+        let t = find 0 in
+        if t = !n then incr n;
+        ends.(t) <- iv.Interval.hi;
+        (key, t))
       sorted
   in
-  (assignment, List.length !track_end)
+  (assignment, !n)

@@ -10,102 +10,129 @@ type value_info = {
   storage : storage;
 }
 
-(* Stored sources (entry reads and occupying ops) reachable through free
-   chains from [id]; constants excluded. *)
-let rec stored_sources g id acc =
-  match Dfg.op g id with
-  | Op.Const _ -> acc
-  | Op.Read _ -> id :: acc
-  | _ when Dfg.occupies_step g id -> id :: acc
-  | _ -> List.fold_left (fun acc a -> stored_sources g a acc) acc (Dfg.args g id)
+module Schedule = Hls_sched.Schedule
 
-let analyze ?writes sched ~term_cond =
-  let g = Hls_sched.Schedule.dfg sched in
+(* One scheduled block over dense variable ids: [node_var] names the
+   variable of each Read/Write node, [write_ids] lists the block's
+   writes in node order. Returns the stored values in node order, each
+   node's storage, and each node's holding variable (the id of the
+   variable whose register holds an [In_variable] value, -1 otherwise). *)
+let analyze_block ~vars ~node_var ~write_ids sched ~term_cond =
+  let g = Schedule.dfg sched in
   let n = Dfg.n_nodes g in
-  let n_steps = Hls_sched.Schedule.n_steps sched in
-  (* last step each stored value is consumed at *)
+  let n_steps = Schedule.n_steps sched in
+  (* last step each stored value (entry read or occupying op) is
+     consumed at; consumption of a free chain reaches its stored
+     sources, constants excluded *)
   let last_use = Array.make n 0 in
-  let consume id step =
-    List.iter
-      (fun src -> last_use.(src) <- max last_use.(src) step)
-      (stored_sources g id [])
+  let rec consume id step =
+    let node = Dfg.node g id in
+    match node.Dfg.op with
+    | Op.Const _ -> ()
+    | Op.Read _ -> if last_use.(id) < step then last_use.(id) <- step
+    | _ when Schedule.occupying_step sched id >= 0 ->
+        if last_use.(id) < step then last_use.(id) <- step
+    | _ -> List.iter (fun a -> consume a step) node.Dfg.args
   in
-  Dfg.iter
-    (fun id node ->
-      match node.Dfg.op with
-      | Op.Write _ -> (
-          (* a write latches at its producing step; its sources must be
-             readable during that step *)
-          match node.Dfg.args with
-          | [ a ] -> consume a (Hls_sched.Schedule.write_step sched id)
-          | _ -> ())
-      | _ when Dfg.occupies_step g id ->
-          let s = Hls_sched.Schedule.step_of sched id in
-          List.iter (fun a -> consume a s) node.Dfg.args
-      | _ -> ())
-    g;
+  for id = 0 to n - 1 do
+    let node = Dfg.node g id in
+    match node.Dfg.op with
+    | Op.Write _ -> (
+        (* a write latches at its producing step; its sources must be
+           readable during that step *)
+        match node.Dfg.args with
+        | [ a ] -> consume a (Schedule.write_step sched id)
+        | _ -> ())
+    | _ ->
+        let s = Schedule.occupying_step sched id in
+        if s >= 0 then List.iter (fun a -> consume a s) node.Dfg.args
+  done;
   (match term_cond with Some c -> consume c n_steps | None -> ());
-  let writes = match writes with Some ws -> ws | None -> Dfg.writes g in
-  let write_step wnid = Hls_sched.Schedule.write_step sched wnid in
-  (* earliest write to a variable in this block, if any *)
+  (* the write that stores a value directly (post-DCE: at most one; the
+     first in node order otherwise) *)
+  let written = Array.make n (-1) in
+  List.iter
+    (fun (_, w) ->
+      match Dfg.args g w with [ a ] when written.(a) < 0 -> written.(a) <- w | _ -> ())
+    write_ids;
+  let write_step w = Schedule.write_step sched w in
+  (* earliest write to variable [v] in this block, if any *)
   let first_write v =
     List.fold_left
-      (fun acc (v', wnid) ->
-        if v' <> v then acc
-        else
-          match acc with
-          | Some w when w <= write_step wnid -> acc
-          | _ -> Some (write_step wnid))
-      None writes
+      (fun acc (v', w) -> if v' = v then Int.min acc (write_step w) else acc)
+      max_int write_ids
   in
-  (* the variable a value is directly written to (post-DCE: at most one) *)
-  let written_to id =
-    List.find_map
-      (fun (v, wnid) ->
-        if Dfg.args g wnid = [ id ] then Some (v, wnid) else None)
-      writes
-  in
-  let storage_of id node produced lu =
+  let by_node = Array.make n No_storage and held = Array.make n (-1) in
+  let storage_of id produced lu =
     if lu <= produced then No_storage
     else
-      match node.Dfg.op with
-      | Op.Read v -> (
-          (* the old value stays valid in v's register until the step in
-             which v is overwritten (the new value latches at its end) *)
-          match first_write v with
-          | Some w when w < lu -> Temp (Interval.make w (lu - 1))
-          | Some _ | None -> In_variable v)
-      | _ -> (
-          match written_to id with
-          | Some (v, my_write) ->
-              let overwritten =
-                List.exists
-                  (fun (v', wnid) ->
-                    v' = v && wnid <> my_write
-                    && write_step wnid >= produced
-                    && write_step wnid < lu)
-                  writes
-              in
-              if overwritten then Temp (Interval.make produced (lu - 1))
-              else In_variable v
-          | None -> Temp (Interval.make produced (lu - 1)))
+      let v = node_var.(id) in
+      if v >= 0 then begin
+        (* an entry read: the old value stays valid in v's register until
+           the step in which v is overwritten (the new value latches at
+           its end) *)
+        let w = first_write v in
+        if w < lu then Temp (Interval.make w (lu - 1))
+        else begin
+          held.(id) <- v;
+          In_variable vars.(v)
+        end
+      end
+      else
+        let my_write = written.(id) in
+        if my_write < 0 then Temp (Interval.make produced (lu - 1))
+        else
+          let v = node_var.(my_write) in
+          let overwritten =
+            List.exists
+              (fun (v', w) ->
+                v' = v && w <> my_write
+                && write_step w >= produced
+                && write_step w < lu)
+              write_ids
+          in
+          if overwritten then Temp (Interval.make produced (lu - 1))
+          else begin
+            held.(id) <- v;
+            In_variable vars.(v)
+          end
   in
-  let infos = ref [] in
-  Dfg.iter
-    (fun id node ->
-      let record produced =
-        let lu = max last_use.(id) produced in
-        infos :=
-          { nid = id; produced; last_use = lu; storage = storage_of id node produced lu }
-          :: !infos
-      in
-      match node.Dfg.op with
-      | Op.Read _ -> record 0
-      | Op.Write _ -> () (* a write stores into a variable, it is not a value *)
-      | _ when Dfg.occupies_step g id -> record (Hls_sched.Schedule.step_of sched id)
-      | _ -> ())
-    g;
-  List.rev !infos
+  let values = ref [] in
+  for id = n - 1 downto 0 do
+    let record produced =
+      let lu = Int.max last_use.(id) produced in
+      let storage = storage_of id produced lu in
+      by_node.(id) <- storage;
+      values := { nid = id; produced; last_use = lu; storage } :: !values
+    in
+    match Dfg.op g id with
+    | Op.Read _ -> record 0
+    | Op.Write _ -> () (* a write stores into a variable, it is not a value *)
+    | _ ->
+        let s = Schedule.occupying_step sched id in
+        if s >= 0 then record s
+  done;
+  (!values, by_node, held)
+
+let analyze ?writes sched ~term_cond =
+  let g = Schedule.dfg sched in
+  let writes = match writes with Some ws -> ws | None -> Dfg.writes g in
+  (* the block's own variables, with ids local to this call *)
+  let vars =
+    Array.of_list
+      (List.sort_uniq String.compare (List.map fst (Dfg.reads g) @ List.map fst writes))
+  in
+  let id v =
+    let rec go i = if String.equal vars.(i) v then i else go (i + 1) in
+    go 0
+  in
+  let node_var =
+    Array.init (Dfg.n_nodes g) (fun nid ->
+        match Dfg.op g nid with Op.Read v | Op.Write v -> id v | _ -> -1)
+  in
+  let write_ids = List.map (fun (v, w) -> (id v, w)) writes in
+  let values, _, _ = analyze_block ~vars ~node_var ~write_ids sched ~term_cond in
+  values
 
 let branch_condition cfg bid =
   match Cfg.term cfg bid with Cfg.Branch (c, _, _) -> Some c | Cfg.Goto _ | Cfg.Halt -> None
@@ -113,13 +140,15 @@ let branch_condition cfg bid =
 (* ---- the table: every block of one scheduled CFG ---- *)
 
 type block = {
+  sched : Schedule.t;
   values : value_info list;
   by_node : storage array;
+  held : int array;
   writes : (string * Dfg.nid) list;
   by_step : Dfg.nid list array;
 }
 
-type t = { cs : Hls_sched.Cfg_sched.t; facts : Cfg_facts.t option; blocks : block array }
+type t = { cs : Hls_sched.Cfg_sched.t; facts : Cfg_facts.t; blocks : block array }
 
 let tables = Atomic.make 0
 let tables_built () = Atomic.get tables
@@ -127,84 +156,96 @@ let tables_built () = Atomic.get tables
 let table ?facts cs =
   Atomic.incr tables;
   let cfg = Hls_sched.Cfg_sched.cfg cs in
+  let facts =
+    match facts with Some f -> f | None -> Cfg_facts.make ~outputs:[] cfg
+  in
   let blocks =
-    Array.init (Cfg.n_blocks cfg) (fun bid ->
+    Array.mapi
+      (fun bid (fb : Cfg_facts.block) ->
         let sched = Hls_sched.Cfg_sched.block_schedule cs bid in
-        let writes, term_cond =
-          match facts with
-          | Some (f : Cfg_facts.t) -> (f.blocks.(bid).writes, f.blocks.(bid).cond)
-          | None -> (Dfg.writes (Cfg.dfg cfg bid), branch_condition cfg bid)
+        let values, by_node, held =
+          analyze_block ~vars:facts.Cfg_facts.vars ~node_var:fb.Cfg_facts.node_var
+            ~write_ids:fb.Cfg_facts.write_ids sched ~term_cond:fb.Cfg_facts.cond
         in
-        let values = analyze ~writes sched ~term_cond in
-        let by_node = Array.make (Dfg.n_nodes (Cfg.dfg cfg bid)) No_storage in
-        List.iter (fun info -> by_node.(info.nid) <- info.storage) values;
-        { values; by_node; writes; by_step = Hls_sched.Schedule.by_step sched })
+        { sched; values; by_node; held; writes = fb.Cfg_facts.writes; by_step = Schedule.by_step sched })
+      facts.Cfg_facts.blocks
   in
   { cs; facts; blocks }
 
 let schedule t = t.cs
+let facts t = t.facts
 let values t bid = t.blocks.(bid).values
 let storage t bid nid = t.blocks.(bid).by_node.(nid)
+let held_var t bid nid = t.blocks.(bid).held.(nid)
 let writes t bid = t.blocks.(bid).writes
 let by_step t bid = t.blocks.(bid).by_step
 
-type interference = { vars : string array; conflicts : Bytes.t (* vars x vars *) }
+(* Occupancy and conflicts are bitsets over variable ids, [bits]
+   variables to an int word. *)
+let bits = Sys.int_size
+
+type interference = { vars : string array; words : int; rows : int array }
 
 let vars ix = ix.vars
-let conflict ix i j = Bytes.get ix.conflicts ((i * Array.length ix.vars) + j) <> '\000'
+
+let conflict ix i j = (ix.rows.((i * ix.words) + (j / bits)) lsr (j mod bits)) land 1 <> 0
 
 let interference t ~outputs =
   let facts =
-    match t.facts with
-    | Some f when f.Cfg_facts.outputs = outputs -> f
-    | _ -> Cfg_facts.make ~outputs (Hls_sched.Cfg_sched.cfg t.cs)
+    if t.facts.Cfg_facts.outputs = outputs then t.facts
+    else Cfg_facts.make ~outputs (Hls_sched.Cfg_sched.cfg t.cs)
   in
   let vars = facts.Cfg_facts.vars in
   let nv = Array.length vars in
-  let conflicts = Bytes.make (nv * nv) '\000' in
+  let words = (nv + bits - 1) / bits in
+  let rows = Array.make (nv * words) 0 in
   Array.iteri
     (fun bid blk ->
       let fb = facts.Cfg_facts.blocks.(bid) in
-      let g = Cfg.dfg (Hls_sched.Cfg_sched.cfg t.cs) bid in
-      let sched = Hls_sched.Cfg_sched.block_schedule t.cs bid in
-      let n = Hls_sched.Schedule.n_steps sched in
-      (* held.[k * nv + i]: variable i's register is occupied at step
-         boundary k; members.(k) lists those variables *)
-      let held = Bytes.make ((n + 1) * nv) '\000' in
-      let members = Array.make (n + 1) [] in
-      let last_write = Array.make nv 0 in
+      let n = Schedule.n_steps blk.sched in
+      (* held.(k * words + w): word [w] of the variables whose registers
+         are occupied at step boundary [k] *)
+      let held = Array.make ((n + 1) * words) 0 in
       let occupy i lo hi =
-        for k = max 0 lo to min n hi do
-          if Bytes.get held ((k * nv) + i) = '\000' then begin
-            Bytes.set held ((k * nv) + i) '\001';
-            members.(k) <- i :: members.(k)
-          end
+        let w = i / bits and bit = 1 lsl (i mod bits) in
+        for k = Int.max 0 lo to Int.min n hi do
+          held.((k * words) + w) <- held.((k * words) + w) lor bit
         done
       in
-      let id = Cfg_facts.var_id facts in
       List.iter (fun i -> occupy i 0 0) fb.Cfg_facts.live_in;
       List.iter
         (fun info ->
-          match (info.storage, Dfg.op g info.nid) with
-          | In_variable v, _ -> occupy (id v) info.produced (info.last_use - 1)
-          | Temp iv, Op.Read v -> occupy (id v) 0 (iv.Interval.lo - 1)
-          | (Temp _ | No_storage), _ -> ())
+          match info.storage with
+          | In_variable _ -> occupy blk.held.(info.nid) info.produced (info.last_use - 1)
+          | Temp iv ->
+              (* an entry read an overwrite moved to a temporary *)
+              let v = fb.Cfg_facts.node_var.(info.nid) in
+              if v >= 0 then occupy v 0 (iv.Interval.lo - 1)
+          | No_storage -> ())
         blk.values;
+      let write_step w = Schedule.write_step blk.sched w in
+      List.iter (fun (i, w) -> occupy i (write_step w) (write_step w)) fb.Cfg_facts.write_ids;
       List.iter
-        (fun (i, w) ->
-          let s = Hls_sched.Schedule.write_step sched w in
-          last_write.(i) <- max last_write.(i) s;
-          occupy i s s)
-        fb.Cfg_facts.write_ids;
-      List.iter (fun i -> occupy i last_write.(i) n) fb.Cfg_facts.live_out;
-      Array.iter
-        (fun held_k ->
-          List.iter
-            (fun i -> List.iter (fun j -> Bytes.set conflicts ((i * nv) + j) '\001') held_k)
-            held_k)
-        members)
+        (fun i ->
+          let last =
+            List.fold_left
+              (fun acc (v, w) -> if v = i then Int.max acc (write_step w) else acc)
+              0 fb.Cfg_facts.write_ids
+          in
+          occupy i last n)
+        fb.Cfg_facts.live_out;
+      (* every variable held at a boundary conflicts with all held there *)
+      for k = 0 to n do
+        let base = k * words in
+        for i = 0 to nv - 1 do
+          if (held.(base + (i / bits)) lsr (i mod bits)) land 1 <> 0 then
+            for w = 0 to words - 1 do
+              rows.((i * words) + w) <- rows.((i * words) + w) lor held.(base + w)
+            done
+        done
+      done)
     t.blocks;
-  { vars; conflicts }
+  { vars; words; rows }
 
 let temps infos =
   List.filter_map

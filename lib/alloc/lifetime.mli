@@ -58,8 +58,9 @@ type t
 
 val table : ?facts:Cfg_facts.t -> Hls_sched.Cfg_sched.t -> t
 (** [facts] — the CFG's schedule-free facts — supplies each block's
-    writes and branch condition, and {!interference} reads its liveness
-    instead of running the analysis again. *)
+    writes, variable ids and branch condition, and {!interference} reads
+    its liveness instead of running the analysis again; without it the
+    table analyzes the CFG itself. *)
 
 val tables_built : unit -> int
 (** Tables built by this process so far, on any domain: a work count for
@@ -68,12 +69,20 @@ val tables_built : unit -> int
 val schedule : t -> Hls_sched.Cfg_sched.t
 (** The scheduled CFG the table was built from. *)
 
+val facts : t -> Cfg_facts.t
+(** The CFG facts the table was built over: its variable ids are the
+    ones {!held_var} and {!interference} use. *)
+
 val values : t -> Cfg.bid -> value_info list
 (** The block's stored values, in node-id order. *)
 
 val storage : t -> Cfg.bid -> Dfg.nid -> storage
 (** Classification of one node; [No_storage] for nodes that are not
     stored values (constants, free operations, writes). *)
+
+val held_var : t -> Cfg.bid -> Dfg.nid -> int
+(** The {!Cfg_facts} id of the variable whose register holds an
+    [In_variable] value; [-1] for every other node. *)
 
 val writes : t -> Cfg.bid -> (string * Dfg.nid) list
 (** The block's {!Dfg.writes}. *)
@@ -111,7 +120,8 @@ val interference : t -> outputs:string list -> interference
       live out of the block.
 
     Two variables conflict when their registers are occupied at one
-    boundary of one block. The write term keeps two variables written
+    boundary of one block. Occupancy is a bitset over variable ids per
+    boundary, and each variable's conflicts a bitset row. The write term keeps two variables written
     in the same step apart (a register latches one value per cycle);
     the entry and exit terms carry block-boundary liveness. *)
 

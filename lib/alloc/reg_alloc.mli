@@ -44,7 +44,26 @@ val n_temp_registers : t -> int
 
 val register_of_var : t -> string -> string
 (** Physical register name holding a variable (a shared register is named
-    after the first variable of its group). *)
+    after the first variable of its group); a name that is no variable
+    of the program is its own register. *)
+
+(** {2 Registers as ints}
+
+    Each register name is interned once per allocation: register [r] of
+    [0 .. n_names - 1] is named {!name}[ r]. Variables are numbered by
+    their {!Cfg_facts} ids (the schedule's {!Lifetime.facts}). *)
+
+val n_names : t -> int
+val name : t -> int -> string
+
+val var_register : t -> int -> int
+(** The register holding the variable of the given id. *)
+
+val temp_register_id : t -> Cfg.bid -> Dfg.nid -> int
+(** The temporary register holding a value, [-1] if it needs none. *)
+
+val find_register : t -> string -> int
+(** The register of that name, [-1] if there is none (a linear scan). *)
 
 val n_variable_registers : t -> int
 

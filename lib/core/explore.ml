@@ -242,7 +242,7 @@ module Bound = struct
      schedule the same CFG can carry — including whatever refinement
      ships for an [iterate > 0] point. *)
   let critical_steps (o : Flow.optimized) =
-    let freq = Hls_cdfg.Cfg.exec_frequencies o.Flow.o_cfg in
+    let freq = o.Flow.o_facts.Hls_alloc.Cfg_facts.freq in
     Array.fold_left ( + ) 0
       (Array.mapi (fun bid dep -> Depgraph.critical_length dep * freq.(bid)) o.Flow.o_deps)
 

@@ -464,7 +464,7 @@ let schedule ?block options o =
       let f =
         match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid ()
       in
-      Cfg_sched.init o.o_cfg f)
+      Cfg_sched.init ~freq:o.o_facts.Hls_alloc.Cfg_facts.freq o.o_cfg f)
 
 (* ---- design-level lint ------------------------------------------------ *)
 

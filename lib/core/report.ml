@@ -2,7 +2,7 @@
 
 let schedule_table (d : Flow.design) =
   let buf = Buffer.create 512 in
-  let freq = Hls_cdfg.Cfg.exec_frequencies (Hls_sched.Cfg_sched.cfg d.Flow.sched) in
+  let freq = Hls_sched.Cfg_sched.frequencies d.Flow.sched in
   Hls_cdfg.Cfg.iter
     (fun bid b ->
       let sched = Hls_sched.Cfg_sched.block_schedule d.Flow.sched bid in

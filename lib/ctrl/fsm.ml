@@ -11,59 +11,59 @@ type t = {
   trans : transition list;
   entry_sid : int;
   done_sid : int;
-  index : (Cfg.bid * int, int) Hashtbl.t;
+  first : int array;  (* block -> state id of its step 1 *)
+  n_steps : int array;  (* block -> its step count *)
 }
 
+(* A block's states are consecutive: (bid, step) is state
+   [first.(bid) + step - 1]. *)
 let of_schedule cs =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let index = Hashtbl.create 32 in
+  let nb = Cfg.n_blocks cfg in
+  let n_steps =
+    Array.init nb (fun bid ->
+        Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid))
+  in
+  let first = Array.make nb 0 in
   let states = ref [] in
   let next = ref 0 in
-  List.iter
-    (fun bid ->
-      let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
-      for step = 1 to n do
-        let sid = !next in
-        incr next;
-        Hashtbl.replace index (bid, step) sid;
-        states := { sid; block = bid; step } :: !states
-      done)
-    (Cfg.block_ids cfg);
+  for bid = 0 to nb - 1 do
+    first.(bid) <- !next;
+    for step = 1 to n_steps.(bid) do
+      states := { sid = !next; block = bid; step } :: !states;
+      incr next
+    done
+  done;
   let done_sid = !next in
   states := { sid = done_sid; block = -1; step = 0 } :: !states;
-  let first_state bid = Hashtbl.find index (bid, 1) in
+  let first_state bid = first.(bid) in
   let trans = ref [] in
-  List.iter
-    (fun bid ->
-      let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
-      for step = 1 to n - 1 do
+  for bid = 0 to nb - 1 do
+    let n = n_steps.(bid) in
+    for step = 1 to n - 1 do
+      let sid = first.(bid) + step - 1 in
+      trans := { t_from = sid; t_guard = G_always; t_to = sid + 1 } :: !trans
+    done;
+    let last = first.(bid) + n - 1 in
+    match Cfg.term cfg bid with
+    | Cfg.Goto target ->
+        trans := { t_from = last; t_guard = G_always; t_to = first_state target } :: !trans
+    | Cfg.Branch (cond, bt, bf) ->
         trans :=
-          {
-            t_from = Hashtbl.find index (bid, step);
-            t_guard = G_always;
-            t_to = Hashtbl.find index (bid, step + 1);
-          }
+          { t_from = last; t_guard = G_cond (true, cond); t_to = first_state bt }
+          :: { t_from = last; t_guard = G_cond (false, cond); t_to = first_state bf }
           :: !trans
-      done;
-      let last = Hashtbl.find index (bid, n) in
-      match Cfg.term cfg bid with
-      | Cfg.Goto target ->
-          trans := { t_from = last; t_guard = G_always; t_to = first_state target } :: !trans
-      | Cfg.Branch (cond, bt, bf) ->
-          trans :=
-            { t_from = last; t_guard = G_cond (true, cond); t_to = first_state bt }
-            :: { t_from = last; t_guard = G_cond (false, cond); t_to = first_state bf }
-            :: !trans
-      | Cfg.Halt ->
-          trans := { t_from = last; t_guard = G_always; t_to = done_sid } :: !trans)
-    (Cfg.block_ids cfg);
+    | Cfg.Halt ->
+        trans := { t_from = last; t_guard = G_always; t_to = done_sid } :: !trans
+  done;
   trans := { t_from = done_sid; t_guard = G_always; t_to = done_sid } :: !trans;
   {
     state_list = List.rev !states;
     trans = List.rev !trans;
     entry_sid = first_state (Cfg.entry cfg);
     done_sid;
-    index;
+    first;
+    n_steps;
   }
 
 let states t = t.state_list
@@ -71,7 +71,10 @@ let n_states t = List.length t.state_list
 let transitions t = t.trans
 let entry t = t.entry_sid
 let done_state t = t.done_sid
-let state_of t bid step = Hashtbl.find t.index (bid, step)
+let state_of t bid step =
+  if bid < 0 || bid >= Array.length t.first || step < 1 || step > t.n_steps.(bid) then
+    raise Not_found
+  else t.first.(bid) + step - 1
 let outgoing t sid = List.filter (fun tr -> tr.t_from = sid) t.trans
 
 let pp ppf t =

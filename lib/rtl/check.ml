@@ -13,40 +13,72 @@ let rules =
     ("RTL009", "activation references a unit that does not exist");
   ]
 
+(* A dense [rows x cols] flag matrix; indices outside it read unset. *)
+let flags rows cols = (Bytes.make (Int.max 0 (rows * cols)) '\000', cols)
+let mem (b, cols) i j = i >= 0 && j >= 0 && j < cols && (i * cols) + j < Bytes.length b && Bytes.get b ((i * cols) + j) <> '\000'
+let set (b, cols) i j = if i >= 0 && j >= 0 && j < cols && (i * cols) + j < Bytes.length b then Bytes.set b ((i * cols) + j) '\001'
+
 let diagnostics (dp : Datapath.t) =
   let ds = ref [] in
   let add d = ds := d :: !ds in
-  let reg_exists name =
-    List.exists (fun (r : Datapath.reg_def) -> r.Datapath.rname = name) dp.Datapath.regs
+  (* registers by name: binary search over the sorted names *)
+  let names = Array.of_list dp.Datapath.regs in
+  Array.sort (fun (a : Datapath.reg_def) b -> String.compare a.Datapath.rname b.Datapath.rname) names;
+  let reg_index name =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let c = String.compare name names.(mid).Datapath.rname in
+        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length names)
   in
-  let check_wire entity ctx w =
+  let reg_exists name = reg_index name >= 0 in
+  (* the diagnostic context is formatted only for a wire that fails *)
+  let missing_regs entity ctx w =
     List.iter
       (fun r ->
         if not (reg_exists r) then
-          add (error Rtl ~code:"RTL001" entity "%s reads missing register %s" ctx r))
+          add (error Rtl ~code:"RTL001" entity "%s reads missing register %s" (ctx ()) r))
       (Wire.regs_read w)
   in
-  let active fu state =
-    List.exists
-      (fun (a : Datapath.activity) -> a.Datapath.a_fu = fu && a.Datapath.a_state = state)
-      dp.Datapath.activities
+  (* units by id; states (and unit ids) are dense, so (unit, state)
+     facts are flag matrices *)
+  let n_fus =
+    List.fold_left (fun acc (f : Datapath.fu_def) -> Int.max acc (f.Datapath.fuid + 1)) 0 dp.Datapath.fus
   in
+  let units = Array.make n_fus None in
+  List.iter
+    (fun (f : Datapath.fu_def) ->
+      if f.Datapath.fuid >= 0 && units.(f.Datapath.fuid) = None then
+        units.(f.Datapath.fuid) <- Some f)
+    dp.Datapath.fus;
+  let n_states =
+    List.fold_left
+      (fun acc (l : Datapath.load) -> Int.max acc (l.Datapath.l_state + 1))
+      (List.fold_left
+         (fun acc (a : Datapath.activity) -> Int.max acc (a.Datapath.a_state + 1))
+         (Hls_ctrl.Fsm.n_states dp.Datapath.fsm) dp.Datapath.activities)
+      dp.Datapath.loads
+  in
+  let n_units =
+    List.fold_left (fun acc (a : Datapath.activity) -> Int.max acc (a.Datapath.a_fu + 1)) n_fus dp.Datapath.activities
+  in
+  let active = flags n_units n_states in
+  List.iter (fun (a : Datapath.activity) -> set active a.Datapath.a_fu a.Datapath.a_state) dp.Datapath.activities;
+  let no_unit _ = false in
   (* activations *)
-  let seen_fu_state = Hashtbl.create 32 in
+  let seen_fu_state = flags n_units n_states in
   List.iter
     (fun (a : Datapath.activity) ->
-      let key = (a.Datapath.a_fu, a.Datapath.a_state) in
-      if Hashtbl.mem seen_fu_state key then
+      if mem seen_fu_state a.Datapath.a_fu a.Datapath.a_state then
         add
           (error Rtl ~code:"RTL002" (Fu a.Datapath.a_fu)
              "functional unit %d double-booked in state %d" a.Datapath.a_fu
              a.Datapath.a_state)
-      else Hashtbl.add seen_fu_state key ();
-      (match
-         List.find_opt
-           (fun (f : Datapath.fu_def) -> f.Datapath.fuid = a.Datapath.a_fu)
-           dp.Datapath.fus
-       with
+      else set seen_fu_state a.Datapath.a_fu a.Datapath.a_state;
+      (match if a.Datapath.a_fu >= 0 && a.Datapath.a_fu < n_fus then units.(a.Datapath.a_fu) else None with
       | None ->
           add
             (error Rtl ~code:"RTL009" (State a.Datapath.a_state)
@@ -57,52 +89,76 @@ let diagnostics (dp : Datapath.t) =
               (error Rtl ~code:"RTL003" (Fu f.Datapath.fuid) "unit %d (%s) cannot execute %s"
                  f.Datapath.fuid f.Datapath.comp.Component.cname
                  (Hls_cdfg.Op.to_string a.Datapath.a_op)));
-      List.iter
-        (check_wire (Fu a.Datapath.a_fu) (Printf.sprintf "fu%d input" a.Datapath.a_fu))
-        a.Datapath.a_args;
+      let rec check_args = function
+        | [] -> ()
+        | w :: rest ->
+            if not (Wire.for_all_regs reg_exists w) then
+              missing_regs (Fu a.Datapath.a_fu)
+                (fun () -> Printf.sprintf "fu%d input" a.Datapath.a_fu)
+                w;
+            check_args rest
+      in
+      check_args a.Datapath.a_args;
       (* FU inputs must not depend on same-state FU outputs *)
-      List.iter
-        (fun w ->
-          if Wire.fus_read w <> [] then
-            add
-              (error Rtl ~code:"RTL004" (Fu a.Datapath.a_fu)
-                 "unit %d input chains another unit's output in state %d (unsupported chaining)"
-                 a.Datapath.a_fu a.Datapath.a_state))
-        a.Datapath.a_args)
+      let rec check_chaining = function
+        | [] -> ()
+        | w :: rest ->
+            if not (Wire.for_all_fus no_unit w) then
+              add
+                (error Rtl ~code:"RTL004" (Fu a.Datapath.a_fu)
+                   "unit %d input chains another unit's output in state %d (unsupported chaining)"
+                   a.Datapath.a_fu a.Datapath.a_state);
+            check_chaining rest
+      in
+      check_chaining a.Datapath.a_args)
     dp.Datapath.activities;
-  (* loads *)
-  let seen_reg_state = Hashtbl.create 32 in
+  (* any FU outputs a wire consumes must be active in its state *)
+  let idle_units entity ctx state w =
+    List.iter
+      (fun u -> if not (mem active u state) then add (error Rtl ~code:"RTL007" entity "%s" (ctx u)))
+      (Wire.fus_read w)
+  in
+  (* loads; a load into a missing register is keyed by its name *)
+  let seen_reg_state = flags (Array.length names) n_states in
+  let seen_missing = ref [] in
   List.iter
     (fun (l : Datapath.load) ->
-      let key = (l.Datapath.l_reg, l.Datapath.l_state) in
-      if Hashtbl.mem seen_reg_state key then
+      let r = reg_index l.Datapath.l_reg in
+      let seen =
+        if r >= 0 then mem seen_reg_state r l.Datapath.l_state
+        else List.mem (l.Datapath.l_reg, l.Datapath.l_state) !seen_missing
+      in
+      if seen then
         add
           (error Rtl ~code:"RTL005" (Register l.Datapath.l_reg)
              "register %s double-driven in state %d" l.Datapath.l_reg l.Datapath.l_state)
-      else Hashtbl.add seen_reg_state key ();
-      if not (reg_exists l.Datapath.l_reg) then
+      else if r >= 0 then set seen_reg_state r l.Datapath.l_state
+      else seen_missing := (l.Datapath.l_reg, l.Datapath.l_state) :: !seen_missing;
+      if r < 0 then
         add
           (error Rtl ~code:"RTL006" (Register l.Datapath.l_reg)
              "load into missing register %s" l.Datapath.l_reg);
-      check_wire (Register l.Datapath.l_reg)
-        (Printf.sprintf "load of %s" l.Datapath.l_reg)
-        l.Datapath.l_wire;
-      (* any FU outputs consumed must be active in this state *)
-      List.iter
-        (fun u ->
-          if not (active u l.Datapath.l_state) then
-            add
-              (error Rtl ~code:"RTL007" (Register l.Datapath.l_reg)
-                 "load of %s in state %d consumes idle unit %d" l.Datapath.l_reg
-                 l.Datapath.l_state u))
-        (Wire.fus_read l.Datapath.l_wire))
+      if not (Wire.for_all_regs reg_exists l.Datapath.l_wire) then
+        missing_regs (Register l.Datapath.l_reg)
+          (fun () -> Printf.sprintf "load of %s" l.Datapath.l_reg)
+          l.Datapath.l_wire;
+      let state = l.Datapath.l_state in
+      if not (Wire.for_all_fus (fun u -> mem active u state) l.Datapath.l_wire) then
+        idle_units (Register l.Datapath.l_reg)
+          (fun u ->
+            Printf.sprintf "load of %s in state %d consumes idle unit %d" l.Datapath.l_reg state u)
+          state l.Datapath.l_wire)
     dp.Datapath.loads;
-  (* branch conditions *)
+  (* branch conditions: the first condition wire of a state is its own *)
+  let n_cond_states = List.fold_left (fun acc (s, _) -> Int.max acc (s + 1)) n_states dp.Datapath.conds in
+  let has_cond = Array.make n_cond_states false in
+  List.iter (fun (s, _) -> if s >= 0 then has_cond.(s) <- true) dp.Datapath.conds;
   List.iter
     (fun (tr : Hls_ctrl.Fsm.transition) ->
       match tr.Hls_ctrl.Fsm.t_guard with
       | Hls_ctrl.Fsm.G_cond _ ->
-          if Datapath.cond_wire dp tr.Hls_ctrl.Fsm.t_from = None then
+          let s = tr.Hls_ctrl.Fsm.t_from in
+          if not (s >= 0 && s < n_cond_states && has_cond.(s)) then
             add
               (error Rtl ~code:"RTL008" (State tr.Hls_ctrl.Fsm.t_from)
                  "state %d branches without a condition wire" tr.Hls_ctrl.Fsm.t_from)
@@ -110,14 +166,12 @@ let diagnostics (dp : Datapath.t) =
     (Hls_ctrl.Fsm.transitions dp.Datapath.fsm);
   List.iter
     (fun (state, w) ->
-      check_wire (State state) (Printf.sprintf "condition of state %d" state) w;
-      List.iter
-        (fun u ->
-          if not (active u state) then
-            add
-              (error Rtl ~code:"RTL007" (State state)
-                 "condition of state %d consumes idle unit %d" state u))
-        (Wire.fus_read w))
+      if not (Wire.for_all_regs reg_exists w) then
+        missing_regs (State state) (fun () -> Printf.sprintf "condition of state %d" state) w;
+      if not (Wire.for_all_fus (fun u -> mem active u state) w) then
+        idle_units (State state)
+          (fun u -> Printf.sprintf "condition of state %d consumes idle unit %d" state u)
+          state w)
     dp.Datapath.conds;
   List.rev !ds
 

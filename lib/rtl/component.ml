@@ -94,17 +94,20 @@ let min_delay_ns cls =
   in
   if d = infinity then 0.0 else d
 
+(* the cheapest capable component at 32 bits, the first in library order
+   among equals *)
 let bind ~cls ~ops =
-  let candidates =
-    List.filter
-      (fun c -> c.cls = cls && List.for_all (fun op -> executes c op) ops)
-      library
+  let best =
+    List.fold_left
+      (fun best c ->
+        if c.cls = cls && List.for_all (fun op -> executes c op) ops then
+          match best with
+          | Some b when area b ~width:32 <= area c ~width:32 -> best
+          | _ -> Some c
+        else best)
+      None library
   in
-  match
-    List.sort (fun a b -> compare (area a ~width:32) (area b ~width:32)) candidates
-  with
-  | c :: _ -> c
-  | [] -> raise Not_found
+  match best with Some c -> c | None -> raise Not_found
 
 let register_area ~width = 8 * width
 

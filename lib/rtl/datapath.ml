@@ -31,66 +31,77 @@ type t = {
 let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
   let cfg = Hls_sched.Cfg_sched.cfg cs in
   let lt = match lifetimes with Some lt -> lt | None -> Lifetime.table cs in
+  let facts = Lifetime.facts lt in
   let fsm = Hls_ctrl.Fsm.of_schedule cs in
   (* storage width of one node's value: declared type width by default,
      or the caller's (range-inferred) narrowing *)
   let nb bid nid (node : Dfg.node) =
     match node_bits with Some f -> f bid nid | None -> Op.bits_of node.Dfg.ty
   in
-  (* ---- register inventory ---- *)
-  let widths : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let kinds : (string, [ `In_port | `Out_port | `Var | `Temp ]) Hashtbl.t =
-    Hashtbl.create 16
+  (* ---- register inventory, by register id: the allocator's registers,
+     then any port no variable names ---- *)
+  let n_alloc = Reg_alloc.n_names regs in
+  let extra = ref [] in
+  let port_reg p =
+    match Cfg_facts.find_var facts p with
+    | Some i -> Reg_alloc.var_register regs i
+    | None -> (
+        let r = Reg_alloc.find_register regs p in
+        if r >= 0 then r
+        else
+          match List.find_opt (fun (name, _) -> String.equal name p) !extra with
+          | Some (_, r) -> r
+          | None ->
+              let r = n_alloc + List.length !extra in
+              extra := (p, r) :: !extra;
+              r)
   in
-  let note_reg name width kind =
-    let cur = match Hashtbl.find_opt widths name with Some w -> w | None -> 0 in
-    Hashtbl.replace widths name (max cur width);
-    (* port kinds take precedence over Var *)
-    match (Hashtbl.find_opt kinds name, kind) with
-    | Some (`In_port | `Out_port), _ -> ()
-    | _, k -> Hashtbl.replace kinds name k
+  let port_regs = List.map (fun (p, dir, ty) -> (port_reg p, dir, ty)) ports in
+  let n_regs = n_alloc + List.length !extra in
+  let name r = if r < n_alloc then Reg_alloc.name regs r else fst (List.find (fun (_, r') -> r' = r) !extra) in
+  let widths = Array.make n_regs (-1) in
+  let kinds = Array.make n_regs `Var in
+  let note_reg r width kind =
+    if widths.(r) < 0 then kinds.(r) <- kind
+    else begin
+      (* port kinds take precedence over Var *)
+      match kinds.(r) with `In_port | `Out_port -> () | _ -> kinds.(r) <- kind
+    end;
+    widths.(r) <- Int.max (max 0 widths.(r)) width
   in
   List.iter
-    (fun (p, dir, ty) ->
-      note_reg
-        (Reg_alloc.register_of_var regs p)
-        (Op.bits_of ty)
-        (match dir with `In -> `In_port | `Out -> `Out_port))
-    ports;
-  (* a temp register's width is the max over the values sharing its track *)
-  List.iter
-    (fun bid ->
+    (fun (r, dir, ty) ->
+      note_reg r (Op.bits_of ty) (match dir with `In -> `In_port | `Out -> `Out_port))
+    port_regs;
+  (* a temp register's width is the Int.max over the values sharing its track *)
+  Array.iteri
+    (fun bid (fb : Cfg_facts.block) ->
       Dfg.iter
         (fun nid node ->
-          (match node.Dfg.op with
-          | Op.Read v | Op.Write v ->
-              note_reg (Reg_alloc.register_of_var regs v) (nb bid nid node) `Var
-          | _ -> ());
-          match Reg_alloc.temp_register regs bid nid with
-          | Some name -> note_reg name (nb bid nid node) `Temp
-          | None -> ())
+          let v = fb.Cfg_facts.node_var.(nid) in
+          if v >= 0 then note_reg (Reg_alloc.var_register regs v) (nb bid nid node) `Var;
+          let t = Reg_alloc.temp_register_id regs bid nid in
+          if t >= 0 then note_reg t (nb bid nid node) `Temp)
         (Cfg.dfg cfg bid))
-    (Cfg.block_ids cfg);
-  let reg_defs =
-    Hashtbl.fold
-      (fun name width acc ->
-        { rname = name; rwidth = width; rkind = Hashtbl.find kinds name } :: acc)
-      widths []
-    |> List.sort (fun a b -> compare a.rname b.rname)
-  in
+    facts.Cfg_facts.blocks;
+  let reg_defs = ref [] in
+  for r = n_regs - 1 downto 0 do
+    if widths.(r) >= 0 then
+      reg_defs := { rname = name r; rwidth = widths.(r); rkind = kinds.(r) } :: !reg_defs
+  done;
+  let reg_defs = List.sort (fun a b -> String.compare a.rname b.rname) !reg_defs in
   (* ---- wire construction: the interconnect names the net a value is
      read from; a free chain's root expands into its logic over the nets
      its operands are read from at the same step ---- *)
   let resolver = Interconnect.resolver ~lifetimes:lt cs ~fu ~regs in
-  let rec wire_for bid nid ~step =
-    let g = Cfg.dfg cfg bid in
+  let rec wire_for g bid nid ~step =
     let node = Dfg.node g nid in
-    let go a = wire_for bid a ~step in
     match Interconnect.resolve resolver bid nid ~step with
     | Interconnect.W_fu_out u -> Wire.W_fu_out (u, node.Dfg.ty)
     | Interconnect.W_reg name -> Wire.W_reg name
     | Interconnect.W_const c -> Wire.W_const (c, node.Dfg.ty)
     | Interconnect.W_wire _ -> (
+        let go a = wire_for g bid a ~step in
         match (node.Dfg.op, node.Dfg.args) with
         | Op.Shl, [ a; amount ] | Op.Shr, [ a; amount ] -> (
             match (Dfg.op g amount, node.Dfg.op) with
@@ -103,85 +114,76 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
             invalid_arg
               (Printf.sprintf "Datapath: malformed free operation %s" (Op.to_string op)))
   in
-  (* ---- functional units and their activations ---- *)
-  let fu_widths : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let fu_ops : (int, Op.t list) Hashtbl.t = Hashtbl.create 8 in
+  let rec wires_for g bid args ~step =
+    match args with [] -> [] | a :: rest -> wire_for g bid a ~step :: wires_for g bid rest ~step
+  in
+  (* ---- functional units and their activations, by unit id ---- *)
+  let n_fus = List.fold_left (fun acc (i : Fu_alloc.instance) -> Int.max acc (i.Fu_alloc.fu_id + 1)) 0 fu.Fu_alloc.instances in
+  let fu_widths = Array.make n_fus 1 in
+  let fu_ops = Array.make n_fus [] in
   let activities = ref [] in
-  List.iter
-    (fun (r : Fu_alloc.op_ref) ->
-      let g = Cfg.dfg cfg r.Fu_alloc.bid in
-      let node = Dfg.node g r.Fu_alloc.nid in
-      let unit_id = Fu_alloc.of_op fu (r.Fu_alloc.bid, r.Fu_alloc.nid) in
-      let state = Hls_ctrl.Fsm.state_of fsm r.Fu_alloc.bid r.Fu_alloc.step in
-      let args =
-        List.map (fun a -> wire_for r.Fu_alloc.bid a ~step:r.Fu_alloc.step) node.Dfg.args
-      in
-      let cur_w = match Hashtbl.find_opt fu_widths unit_id with Some w -> w | None -> 1 in
-      Hashtbl.replace fu_widths unit_id
-        (max cur_w (nb r.Fu_alloc.bid r.Fu_alloc.nid node));
-      let cur_ops = match Hashtbl.find_opt fu_ops unit_id with Some l -> l | None -> [] in
-      Hashtbl.replace fu_ops unit_id (node.Dfg.op :: cur_ops);
-      activities :=
-        {
-          a_state = state;
-          a_fu = unit_id;
-          a_op = node.Dfg.op;
-          a_ty = node.Dfg.ty;
-          a_args = args;
-        }
-        :: !activities)
-    (Fu_alloc.collect ~lifetimes:lt cs);
+  for bid = 0 to Cfg.n_blocks cfg - 1 do
+    let g = Cfg.dfg cfg bid in
+    Array.iteri
+      (fun step nids ->
+        List.iter
+          (fun nid ->
+            let node = Dfg.node g nid in
+            let unit_id = Fu_alloc.of_op fu bid nid in
+            let args = wires_for g bid node.Dfg.args ~step in
+            if unit_id < n_fus then begin
+              fu_widths.(unit_id) <- Int.max fu_widths.(unit_id) (nb bid nid node);
+              fu_ops.(unit_id) <- node.Dfg.op :: fu_ops.(unit_id)
+            end;
+            activities :=
+              {
+                a_state = Hls_ctrl.Fsm.state_of fsm bid step;
+                a_fu = unit_id;
+                a_op = node.Dfg.op;
+                a_ty = node.Dfg.ty;
+                a_args = args;
+              }
+              :: !activities)
+          nids)
+      (Lifetime.by_step lt bid)
+  done;
   let fus =
     List.map
       (fun (inst : Fu_alloc.instance) ->
         let fuid = inst.Fu_alloc.fu_id in
-        let ops = match Hashtbl.find_opt fu_ops fuid with Some l -> l | None -> [] in
-        let comp = Component.bind ~cls:inst.Fu_alloc.fu_cls ~ops in
-        let fwidth = match Hashtbl.find_opt fu_widths fuid with Some w -> w | None -> 1 in
-        { fuid; comp; fwidth })
+        let comp = Component.bind ~cls:inst.Fu_alloc.fu_cls ~ops:fu_ops.(fuid) in
+        { fuid; comp; fwidth = fu_widths.(fuid) })
       fu.Fu_alloc.instances
   in
   (* ---- register loads ---- *)
-  let loads =
-    List.concat_map
-      (fun bid ->
-        List.map
-          (fun (reg, nid, step) ->
-            {
-              l_state = Hls_ctrl.Fsm.state_of fsm bid step;
-              l_reg = reg;
-              l_wire = wire_for bid nid ~step;
-            })
-          (Interconnect.latches resolver bid))
-      (Cfg.block_ids cfg)
-  in
+  let loads = ref [] in
+  for bid = 0 to Cfg.n_blocks cfg - 1 do
+    let g = Cfg.dfg cfg bid in
+    Interconnect.iter_latches resolver bid (fun reg nid step ->
+        loads :=
+          { l_state = Hls_ctrl.Fsm.state_of fsm bid step; l_reg = name reg; l_wire = wire_for g bid nid ~step }
+          :: !loads)
+  done;
   (* ---- branch conditions ---- *)
   let conds =
     List.filter_map
       (fun bid ->
-        match Cfg.term cfg bid with
-        | Cfg.Branch (c, _, _) ->
+        match facts.Cfg_facts.blocks.(bid).Cfg_facts.cond with
+        | Some c ->
             let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
             let state = Hls_ctrl.Fsm.state_of fsm bid n in
-            Some (state, wire_for bid c ~step:n)
-        | Cfg.Goto _ | Cfg.Halt -> None)
+            Some (state, wire_for (Cfg.dfg cfg bid) bid c ~step:n)
+        | None -> None)
       (Cfg.block_ids cfg)
   in
   {
     regs = reg_defs;
     fus;
     activities = List.rev !activities;
-    loads;
+    loads = List.rev !loads;
     conds;
     fsm;
   }
-
-let reg_width t name =
-  match List.find_opt (fun r -> r.rname = name) t.regs with
-  | Some r -> r.rwidth
-  | None -> raise Not_found
-
-let fu_of t id = List.find (fun f -> f.fuid = id) t.fus
 
 let activities_in t state = List.filter (fun a -> a.a_state = state) t.activities
 

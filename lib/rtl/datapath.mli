@@ -52,11 +52,6 @@ val build :
     area-only and bit-identical by construction. [lifetimes] is the
     schedule's table, built here when absent. *)
 
-val reg_width : t -> string -> int
-(** Raises [Not_found] for unknown registers. *)
-
-val fu_of : t -> int -> fu_def
-
 val activities_in : t -> int -> activity list
 (** Activations of a state. *)
 

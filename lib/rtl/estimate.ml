@@ -18,49 +18,74 @@ type t = {
    the functional unit's bound width for operand ports, the register's
    width for load ports. Unknown destinations are datapath construction
    bugs, not 16-bit guesses. *)
-let net (w : Wire.t) =
-  match w with Wire.W_fu_out (u, _) -> `Fu u | Wire.W_const (c, _) -> `Const c | w -> `Wire w
+let same_net (a : Wire.t) (b : Wire.t) =
+  match (a, b) with
+  | Wire.W_fu_out (u, _), Wire.W_fu_out (v, _) -> u = v
+  | Wire.W_const (c, _), Wire.W_const (d, _) -> c = d
+  | (Wire.W_fu_out _ | Wire.W_const _), _ | _, (Wire.W_fu_out _ | Wire.W_const _) -> false
+  | _ -> Wire.equal a b
 
-let mux_area_of (dp : Datapath.t) =
-  let by_dest = Hashtbl.create 32 in
-  let note key width wire =
-    let have =
-      match Hashtbl.find_opt by_dest key with Some (_, ns) -> ns | None -> []
-    in
-    let n = net wire in
-    if not (List.mem n have) then Hashtbl.replace by_dest key (width, n :: have)
+(* The datapath's units by id and its registers by position in [regs]
+   (ascending by name), read once per estimate. *)
+let unit_table (dp : Datapath.t) =
+  let n = List.fold_left (fun acc (f : Datapath.fu_def) -> Int.max acc (f.Datapath.fuid + 1)) 0 dp.Datapath.fus in
+  let units = Array.make n None in
+  List.iter
+    (fun (f : Datapath.fu_def) ->
+      if units.(f.Datapath.fuid) = None then units.(f.Datapath.fuid) <- Some f)
+    dp.Datapath.fus;
+  ( n,
+    fun id ->
+      match if id >= 0 && id < n then units.(id) else None with
+      | Some f -> f
+      | None -> invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
+  )
+
+let reg_position regs name =
+  let rec go lo hi =
+    if lo >= hi then
+      invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
+    else
+      let mid = (lo + hi) / 2 in
+      let c = String.compare name regs.(mid).Datapath.rname in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
   in
-  let fu_width id =
-    match List.find_opt (fun (f : Datapath.fu_def) -> f.Datapath.fuid = id) dp.Datapath.fus
-    with
-    | Some f -> f.Datapath.fwidth
-    | None ->
-        invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
+  go 0 (Array.length regs)
+
+let mux_area_of (dp : Datapath.t) ~n_units ~unit_of =
+  let regs = Array.of_list dp.Datapath.regs in
+  let arity =
+    List.fold_left (fun acc (a : Datapath.activity) -> Int.max acc (List.length a.Datapath.a_args)) 0 dp.Datapath.activities
   in
-  let reg_w name =
-    match Datapath.reg_width dp name with
-    | w -> w
-    | exception Not_found ->
-        invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
-  in
+  (* distinct nets per unit input port ([fuid * arity + pos]) and per
+     register input *)
+  let port_nets = Array.make (n_units * arity) [] and reg_nets = Array.make (Array.length regs) [] in
+  let note nets i w = if not (List.exists (same_net w) nets.(i)) then nets.(i) <- w :: nets.(i) in
   List.iter
     (fun (a : Datapath.activity) ->
-      let width = fu_width a.Datapath.a_fu in
-      List.iteri
-        (fun pos w -> note (Hls_alloc.Interconnect.D_fu_in (a.Datapath.a_fu, pos)) width w)
-        a.Datapath.a_args)
+      let u = a.Datapath.a_fu in
+      ignore (unit_of u);
+      List.iteri (fun pos w -> note port_nets ((u * arity) + pos) w) a.Datapath.a_args)
     dp.Datapath.activities;
   List.iter
-    (fun (l : Datapath.load) ->
-      note (Hls_alloc.Interconnect.D_reg l.Datapath.l_reg) (reg_w l.Datapath.l_reg)
-        l.Datapath.l_wire)
+    (fun (l : Datapath.load) -> note reg_nets (reg_position regs l.Datapath.l_reg) l.Datapath.l_wire)
     dp.Datapath.loads;
-  Hashtbl.fold
-    (fun _ (width, nets) acc ->
-      acc + Component.mux_area ~inputs:(List.length nets) ~width)
-    by_dest 0
+  let area = ref 0 in
+  Array.iteri
+    (fun i nets ->
+      if nets <> [] then
+        area :=
+          !area
+          + Component.mux_area ~inputs:(List.length nets)
+              ~width:(unit_of (i / arity)).Datapath.fwidth)
+    port_nets;
+  Array.iteri
+    (fun i nets ->
+      area := !area + Component.mux_area ~inputs:(List.length nets) ~width:regs.(i).Datapath.rwidth)
+    reg_nets;
+  !area
 
-let cycle_time (dp : Datapath.t) =
+let cycle_time (dp : Datapath.t) ~unit_of =
   (* worst state: register read + input mux + FU + output wiring + setup *)
   let worst = ref Component.register_delay_ns in
   List.iter
@@ -68,7 +93,7 @@ let cycle_time (dp : Datapath.t) =
       let input_delay =
         List.fold_left (fun acc w -> max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
       in
-      let f = Datapath.fu_of dp a.Datapath.a_fu in
+      let f = unit_of a.Datapath.a_fu in
       let d =
         Component.register_delay_ns +. Component.mux_delay_ns +. input_delay
         +. f.Datapath.comp.Component.delay_ns
@@ -97,7 +122,8 @@ let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =
       (fun acc (r : Datapath.reg_def) -> acc + Component.register_area ~width:r.Datapath.rwidth)
       0 dp.Datapath.regs
   in
-  let mux_area = mux_area_of dp in
+  let n_units, unit_of = unit_table dp in
+  let mux_area = mux_area_of dp ~n_units ~unit_of in
   let ctrl =
     match ctrl with
     | Some c -> c
@@ -107,7 +133,7 @@ let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =
     (2 * Hls_ctrl.Ctrl_synth.literal_cost ctrl)
     + Component.register_area ~width:(Hls_ctrl.Ctrl_synth.n_state_bits ctrl)
   in
-  let cycle_ns = cycle_time dp in
+  let cycle_ns = cycle_time dp ~unit_of in
   let compute_steps = Hls_sched.Cfg_sched.compute_steps cs in
   {
     fu_area;

@@ -36,3 +36,14 @@ val regs_read : t -> string list
 
 val fus_read : t -> int list
 (** Functional units whose outputs feed the expression. *)
+
+val for_all_regs : (string -> bool) -> t -> bool
+(** Every register the expression reads satisfies the predicate; no
+    list is built. *)
+
+val for_all_fus : (int -> bool) -> t -> bool
+(** Every functional unit whose output feeds the expression satisfies
+    the predicate. *)
+
+val equal : t -> t -> bool
+(** Structural equality. *)

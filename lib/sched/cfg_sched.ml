@@ -1,19 +1,21 @@
 open Hls_cdfg
 
-type t = { cfg : Cfg.t; scheds : Schedule.t array }
+type t = { cfg : Cfg.t; scheds : Schedule.t array; freq : int array }
 
 let ops_counter = Hls_obs.Trace.handle "sched/ops_scheduled"
 let steps_counter = Hls_obs.Trace.handle "sched/steps"
 
-let init cfg f =
+let init ?freq cfg f =
+  let freq = match freq with Some f -> f | None -> Cfg.exec_frequencies cfg in
   let scheds = Array.init (Cfg.n_blocks cfg) f in
   Hls_obs.Trace.add_to ops_counter
     (Array.fold_left (fun acc s -> acc + Schedule.n_ops s) 0 scheds);
   Hls_obs.Trace.add_to steps_counter
     (Array.fold_left (fun acc s -> acc + Schedule.n_steps s) 0 scheds);
-  { cfg; scheds }
+  { cfg; scheds; freq }
 
 let cfg t = t.cfg
+let frequencies t = t.freq
 
 let block_schedule t bid = t.scheds.(bid)
 
@@ -28,10 +30,9 @@ let digest t =
   Digest.string (Buffer.contents b)
 
 let compute_steps t =
-  let freq = Cfg.exec_frequencies t.cfg in
   let acc = ref 0 in
   Array.iteri
-    (fun bid s -> if Schedule.n_ops s > 0 then acc := !acc + (Schedule.n_steps s * freq.(bid)))
+    (fun bid s -> if Schedule.n_ops s > 0 then acc := !acc + (Schedule.n_steps s * t.freq.(bid)))
     t.scheds;
   !acc
 

@@ -9,13 +9,20 @@ open Hls_cdfg
 
 type t
 
-val init : Cfg.t -> (Cfg.bid -> Schedule.t) -> t
+val init : ?freq:int array -> Cfg.t -> (Cfg.bid -> Schedule.t) -> t
 (** Schedule every block [bid] with [f bid] (e.g.
     [fun bid -> Depgraph.block kernel (Cfg.dfg cfg bid)]). Bumps
     [sched/ops_scheduled] by the schedules' step-occupying operation
-    count and [sched/steps]. *)
+    count and [sched/steps]. [freq] is the CFG's
+    {!Hls_cdfg.Cfg.exec_frequencies} when the caller already has them
+    (computed here otherwise); the schedule keeps them. *)
 
 val cfg : t -> Cfg.t
+
+val frequencies : t -> int array
+(** The CFG's static block execution frequencies
+    ({!Hls_cdfg.Cfg.exec_frequencies}), indexed by block id. *)
+
 val block_schedule : t -> Cfg.bid -> Schedule.t
 
 val with_block : t -> Cfg.bid -> Schedule.t -> t

@@ -39,6 +39,10 @@ val step_of : t -> Dfg.nid -> int
 (** Step of a step-occupying node. Raises [Invalid_argument] for
     non-occupying nodes (use {!producer_step}). *)
 
+val occupying_step : t -> Dfg.nid -> int
+(** {!step_of} for a step-occupying node, [-1] for any other node: an
+    array read that never raises. *)
+
 val producer_step : t -> Dfg.nid -> int
 (** Step in which the node's value is produced: 0 for entry values,
     the assigned step for occupying operations, the latest occupying

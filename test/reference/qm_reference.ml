@@ -7,10 +7,20 @@
 
 open Hls_ctrl
 
-module CubeSet = Set.Make (struct
-  type t = int * int (* mask, value *)
+(* A cube (mask, value) is the int [mask lsl 20 lor value] (at most 20
+   inputs): ints compare and hash monomorphically, and their order is
+   the (mask, value) pairs' lexicographic one. *)
+let cube m v = (m lsl 20) lor v
+let mask_of c = c lsr 20
+let value_of c = c land 0xFFFFF
 
-  let compare = compare
+module CubeSet = Set.Make (Int)
+
+module IntTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
 end)
 
 (* Pair generation is the hot path: a cube (m, v) combines with
@@ -18,19 +28,20 @@ end)
    makes each level O(cubes × inputs) instead of O(cubes²). *)
 let combine_level level =
   let combined = ref CubeSet.empty in
-  let used = Hashtbl.create (CubeSet.cardinal level * 2) in
+  let used = IntTbl.create (CubeSet.cardinal level * 2) in
   CubeSet.iter
-    (fun (m, v) ->
+    (fun c ->
+      let m = mask_of c and v = value_of c in
       let rec bits mask =
         if mask <> 0 then begin
           let bit = mask land -mask in
           if v land bit = 0 then begin
-            let partner = (m, v lor bit) in
+            let partner = cube m (v lor bit) in
             if CubeSet.mem partner level then begin
-              Hashtbl.replace used (m, v) ();
-              Hashtbl.replace used partner ();
+              IntTbl.replace used c ();
+              IntTbl.replace used partner ();
               let nm = m land lnot bit in
-              combined := CubeSet.add (nm, v land nm) !combined
+              combined := CubeSet.add (cube nm (v land nm)) !combined
             end
           end;
           bits (mask land lnot bit)
@@ -39,7 +50,7 @@ let combine_level level =
       bits m)
     level;
   let primes =
-    CubeSet.filter (fun c -> not (Hashtbl.mem used c)) level
+    CubeSet.filter (fun c -> not (IntTbl.mem used c)) level
   in
   (primes, !combined)
 
@@ -60,7 +71,7 @@ let minimize ~n_inputs ~on_set ?(dc_set = []) () =
   | _ ->
       let initial =
         List.fold_left
-          (fun acc m -> CubeSet.add (full_mask, m land full_mask) acc)
+          (fun acc m -> CubeSet.add (cube full_mask (m land full_mask)) acc)
           CubeSet.empty (on_set @ dc_set)
       in
       let primes = ref CubeSet.empty in
@@ -75,7 +86,9 @@ let minimize ~n_inputs ~on_set ?(dc_set = []) () =
       loop initial;
       let prime_arr =
         Array.of_list
-          (List.map (fun (mask, value) -> { Logic.mask; value }) (CubeSet.elements !primes))
+          (List.map
+             (fun c -> { Logic.mask = mask_of c; value = value_of c })
+             (CubeSet.elements !primes))
       in
       let on_arr = Array.of_list (List.sort_uniq compare on_set) in
       (* coverage lists: per minterm, the primes covering it *)

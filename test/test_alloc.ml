@@ -132,9 +132,9 @@ let test_fig7_clique_two_adders () =
   Alcotest.(check int) "two adders" 2 (Fu_alloc.n_units alloc);
   (* a2 and a3 share; a1 and b1 are split *)
   Alcotest.(check bool) "a2/a3 share" true
-    (Fu_alloc.of_op alloc (0, a2) = Fu_alloc.of_op alloc (0, a3));
+    (Fu_alloc.of_op alloc 0 a2 = Fu_alloc.of_op alloc 0 a3);
   Alcotest.(check bool) "a1/b1 split" true
-    (Fu_alloc.of_op alloc (0, a1) <> Fu_alloc.of_op alloc (0, b1))
+    (Fu_alloc.of_op alloc 0 a1 <> Fu_alloc.of_op alloc 0 b1)
 
 let test_fig6_greedy_cost_aware () =
   let cs, _ = fig67_design () in
@@ -283,6 +283,34 @@ let test_conflict_inside_block () =
   let cs = Gen.schedule_cfg (List_sched.schedule_dep ~limits:Limits.serial) cfg in
   Alcotest.(check bool) "p held while q latches" true (conflict cs ~outputs:[ "y" ] "p" "q")
 
+(* The bitset relation against the byte-matrix oracle it replaced, on
+   every default-cross schedule of a generated program. *)
+let prop_interference_matches_reference =
+  QCheck.Test.make ~name:"interference bitsets match the byte-matrix oracle" ~count:40
+    Gen.program_arbitrary (fun seed ->
+      let open Hls_core in
+      let o = Dse.eval_cheap (Dse.create_program (Gen.program_of_seed seed)) in
+      List.for_all
+        (fun (_, options) ->
+          let opt, cs = o options in
+          let outputs = opt.Flow.o_outputs in
+          let ix = Lifetime.interference (Lifetime.table ~facts:opt.Flow.o_facts cs) ~outputs in
+          let ref_ix =
+            Hls_reference.Lifetime_reference.interference (Lifetime.table cs) ~outputs
+          in
+          let n = Array.length (Lifetime.vars ix) in
+          Lifetime.vars ix = Hls_reference.Lifetime_reference.vars ref_ix
+          && List.for_all
+               (fun i ->
+                 List.for_all
+                   (fun j ->
+                     Lifetime.conflict ix i j
+                     = Hls_reference.Lifetime_reference.conflict ref_ix i j)
+                   (List.init n Fun.id))
+               (List.init n Fun.id))
+        (Explore.cross ~base:Flow.default_options ~schedulers:Explore.default_schedulers
+           ~limits:Explore.default_limits ()))
+
 (* ---- register allocation ---- *)
 
 let test_reg_alloc_sqrt () =
@@ -381,7 +409,7 @@ let transfers_oracle cs ~fu ~regs =
         | Some k -> Printf.sprintf "tmp%d" k
         | None -> Alcotest.failf "b%d.%%%d has no temporary" bid nid
       in
-      let unit nid = Fu_alloc.of_op fu (bid, nid) in
+      let unit nid = Fu_alloc.of_op fu bid nid in
       let source nid step =
         let storage =
           match List.find_opt (fun (i : Lifetime.value_info) -> i.Lifetime.nid = nid) infos with
@@ -623,6 +651,7 @@ let () =
           Alcotest.test_case "x y conflict across the loop" `Quick test_conflict_sqrt;
           Alcotest.test_case "p q occupancy in one block" `Quick test_conflict_one_block;
           Alcotest.test_case "entry read outlives a write" `Quick test_conflict_inside_block;
+          QCheck_alcotest.to_alcotest prop_interference_matches_reference;
         ] );
       ( "registers",
         [

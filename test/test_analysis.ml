@@ -237,7 +237,7 @@ let design = lazy (Flow.synthesize Workloads.diffeq)
 
 let test_alloc_unbound_op () =
   let d = Lazy.force design in
-  let fu = { Hls_alloc.Fu_alloc.instances = []; op_units = d.Flow.fu.Hls_alloc.Fu_alloc.op_units } in
+  let fu = { d.Flow.fu with Hls_alloc.Fu_alloc.instances = [] } in
   check_code "no instances" "ALLOC003" (Alloc_check.check_fu d.Flow.sched fu)
 
 let mutate_first_instance f (fu : Hls_alloc.Fu_alloc.t) =

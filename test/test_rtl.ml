@@ -108,7 +108,7 @@ let test_rtl003_inexecutable_op () =
   match
     List.find_opt
       (fun (a : Datapath.activity) ->
-        let f = Datapath.fu_of dp a.Datapath.a_fu in
+        let f = List.find (fun (f : Datapath.fu_def) -> f.Datapath.fuid = a.Datapath.a_fu) dp.Datapath.fus in
         not (Component.executes f.Datapath.comp Op.Div))
       dp.Datapath.activities
   with
