@@ -31,39 +31,29 @@ let temp_reg r bid nid =
 let var_reg r bid nid =
   Reg_alloc.var_register r.regs (Lifetime.facts r.lt).Cfg_facts.blocks.(bid).Cfg_facts.node_var.(nid)
 
-(* [resolve] over register ids: the register a stored value is read
-   from at [step], or -1 when it is not read from a register then *)
-let resolve_reg r bid nid ~step =
-  let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in
-  match Dfg.op (Hls_sched.Schedule.dfg sched) nid with
-  | Op.Read _ -> (
-      (* an entry read an overwrite moves to a temporary stays in its
-         variable's register through the step that latches the move *)
-      match Lifetime.storage r.lt bid nid with
-      | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> temp_reg r bid nid
-      | _ -> var_reg r bid nid)
-  | Op.Write _ -> invalid_arg (Printf.sprintf "Interconnect: b%d.%%%d is a write" bid nid)
-  | _ ->
-      let s = Hls_sched.Schedule.occupying_step sched nid in
-      if s < 0 || step = s then -1
-      else (
-        match Lifetime.storage r.lt bid nid with
-        | Lifetime.In_variable _ -> Reg_alloc.var_register r.regs (Lifetime.held_var r.lt bid nid)
-        | Lifetime.Temp _ -> temp_reg r bid nid
-        | Lifetime.No_storage ->
-            invalid_arg
-              (Printf.sprintf "Interconnect: b%d.%%%d read at step %d but not stored" bid nid step))
-
 let resolve r bid nid ~step =
   let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in
   match Dfg.op (Hls_sched.Schedule.dfg sched) nid with
   | Op.Const c -> W_const c
-  | Op.Read _ | Op.Write _ -> r.reg_wires.(resolve_reg r bid nid ~step)
-  | _ ->
+  | Op.Read _ -> (
+      (* an entry read an overwrite moves to a temporary stays in its
+         variable's register through the step that latches the move *)
+      match Lifetime.storage r.lt bid nid with
+      | Lifetime.Temp iv when step > iv.Hls_util.Interval.lo -> r.reg_wires.(temp_reg r bid nid)
+      | _ -> r.reg_wires.(var_reg r bid nid))
+  | Op.Write _ -> invalid_arg (Printf.sprintf "Interconnect: b%d.%%%d is a write" bid nid)
+  | _ -> (
       let s = Hls_sched.Schedule.occupying_step sched nid in
       if s < 0 then W_wire (bid, nid)
       else if step = s then W_fu_out (Fu_alloc.of_op r.fu bid nid)
-      else r.reg_wires.(resolve_reg r bid nid ~step)
+      else
+        match Lifetime.storage r.lt bid nid with
+        | Lifetime.In_variable _ ->
+            r.reg_wires.(Reg_alloc.var_register r.regs (Lifetime.held_var r.lt bid nid))
+        | Lifetime.Temp _ -> r.reg_wires.(temp_reg r bid nid)
+        | Lifetime.No_storage ->
+            invalid_arg
+              (Printf.sprintf "Interconnect: b%d.%%%d read at step %d but not stored" bid nid step))
 
 let iter_latches r bid f =
   let sched = Hls_sched.Cfg_sched.block_schedule r.cs bid in

@@ -192,7 +192,8 @@ let conflict ix i j = (ix.rows.((i * ix.words) + (j / bits)) lsr (j mod bits)) l
 
 let interference t ~outputs =
   let facts =
-    if t.facts.Cfg_facts.outputs = outputs then t.facts
+    let f = t.facts in
+    if f.Cfg_facts.outputs == outputs || f.Cfg_facts.outputs = outputs then f
     else Cfg_facts.make ~outputs (Hls_sched.Cfg_sched.cfg t.cs)
   in
   let vars = facts.Cfg_facts.vars in

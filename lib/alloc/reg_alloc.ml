@@ -96,7 +96,9 @@ let n_names t = Array.length t.names
 let name t r = t.names.(r)
 
 let find_register t name =
-  let rec go r = if r >= Array.length t.names then -1 else if String.equal t.names.(r) name then r else go (r + 1) in
+  let rec go r =
+    if r >= Array.length t.names then -1 else if String.equal t.names.(r) name then r else go (r + 1)
+  in
   go 0
 
 let n_temp_registers t = t.n_temps

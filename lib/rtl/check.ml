@@ -15,25 +15,15 @@ let rules =
 
 (* A dense [rows x cols] flag matrix; indices outside it read unset. *)
 let flags rows cols = (Bytes.make (Int.max 0 (rows * cols)) '\000', cols)
-let mem (b, cols) i j = i >= 0 && j >= 0 && j < cols && (i * cols) + j < Bytes.length b && Bytes.get b ((i * cols) + j) <> '\000'
-let set (b, cols) i j = if i >= 0 && j >= 0 && j < cols && (i * cols) + j < Bytes.length b then Bytes.set b ((i * cols) + j) '\001'
+let inside (b, cols) i j = i >= 0 && j >= 0 && j < cols && (i * cols) + j < Bytes.length b
+let mem ((b, cols) as m) i j = inside m i j && Bytes.get b ((i * cols) + j) <> '\000'
+let set ((b, cols) as m) i j = if inside m i j then Bytes.set b ((i * cols) + j) '\001'
 
 let diagnostics (dp : Datapath.t) =
   let ds = ref [] in
   let add d = ds := d :: !ds in
-  (* registers by name: binary search over the sorted names *)
-  let names = Array.of_list dp.Datapath.regs in
-  Array.sort (fun (a : Datapath.reg_def) b -> String.compare a.Datapath.rname b.Datapath.rname) names;
-  let reg_index name =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let c = String.compare name names.(mid).Datapath.rname in
-        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
-    in
-    go 0 (Array.length names)
-  in
+  let regs = Datapath.registers dp in
+  let reg_index = Datapath.register_index regs in
   let reg_exists name = reg_index name >= 0 in
   (* the diagnostic context is formatted only for a wire that fails *)
   let missing_regs entity ctx w =
@@ -43,17 +33,10 @@ let diagnostics (dp : Datapath.t) =
           add (error Rtl ~code:"RTL001" entity "%s reads missing register %s" (ctx ()) r))
       (Wire.regs_read w)
   in
-  (* units by id; states (and unit ids) are dense, so (unit, state)
-     facts are flag matrices *)
-  let n_fus =
-    List.fold_left (fun acc (f : Datapath.fu_def) -> Int.max acc (f.Datapath.fuid + 1)) 0 dp.Datapath.fus
-  in
-  let units = Array.make n_fus None in
-  List.iter
-    (fun (f : Datapath.fu_def) ->
-      if f.Datapath.fuid >= 0 && units.(f.Datapath.fuid) = None then
-        units.(f.Datapath.fuid) <- Some f)
-    dp.Datapath.fus;
+  (* states and unit ids are dense, so (unit, state) facts are flag
+     matrices *)
+  let units = Datapath.units dp in
+  let n_fus = Array.length units in
   let n_states =
     List.fold_left
       (fun acc (l : Datapath.load) -> Int.max acc (l.Datapath.l_state + 1))
@@ -63,10 +46,14 @@ let diagnostics (dp : Datapath.t) =
       dp.Datapath.loads
   in
   let n_units =
-    List.fold_left (fun acc (a : Datapath.activity) -> Int.max acc (a.Datapath.a_fu + 1)) n_fus dp.Datapath.activities
+    List.fold_left
+      (fun acc (a : Datapath.activity) -> Int.max acc (a.Datapath.a_fu + 1))
+      n_fus dp.Datapath.activities
   in
   let active = flags n_units n_states in
-  List.iter (fun (a : Datapath.activity) -> set active a.Datapath.a_fu a.Datapath.a_state) dp.Datapath.activities;
+  List.iter
+    (fun (a : Datapath.activity) -> set active a.Datapath.a_fu a.Datapath.a_state)
+    dp.Datapath.activities;
   let no_unit _ = false in
   (* activations *)
   let seen_fu_state = flags n_units n_states in
@@ -119,7 +106,7 @@ let diagnostics (dp : Datapath.t) =
       (Wire.fus_read w)
   in
   (* loads; a load into a missing register is keyed by its name *)
-  let seen_reg_state = flags (Array.length names) n_states in
+  let seen_reg_state = flags (Array.length regs) n_states in
   let seen_missing = ref [] in
   List.iter
     (fun (l : Datapath.load) ->

@@ -39,26 +39,29 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
     match node_bits with Some f -> f bid nid | None -> Op.bits_of node.Dfg.ty
   in
   (* ---- register inventory, by register id: the allocator's registers,
-     then any port no variable names ---- *)
+     then each port that names none of them (ports are distinct) ---- *)
   let n_alloc = Reg_alloc.n_names regs in
-  let extra = ref [] in
-  let port_reg p =
-    match Cfg_facts.find_var facts p with
-    | Some i -> Reg_alloc.var_register regs i
-    | None -> (
-        let r = Reg_alloc.find_register regs p in
-        if r >= 0 then r
-        else
-          match List.find_opt (fun (name, _) -> String.equal name p) !extra with
-          | Some (_, r) -> r
+  let extras = ref [] and n_regs = ref n_alloc in
+  let port_regs =
+    List.map
+      (fun (p, dir, ty) ->
+        let r =
+          match Cfg_facts.find_var facts p with
+          | Some i -> Reg_alloc.var_register regs i
           | None ->
-              let r = n_alloc + List.length !extra in
-              extra := (p, r) :: !extra;
-              r)
+              let r = Reg_alloc.find_register regs p in
+              if r >= 0 then r
+              else begin
+                extras := p :: !extras;
+                incr n_regs;
+                !n_regs - 1
+              end
+        in
+        (r, dir, ty))
+      ports
   in
-  let port_regs = List.map (fun (p, dir, ty) -> (port_reg p, dir, ty)) ports in
-  let n_regs = n_alloc + List.length !extra in
-  let name r = if r < n_alloc then Reg_alloc.name regs r else fst (List.find (fun (_, r') -> r' = r) !extra) in
+  let n_regs = !n_regs and extras = Array.of_list (List.rev !extras) in
+  let name r = if r < n_alloc then Reg_alloc.name regs r else extras.(r - n_alloc) in
   let widths = Array.make n_regs (-1) in
   let kinds = Array.make n_regs `Var in
   let note_reg r width kind =
@@ -67,13 +70,13 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
       (* port kinds take precedence over Var *)
       match kinds.(r) with `In_port | `Out_port -> () | _ -> kinds.(r) <- kind
     end;
-    widths.(r) <- Int.max (max 0 widths.(r)) width
+    widths.(r) <- Int.max (Int.max 0 widths.(r)) width
   in
   List.iter
     (fun (r, dir, ty) ->
       note_reg r (Op.bits_of ty) (match dir with `In -> `In_port | `Out -> `Out_port))
     port_regs;
-  (* a temp register's width is the Int.max over the values sharing its track *)
+  (* a temp register's width is the max over the values sharing its track *)
   Array.iteri
     (fun bid (fb : Cfg_facts.block) ->
       Dfg.iter
@@ -118,7 +121,11 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
     match args with [] -> [] | a :: rest -> wire_for g bid a ~step :: wires_for g bid rest ~step
   in
   (* ---- functional units and their activations, by unit id ---- *)
-  let n_fus = List.fold_left (fun acc (i : Fu_alloc.instance) -> Int.max acc (i.Fu_alloc.fu_id + 1)) 0 fu.Fu_alloc.instances in
+  let n_fus =
+    List.fold_left
+      (fun acc (i : Fu_alloc.instance) -> Int.max acc (i.Fu_alloc.fu_id + 1))
+      0 fu.Fu_alloc.instances
+  in
   let fu_widths = Array.make n_fus 1 in
   let fu_ops = Array.make n_fus [] in
   let activities = ref [] in
@@ -160,9 +167,8 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
   for bid = 0 to Cfg.n_blocks cfg - 1 do
     let g = Cfg.dfg cfg bid in
     Interconnect.iter_latches resolver bid (fun reg nid step ->
-        loads :=
-          { l_state = Hls_ctrl.Fsm.state_of fsm bid step; l_reg = name reg; l_wire = wire_for g bid nid ~step }
-          :: !loads)
+        let l_state = Hls_ctrl.Fsm.state_of fsm bid step in
+        loads := { l_state; l_reg = name reg; l_wire = wire_for g bid nid ~step } :: !loads)
   done;
   (* ---- branch conditions ---- *)
   let conds =
@@ -184,6 +190,27 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
     conds;
     fsm;
   }
+
+let registers t =
+  let regs = Array.of_list t.regs in
+  Array.sort (fun a b -> String.compare a.rname b.rname) regs;
+  regs
+
+let register_index regs name =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = String.compare name regs.(mid).rname in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length regs)
+
+let units t =
+  let n = List.fold_left (fun acc f -> Int.max acc (f.fuid + 1)) 0 t.fus in
+  let units = Array.make n None in
+  List.iter (fun f -> if f.fuid >= 0 && units.(f.fuid) = None then units.(f.fuid) <- Some f) t.fus;
+  units
 
 let activities_in t state = List.filter (fun a -> a.a_state = state) t.activities
 

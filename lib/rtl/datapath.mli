@@ -52,6 +52,16 @@ val build :
     area-only and bit-identical by construction. [lifetimes] is the
     schedule's table, built here when absent. *)
 
+val registers : t -> reg_def array
+(** The register definitions ascending by name. *)
+
+val register_index : reg_def array -> string -> int
+(** Position of the named register in {!registers}' array (binary
+    search), [-1] if there is none. *)
+
+val units : t -> fu_def option array
+(** Unit definitions indexed by unit id (the first of a repeated id). *)
+
 val activities_in : t -> int -> activity list
 (** Activations of a state. *)
 

@@ -25,42 +25,34 @@ let same_net (a : Wire.t) (b : Wire.t) =
   | (Wire.W_fu_out _ | Wire.W_const _), _ | _, (Wire.W_fu_out _ | Wire.W_const _) -> false
   | _ -> Wire.equal a b
 
-(* The datapath's units by id and its registers by position in [regs]
-   (ascending by name), read once per estimate. *)
 let unit_table (dp : Datapath.t) =
-  let n = List.fold_left (fun acc (f : Datapath.fu_def) -> Int.max acc (f.Datapath.fuid + 1)) 0 dp.Datapath.fus in
-  let units = Array.make n None in
-  List.iter
-    (fun (f : Datapath.fu_def) ->
-      if units.(f.Datapath.fuid) = None then units.(f.Datapath.fuid) <- Some f)
-    dp.Datapath.fus;
-  ( n,
+  let units = Datapath.units dp in
+  ( Array.length units,
     fun id ->
-      match if id >= 0 && id < n then units.(id) else None with
+      match if id >= 0 && id < Array.length units then units.(id) else None with
       | Some f -> f
       | None -> invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
   )
 
-let reg_position regs name =
-  let rec go lo hi =
-    if lo >= hi then
-      invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
-    else
-      let mid = (lo + hi) / 2 in
-      let c = String.compare name regs.(mid).Datapath.rname in
-      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
-  in
-  go 0 (Array.length regs)
-
 let mux_area_of (dp : Datapath.t) ~n_units ~unit_of =
-  let regs = Array.of_list dp.Datapath.regs in
+  let regs = Datapath.registers dp in
+  let reg_position name =
+    match Datapath.register_index regs name with
+    | -1 -> invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
+    | i -> i
+  in
   let arity =
-    List.fold_left (fun acc (a : Datapath.activity) -> Int.max acc (List.length a.Datapath.a_args)) 0 dp.Datapath.activities
+    List.fold_left
+      (fun acc (a : Datapath.activity) -> Int.max acc (List.length a.Datapath.a_args))
+      0 dp.Datapath.activities
   in
   (* distinct nets per unit input port ([fuid * arity + pos]) and per
      register input *)
-  let port_nets = Array.make (n_units * arity) [] and reg_nets = Array.make (Array.length regs) [] in
-  let note nets i w = if not (List.exists (same_net w) nets.(i)) then nets.(i) <- w :: nets.(i) in
+  let port_nets = Array.make (n_units * arity) [] in
+  let reg_nets = Array.make (Array.length regs) [] in
+  let note nets i w =
+    if not (List.exists (same_net w) nets.(i)) then nets.(i) <- w :: nets.(i)
+  in
   List.iter
     (fun (a : Datapath.activity) ->
       let u = a.Datapath.a_fu in
@@ -68,7 +60,7 @@ let mux_area_of (dp : Datapath.t) ~n_units ~unit_of =
       List.iteri (fun pos w -> note port_nets ((u * arity) + pos) w) a.Datapath.a_args)
     dp.Datapath.activities;
   List.iter
-    (fun (l : Datapath.load) -> note reg_nets (reg_position regs l.Datapath.l_reg) l.Datapath.l_wire)
+    (fun (l : Datapath.load) -> note reg_nets (reg_position l.Datapath.l_reg) l.Datapath.l_wire)
     dp.Datapath.loads;
   let area = ref 0 in
   Array.iteri

@@ -20,10 +20,10 @@ let make g ~steps =
             step.(id) <- s;
             s
           end
-          else List.fold_left (fun acc a -> Int.max acc produced.(a)) 0 node.Dfg.args
+          else List.fold_left (fun acc a -> max acc produced.(a)) 0 node.Dfg.args
         in
         produced.(id) <- p;
-        total := Int.max !total (match op with Op.Write _ -> Int.max 1 p | _ -> p)
+        total := max !total (match op with Op.Write _ -> max 1 p | _ -> p)
   done;
   { g; step; produced; total = !total }
 
@@ -113,7 +113,7 @@ let pp ppf t =
     let s, tag =
       if t.step.(id) >= 0 then (t.step.(id), "")
       else if Dfg.fu_class_of g id = Op.C_free then (t.produced.(id), "~")
-      else match node.Dfg.op with Op.Write _ -> (Int.max 1 t.produced.(id), "~") | _ -> (0, "")
+      else match node.Dfg.op with Op.Write _ -> (max 1 t.produced.(id), "~") | _ -> (0, "")
     in
     if s >= 1 then
       rows.(s) <- Printf.sprintf "%s%%%d:%s" tag id (Op.to_string node.Dfg.op) :: rows.(s)
