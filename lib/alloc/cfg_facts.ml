@@ -32,10 +32,9 @@ let index_in vars v =
 let runs = Atomic.make 0
 let liveness_runs () = Atomic.get runs
 
-let make ~outputs cfg =
-  Atomic.incr runs;
-  let live = Liveness.analyze ~live_at_exit:outputs cfg in
-  let vars = Array.of_list (Liveness.all_variables live) in
+(* [live] gives a block's live-in and live-out names; without it the
+   live sets are empty *)
+let build ~outputs ~vars ~live cfg =
   (* live sets may name an output nothing assigns *)
   let ids names = List.filter_map (index_in vars) names in
   let blocks =
@@ -56,17 +55,39 @@ let make ~outputs cfg =
             ([], []) g
         in
         let writes = List.rev writes in
+        let live_in, live_out =
+          match live with
+          | Some l -> (ids (Liveness.live_in l bid), ids (Liveness.live_out l bid))
+          | None -> ([], [])
+        in
         {
           reads = List.rev reads;
           writes;
           write_ids = List.map (fun (_, w) -> (node_var.(w), w)) writes;
           node_var;
           cond = (match Cfg.term cfg bid with Cfg.Branch (c, _, _) -> Some c | _ -> None);
-          live_in = ids (Liveness.live_in live bid);
-          live_out = ids (Liveness.live_out live bid);
+          live_in;
+          live_out;
         })
   in
   { cfg; outputs; vars; blocks; freq = Cfg.exec_frequencies cfg }
+
+let make ~outputs cfg =
+  Atomic.incr runs;
+  let live = Liveness.analyze ~live_at_exit:outputs cfg in
+  build ~outputs ~vars:(Array.of_list (Liveness.all_variables live)) ~live:(Some live) cfg
+
+let variables cfg =
+  let names = ref [] in
+  Cfg.iter
+    (fun _ b ->
+      Dfg.iter
+        (fun _ node ->
+          match node.Dfg.op with Op.Read v | Op.Write v -> names := v :: !names | _ -> ())
+        b.Cfg.dfg)
+    cfg;
+  let vars = Array.of_list (List.sort_uniq String.compare !names) in
+  build ~outputs:[] ~vars ~live:None cfg
 
 let find_var t v = index_in t.vars v
 let var_id t v = match index_in t.vars v with Some i -> i | None -> raise Not_found

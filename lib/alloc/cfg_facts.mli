@@ -37,6 +37,11 @@ type t = {
 val make : outputs:string list -> Cfg.t -> t
 (** Analyze the CFG; [outputs] are live at program exit. *)
 
+val variables : Cfg.t -> t
+(** The facts without the liveness analysis: every live set is empty
+    and [outputs] is [[]]. What a schedule's {!Lifetime.table} needs
+    when its caller has no facts at hand. *)
+
 val liveness_runs : unit -> int
 (** Builds by this process so far, on any domain — each runs the
     liveness analysis once: a work count for tests that pin how often a

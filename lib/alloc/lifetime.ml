@@ -122,10 +122,7 @@ let analyze ?writes sched ~term_cond =
     Array.of_list
       (List.sort_uniq String.compare (List.map fst (Dfg.reads g) @ List.map fst writes))
   in
-  let id v =
-    let rec go i = if String.equal vars.(i) v then i else go (i + 1) in
-    go 0
-  in
+  let id v = Option.get (Cfg_facts.index_in vars v) in
   let node_var =
     Array.init (Dfg.n_nodes g) (fun nid ->
         match Dfg.op g nid with Op.Read v | Op.Write v -> id v | _ -> -1)
@@ -148,7 +145,8 @@ type block = {
   by_step : Dfg.nid list array;
 }
 
-type t = { cs : Hls_sched.Cfg_sched.t; facts : Cfg_facts.t; blocks : block array }
+(* [live]: the facts carry liveness (the caller's), not {!Cfg_facts.variables}' *)
+type t = { cs : Hls_sched.Cfg_sched.t; facts : Cfg_facts.t; live : bool; blocks : block array }
 
 let tables = Atomic.make 0
 let tables_built () = Atomic.get tables
@@ -156,8 +154,8 @@ let tables_built () = Atomic.get tables
 let table ?facts cs =
   Atomic.incr tables;
   let cfg = Hls_sched.Cfg_sched.cfg cs in
-  let facts =
-    match facts with Some f -> f | None -> Cfg_facts.make ~outputs:[] cfg
+  let facts, live =
+    match facts with Some f -> (f, true) | None -> (Cfg_facts.variables cfg, false)
   in
   let blocks =
     Array.mapi
@@ -170,7 +168,7 @@ let table ?facts cs =
         { sched; values; by_node; held; writes = fb.Cfg_facts.writes; by_step = Schedule.by_step sched })
       facts.Cfg_facts.blocks
   in
-  { cs; facts; blocks }
+  { cs; facts; live; blocks }
 
 let schedule t = t.cs
 let facts t = t.facts
@@ -193,7 +191,7 @@ let conflict ix i j = (ix.rows.((i * ix.words) + (j / bits)) lsr (j mod bits)) l
 let interference t ~outputs =
   let facts =
     let f = t.facts in
-    if f.Cfg_facts.outputs == outputs || f.Cfg_facts.outputs = outputs then f
+    if t.live && (f.Cfg_facts.outputs == outputs || f.Cfg_facts.outputs = outputs) then f
     else Cfg_facts.make ~outputs (Hls_sched.Cfg_sched.cfg t.cs)
   in
   let vars = facts.Cfg_facts.vars in

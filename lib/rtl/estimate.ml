@@ -23,7 +23,7 @@ let same_net (a : Wire.t) (b : Wire.t) =
   | Wire.W_fu_out (u, _), Wire.W_fu_out (v, _) -> u = v
   | Wire.W_const (c, _), Wire.W_const (d, _) -> c = d
   | (Wire.W_fu_out _ | Wire.W_const _), _ | _, (Wire.W_fu_out _ | Wire.W_const _) -> false
-  | _ -> Wire.equal a b
+  | _ -> a = b
 
 let unit_table (dp : Datapath.t) =
   let units = Datapath.units dp in

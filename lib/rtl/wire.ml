@@ -84,18 +84,3 @@ let rec for_all_fus p = function
   | W_reg _ | W_const _ -> true
   | W_shl (a, _, _) | W_shr (a, _, _) | W_zdetect a | W_not (a, _) -> for_all_fus p a
   | W_mux (c, a, b, _) -> for_all_fus p c && for_all_fus p a && for_all_fus p b
-
-let rec equal a b =
-  match (a, b) with
-  | W_reg x, W_reg y -> String.equal x y
-  | W_const (x, tx), W_const (y, ty) | W_fu_out (x, tx), W_fu_out (y, ty) -> x = y && tx = ty
-  | W_shl (x, kx, tx), W_shl (y, ky, ty) | W_shr (x, kx, tx), W_shr (y, ky, ty) ->
-      kx = ky && tx = ty && equal x y
-  | W_zdetect x, W_zdetect y -> equal x y
-  | W_not (x, tx), W_not (y, ty) -> tx = ty && equal x y
-  | W_mux (cx, ax, bx, tx), W_mux (cy, ay, by, ty) ->
-      tx = ty && equal cx cy && equal ax ay && equal bx by
-  | ( ( W_reg _ | W_const _ | W_fu_out _ | W_shl _ | W_shr _ | W_zdetect _ | W_mux _
-      | W_not _ ),
-      _ ) ->
-      false

@@ -44,6 +44,3 @@ val for_all_regs : (string -> bool) -> t -> bool
 val for_all_fus : (int -> bool) -> t -> bool
 (** Every functional unit whose output feeds the expression satisfies
     the predicate. *)
-
-val equal : t -> t -> bool
-(** Structural equality. *)
