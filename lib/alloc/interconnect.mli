@@ -33,7 +33,7 @@ type wire =
   | W_reg of string
       (** register output: a variable group's register
           ({!Reg_alloc.register_of_var}) or a temporary
-          ({!Reg_alloc.temp_register}, [tmpN]) *)
+          ({!Reg_alloc.temp_register_id}, [tmpN]) *)
   | W_const of int  (** one net per constant value *)
   | W_wire of Cfg.bid * Dfg.nid
       (** root of a combinational free chain (constant shift, zero

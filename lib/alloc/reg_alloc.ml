@@ -83,10 +83,6 @@ let temp_register_id t bid nid =
   let k = t.temp_tracks.(bid).(nid) in
   if k < 0 then -1 else t.temp_reg.(k)
 
-let temp_register t bid nid =
-  let r = temp_register_id t bid nid in
-  if r < 0 then None else Some t.names.(r)
-
 let var_register t i = t.var_reg.(i)
 
 let register_of_var t v =

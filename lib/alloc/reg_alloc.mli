@@ -36,10 +36,6 @@ val run :
 val temp_track : t -> Cfg.bid -> Dfg.nid -> int option
 (** Track (physical temp register index) of a value, if it needed one. *)
 
-val temp_register : t -> Cfg.bid -> Dfg.nid -> string option
-(** Name of the temp register holding a value, if it needed one: track
-    [k] is register [tmpk]. *)
-
 val n_temp_registers : t -> int
 
 val register_of_var : t -> string -> string
@@ -60,7 +56,8 @@ val var_register : t -> int -> int
 (** The register holding the variable of the given id. *)
 
 val temp_register_id : t -> Cfg.bid -> Dfg.nid -> int
-(** The temporary register holding a value, [-1] if it needs none. *)
+(** The temporary register holding a value, [-1] if it needs none: track
+    [k] is the register named [tmpk]. *)
 
 val find_register : t -> string -> int
 (** The register of that name, [-1] if there is none (a linear scan). *)
