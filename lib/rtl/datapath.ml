@@ -193,7 +193,12 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
 
 let registers t =
   let regs = Array.of_list t.regs in
-  Array.sort (fun a b -> String.compare a.rname b.rname) regs;
+  (* [build] lists them sorted already *)
+  let sorted = ref true in
+  for i = 1 to Array.length regs - 1 do
+    if String.compare regs.(i - 1).rname regs.(i).rname > 0 then sorted := false
+  done;
+  if not !sorted then Array.sort (fun a b -> String.compare a.rname b.rname) regs;
   regs
 
 let register_index regs name =

@@ -22,7 +22,10 @@ let same_net (a : Wire.t) (b : Wire.t) =
   match (a, b) with
   | Wire.W_fu_out (u, _), Wire.W_fu_out (v, _) -> u = v
   | Wire.W_const (c, _), Wire.W_const (d, _) -> c = d
-  | (Wire.W_fu_out _ | Wire.W_const _), _ | _, (Wire.W_fu_out _ | Wire.W_const _) -> false
+  | Wire.W_reg x, Wire.W_reg y -> String.equal x y
+  | (Wire.W_fu_out _ | Wire.W_const _ | Wire.W_reg _), _
+  | _, (Wire.W_fu_out _ | Wire.W_const _ | Wire.W_reg _) ->
+      false
   | _ -> a = b
 
 let unit_table (dp : Datapath.t) =
@@ -83,7 +86,7 @@ let cycle_time (dp : Datapath.t) ~unit_of =
   List.iter
     (fun (a : Datapath.activity) ->
       let input_delay =
-        List.fold_left (fun acc w -> max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
+        List.fold_left (fun acc w -> Float.max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
       in
       let f = unit_of a.Datapath.a_fu in
       let d =
