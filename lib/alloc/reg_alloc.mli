@@ -45,9 +45,10 @@ val register_of_var : t -> string -> string
 
 (** {2 Registers as ints}
 
-    Each register name is interned once per allocation: register [r] of
-    [0 .. n_names - 1] is named {!name}[ r]. Variables are numbered by
-    their {!Cfg_facts} ids (the schedule's {!Lifetime.facts}). *)
+    Each register name is interned once per allocation: register [r],
+    from 0 to [n_names t - 1], is named [name t r]. Variables are
+    numbered by their {!Cfg_facts} ids (the schedule's
+    {!Lifetime.facts}). *)
 
 val n_names : t -> int
 val name : t -> int -> string
