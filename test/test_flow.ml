@@ -203,8 +203,8 @@ let test_report_sections () =
 (* ---- golden designs ---- *)
 
 (* Canonical text of a finished design's backend: registers, units,
-   activations, loads, conditions, transfers, the estimate and the
-   controller's cost. Text, not Marshal bytes, so the digest pins what
+   activations, loads and conditions in state order, transfers, the
+   estimate and the controller's cost. Text, not Marshal bytes, so the digest pins what
    allocation and binding decide and survives record layout changes. *)
 let design_text b (d : Flow.design) =
   let module D = Hls_rtl.Datapath in
@@ -222,11 +222,14 @@ let design_text b (d : Flow.design) =
       add "act s%d fu%d %s %s (%s)\n" a.D.a_state a.D.a_fu (Hls_cdfg.Op.to_string a.D.a_op)
         (Hls_lang.Ast.ty_to_string a.D.a_ty)
         (String.concat ", " (List.map Hls_rtl.Wire.to_string a.D.a_args)))
-    dp.D.activities;
+    (List.stable_sort (fun (a : D.activity) (b : D.activity) -> compare a.D.a_state b.D.a_state)
+       dp.D.activities);
   List.iter
     (fun (l : D.load) -> add "load s%d %s <= %s\n" l.D.l_state l.D.l_reg (Hls_rtl.Wire.to_string l.D.l_wire))
-    dp.D.loads;
-  List.iter (fun (s, w) -> add "cond s%d %s\n" s (Hls_rtl.Wire.to_string w)) dp.D.conds;
+    (List.stable_sort (fun (a : D.load) (b : D.load) -> compare a.D.l_state b.D.l_state) dp.D.loads);
+  List.iter
+    (fun (s, w) -> add "cond s%d %s\n" s (Hls_rtl.Wire.to_string w))
+    (List.stable_sort (fun (a, _) (b, _) -> compare a b) dp.D.conds);
   List.iter
     (fun (t : I.transfer) ->
       add "xfer b%d.s%d %s -> %s\n" t.I.t_bid t.I.t_step (I.wire_to_string t.I.t_src)
@@ -261,20 +264,21 @@ let polynomial_schedulers =
     (fun s -> s <> Flow.Branch_bound && s <> Flow.Ilp_exact)
     Explore.default_schedulers
 
-(* Captured before the backend moved onto one dense index per run; any
-   change to a register, unit, wire, transfer or estimate of any of
+(* Captured with the records in state order, before the datapath moved
+   onto per-state arrays (the values are those of the flat-list layout);
+   any change to a register, unit, wire, transfer or estimate of any of
    these designs changes a digest. *)
 let golden_design_digests =
   [
-    ("sqrt", "7efb920a315b86cef2eed24da321733d");
-    ("diffeq", "1ac1f587d08c5a6272c93dcb897c7c3e");
-    ("fir8", "fc2d847d226d3140140034c69ded6cac");
+    ("sqrt", "f0c0b2098673a5a49093546c335018ef");
+    ("diffeq", "66db84af8cfb21b9cfdd4c9eeb1d60d9");
+    ("fir8", "c8468230c1f2baf90cb78f253523dfa0");
     ("gcd", "66b10b62640df1690d12281f9768adcb");
-    ("biquad3", "4f204a35c8a259e4ec04198f9aa9b2f8");
+    ("biquad3", "cec81ef03edc054bbb52a54296c4661d");
     ("twophase", "fbc5bf85159263f5d2f9cbe01929ce2c");
   ]
 
-let golden_random_design_digest = "f1f6cff0a0a312a00d3862595616c07c"
+let golden_random_design_digest = "136e431710662ab0e67c3cfe0cea7809"
 
 let test_golden_workload_designs () =
   let variants =
