@@ -386,39 +386,7 @@ let ctrl_compare () =
         [ Hls_ctrl.Encoding.Binary; Hls_ctrl.Encoding.Gray; Hls_ctrl.Encoding.One_hot ];
       Table.print t;
       (* microcode: one word per state; fields = register enables + op select *)
-      let n_regs = List.length d.Flow.datapath.Hls_rtl.Datapath.regs in
-      let fields =
-        [
-          { Hls_ctrl.Microcode.fname = "reg_en"; fwidth = max 1 n_regs };
-          { Hls_ctrl.Microcode.fname = "fu_op"; fwidth = 5 };
-          { Hls_ctrl.Microcode.fname = "branch"; fwidth = 1 };
-        ]
-      in
-      let words =
-        Array.init (Hls_ctrl.Fsm.n_states fsm) (fun sid ->
-            let enables =
-              List.mapi
-                (fun i (r : Hls_rtl.Datapath.reg_def) ->
-                  if
-                    List.exists
-                      (fun (l : Hls_rtl.Datapath.load) ->
-                        l.Hls_rtl.Datapath.l_reg = r.Hls_rtl.Datapath.rname)
-                      (Hls_rtl.Datapath.loads_in d.Flow.datapath sid)
-                  then 1 lsl i
-                  else 0)
-                d.Flow.datapath.Hls_rtl.Datapath.regs
-              |> List.fold_left ( lor ) 0
-            in
-            let op_code =
-              match Hls_rtl.Datapath.activities_in d.Flow.datapath sid with
-              | a :: _ -> Hashtbl.hash a.Hls_rtl.Datapath.a_op land 0x1F
-              | [] -> 0
-            in
-            let branchy =
-              if Hls_rtl.Datapath.cond_wire d.Flow.datapath sid <> None then 1 else 0
-            in
-            [ enables; op_code; branchy ])
-      in
+      let fields, words = Flow.microcode_image d in
       let mc = Hls_ctrl.Microcode.make ~fields ~words in
       Format.printf "%a" Hls_ctrl.Microcode.pp mc)
     [ ("sqrt", Workloads.sqrt_newton); ("gcd", Workloads.gcd); ("diffeq", Workloads.diffeq) ]

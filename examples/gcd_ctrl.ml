@@ -34,38 +34,9 @@ let () =
   Table.print t;
 
   (* microcode cost on the same controller: one word per state holding
-     the register-load enables and the unit operation selects *)
-  let n_states = Hls_ctrl.Fsm.n_states fsm in
-  let n_loads = List.length design.Flow.datapath.Hls_rtl.Datapath.regs in
-  let fields =
-    [
-      { Hls_ctrl.Microcode.fname = "reg_enables"; fwidth = max 1 n_loads };
-      { Hls_ctrl.Microcode.fname = "fu_op"; fwidth = 4 };
-      { Hls_ctrl.Microcode.fname = "next_sel"; fwidth = 2 };
-    ]
-  in
-  let words =
-    Array.init n_states (fun sid ->
-        let enables =
-          List.mapi
-            (fun i (r : Hls_rtl.Datapath.reg_def) ->
-              if
-                List.exists
-                  (fun (l : Hls_rtl.Datapath.load) -> l.Hls_rtl.Datapath.l_reg = r.Hls_rtl.Datapath.rname)
-                  (Hls_rtl.Datapath.loads_in design.Flow.datapath sid)
-              then 1 lsl i
-              else 0)
-            design.Flow.datapath.Hls_rtl.Datapath.regs
-          |> List.fold_left ( lor ) 0
-        in
-        let op_code =
-          match Hls_rtl.Datapath.activities_in design.Flow.datapath sid with
-          | a :: _ -> (Hashtbl.hash a.Hls_rtl.Datapath.a_op land 0xF)
-          | [] -> 0
-        in
-        let branchy = if Hls_rtl.Datapath.cond_wire design.Flow.datapath sid <> None then 1 else 0 in
-        [ enables; op_code; branchy ])
-  in
+     the register-load enables, the unit operation select and the
+     branch flag *)
+  let fields, words = Flow.microcode_image design in
   let mc = Hls_ctrl.Microcode.make ~fields ~words in
   Printf.printf "\n%s" (Format.asprintf "%a" Hls_ctrl.Microcode.pp mc);
 

@@ -474,39 +474,32 @@ let schedule ?block options o =
 let microcode_image (d : design) =
   let dp = d.datapath in
   let regs = dp.Hls_rtl.Datapath.regs in
-  let n_regs = List.length regs in
   let fields =
     [
-      { Hls_ctrl.Microcode.fname = "reg_en"; fwidth = max 1 n_regs };
+      { Hls_ctrl.Microcode.fname = "reg_en"; fwidth = max 1 (Array.length regs) };
       { Hls_ctrl.Microcode.fname = "fu_op"; fwidth = 5 };
       { Hls_ctrl.Microcode.fname = "branch"; fwidth = 1 };
     ]
   in
   let words =
-    Array.init
-      (Hls_ctrl.Fsm.n_states dp.Hls_rtl.Datapath.fsm)
-      (fun sid ->
-        let loads = Hls_rtl.Datapath.loads_in dp sid in
+    Array.mapi
+      (fun sid loads ->
         let enables =
-          List.mapi
-            (fun i (r : Hls_rtl.Datapath.reg_def) ->
-              if
-                List.exists
-                  (fun (l : Hls_rtl.Datapath.load) ->
-                    l.Hls_rtl.Datapath.l_reg = r.Hls_rtl.Datapath.rname)
-                  loads
-              then 1 lsl i
-              else 0)
-            regs
-          |> List.fold_left ( lor ) 0
+          Array.fold_left
+            (fun acc (l : Hls_rtl.Datapath.load) ->
+              match Hls_rtl.Datapath.register_index regs l.Hls_rtl.Datapath.l_reg with
+              | -1 -> acc
+              | i -> acc lor (1 lsl i))
+            0 loads
         in
         let op_code =
-          match Hls_rtl.Datapath.activities_in dp sid with
-          | a :: _ -> Hashtbl.hash a.Hls_rtl.Datapath.a_op land 0x1F
-          | [] -> 0
+          match dp.Hls_rtl.Datapath.acts.(sid) with
+          | [||] -> 0
+          | acts -> Hashtbl.hash acts.(0).Hls_rtl.Datapath.a_op land 0x1F
         in
-        let branchy = if Hls_rtl.Datapath.cond_wire dp sid <> None then 1 else 0 in
+        let branchy = if dp.Hls_rtl.Datapath.conds.(sid) <> None then 1 else 0 in
         [ enables; op_code; branchy ])
+      dp.Hls_rtl.Datapath.loads
   in
   (fields, words)
 
@@ -516,27 +509,29 @@ let microcode_image (d : design) =
 let lint_microcode (d : design) ~words =
   let open Hls_analysis.Diagnostic in
   let dp = d.datapath in
-  let regs = Array.of_list dp.Hls_rtl.Datapath.regs in
+  let regs = dp.Hls_rtl.Datapath.regs in
+  let loaded = Array.make (Array.length regs) false in
   let ds = ref [] in
   Array.iteri
     (fun sid word ->
       match word with
       | [ enables; _; branchy ] ->
-          for i = 0 to Array.length regs - 1 do
-            let rname = regs.(i).Hls_rtl.Datapath.rname in
-            let loaded =
-              List.exists
-                (fun (l : Hls_rtl.Datapath.load) -> l.Hls_rtl.Datapath.l_reg = rname)
-                (Hls_rtl.Datapath.loads_in dp sid)
-            in
-            if enables land (1 lsl i) <> 0 && not loaded then
-              ds :=
-                error Ctrl ~code:"CTRL010" (Field "reg_en")
-                  "state %d enables register %s which the datapath never loads there" sid
-                  rname
-                :: !ds
-          done;
-          if branchy <> 0 && Hls_rtl.Datapath.cond_wire dp sid = None then
+          Array.fill loaded 0 (Array.length loaded) false;
+          Array.iter
+            (fun (l : Hls_rtl.Datapath.load) ->
+              let i = Hls_rtl.Datapath.register_index regs l.Hls_rtl.Datapath.l_reg in
+              if i >= 0 then loaded.(i) <- true)
+            dp.Hls_rtl.Datapath.loads.(sid);
+          Array.iteri
+            (fun i (r : Hls_rtl.Datapath.reg_def) ->
+              if enables land (1 lsl i) <> 0 && not loaded.(i) then
+                ds :=
+                  error Ctrl ~code:"CTRL010" (Field "reg_en")
+                    "state %d enables register %s which the datapath never loads there" sid
+                    r.Hls_rtl.Datapath.rname
+                  :: !ds)
+            regs;
+          if branchy <> 0 && dp.Hls_rtl.Datapath.conds.(sid) = None then
             ds :=
               error Ctrl ~code:"CTRL010" (Field "branch")
                 "state %d asserts the branch flag without a condition wire" sid

@@ -332,8 +332,9 @@ val microcode_image :
   design -> Hls_ctrl.Microcode.field list * int list array
 (** The microcoded-control image linted by {!lint}: fields [reg_en]
     (one-hot over the datapath registers), [fu_op] and [branch], and
-    one word per FSM state. Exposed so tests can mutate the image and
-    feed it back through {!lint_microcode}. *)
+    one word per FSM state. The control-style experiments cost this
+    image, and tests mutate it and feed it back through
+    {!lint_microcode}. *)
 
 val lint_microcode :
   design -> words:int list array -> Hls_analysis.Diagnostic.t list

@@ -37,9 +37,9 @@ let summary (d : Flow.design) =
   out "\n-- schedule --\n%s" (schedule_table d);
   out "\n-- functional units --\n%s"
     (Format.asprintf "%a" Hls_alloc.Fu_alloc.pp d.Flow.fu);
-  List.iter
-    (fun (f : Hls_rtl.Datapath.fu_def) ->
-      out "FU%d bound to %s (%d bits, %d gates)\n" f.Hls_rtl.Datapath.fuid
+  Array.iteri
+    (fun i (f : Hls_rtl.Datapath.fu_def) ->
+      out "FU%d bound to %s (%d bits, %d gates)\n" i
         f.Hls_rtl.Datapath.comp.Hls_rtl.Component.cname f.Hls_rtl.Datapath.fwidth
         (Hls_rtl.Component.area f.Hls_rtl.Datapath.comp ~width:f.Hls_rtl.Datapath.fwidth))
     d.Flow.datapath.Hls_rtl.Datapath.fus;

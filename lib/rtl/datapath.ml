@@ -7,24 +7,18 @@ type reg_def = {
   rkind : [ `In_port | `Out_port | `Var | `Temp ];
 }
 
-type fu_def = { fuid : int; comp : Component.t; fwidth : int }
+type fu_def = { comp : Component.t; fwidth : int }
 
-type activity = {
-  a_state : int;
-  a_fu : int;
-  a_op : Op.t;
-  a_ty : Hls_lang.Ast.ty;
-  a_args : Wire.t list;
-}
+type activity = { a_fu : int; a_op : Op.t; a_ty : Hls_lang.Ast.ty; a_args : Wire.t list }
 
-type load = { l_state : int; l_reg : string; l_wire : Wire.t }
+type load = { l_reg : string; l_wire : Wire.t }
 
 type t = {
-  regs : reg_def list;
-  fus : fu_def list;
-  activities : activity list;
-  loads : load list;
-  conds : (int * Wire.t) list;
+  regs : reg_def array;
+  fus : fu_def array;
+  acts : activity array array;
+  loads : load array array;
+  conds : Wire.t option array;
   fsm : Hls_ctrl.Fsm.t;
 }
 
@@ -92,7 +86,8 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
     if widths.(r) >= 0 then
       reg_defs := { rname = name r; rwidth = widths.(r); rkind = kinds.(r) } :: !reg_defs
   done;
-  let reg_defs = List.sort (fun a b -> String.compare a.rname b.rname) !reg_defs in
+  let reg_defs = Array.of_list !reg_defs in
+  Array.sort (fun a b -> String.compare a.rname b.rname) reg_defs;
   (* ---- wire construction: the interconnect names the net a value is
      read from; a free chain's root expands into its logic over the nets
      its operands are read from at the same step ---- *)
@@ -120,21 +115,21 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
   let rec wires_for g bid args ~step =
     match args with [] -> [] | a :: rest -> wire_for g bid a ~step :: wires_for g bid rest ~step
   in
-  (* ---- functional units and their activations, by unit id ---- *)
-  let n_fus =
-    List.fold_left
-      (fun acc (i : Fu_alloc.instance) -> Int.max acc (i.Fu_alloc.fu_id + 1))
-      0 fu.Fu_alloc.instances
-  in
+  (* ---- functional units and their activations, by unit id and state;
+     per-state lists are built in reverse, then reversed once ---- *)
+  let n_states = Hls_ctrl.Fsm.n_states fsm in
+  let per_state rev = Array.map (fun l -> Array.of_list (List.rev l)) rev in
+  let n_fus = List.length fu.Fu_alloc.instances in
   let fu_widths = Array.make n_fus 1 in
   let fu_ops = Array.make n_fus [] in
-  let activities = ref [] in
+  let acts = Array.make n_states [] in
   for bid = 0 to Cfg.n_blocks cfg - 1 do
     let g = Cfg.dfg cfg bid in
     Array.iteri
       (fun step nids ->
         List.iter
           (fun nid ->
+            let state = Hls_ctrl.Fsm.state_of fsm bid step in
             let node = Dfg.node g nid in
             let unit_id = Fu_alloc.of_op fu bid nid in
             let args = wires_for g bid node.Dfg.args ~step in
@@ -142,64 +137,41 @@ let build ?node_bits ?lifetimes cs ~fu ~regs ~ports =
               fu_widths.(unit_id) <- Int.max fu_widths.(unit_id) (nb bid nid node);
               fu_ops.(unit_id) <- node.Dfg.op :: fu_ops.(unit_id)
             end;
-            activities :=
-              {
-                a_state = Hls_ctrl.Fsm.state_of fsm bid step;
-                a_fu = unit_id;
-                a_op = node.Dfg.op;
-                a_ty = node.Dfg.ty;
-                a_args = args;
-              }
-              :: !activities)
+            acts.(state) <-
+              { a_fu = unit_id; a_op = node.Dfg.op; a_ty = node.Dfg.ty; a_args = args }
+              :: acts.(state))
           nids)
       (Lifetime.by_step lt bid)
   done;
   let fus =
-    List.map
-      (fun (inst : Fu_alloc.instance) ->
-        let fuid = inst.Fu_alloc.fu_id in
-        let comp = Component.bind ~cls:inst.Fu_alloc.fu_cls ~ops:fu_ops.(fuid) in
-        { fuid; comp; fwidth = fu_widths.(fuid) })
-      fu.Fu_alloc.instances
+    Array.of_list
+      (List.mapi
+         (fun i (inst : Fu_alloc.instance) ->
+           if inst.Fu_alloc.fu_id <> i then invalid_arg "Datapath: unit ids are not dense";
+           let comp = Component.bind ~cls:inst.Fu_alloc.fu_cls ~ops:fu_ops.(i) in
+           { comp; fwidth = fu_widths.(i) })
+         fu.Fu_alloc.instances)
   in
   (* ---- register loads ---- *)
-  let loads = ref [] in
+  let loads = Array.make n_states [] in
   for bid = 0 to Cfg.n_blocks cfg - 1 do
     let g = Cfg.dfg cfg bid in
     Interconnect.iter_latches resolver bid (fun reg nid step ->
-        let l_state = Hls_ctrl.Fsm.state_of fsm bid step in
-        loads := { l_state; l_reg = name reg; l_wire = wire_for g bid nid ~step } :: !loads)
+        let state = Hls_ctrl.Fsm.state_of fsm bid step in
+        loads.(state) <- { l_reg = name reg; l_wire = wire_for g bid nid ~step } :: loads.(state))
   done;
-  (* ---- branch conditions ---- *)
-  let conds =
-    List.filter_map
-      (fun bid ->
-        match facts.Cfg_facts.blocks.(bid).Cfg_facts.cond with
-        | Some c ->
-            let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
-            let state = Hls_ctrl.Fsm.state_of fsm bid n in
-            Some (state, wire_for (Cfg.dfg cfg bid) bid c ~step:n)
-        | None -> None)
-      (Cfg.block_ids cfg)
-  in
-  {
-    regs = reg_defs;
-    fus;
-    activities = List.rev !activities;
-    loads = List.rev !loads;
-    conds;
-    fsm;
-  }
-
-let registers t =
-  let regs = Array.of_list t.regs in
-  (* [build] lists them sorted already *)
-  let sorted = ref true in
-  for i = 1 to Array.length regs - 1 do
-    if String.compare regs.(i - 1).rname regs.(i).rname > 0 then sorted := false
-  done;
-  if not !sorted then Array.sort (fun a b -> String.compare a.rname b.rname) regs;
-  regs
+  (* ---- branch conditions, each in its block's last state ---- *)
+  let conds = Array.make n_states None in
+  Array.iteri
+    (fun bid (fb : Cfg_facts.block) ->
+      Option.iter
+        (fun c ->
+          let n = Hls_sched.Schedule.n_steps (Hls_sched.Cfg_sched.block_schedule cs bid) in
+          let state = Hls_ctrl.Fsm.state_of fsm bid n in
+          conds.(state) <- Some (wire_for (Cfg.dfg cfg bid) bid c ~step:n))
+        fb.Cfg_facts.cond)
+    facts.Cfg_facts.blocks;
+  { regs = reg_defs; fus; acts = per_state acts; loads = per_state loads; conds; fsm }
 
 let register_index regs name =
   let rec go lo hi =
@@ -211,49 +183,7 @@ let register_index regs name =
   in
   go 0 (Array.length regs)
 
-let units t =
-  let n = List.fold_left (fun acc f -> Int.max acc (f.fuid + 1)) 0 t.fus in
-  let units = Array.make n None in
-  List.iter (fun f -> if f.fuid >= 0 && units.(f.fuid) = None then units.(f.fuid) <- Some f) t.fus;
-  units
-
-let activities_in t state = List.filter (fun a -> a.a_state = state) t.activities
-
-let loads_in t state = List.filter (fun l -> l.l_state = state) t.loads
-
-let cond_wire t state = List.assoc_opt state t.conds
-
-(* Per-state view built in one pass — the simulator's replacement for
-   calling the [List.filter] accessors above every cycle. State ids are
-   dense (0 .. n_states-1), so plain arrays index them. *)
-type index = {
-  ix_acts : activity array array;
-  ix_loads : load array array;
-  ix_conds : Wire.t option array;
-}
-
-let index t =
-  let n = Hls_ctrl.Fsm.n_states t.fsm in
-  let acts = Array.make n [] and loads = Array.make n [] in
-  (* build in reverse so each per-state list ends up in [t]'s order *)
-  List.iter (fun a -> acts.(a.a_state) <- a :: acts.(a.a_state)) (List.rev t.activities);
-  List.iter (fun l -> loads.(l.l_state) <- l :: loads.(l.l_state)) (List.rev t.loads);
-  let conds = Array.make n None in
-  (* first binding wins, as in [List.assoc_opt] *)
-  List.iter
-    (fun (s, w) -> if conds.(s) = None then conds.(s) <- Some w)
-    t.conds;
-  {
-    ix_acts = Array.map Array.of_list acts;
-    ix_loads = Array.map Array.of_list loads;
-    ix_conds = conds;
-  }
-
-let acts_at ix state = ix.ix_acts.(state)
-let loads_at ix state = ix.ix_loads.(state)
-let cond_at ix state = ix.ix_conds.(state)
-
 let stats t =
+  let count per_state = Array.fold_left (fun acc a -> acc + Array.length a) 0 per_state in
   Printf.sprintf "%d registers, %d functional units, %d activations, %d register loads"
-    (List.length t.regs) (List.length t.fus) (List.length t.activities)
-    (List.length t.loads)
+    (Array.length t.regs) (Array.length t.fus) (count t.acts) (count t.loads)

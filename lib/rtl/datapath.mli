@@ -19,20 +19,37 @@ type reg_def = {
   rkind : [ `In_port | `Out_port | `Var | `Temp ];
 }
 
-type fu_def = { fuid : int; comp : Component.t; fwidth : int }
+type fu_def = { comp : Component.t; fwidth : int }
 
-(** One functional-unit activation: in [state], unit [fu] performs [op]
-    at type [ty] on the wire operands. *)
-type activity = { a_state : int; a_fu : int; a_op : Op.t; a_ty : Hls_lang.Ast.ty; a_args : Wire.t list }
+(** One functional-unit activation: unit [a_fu] performs [a_op] at type
+    [a_ty] on the wire operands. Its state is its position in [acts]. *)
+type activity = { a_fu : int; a_op : Op.t; a_ty : Hls_lang.Ast.ty; a_args : Wire.t list }
 
-type load = { l_state : int; l_reg : string; l_wire : Wire.t }
+(** One register load; its state is its position in [loads]. *)
+type load = { l_reg : string; l_wire : Wire.t }
 
+(** The datapath stored the way the controller drives it: per state.
+    Layout invariants, which {!build} establishes and the consumers read
+    without re-checking:
+    - [regs] is strictly ascending by name, so a position is a register
+      id: {!register_index} binary-searches it (the simulators, lint's
+      microcode image and {!Check}), the compiled simulator's register
+      values and [Vcd]'s identifier codes are indexed by it,
+      and a run's final register list comes out sorted by name;
+    - [fus.(i)] is unit [i], the id [a_fu] and
+      {!Wire.W_fu_out} name ({!Emit}, {!Estimate}, {!Check} and the
+      simulators index unit tables by it);
+    - [acts], [loads] and [conds] hold one entry per FSM state
+      ({!Hls_ctrl.Fsm.n_states}); within a state, activations and loads
+      keep construction order (block, then step, then node), which
+      the simulators, {!Emit} and the microcode image (whose op select
+      is the state's first activation) follow. *)
 type t = {
-  regs : reg_def list;
-  fus : fu_def list;
-  activities : activity list;
-  loads : load list;
-  conds : (int * Wire.t) list;  (** branch-condition wire per deciding state *)
+  regs : reg_def array;
+  fus : fu_def array;
+  acts : activity array array;  (** activations per state *)
+  loads : load array array;  (** register loads per state *)
+  conds : Wire.t option array;  (** branch-condition wire per state *)
   fsm : Hls_ctrl.Fsm.t;
 }
 
@@ -52,38 +69,9 @@ val build :
     area-only and bit-identical by construction. [lifetimes] is the
     schedule's table, built here when absent. *)
 
-val registers : t -> reg_def array
-(** The register definitions ascending by name. *)
-
 val register_index : reg_def array -> string -> int
-(** Position of the named register in {!registers}' array (binary
+(** Position of the named register in a datapath's [regs] (binary
     search), [-1] if there is none. *)
-
-val units : t -> fu_def option array
-(** Unit definitions indexed by unit id (the first of a repeated id). *)
-
-val activities_in : t -> int -> activity list
-(** Activations of a state. *)
-
-val loads_in : t -> int -> load list
-
-val cond_wire : t -> int -> Wire.t option
-
-(** Per-state view of activations, loads and branch conditions, built in
-    one pass over the datapath. {!activities_in}/{!loads_in}/{!cond_wire}
-    scan the whole design per query; a simulator executing millions of
-    cycles builds an index once and reads arrays. *)
-type index
-
-val index : t -> index
-
-val acts_at : index -> int -> activity array
-(** Activations of a state, in {!activities_in} order. *)
-
-val loads_at : index -> int -> load array
-(** Loads of a state, in {!loads_in} order. *)
-
-val cond_at : index -> int -> Wire.t option
 
 val stats : t -> string
 (** One-line summary: registers / units / activations. *)

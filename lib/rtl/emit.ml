@@ -42,7 +42,7 @@ let verilog ~name (dp : Datapath.t) =
   let sbits = Hls_ctrl.Encoding.width Hls_ctrl.Encoding.Binary ~n_states in
   out "// generated by hlsc — structural RTL\n";
   out "module %s(input clk, input rst, output done);\n" name;
-  List.iter
+  Array.iter
     (fun (r : Datapath.reg_def) ->
       out "  reg signed [%d:0] %s; // %s\n" (r.Datapath.rwidth - 1) r.Datapath.rname
         (match r.Datapath.rkind with
@@ -52,22 +52,22 @@ let verilog ~name (dp : Datapath.t) =
         | `Temp -> "temporary"))
     dp.Datapath.regs;
   out "  reg [%d:0] state;\n" (sbits - 1);
-  List.iter
-    (fun (f : Datapath.fu_def) ->
-      out "  reg signed [%d:0] fu%d_out; // %s\n" (f.Datapath.fwidth - 1) f.Datapath.fuid
+  Array.iteri
+    (fun i (f : Datapath.fu_def) ->
+      out "  reg signed [%d:0] fu%d_out; // %s\n" (f.Datapath.fwidth - 1) i
         f.Datapath.comp.Component.cname)
     dp.Datapath.fus;
   out "  assign done = (state == %d);\n" (Hls_ctrl.Fsm.done_state fsm);
   (* functional units *)
   out "\n  // functional units\n  always @* begin\n";
-  List.iter (fun (f : Datapath.fu_def) -> out "    fu%d_out = 0;\n" f.Datapath.fuid) dp.Datapath.fus;
+  Array.iteri (fun i _ -> out "    fu%d_out = 0;\n" i) dp.Datapath.fus;
   out "    case (state)\n";
   List.iter
     (fun (s : Hls_ctrl.Fsm.state) ->
-      let acts = Datapath.activities_in dp s.Hls_ctrl.Fsm.sid in
-      if acts <> [] then begin
+      let acts = dp.Datapath.acts.(s.Hls_ctrl.Fsm.sid) in
+      if acts <> [||] then begin
         out "      %d: begin\n" s.Hls_ctrl.Fsm.sid;
-        List.iter
+        Array.iter
           (fun (a : Datapath.activity) ->
             out "        fu%d_out = %s;\n" a.Datapath.a_fu
               (op_expr a.Datapath.a_op (List.map Wire.to_string a.Datapath.a_args)))
@@ -84,15 +84,15 @@ let verilog ~name (dp : Datapath.t) =
     (fun (s : Hls_ctrl.Fsm.state) ->
       let sid = s.Hls_ctrl.Fsm.sid in
       out "        %d: begin\n" sid;
-      List.iter
+      Array.iter
         (fun (l : Datapath.load) ->
           out "          %s <= %s;\n" l.Datapath.l_reg (Wire.to_string l.Datapath.l_wire))
-        (Datapath.loads_in dp sid);
+        dp.Datapath.loads.(sid);
       (match Hls_ctrl.Fsm.outgoing fsm sid with
       | [ { Hls_ctrl.Fsm.t_guard = Hls_ctrl.Fsm.G_always; t_to; _ } ] ->
           out "          state <= %d;\n" t_to
       | trs -> (
-          match Datapath.cond_wire dp sid with
+          match dp.Datapath.conds.(sid) with
           | Some cw ->
               let target pol =
                 List.find_map
@@ -115,7 +115,7 @@ let verilog ~name (dp : Datapath.t) =
 
 let dot ?(name = "datapath") (dp : Datapath.t) =
   let d = Hls_util.Dot.create name in
-  List.iter
+  Array.iter
     (fun (r : Datapath.reg_def) ->
       Hls_util.Dot.node d
         ~attrs:
@@ -125,15 +125,15 @@ let dot ?(name = "datapath") (dp : Datapath.t) =
           ]
         ("reg_" ^ r.Datapath.rname))
     dp.Datapath.regs;
-  List.iter
-    (fun (f : Datapath.fu_def) ->
+  Array.iteri
+    (fun i (f : Datapath.fu_def) ->
       Hls_util.Dot.node d
         ~attrs:
           [
-            ("label", Printf.sprintf "FU%d %s" f.Datapath.fuid f.Datapath.comp.Component.cname);
+            ("label", Printf.sprintf "FU%d %s" i f.Datapath.comp.Component.cname);
             ("shape", "ellipse");
           ]
-        (Printf.sprintf "fu_%d" f.Datapath.fuid))
+        (Printf.sprintf "fu_%d" i))
     dp.Datapath.fus;
   (* edges: register -> FU for inputs; FU/reg -> register for loads *)
   let edge_seen = Hashtbl.create 64 in
@@ -143,22 +143,22 @@ let dot ?(name = "datapath") (dp : Datapath.t) =
       Hls_util.Dot.edge d src dst
     end
   in
-  List.iter
-    (fun (a : Datapath.activity) ->
-      List.iter
-        (fun w ->
-          List.iter
-            (fun r -> emit_edge ("reg_" ^ r) (Printf.sprintf "fu_%d" a.Datapath.a_fu))
-            (Wire.regs_read w))
-        a.Datapath.a_args)
-    dp.Datapath.activities;
-  List.iter
-    (fun (l : Datapath.load) ->
-      List.iter
-        (fun u -> emit_edge (Printf.sprintf "fu_%d" u) ("reg_" ^ l.Datapath.l_reg))
-        (Wire.fus_read l.Datapath.l_wire);
-      List.iter
-        (fun r -> emit_edge ("reg_" ^ r) ("reg_" ^ l.Datapath.l_reg))
-        (Wire.regs_read l.Datapath.l_wire))
+  Array.iter
+    (Array.iter (fun (a : Datapath.activity) ->
+         List.iter
+           (fun w ->
+             List.iter
+               (fun r -> emit_edge ("reg_" ^ r) (Printf.sprintf "fu_%d" a.Datapath.a_fu))
+               (Wire.regs_read w))
+           a.Datapath.a_args))
+    dp.Datapath.acts;
+  Array.iter
+    (Array.iter (fun (l : Datapath.load) ->
+         List.iter
+           (fun u -> emit_edge (Printf.sprintf "fu_%d" u) ("reg_" ^ l.Datapath.l_reg))
+           (Wire.fus_read l.Datapath.l_wire);
+         List.iter
+           (fun r -> emit_edge ("reg_" ^ r) ("reg_" ^ l.Datapath.l_reg))
+           (Wire.regs_read l.Datapath.l_wire)))
     dp.Datapath.loads;
   Hls_util.Dot.render d

@@ -28,43 +28,41 @@ let same_net (a : Wire.t) (b : Wire.t) =
       false
   | _ -> a = b
 
-let unit_table (dp : Datapath.t) =
-  let units = Datapath.units dp in
-  ( Array.length units,
-    fun id ->
-      match if id >= 0 && id < Array.length units then units.(id) else None with
-      | Some f -> f
-      | None -> invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
-  )
+let unit_of (dp : Datapath.t) id =
+  if id >= 0 && id < Array.length dp.Datapath.fus then dp.Datapath.fus.(id)
+  else invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
 
-let mux_area_of (dp : Datapath.t) ~n_units ~unit_of =
-  let regs = Datapath.registers dp in
+let iter_states (dp : Datapath.t) ~act ~load =
+  Array.iter (Array.iter act) dp.Datapath.acts;
+  Array.iter (Array.iter load) dp.Datapath.loads
+
+let mux_area_of (dp : Datapath.t) =
+  let regs = dp.Datapath.regs in
   let reg_position name =
     match Datapath.register_index regs name with
     | -1 -> invalid_arg (Printf.sprintf "Estimate: load targets undefined register %S" name)
     | i -> i
   in
   let arity =
-    List.fold_left
-      (fun acc (a : Datapath.activity) -> Int.max acc (List.length a.Datapath.a_args))
-      0 dp.Datapath.activities
+    Array.fold_left
+      (Array.fold_left (fun acc (a : Datapath.activity) ->
+           Int.max acc (List.length a.Datapath.a_args)))
+      0 dp.Datapath.acts
   in
   (* distinct nets per unit input port ([fuid * arity + pos]) and per
      register input *)
-  let port_nets = Array.make (n_units * arity) [] in
+  let port_nets = Array.make (Array.length dp.Datapath.fus * arity) [] in
   let reg_nets = Array.make (Array.length regs) [] in
   let note nets i w =
     if not (List.exists (same_net w) nets.(i)) then nets.(i) <- w :: nets.(i)
   in
-  List.iter
-    (fun (a : Datapath.activity) ->
+  iter_states dp
+    ~act:(fun (a : Datapath.activity) ->
       let u = a.Datapath.a_fu in
-      ignore (unit_of u);
+      ignore (unit_of dp u);
       List.iteri (fun pos w -> note port_nets ((u * arity) + pos) w) a.Datapath.a_args)
-    dp.Datapath.activities;
-  List.iter
-    (fun (l : Datapath.load) -> note reg_nets (reg_position l.Datapath.l_reg) l.Datapath.l_wire)
-    dp.Datapath.loads;
+    ~load:(fun (l : Datapath.load) ->
+      note reg_nets (reg_position l.Datapath.l_reg) l.Datapath.l_wire);
   let area = ref 0 in
   Array.iteri
     (fun i nets ->
@@ -72,7 +70,7 @@ let mux_area_of (dp : Datapath.t) ~n_units ~unit_of =
         area :=
           !area
           + Component.mux_area ~inputs:(List.length nets)
-              ~width:(unit_of (i / arity)).Datapath.fwidth)
+              ~width:dp.Datapath.fus.(i / arity).Datapath.fwidth)
     port_nets;
   Array.iteri
     (fun i nets ->
@@ -80,45 +78,41 @@ let mux_area_of (dp : Datapath.t) ~n_units ~unit_of =
     reg_nets;
   !area
 
-let cycle_time (dp : Datapath.t) ~unit_of =
+let cycle_time (dp : Datapath.t) =
   (* worst state: register read + input mux + FU + output wiring + setup *)
   let worst = ref Component.register_delay_ns in
-  List.iter
-    (fun (a : Datapath.activity) ->
+  iter_states dp
+    ~act:(fun (a : Datapath.activity) ->
       let input_delay =
         List.fold_left (fun acc w -> Float.max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
       in
-      let f = unit_of a.Datapath.a_fu in
+      let f = unit_of dp a.Datapath.a_fu in
       let d =
         Component.register_delay_ns +. Component.mux_delay_ns +. input_delay
         +. f.Datapath.comp.Component.delay_ns
       in
       if d > !worst then worst := d)
-    dp.Datapath.activities;
-  List.iter
-    (fun (l : Datapath.load) ->
+    ~load:(fun (l : Datapath.load) ->
       let d =
         Component.register_delay_ns +. Component.mux_delay_ns
         +. Wire.depth_delay_ns l.Datapath.l_wire
       in
-      if d > !worst then worst := d)
-    dp.Datapath.loads;
+      if d > !worst then worst := d);
   !worst
 
 let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =
   let fu_area =
-    List.fold_left
+    Array.fold_left
       (fun acc (f : Datapath.fu_def) ->
         acc + Component.area f.Datapath.comp ~width:f.Datapath.fwidth)
       0 dp.Datapath.fus
   in
   let reg_area =
-    List.fold_left
+    Array.fold_left
       (fun acc (r : Datapath.reg_def) -> acc + Component.register_area ~width:r.Datapath.rwidth)
       0 dp.Datapath.regs
   in
-  let n_units, unit_of = unit_table dp in
-  let mux_area = mux_area_of dp ~n_units ~unit_of in
+  let mux_area = mux_area_of dp in
   let ctrl =
     match ctrl with
     | Some c -> c
@@ -128,7 +122,7 @@ let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =
     (2 * Hls_ctrl.Ctrl_synth.literal_cost ctrl)
     + Component.register_area ~width:(Hls_ctrl.Ctrl_synth.n_state_bits ctrl)
   in
-  let cycle_ns = cycle_time dp ~unit_of in
+  let cycle_ns = cycle_time dp in
   let compute_steps = Hls_sched.Cfg_sched.compute_steps cs in
   {
     fu_area;

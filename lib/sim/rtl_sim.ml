@@ -24,9 +24,9 @@ type ctrans = CT_always of int | CT_cond of bool * int
 
 type image = {
   im_dp : Datapath.t;
-  im_reg_names : string array;  (** sorted; index = register id *)
-  im_reg_vals : int array;  (** current register values, reset between runs *)
-  im_reg_ids : (string, int) Hashtbl.t;
+  im_reg_vals : int array;
+      (** current register values by register id (position in the
+          datapath's [regs]), reset between runs *)
   im_acts : cact array array;  (** per state *)
   im_loads : cload array array;  (** per state *)
   im_pending : int array array;  (** per state, one slot per load *)
@@ -44,30 +44,12 @@ type image = {
 let compile ?controller (dp : Datapath.t) =
   let fsm = dp.Datapath.fsm in
   let n_states = Hls_ctrl.Fsm.n_states fsm in
-  (* registers: [Datapath.build] sorts definitions by name, which is the
-     order [Hashtbl.fold ... |> List.sort compare] yields in the
-     reference (names are unique), so finals/on_cycle snapshots agree *)
-  let reg_names =
-    Array.of_list
-      (List.sort compare
-         (List.map (fun (r : Datapath.reg_def) -> r.Datapath.rname) dp.Datapath.regs))
-  in
-  let n_regs = Array.length reg_names in
-  let reg_ids = Hashtbl.create (2 * max n_regs 1) in
-  Array.iteri (fun i name -> Hashtbl.replace reg_ids name i) reg_names;
-  let reg_vals = Array.make (max n_regs 1) 0 in
-  let n_fus =
-    List.fold_left (fun acc (f : Datapath.fu_def) -> max acc (f.Datapath.fuid + 1)) 1
-      dp.Datapath.fus
-  in
-  let n_fus =
-    (* activations can reference units beyond the declared instances only
-       in malformed designs; size for both so reads fail through stamps,
-       not array bounds *)
-    List.fold_left
-      (fun acc (a : Datapath.activity) -> max acc (a.Datapath.a_fu + 1))
-      n_fus dp.Datapath.activities
-  in
+  (* registers: the datapath lists them strictly ascending by name,
+     which is the order [Hashtbl.fold ... |> List.sort compare] yields in
+     the reference, so finals/on_cycle snapshots agree *)
+  let regs = dp.Datapath.regs in
+  let reg_vals = Array.make (Array.length regs) 0 in
+  let n_fus = Array.length dp.Datapath.fus in
   let fu_vals = Array.make n_fus 0 in
   let fu_stamp = Array.make n_fus min_int in
   let cycle = ref 0 in
@@ -77,10 +59,9 @@ let compile ?controller (dp : Datapath.t) =
   let rec compile_wire (w : Wire.t) : unit -> int =
     match w with
     | Wire.W_reg r -> (
-        match Hashtbl.find_opt reg_ids r with
-        | Some id -> fun () -> reg_vals.(id)
-        | None ->
-            fun () -> raise (Sim_error (Printf.sprintf "read of missing register %s" r)))
+        match Datapath.register_index regs r with
+        | -1 -> fun () -> raise (Sim_error (Printf.sprintf "read of missing register %s" r))
+        | id -> fun () -> reg_vals.(id))
     | Wire.W_const (v, _) -> fun () -> v
     | Wire.W_fu_out (u, _) ->
         if u < 0 || u >= n_fus then
@@ -111,39 +92,36 @@ let compile ?controller (dp : Datapath.t) =
             let fmt = Hls_cdfg.Op.fmt_of t in
             fun () -> Hls_util.Fixedpt.wrap fmt (lnot (ca ())))
   in
-  let ix = Datapath.index dp in
   let acts =
-    Array.init n_states (fun s ->
-        Array.map
-          (fun (a : Datapath.activity) ->
-            let args = Array.of_list (List.map compile_wire a.Datapath.a_args) in
-            {
-              ca_fu = a.Datapath.a_fu;
-              ca_eval = Hls_cdfg.Op.compile_eval a.Datapath.a_ty a.Datapath.a_op;
-              ca_args = args;
-              ca_buf = Array.make (Array.length args) 0;
-            })
-          (Datapath.acts_at ix s))
+    Array.map
+      (Array.map (fun (a : Datapath.activity) ->
+           let u = a.Datapath.a_fu in
+           (* unreachable in well-formed designs: reject at compile time *)
+           if u < 0 || u >= n_fus then
+             raise (Sim_error (Printf.sprintf "activation of missing unit %d" u));
+           let args = Array.of_list (List.map compile_wire a.Datapath.a_args) in
+           {
+             ca_fu = u;
+             ca_eval = Hls_cdfg.Op.compile_eval a.Datapath.a_ty a.Datapath.a_op;
+             ca_args = args;
+             ca_buf = Array.make (Array.length args) 0;
+           }))
+      dp.Datapath.acts
   in
   let loads =
-    Array.init n_states (fun s ->
-        Array.map
-          (fun (l : Datapath.load) ->
-            let reg =
-              match Hashtbl.find_opt reg_ids l.Datapath.l_reg with
-              | Some id -> id
-              | None ->
-                  (* no such register: committing would be a silent no-op in
-                     the reference (Hashtbl.replace inserts); unreachable in
-                     well-formed designs, reject at compile time *)
-                  raise
-                    (Sim_error (Printf.sprintf "load of missing register %s" l.Datapath.l_reg))
-            in
-            { cl_reg = reg; cl_wire = compile_wire l.Datapath.l_wire })
-          (Datapath.loads_at ix s))
+    Array.map
+      (Array.map (fun (l : Datapath.load) ->
+           match Datapath.register_index regs l.Datapath.l_reg with
+           | -1 ->
+               (* no such register: committing would be a silent no-op in
+                  the reference (Hashtbl.replace inserts); unreachable in
+                  well-formed designs, reject at compile time *)
+               raise (Sim_error (Printf.sprintf "load of missing register %s" l.Datapath.l_reg))
+           | reg -> { cl_reg = reg; cl_wire = compile_wire l.Datapath.l_wire }))
+      dp.Datapath.loads
   in
   let pending = Array.map (fun ls -> Array.make (max (Array.length ls) 1) 0) loads in
-  let conds = Array.init n_states (fun s -> Option.map compile_wire (Datapath.cond_at ix s)) in
+  let conds = Array.map (Option.map compile_wire) dp.Datapath.conds in
   let next =
     Array.init n_states (fun s ->
         Array.of_list
@@ -213,9 +191,7 @@ let compile ?controller (dp : Datapath.t) =
   Hls_obs.Trace.incr "sim/images_compiled";
   {
     im_dp = dp;
-    im_reg_names = reg_names;
     im_reg_vals = reg_vals;
-    im_reg_ids = reg_ids;
     im_acts = acts;
     im_loads = loads;
     im_pending = pending;
@@ -234,22 +210,24 @@ let compile ?controller (dp : Datapath.t) =
    stamp array's generation discipline: a unit's value is only readable
    in the cycle that drove it. *)
 let run_image ?(fuel = 1_000_000) ?on_cycle img ~inputs =
-  let n_regs = Array.length img.im_reg_names in
+  let regs = img.im_dp.Datapath.regs in
   let vals = img.im_reg_vals in
   Array.fill vals 0 (Array.length vals) 0;
   Array.fill img.im_fu_stamp 0 (Array.length img.im_fu_stamp) min_int;
   List.iter
     (fun (name, raw) ->
-      match Hashtbl.find_opt img.im_reg_ids name with
-      | Some id -> vals.(id) <- raw
-      | None -> raise (Sim_error (Printf.sprintf "no input register %s" name)))
+      match Datapath.register_index regs name with
+      | -1 -> raise (Sim_error (Printf.sprintf "no input register %s" name))
+      | id -> vals.(id) <- raw)
     inputs;
   let state = ref img.im_entry in
   let cycles = img.im_cycle in
   cycles := 0;
   let snapshot () =
-    let rec go i acc = if i < 0 then acc else go (i - 1) ((img.im_reg_names.(i), vals.(i)) :: acc) in
-    go (n_regs - 1) []
+    let rec go i acc =
+      if i < 0 then acc else go (i - 1) ((regs.(i).Datapath.rname, vals.(i)) :: acc)
+    in
+    go (Array.length regs - 1) []
   in
   while !state <> img.im_done do
     incr cycles;

@@ -31,47 +31,37 @@ let run ?(module_name = "design") dp ~inputs =
   out "$timescale 1 ns $end\n";
   out "$scope module %s $end\n" module_name;
   out "$var wire %d %s state $end\n" state_width (id_of 0);
-  List.iteri
+  Array.iteri
     (fun i (r : Datapath.reg_def) ->
       out "$var wire %d %s %s $end\n" r.Datapath.rwidth (id_of (i + 1)) r.Datapath.rname)
     regs;
   out "$upscope $end\n$enddefinitions $end\n";
-  let code_of_reg =
-    let table = Hashtbl.create 16 in
-    List.iteri
-      (fun i (r : Datapath.reg_def) ->
-        Hashtbl.replace table r.Datapath.rname (id_of (i + 1), r.Datapath.rwidth))
-      regs;
-    fun name -> Hashtbl.find table name
+  (* register [i] (its position in [regs], which is also its position
+     in every snapshot) has code [i + 1]; a change is printed masked to
+     the register's width *)
+  let mask width v = v land ((1 lsl width) - 1) in
+  let last = Array.make (Array.length regs) 0 in
+  let dump_reg i v =
+    let width = regs.(i).Datapath.rwidth in
+    out "b%s %s\n" (to_binary ~width (mask width v)) (id_of (i + 1));
+    last.(i) <- v
   in
   (* initial values at time 0 *)
-  let mask width v = v land ((1 lsl width) - 1) in
-  let last : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let last_state = ref (Hls_ctrl.Fsm.entry dp.Datapath.fsm) in
   out "#0\n$dumpvars\n";
-  out "b%s %s\n" (to_binary ~width:state_width (Hls_ctrl.Fsm.entry dp.Datapath.fsm)) (id_of 0);
-  Hashtbl.replace last "state" (Hls_ctrl.Fsm.entry dp.Datapath.fsm);
-  List.iter
-    (fun (r : Datapath.reg_def) ->
-      let v = match List.assoc_opt r.Datapath.rname inputs with Some x -> x | None -> 0 in
-      let code, width = code_of_reg r.Datapath.rname in
-      out "b%s %s\n" (to_binary ~width (mask width v)) code;
-      Hashtbl.replace last r.Datapath.rname v)
+  out "b%s %s\n" (to_binary ~width:state_width !last_state) (id_of 0);
+  Array.iteri
+    (fun i (r : Datapath.reg_def) ->
+      dump_reg i (match List.assoc_opt r.Datapath.rname inputs with Some x -> x | None -> 0))
     regs;
   out "$end\n";
   let on_cycle ~cycle ~state ~regs:snapshot =
     out "#%d\n" cycle;
-    if Hashtbl.find last "state" <> state then begin
+    if !last_state <> state then begin
       out "b%s %s\n" (to_binary ~width:state_width state) (id_of 0);
-      Hashtbl.replace last "state" state
+      last_state := state
     end;
-    List.iter
-      (fun (name, v) ->
-        if Hashtbl.find_opt last name <> Some v then begin
-          let code, width = code_of_reg name in
-          out "b%s %s\n" (to_binary ~width (mask width v)) code;
-          Hashtbl.replace last name v
-        end)
-      snapshot
+    List.iteri (fun i (_, v) -> if last.(i) <> v then dump_reg i v) snapshot
   in
   let result = Rtl_sim.run ~on_cycle dp ~inputs in
   out "#%d\n" (result.Rtl_sim.cycles + 1);

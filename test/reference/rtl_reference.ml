@@ -1,8 +1,9 @@
 (* Oracle for Hls_sim.Rtl_sim: the seed interpreter. Per cycle it
-   filters the whole design for the current state's activations and
-   loads, walks wire trees through the generic [Wire.eval], dispatches
-   operators through [Op.eval], and (in gate-level mode) re-derives the
-   branch-condition key from the raw transition list. It produces
+   reads the current state's activations and loads, keeps registers and
+   unit outputs in hash tables, walks wire trees through the generic
+   [Wire.eval], dispatches operators through [Op.eval], and (in
+   gate-level mode) re-derives the branch-condition key from the raw
+   transition list. It produces
    exactly the same finals, cycle count and [on_cycle] observations as
    the compiled simulator; the differential tests in test_sim.ml and the
    rtl_sim kernel of the bench driver compare the two. *)
@@ -12,7 +13,7 @@ open Hls_rtl
 let run ?(fuel = 1_000_000) ?(gate_level_control = false)
     ?(encoding = Hls_ctrl.Encoding.Binary) ?on_cycle (dp : Datapath.t) ~inputs =
   let regs : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (r : Datapath.reg_def) -> Hashtbl.replace regs r.Datapath.rname 0) dp.Datapath.regs;
+  Array.iter (fun (r : Datapath.reg_def) -> Hashtbl.replace regs r.Datapath.rname 0) dp.Datapath.regs;
   List.iter
     (fun (name, raw) ->
       if Hashtbl.mem regs name then Hashtbl.replace regs name raw
@@ -41,7 +42,7 @@ let run ?(fuel = 1_000_000) ?(gate_level_control = false)
       | Some x -> x
       | None -> raise (Hls_sim.Rtl_sim.Sim_error (Printf.sprintf "combinational use of idle unit %d" u))
     in
-    List.iter
+    Array.iter
       (fun (a : Datapath.activity) ->
         let argv = List.map (fun w -> Wire.eval w ~reg:reg_read ~fu:fu_read) a.Datapath.a_args in
         let v =
@@ -49,17 +50,17 @@ let run ?(fuel = 1_000_000) ?(gate_level_control = false)
           with Division_by_zero -> raise (Hls_sim.Rtl_sim.Sim_error "division by zero")
         in
         Hashtbl.replace fu_out a.Datapath.a_fu v)
-      (Datapath.activities_in dp s);
+      dp.Datapath.acts.(s);
     (* register loads evaluate against pre-edge register values *)
     let pending =
-      List.map
+      Array.map
         (fun (l : Datapath.load) ->
           (l.Datapath.l_reg, Wire.eval l.Datapath.l_wire ~reg:reg_read ~fu:fu_read))
-        (Datapath.loads_in dp s)
+        dp.Datapath.loads.(s)
     in
     (* branch decision *)
     let cond_value =
-      match Datapath.cond_wire dp s with
+      match dp.Datapath.conds.(s) with
       | Some w -> Some (Wire.eval w ~reg:reg_read ~fu:fu_read <> 0)
       | None -> None
     in
@@ -67,7 +68,7 @@ let run ?(fuel = 1_000_000) ?(gate_level_control = false)
       match ctrl with
       | Some c ->
           let conds =
-            match (cond_value, Datapath.cond_wire dp s) with
+            match (cond_value, dp.Datapath.conds.(s)) with
             | Some v, Some _ -> (
                 (* recover the (block, nid) key for this state's condition *)
                 match
@@ -108,7 +109,7 @@ let run ?(fuel = 1_000_000) ?(gate_level_control = false)
           | None -> raise (Hls_sim.Rtl_sim.Sim_error (Printf.sprintf "state %d has no enabled transition" s)))
     in
     (* clock edge: commit loads and the state register together *)
-    List.iter (fun (r, v) -> Hashtbl.replace regs r v) pending;
+    Array.iter (fun (r, v) -> Hashtbl.replace regs r v) pending;
     state := next;
     (match on_cycle with
     | Some f ->

@@ -463,11 +463,13 @@ let datapath_mux_inputs (dp : Hls_rtl.Datapath.t) =
     let have = Option.value ~default:[] (Hashtbl.find_opt nets dst) in
     if not (List.mem net have) then Hashtbl.replace nets dst (net :: have)
   in
-  List.iter
-    (fun (a : Datapath.activity) ->
-      List.iteri (fun pos w -> note (`Port (a.Datapath.a_fu, pos)) w) a.Datapath.a_args)
-    dp.Datapath.activities;
-  List.iter (fun (l : Datapath.load) -> note (`Reg l.Datapath.l_reg) l.Datapath.l_wire) dp.Datapath.loads;
+  Array.iter
+    (Array.iter (fun (a : Datapath.activity) ->
+         List.iteri (fun pos w -> note (`Port (a.Datapath.a_fu, pos)) w) a.Datapath.a_args))
+    dp.Datapath.acts;
+  Array.iter
+    (Array.iter (fun (l : Datapath.load) -> note (`Reg l.Datapath.l_reg) l.Datapath.l_wire))
+    dp.Datapath.loads;
   Hashtbl.fold (fun _ ns acc -> acc + List.length ns - 1) nets 0
 
 let check_one_wiring tag (d : Hls_core.Flow.design) =

@@ -441,7 +441,7 @@ let test_ctrl_dead_field () =
 let test_ctrl_microcode_dead_resource () =
   let d = Lazy.force design in
   let _, words = Flow.microcode_image d in
-  let n_regs = List.length d.Flow.datapath.Hls_rtl.Datapath.regs in
+  let n_regs = Array.length d.Flow.datapath.Hls_rtl.Datapath.regs in
   (* set a reg_en bit some state's datapath never loads *)
   let mutated = ref false in
   let words =

@@ -212,24 +212,25 @@ let design_text b (d : Flow.design) =
   let add fmt = Printf.bprintf b fmt in
   let dp = d.Flow.datapath in
   let kind = function `In_port -> "in" | `Out_port -> "out" | `Var -> "var" | `Temp -> "temp" in
-  List.iter (fun (r : D.reg_def) -> add "reg %s %d %s\n" r.D.rname r.D.rwidth (kind r.D.rkind)) dp.D.regs;
-  List.iter
-    (fun (f : D.fu_def) ->
-      add "fu %d %s %d\n" f.D.fuid f.D.comp.Hls_rtl.Component.cname f.D.fwidth)
+  Array.iter (fun (r : D.reg_def) -> add "reg %s %d %s\n" r.D.rname r.D.rwidth (kind r.D.rkind)) dp.D.regs;
+  Array.iteri
+    (fun i (f : D.fu_def) -> add "fu %d %s %d\n" i f.D.comp.Hls_rtl.Component.cname f.D.fwidth)
     dp.D.fus;
-  List.iter
-    (fun (a : D.activity) ->
-      add "act s%d fu%d %s %s (%s)\n" a.D.a_state a.D.a_fu (Hls_cdfg.Op.to_string a.D.a_op)
-        (Hls_lang.Ast.ty_to_string a.D.a_ty)
-        (String.concat ", " (List.map Hls_rtl.Wire.to_string a.D.a_args)))
-    (List.stable_sort (fun (a : D.activity) (b : D.activity) -> compare a.D.a_state b.D.a_state)
-       dp.D.activities);
-  List.iter
-    (fun (l : D.load) -> add "load s%d %s <= %s\n" l.D.l_state l.D.l_reg (Hls_rtl.Wire.to_string l.D.l_wire))
-    (List.stable_sort (fun (a : D.load) (b : D.load) -> compare a.D.l_state b.D.l_state) dp.D.loads);
-  List.iter
-    (fun (s, w) -> add "cond s%d %s\n" s (Hls_rtl.Wire.to_string w))
-    (List.stable_sort (fun (a, _) (b, _) -> compare a b) dp.D.conds);
+  Array.iteri
+    (fun s ->
+      Array.iter (fun (a : D.activity) ->
+          add "act s%d fu%d %s %s (%s)\n" s a.D.a_fu (Hls_cdfg.Op.to_string a.D.a_op)
+            (Hls_lang.Ast.ty_to_string a.D.a_ty)
+            (String.concat ", " (List.map Hls_rtl.Wire.to_string a.D.a_args))))
+    dp.D.acts;
+  Array.iteri
+    (fun s ->
+      Array.iter (fun (l : D.load) ->
+          add "load s%d %s <= %s\n" s l.D.l_reg (Hls_rtl.Wire.to_string l.D.l_wire)))
+    dp.D.loads;
+  Array.iteri
+    (fun s -> Option.iter (fun w -> add "cond s%d %s\n" s (Hls_rtl.Wire.to_string w)))
+    dp.D.conds;
   List.iter
     (fun (t : I.transfer) ->
       add "xfer b%d.s%d %s -> %s\n" t.I.t_bid t.I.t_step (I.wire_to_string t.I.t_src)

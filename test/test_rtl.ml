@@ -62,19 +62,39 @@ let test_all_workloads_check () =
             (String.concat "; " (List.map Hls_analysis.Diagnostic.to_string ds)))
     Workloads.all
 
+(* [dp] with one state's activations (loads) replaced *)
+let with_acts (dp : Datapath.t) s acts =
+  let per_state = Array.copy dp.Datapath.acts in
+  per_state.(s) <- acts;
+  { dp with Datapath.acts = per_state }
+
+let with_loads (dp : Datapath.t) s loads =
+  let per_state = Array.copy dp.Datapath.loads in
+  per_state.(s) <- loads;
+  { dp with Datapath.loads = per_state }
+
+(* the first state with an entry *)
+let first_busy per_state =
+  let rec go s =
+    if s >= Array.length per_state then Alcotest.fail "no state has an entry"
+    else if per_state.(s) <> [||] then s
+    else go (s + 1)
+  in
+  go 0
+
 let test_check_catches_double_booking () =
   (* force two ops of the same class into one step with a 1-unit clique
-     allocation — impossible, so fabricate the defect directly *)
+     allocation — impossible, so fabricate the defect directly: another
+     state's operation lands on a busy unit *)
   let d = Flow.synthesize Workloads.sqrt_newton in
   let dp = d.Flow.datapath in
-  match dp.Datapath.activities with
-  | a :: rest ->
-      let clash = { a with Datapath.a_state = (List.hd rest).Datapath.a_state; a_fu = (List.hd rest).Datapath.a_fu } in
-      let broken = { dp with Datapath.activities = clash :: (List.hd rest) :: List.tl rest @ [ a ] } in
-      (match Check.run broken with
-      | Ok () -> Alcotest.fail "double booking not caught"
-      | Error _ -> ())
-  | [] -> Alcotest.fail "no activities"
+  let s = first_busy dp.Datapath.acts in
+  let busy = dp.Datapath.acts.(s).(0) in
+  let other = dp.Datapath.acts.(first_busy (with_acts dp s [||]).Datapath.acts).(0) in
+  let clash = { other with Datapath.a_fu = busy.Datapath.a_fu } in
+  match Check.run (with_acts dp s (Array.append dp.Datapath.acts.(s) [| clash |])) with
+  | Ok () -> Alcotest.fail "double booking not caught"
+  | Error _ -> ()
 
 (* ---- one failure test per Check rule ---- *)
 
@@ -91,76 +111,153 @@ let checked = lazy (Flow.synthesize Workloads.gcd)
 let checked_dp () = (Lazy.force checked).Flow.datapath
 let i8 = Hls_lang.Ast.Tint 8
 
+(* [dp] with one more load in state [s] *)
+let add_load (dp : Datapath.t) s l = with_loads dp s (Array.append [| l |] dp.Datapath.loads.(s))
+
 let test_rtl001_missing_reg_read () =
   let dp = checked_dp () in
-  let reg = (List.hd dp.Datapath.regs).Datapath.rname in
-  let bad = { Datapath.l_state = 9999; l_reg = reg; l_wire = Wire.W_reg "ghost" } in
-  expect_code "RTL001" { dp with Datapath.loads = bad :: dp.Datapath.loads }
+  let reg = dp.Datapath.regs.(0).Datapath.rname in
+  expect_code "RTL001" (add_load dp 0 { Datapath.l_reg = reg; l_wire = Wire.W_reg "ghost" })
 
 let test_rtl002_double_booking () =
   let dp = checked_dp () in
-  match dp.Datapath.activities with
-  | a :: _ -> expect_code "RTL002" { dp with Datapath.activities = a :: dp.Datapath.activities }
-  | [] -> Alcotest.fail "no activities"
+  let s = first_busy dp.Datapath.acts in
+  let acts = dp.Datapath.acts.(s) in
+  expect_code "RTL002" (with_acts dp s (Array.append [| acts.(0) |] acts))
 
 let test_rtl003_inexecutable_op () =
   let dp = checked_dp () in
+  let divides (a : Datapath.activity) =
+    Component.executes dp.Datapath.fus.(a.Datapath.a_fu).Datapath.comp Op.Div
+  in
   match
     List.find_opt
-      (fun (a : Datapath.activity) ->
-        let f = List.find (fun (f : Datapath.fu_def) -> f.Datapath.fuid = a.Datapath.a_fu) dp.Datapath.fus in
-        not (Component.executes f.Datapath.comp Op.Div))
-      dp.Datapath.activities
+      (fun s -> not (Array.for_all divides dp.Datapath.acts.(s)))
+      (List.init (Array.length dp.Datapath.acts) Fun.id)
   with
-  | Some a ->
+  | Some s ->
       let acts =
-        List.map
-          (fun (x : Datapath.activity) ->
-            if x == a then { x with Datapath.a_op = Op.Div } else x)
-          dp.Datapath.activities
+        Array.map
+          (fun (a : Datapath.activity) ->
+            if divides a then a else { a with Datapath.a_op = Op.Div })
+          dp.Datapath.acts.(s)
       in
-      expect_code "RTL003" { dp with Datapath.activities = acts }
+      expect_code "RTL003" (with_acts dp s acts)
   | None -> Alcotest.fail "every unit divides"
 
 let test_rtl004_same_state_chaining () =
   let dp = checked_dp () in
-  match dp.Datapath.activities with
-  | a :: rest ->
-      let chained = { a with Datapath.a_args = [ Wire.W_fu_out (a.Datapath.a_fu, i8) ] } in
-      expect_code "RTL004" { dp with Datapath.activities = chained :: rest }
-  | [] -> Alcotest.fail "no activities"
+  let s = first_busy dp.Datapath.acts in
+  let acts = Array.copy dp.Datapath.acts.(s) in
+  acts.(0) <- { (acts.(0)) with Datapath.a_args = [ Wire.W_fu_out (acts.(0).Datapath.a_fu, i8) ] };
+  expect_code "RTL004" (with_acts dp s acts)
 
 let test_rtl005_double_drive () =
   let dp = checked_dp () in
-  match dp.Datapath.loads with
-  | l :: _ -> expect_code "RTL005" { dp with Datapath.loads = l :: dp.Datapath.loads }
-  | [] -> Alcotest.fail "no loads"
+  let s = first_busy dp.Datapath.loads in
+  expect_code "RTL005" (add_load dp s dp.Datapath.loads.(s).(0))
 
 let test_rtl006_load_missing_reg () =
   let dp = checked_dp () in
-  let bad = { Datapath.l_state = 9999; l_reg = "ghost"; l_wire = Wire.W_const (0, i8) } in
-  expect_code "RTL006" { dp with Datapath.loads = bad :: dp.Datapath.loads }
+  expect_code "RTL006" (add_load dp 0 { Datapath.l_reg = "ghost"; l_wire = Wire.W_const (0, i8) })
 
 let test_rtl007_idle_unit_consumed () =
   let dp = checked_dp () in
-  let reg = (List.hd dp.Datapath.regs).Datapath.rname in
-  let fuid = (List.hd dp.Datapath.fus).Datapath.fuid in
-  (* state 9999 exists nowhere, so the unit is certainly idle there *)
-  let bad = { Datapath.l_state = 9999; l_reg = reg; l_wire = Wire.W_fu_out (fuid, i8) } in
-  expect_code "RTL007" { dp with Datapath.loads = bad :: dp.Datapath.loads }
+  let reg = dp.Datapath.regs.(0).Datapath.rname in
+  (* a state in which unit 0 performs nothing *)
+  let idle (acts : Datapath.activity array) =
+    Array.for_all (fun (a : Datapath.activity) -> a.Datapath.a_fu <> 0) acts
+  in
+  let rec find s =
+    if s >= Array.length dp.Datapath.acts then Alcotest.fail "unit 0 is busy in every state"
+    else if idle dp.Datapath.acts.(s) then s
+    else find (s + 1)
+  in
+  expect_code "RTL007"
+    (add_load dp (find 0) { Datapath.l_reg = reg; l_wire = Wire.W_fu_out (0, i8) })
 
 let test_rtl008_branch_without_cond () =
   let dp = checked_dp () in
-  Alcotest.(check bool) "gcd branches" true (dp.Datapath.conds <> []);
-  expect_code "RTL008" { dp with Datapath.conds = [] }
+  Alcotest.(check bool) "gcd branches" true (Array.exists Option.is_some dp.Datapath.conds);
+  expect_code "RTL008" { dp with Datapath.conds = Array.map (fun _ -> None) dp.Datapath.conds }
 
 let test_rtl009_ghost_unit () =
   let dp = checked_dp () in
-  match dp.Datapath.activities with
-  | a :: rest ->
-      expect_code "RTL009"
-        { dp with Datapath.activities = { a with Datapath.a_fu = 99 } :: rest }
-  | [] -> Alcotest.fail "no activities"
+  let s = first_busy dp.Datapath.acts in
+  let acts = Array.copy dp.Datapath.acts.(s) in
+  acts.(0) <- { (acts.(0)) with Datapath.a_fu = 99 };
+  expect_code "RTL009" (with_acts dp s acts)
+
+(* ---- layout invariants ---- *)
+
+(* What the datapath's consumers read without re-checking: one
+   activation, load and condition entry per FSM state, [fus.(i)] is the
+   allocation's unit [i] (its class and its operation count), register
+   names strictly ascending. *)
+let check_layout tag (d : Flow.design) =
+  let dp = d.Flow.datapath in
+  let n_states = Hls_ctrl.Fsm.n_states dp.Datapath.fsm in
+  let per_state field n =
+    if n <> n_states then Alcotest.failf "%s: %d %s entries for %d states" tag n field n_states
+  in
+  per_state "acts" (Array.length dp.Datapath.acts);
+  per_state "loads" (Array.length dp.Datapath.loads);
+  per_state "conds" (Array.length dp.Datapath.conds);
+  let fus = dp.Datapath.fus in
+  let instances = d.Flow.fu.Hls_alloc.Fu_alloc.instances in
+  if Array.length fus <> List.length instances then
+    Alcotest.failf "%s: %d units for %d instances" tag (Array.length fus) (List.length instances);
+  let ops = Array.make (Array.length fus) 0 in
+  Array.iter
+    (Array.iter (fun (a : Datapath.activity) -> ops.(a.Datapath.a_fu) <- ops.(a.Datapath.a_fu) + 1))
+    dp.Datapath.acts;
+  List.iter
+    (fun (inst : Hls_alloc.Fu_alloc.instance) ->
+      let i = inst.Hls_alloc.Fu_alloc.fu_id in
+      if
+        i < 0 || i >= Array.length fus
+        || fus.(i).Datapath.comp.Component.cls <> inst.Hls_alloc.Fu_alloc.fu_cls
+        || ops.(i) <> List.length inst.Hls_alloc.Fu_alloc.ops
+      then Alcotest.failf "%s: fus.(%d) is not unit %d" tag i i)
+    instances;
+  Array.iteri
+    (fun i (r : Datapath.reg_def) ->
+      if i > 0 && String.compare dp.Datapath.regs.(i - 1).Datapath.rname r.Datapath.rname >= 0
+      then
+        Alcotest.failf "%s: register %s after %s" tag r.Datapath.rname
+          dp.Datapath.regs.(i - 1).Datapath.rname)
+    dp.Datapath.regs
+
+let check_layout_cross tag engine ~schedulers =
+  List.iter
+    (fun (label, opts) ->
+      match Dse.eval_result engine opts with
+      | Ok d -> check_layout (tag ^ " " ^ label) d
+      | Error _ -> ())
+    (Explore.cross ~base:Flow.default_options ~schedulers ~limits:Explore.default_limits ())
+
+let test_layout_workloads () =
+  List.iter
+    (fun (name, src) ->
+      (* biquad3's flat block is past what branch-and-bound and 0/1
+         programming finish on *)
+      let schedulers =
+        if name = "biquad3" then
+          List.filter
+            (fun s -> s <> Flow.Branch_bound && s <> Flow.Ilp_exact)
+            Explore.default_schedulers
+        else Explore.default_schedulers
+      in
+      check_layout_cross name (Dse.create src) ~schedulers)
+    Workloads.all
+
+let test_layout_random () =
+  for seed = 0 to 199 do
+    check_layout_cross
+      (Printf.sprintf "seed %d" seed)
+      (Dse.create_program (Gen.program_of_seed seed))
+      ~schedulers:Explore.default_schedulers
+  done
 
 (* ---- emission ---- *)
 
@@ -274,6 +371,8 @@ let () =
         [
           Alcotest.test_case "all workloads pass checks" `Quick test_all_workloads_check;
           Alcotest.test_case "lint catches double booking" `Quick test_check_catches_double_booking;
+          Alcotest.test_case "layout: workloads x default cross" `Slow test_layout_workloads;
+          Alcotest.test_case "layout: random programs" `Slow test_layout_random;
         ] );
       ( "check rules",
         [
