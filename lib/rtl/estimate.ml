@@ -32,10 +32,6 @@ let unit_of (dp : Datapath.t) id =
   if id >= 0 && id < Array.length dp.Datapath.fus then dp.Datapath.fus.(id)
   else invalid_arg (Printf.sprintf "Estimate: activity references undefined fu%d" id)
 
-let iter_states (dp : Datapath.t) ~act ~load =
-  Array.iter (Array.iter act) dp.Datapath.acts;
-  Array.iter (Array.iter load) dp.Datapath.loads
-
 let mux_area_of (dp : Datapath.t) =
   let regs = dp.Datapath.regs in
   let reg_position name =
@@ -56,13 +52,16 @@ let mux_area_of (dp : Datapath.t) =
   let note nets i w =
     if not (List.exists (same_net w) nets.(i)) then nets.(i) <- w :: nets.(i)
   in
-  iter_states dp
-    ~act:(fun (a : Datapath.activity) ->
-      let u = a.Datapath.a_fu in
-      ignore (unit_of dp u);
-      List.iteri (fun pos w -> note port_nets ((u * arity) + pos) w) a.Datapath.a_args)
-    ~load:(fun (l : Datapath.load) ->
-      note reg_nets (reg_position l.Datapath.l_reg) l.Datapath.l_wire);
+  Array.iter
+    (Array.iter (fun (a : Datapath.activity) ->
+         let u = a.Datapath.a_fu in
+         ignore (unit_of dp u);
+         List.iteri (fun pos w -> note port_nets ((u * arity) + pos) w) a.Datapath.a_args))
+    dp.Datapath.acts;
+  Array.iter
+    (Array.iter (fun (l : Datapath.load) ->
+         note reg_nets (reg_position l.Datapath.l_reg) l.Datapath.l_wire))
+    dp.Datapath.loads;
   let area = ref 0 in
   Array.iteri
     (fun i nets ->
@@ -81,23 +80,26 @@ let mux_area_of (dp : Datapath.t) =
 let cycle_time (dp : Datapath.t) =
   (* worst state: register read + input mux + FU + output wiring + setup *)
   let worst = ref Component.register_delay_ns in
-  iter_states dp
-    ~act:(fun (a : Datapath.activity) ->
-      let input_delay =
-        List.fold_left (fun acc w -> Float.max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
-      in
-      let f = unit_of dp a.Datapath.a_fu in
-      let d =
-        Component.register_delay_ns +. Component.mux_delay_ns +. input_delay
-        +. f.Datapath.comp.Component.delay_ns
-      in
-      if d > !worst then worst := d)
-    ~load:(fun (l : Datapath.load) ->
-      let d =
-        Component.register_delay_ns +. Component.mux_delay_ns
-        +. Wire.depth_delay_ns l.Datapath.l_wire
-      in
-      if d > !worst then worst := d);
+  Array.iter
+    (Array.iter (fun (a : Datapath.activity) ->
+         let input_delay =
+           List.fold_left (fun acc w -> Float.max acc (Wire.depth_delay_ns w)) 0.0 a.Datapath.a_args
+         in
+         let f = unit_of dp a.Datapath.a_fu in
+         let d =
+           Component.register_delay_ns +. Component.mux_delay_ns +. input_delay
+           +. f.Datapath.comp.Component.delay_ns
+         in
+         if d > !worst then worst := d))
+    dp.Datapath.acts;
+  Array.iter
+    (Array.iter (fun (l : Datapath.load) ->
+         let d =
+           Component.register_delay_ns +. Component.mux_delay_ns
+           +. Wire.depth_delay_ns l.Datapath.l_wire
+         in
+         if d > !worst then worst := d))
+    dp.Datapath.loads;
   !worst
 
 let estimate ?(style = Hls_ctrl.Encoding.Binary) ?ctrl (dp : Datapath.t) cs =

@@ -88,13 +88,14 @@ let test_check_catches_double_booking () =
      state's operation lands on a busy unit *)
   let d = Flow.synthesize Workloads.sqrt_newton in
   let dp = d.Flow.datapath in
-  let s = first_busy dp.Datapath.acts in
-  let busy = dp.Datapath.acts.(s).(0) in
-  let other = dp.Datapath.acts.(first_busy (with_acts dp s [||]).Datapath.acts).(0) in
-  let clash = { other with Datapath.a_fu = busy.Datapath.a_fu } in
-  match Check.run (with_acts dp s (Array.append dp.Datapath.acts.(s) [| clash |])) with
-  | Ok () -> Alcotest.fail "double booking not caught"
-  | Error _ -> ()
+  let acts = dp.Datapath.acts in
+  match List.filter (fun s -> acts.(s) <> [||]) (List.init (Array.length acts) Fun.id) with
+  | s :: other :: _ ->
+      let clash = { (acts.(other).(0)) with Datapath.a_fu = acts.(s).(0).Datapath.a_fu } in
+      (match Check.run (with_acts dp s (Array.append acts.(s) [| clash |])) with
+      | Ok () -> Alcotest.fail "double booking not caught"
+      | Error _ -> ())
+  | _ -> Alcotest.fail "fewer than two busy states"
 
 (* ---- one failure test per Check rule ---- *)
 
@@ -233,7 +234,9 @@ let check_layout_cross tag engine ~schedulers =
     (fun (label, opts) ->
       match Dse.eval_result engine opts with
       | Ok d -> check_layout (tag ^ " " ^ label) d
-      | Error _ -> ())
+      | Error ds ->
+          Alcotest.failf "%s %s: %s" tag label
+            (String.concat "; " (List.map Hls_analysis.Diagnostic.to_string ds)))
     (Explore.cross ~base:Flow.default_options ~schedulers ~limits:Explore.default_limits ())
 
 let test_layout_workloads () =
