@@ -35,12 +35,12 @@ let read_file path =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          try Ok (really_input_string ic (in_channel_length ic)) with
+          (* read to the end, so a pipe (/dev/stdin) reads too *)
+          try Ok (In_channel.input_all ic) with
           | Sys_error msg ->
               (* opening a directory succeeds on Linux; the read is what
                  fails, with an unhelpful errno — name the real cause *)
-              Error (if Sys.is_directory path then path ^ ": is a directory" else msg)
-          | End_of_file -> Error (path ^ ": file changed size during read"))
+              Error (if Sys.is_directory path then path ^ ": is a directory" else msg))
 
 let read_source path_opt example_opt =
   let of_name name =

@@ -177,7 +177,7 @@ let check_microcode ~fields ~words =
       else
         List.iter2
           (fun (f : Microcode.field) v ->
-            if v < 0 || v >= 1 lsl f.Microcode.fwidth then
+            if not (Microcode.fits f v) then
               add
                 (error Ctrl ~code:"CTRL008" (Field f.Microcode.fname)
                    "value %d of state %d does not fit %d bit%s" v state f.Microcode.fwidth

@@ -13,7 +13,8 @@ open Hls_sched
              content digest with it, computed once per miss
    block     midend key + block id + scheduler + the limits that can
              bind on the block (Depgraph.binding_limits) — probed by
-             schedule misses only, one probe per block
+             schedule misses only, one probe per block whose ASAP
+             schedule does not already fit (Flow.schedule)
    backend   midend key + schedule digest + stage_key [Backend]
    control   midend key + encoding + each block's step count — probed
              by backend misses only
@@ -92,8 +93,8 @@ let class_key k ~digest =
 (* Block layer: a block's schedule depends on the block (fixed by the
    midend key and its id), the scheduler, and only the caps that can
    bind on it — limits a scheduler ignores are already [Unlimited]. It
-   is probed once per block of every schedule miss, so its key is a
-   value, not printed text. *)
+   is probed once per block of a schedule miss that needs its scheduler,
+   so its key is a value, not printed text. *)
 type block_key = {
   b_mid : string;
   b_bid : int;

@@ -14,8 +14,12 @@
       scheduler + the caps that can bind on that block
       ({!Hls_sched.Depgraph.binding_limits}): a cap at least the
       number of operations it constrains never changes a block's
-      schedule, so e.g. 3 and 4 general units share every block of at
-      most 3 operations;
+      schedule, so e.g. [Serial] and a cap of one on each class share
+      every block whose operations are all of one class. Probed only
+      for blocks that need their scheduler: under a scheduler that
+      honours the limits, a block whose ASAP schedule fits them
+      ({!Hls_sched.Depgraph.asap_fits}) takes the midend's shared ASAP
+      schedule without a probe;
     - {e backend} (allocate/bind/control/estimate) once per midend key
       + schedule {e content} digest + the backend options
       ([allocator, share_variables, encoding, narrow]) — points whose
@@ -128,8 +132,9 @@ type stats = {
   midend : layer;
   schedule : layer;
   block : layer;
-      (** block schedulings, probed once per block by schedule misses
-          only *)
+      (** block schedulings, probed by schedule misses only: once per
+          block, except blocks whose ASAP schedule fits the limits of a
+          scheduler that honours them *)
   backend : layer;
   control : layer;
       (** controller syntheses, probed by backend misses only: never

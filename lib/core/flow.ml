@@ -361,6 +361,7 @@ type optimized = {
   o_cfg : Hls_cdfg.Cfg.t;
   o_outputs : string list;
   o_deps : Hls_sched.Depgraph.t array;
+  o_asap : Schedule.t array;
   o_facts : Hls_alloc.Cfg_facts.t;
   o_floors : Floors.t;
 }
@@ -435,6 +436,9 @@ let midend ~passes ~if_conversion c =
         Array.init (Hls_cdfg.Cfg.n_blocks cfg) (fun bid ->
             Hls_sched.Depgraph.of_dfg (Hls_cdfg.Cfg.dfg cfg bid))
       in
+      let o_asap =
+        Array.map (fun dep -> Depgraph.to_schedule dep ~steps:(Depgraph.asap dep)) o_deps
+      in
       let o_facts = Hls_alloc.Cfg_facts.make ~outputs cfg in
       let o_floors =
         Floors.make
@@ -442,7 +446,7 @@ let midend ~passes ~if_conversion c =
           ~ports:(List.map (fun (n, _, ty) -> (n, ty)) ports)
           o_facts
       in
-      { o_prog = prog; o_cfg = cfg; o_outputs = outputs; o_deps; o_facts; o_floors })
+      { o_prog = prog; o_cfg = cfg; o_outputs = outputs; o_deps; o_asap; o_facts; o_floors })
 
 let schedule ?block options o =
   Hls_obs.Trace.with_span "schedule"
@@ -461,8 +465,15 @@ let schedule ?block options o =
             invalid_arg
               (Printf.sprintf "Flow: scheduler produced invalid schedule: block %d: %s" bid e)
       in
-      let f =
+      let run =
         match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid ()
+      in
+      (* every kernel that honours the limits returns exactly ASAP when
+         ASAP already fits them (the audit is in depgraph.mli) *)
+      let f =
+        if scheduler_ignores_limits options.scheduler then run
+        else fun bid ->
+          if Depgraph.asap_fits ~limits o.o_deps.(bid) then o.o_asap.(bid) else run bid
       in
       Cfg_sched.init ~freq:o.o_facts.Hls_alloc.Cfg_facts.freq o.o_cfg f)
 
@@ -470,35 +481,49 @@ let schedule ?block options o =
 
 (* The microcoded-control image of the design: one word per state, a
    register-enable bit per physical register plus an op-select and a
-   branch flag (the same shape the microcode experiments cost). *)
+   branch flag (the same shape the microcode experiments cost). A field
+   value is a non-negative [int], so the enables take one [reg_en] field
+   per [reg_en_bits] registers. *)
+let reg_en_bits = Sys.int_size - 1
+
+let reg_en_fields n_regs = max 1 ((n_regs + reg_en_bits - 1) / reg_en_bits)
+let reg_en_name j = if j = 0 then "reg_en" else Printf.sprintf "reg_en%d" j
+
 let microcode_image (d : design) =
   let dp = d.datapath in
   let regs = dp.Hls_rtl.Datapath.regs in
+  let n_regs = Array.length regs in
+  let n_en = reg_en_fields n_regs in
   let fields =
-    [
-      { Hls_ctrl.Microcode.fname = "reg_en"; fwidth = max 1 (Array.length regs) };
-      { Hls_ctrl.Microcode.fname = "fu_op"; fwidth = 5 };
-      { Hls_ctrl.Microcode.fname = "branch"; fwidth = 1 };
-    ]
+    List.init n_en (fun j ->
+        {
+          Hls_ctrl.Microcode.fname = reg_en_name j;
+          fwidth = max 1 (min reg_en_bits (n_regs - (j * reg_en_bits)));
+        })
+    @ [
+        { Hls_ctrl.Microcode.fname = "fu_op"; fwidth = 5 };
+        { Hls_ctrl.Microcode.fname = "branch"; fwidth = 1 };
+      ]
   in
   let words =
     Array.mapi
       (fun sid loads ->
-        let enables =
-          Array.fold_left
-            (fun acc (l : Hls_rtl.Datapath.load) ->
-              match Hls_rtl.Datapath.register_index regs l.Hls_rtl.Datapath.l_reg with
-              | -1 -> acc
-              | i -> acc lor (1 lsl i))
-            0 loads
-        in
+        let enables = Array.make n_en 0 in
+        Array.iter
+          (fun (l : Hls_rtl.Datapath.load) ->
+            match Hls_rtl.Datapath.register_index regs l.Hls_rtl.Datapath.l_reg with
+            | -1 -> ()
+            | i ->
+                let j = i / reg_en_bits in
+                enables.(j) <- enables.(j) lor (1 lsl (i mod reg_en_bits)))
+          loads;
         let op_code =
           match dp.Hls_rtl.Datapath.acts.(sid) with
           | [||] -> 0
           | acts -> Hashtbl.hash acts.(0).Hls_rtl.Datapath.a_op land 0x1F
         in
         let branchy = if dp.Hls_rtl.Datapath.conds.(sid) <> None then 1 else 0 in
-        [ enables; op_code; branchy ])
+        Array.to_list enables @ [ op_code; branchy ])
       dp.Hls_rtl.Datapath.loads
   in
   (fields, words)
@@ -510,12 +535,14 @@ let lint_microcode (d : design) ~words =
   let open Hls_analysis.Diagnostic in
   let dp = d.datapath in
   let regs = dp.Hls_rtl.Datapath.regs in
+  let n_en = reg_en_fields (Array.length regs) in
   let loaded = Array.make (Array.length regs) false in
   let ds = ref [] in
   Array.iteri
     (fun sid word ->
-      match word with
-      | [ enables; _; branchy ] ->
+      match List.filteri (fun j _ -> j >= n_en) word with
+      | [ _; branchy ] ->
+          let enables = Array.of_list (List.filteri (fun j _ -> j < n_en) word) in
           Array.fill loaded 0 (Array.length loaded) false;
           Array.iter
             (fun (l : Hls_rtl.Datapath.load) ->
@@ -524,9 +551,10 @@ let lint_microcode (d : design) ~words =
             dp.Hls_rtl.Datapath.loads.(sid);
           Array.iteri
             (fun i (r : Hls_rtl.Datapath.reg_def) ->
-              if enables land (1 lsl i) <> 0 && not loaded.(i) then
+              let j = i / reg_en_bits in
+              if enables.(j) land (1 lsl (i mod reg_en_bits)) <> 0 && not loaded.(i) then
                 ds :=
-                  error Ctrl ~code:"CTRL010" (Field "reg_en")
+                  error Ctrl ~code:"CTRL010" (Field (reg_en_name j))
                     "state %d enables register %s which the datapath never loads there" sid
                     r.Hls_rtl.Datapath.rname
                   :: !ds)

@@ -170,6 +170,11 @@ type optimized = {
       (** each block's dependence graph, indexed by block id, built once
           when the midend finishes: every scheduler and bound of every
           point on this result reads it instead of rebuilding it *)
+  o_asap : Hls_sched.Schedule.t array;
+      (** each block's ASAP schedule, indexed by block id, built once
+          next to [o_deps]: the schedule every resource-constrained
+          scheduler returns for a block whose ASAP schedule fits the
+          limits ({!Hls_sched.Depgraph.asap_fits}) *)
   o_facts : Hls_alloc.Cfg_facts.t;
       (** liveness, variable ids and each block's reads, writes, branch
           condition and operation count: every backend run's
@@ -222,11 +227,15 @@ val schedule :
 (** Schedule every block with [options.scheduler] under
     [options.limits], and verify each block's schedule (dependences
     always; limits too unless {!scheduler_ignores_limits}). Raises
-    [Invalid_argument] if the scheduler breaks its contract. [block bid
-    compute] gets each block's schedule, by default [compute ()]; the
-    {!Dse} engine passes its block memo, which may return a schedule
-    [compute] produced for another point only when that point's limits
-    differ in caps that cannot bind on the block
+    [Invalid_argument] if the scheduler breaks its contract. A
+    scheduler that honours the limits answers a block whose ASAP
+    schedule fits them ({!Hls_sched.Depgraph.asap_fits}) with the
+    shared [o_asap] schedule, which is what its kernel would return,
+    without running the kernel, verifying or calling [block]. [block
+    bid compute] gets every other block's schedule, by default
+    [compute ()]; the {!Dse} engine passes its block memo, which may
+    return a schedule [compute] produced for another point only when
+    that point's limits differ in caps that cannot bind on the block
     ({!Hls_sched.Depgraph.binding_limits}). *)
 
 (** {2 Result API}
@@ -330,8 +339,10 @@ val lint : design -> Hls_analysis.Diagnostic.t list
 
 val microcode_image :
   design -> Hls_ctrl.Microcode.field list * int list array
-(** The microcoded-control image linted by {!lint}: fields [reg_en]
-    (one-hot over the datapath registers), [fu_op] and [branch], and
+(** The microcoded-control image linted by {!lint}: register-enable
+    fields (one bit per datapath register, in register order; [reg_en]
+    holds the first [Sys.int_size - 1] registers, and each further
+    [reg_en1], [reg_en2], ... as many more), [fu_op] and [branch], and
     one word per FSM state. The control-style experiments cost this
     image, and tests mutate it and feed it back through
     {!lint_microcode}. *)

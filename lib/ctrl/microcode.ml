@@ -6,6 +6,8 @@ let bits_for n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in
   if n <= 1 then 0 else go 1
 
+let fits f v = v >= 0 && (f.fwidth >= Sys.int_size - 1 || v < 1 lsl f.fwidth)
+
 let make ~fields ~words =
   Array.iteri
     (fun state vals ->
@@ -13,7 +15,7 @@ let make ~fields ~words =
         invalid_arg (Printf.sprintf "Microcode.make: state %d arity mismatch" state);
       List.iter2
         (fun f v ->
-          if v < 0 || v >= 1 lsl f.fwidth then
+          if not (fits f v) then
             invalid_arg
               (Printf.sprintf "Microcode.make: state %d field %s value %d out of range"
                  state f.fname v))

@@ -13,6 +13,11 @@ type field = { fname : string; fwidth : int }
 
 type t
 
+val fits : field -> int -> bool
+(** Whether a value fits the field: non-negative and below
+    [2{^fwidth}]. Every non-negative [int] fits a field of at least
+    [Sys.int_size - 1] bits. *)
+
 val make : fields:field list -> words:int list array -> t
 (** [words.(state)] lists the field values of the state's control word,
     in field order. Raises [Invalid_argument] on arity or range

@@ -7,6 +7,9 @@ type t = {
   pred_table : int list array;
   succ_table : int list array;
   cls_table : Op.fu_class array;
+  asap_steps : int array;
+  asap_occ : Limits.occupancy;  (** of [asap_steps]; never mutated after [of_dfg] *)
+  critical : int;  (** the largest ASAP step, 0 without operations *)
 }
 
 (* Occupying ancestors of a node, looking through free chains. *)
@@ -16,6 +19,27 @@ let rec eff_sources g id acc =
     match Dfg.op g id with
     | Op.Const _ | Op.Read _ -> acc
     | _ -> List.fold_left (fun acc a -> eff_sources g a acc) acc (Dfg.args g id)
+
+(* The forward pass of constrained time frames: [fixed i] pins op [i]
+   to one step; every other op takes the earliest step after its
+   predecessors. *)
+let forward pred_table ~fixed =
+  let n = Array.length pred_table in
+  let a = Array.make n 1 in
+  for i = 0 to n - 1 do
+    a.(i) <-
+      (match fixed i with
+      | Some s -> s
+      | None -> 1 + List.fold_left (fun acc p -> max acc a.(p)) 0 pred_table.(i))
+  done;
+  a
+
+let unpinned _ = None
+
+let tally cls_table steps =
+  let occ = Limits.occupancy () in
+  Array.iteri (fun i s -> Limits.occupy occ ~step:s cls_table.(i)) steps;
+  occ
 
 let of_dfg g =
   let ops = Array.of_list (Dfg.compute_ops g) in
@@ -37,7 +61,10 @@ let of_dfg g =
       List.iter (fun p -> succ_table.(p) <- i :: succ_table.(p)) pred_idx)
     ops;
   Array.iteri (fun i s -> succ_table.(i) <- List.sort compare s) succ_table;
-  { g; ops; index; pred_table; succ_table; cls_table }
+  let asap_steps = forward pred_table ~fixed:unpinned in
+  let asap_occ = tally cls_table asap_steps in
+  let critical = Array.fold_left max 0 asap_steps in
+  { g; ops; index; pred_table; succ_table; cls_table; asap_steps; asap_occ; critical }
 
 let n_ops t = Array.length t.ops
 let nid_of t i = t.ops.(i)
@@ -46,21 +73,9 @@ let preds t i = t.pred_table.(i)
 let succs t i = t.succ_table.(i)
 let cls t i = t.cls_table.(i)
 
-(* The two passes of constrained time frames. [fixed i] pins op [i] to
-   one step; every other op takes the earliest step after its
-   predecessors (forward) or the latest before its successors and the
-   deadline (backward). *)
-let forward t ~fixed =
-  let n = n_ops t in
-  let a = Array.make n 1 in
-  for i = 0 to n - 1 do
-    a.(i) <-
-      (match fixed i with
-      | Some s -> s
-      | None -> 1 + List.fold_left (fun acc p -> max acc a.(p)) 0 t.pred_table.(i))
-  done;
-  a
-
+(* The backward pass of constrained time frames: [fixed i] pins op [i]
+   to one step; every other op takes the latest step before its
+   successors and the deadline. *)
 let backward t ~deadline ~fixed =
   let n = n_ops t in
   let l = Array.make n deadline in
@@ -74,15 +89,16 @@ let backward t ~deadline ~fixed =
 
 let frames t ~deadline ~fixed =
   let fixed = Array.get fixed in
-  (forward t ~fixed, backward t ~deadline ~fixed)
+  (forward t.pred_table ~fixed, backward t ~deadline ~fixed)
 
-let unpinned _ = None
+let asap t = Array.copy t.asap_steps
+let critical_length t = t.critical
 
-let asap t = forward t ~fixed:unpinned
-
-let critical_length t =
-  let a = asap t in
-  Array.fold_left max 0 a
+let asap_fits ~limits t =
+  let rec from s =
+    s > t.critical || (Limits.step_within limits t.asap_occ ~step:s && from (s + 1))
+  in
+  from 1
 
 let alap t ~deadline =
   let cl = critical_length t in
@@ -140,10 +156,7 @@ let path_length t =
   done;
   pl
 
-let occupancy t ~steps =
-  let occ = Limits.occupancy () in
-  Array.iteri (fun i s -> Limits.occupy occ ~step:s t.cls_table.(i)) steps;
-  occ
+let occupancy t ~steps = tally t.cls_table steps
 
 let to_schedule t ~steps =
   Schedule.make t.g ~steps:(fun nid -> steps.(t.index.(nid)))

@@ -34,7 +34,8 @@ val frames : t -> deadline:int -> fixed:int option array -> int array * int arra
 
 val asap : t -> int array
 (** As-soon-as-possible step of each op (1-based): the ASAP half of
-    {!frames} with nothing fixed. *)
+    {!frames} with nothing fixed. Computed once by {!of_dfg}; each call
+    returns a fresh copy. *)
 
 val alap : t -> deadline:int -> int array
 (** As-late-as-possible steps, anchored so every op finishes by
@@ -74,6 +75,40 @@ val binding_limits : limits:Limits.t -> t -> Limits.t
     operation is of one class, that class's cap counts exactly what a
     total counts, and builds the same 0/1 rows. A schedule may therefore
     be shared between limits with equal binding parts. *)
+
+val asap_fits : limits:Limits.t -> t -> bool
+(** Whether the block's {!asap} schedule, computed once by {!of_dfg},
+    respects [limits]: {!Limits.step_within} at every step, so every
+    cap listed for a class applies. [Unlimited] always fits.
+
+    When it fits, every resource-constrained kernel returns exactly the
+    {!asap} steps, so the ASAP schedule can stand in for a kernel run:
+    - ASAP ([Asap.schedule_dep]) and both list schedulers
+      ([List_sched.schedule_dep], path length or mobility priority):
+      every op is ready at its ASAP step, and the ops placed there
+      before it are a subset of that step's ASAP occupants, so it fits
+      ({!Limits.fits} reads the first cap of a class, no tighter than
+      the smallest);
+    - branch-and-bound ([Branch_bound.schedule_dep], and its list
+      fallback above the node cap): the list incumbent is ASAP, of
+      {!critical_length} steps, and {!resource_bound} is no larger
+      (each of those steps holds at most a cap's operations), so the
+      incumbent meets {!lower_bound} and is returned without a search;
+    - 0/1 programming ([Ilp_sched.schedule_dep]): the deadline search
+      starts at {!lower_bound}, here the critical length, and
+      {!Hls_util.Binprog.solve} tries each operation's placements
+      earliest first, so its first leaf is ASAP, feasible, and final
+      (no objective to improve);
+    - transformational/parallel ([Transformational.from_parallel_dep]):
+      it starts at ASAP and finds no over-full step;
+    - transformational/serial ([Transformational.from_serial_dep]): its
+      first sweep moves each op, in index order, from its serial step
+      to its ASAP step (the ops already there are ASAP occupants with a
+      smaller index), the second sweep moves nothing, and ASAP leaves
+      no empty step to compact.
+
+    Force-directed and freedom-based scheduling ignore the limits and
+    place operations elsewhere. *)
 
 val lower_bound : limits:Limits.t -> t -> int
 (** [max (critical_length t) (resource_bound ~limits t)]: no schedule

@@ -465,6 +465,40 @@ let test_ctrl_microcode_dead_resource () =
   Alcotest.(check bool) "found a bit to flip" true !mutated;
   check_code "phantom enable" "CTRL010" (Flow.lint_microcode d ~words)
 
+(* More registers than an [int] has bits: an 80-tap FIR keeps every
+   tap in its own register, so its enables span two [reg_en] fields and
+   the design still lints clean. A phantom enable in the second field
+   still fires CTRL010. *)
+let test_ctrl_microcode_wide_enables () =
+  let taps = 80 in
+  let xs = List.init taps (Printf.sprintf "x%d") in
+  let src =
+    Printf.sprintf
+      "module fir%d(input %s: fix<8,24>; output y: fix<8,24>);\nbegin\n  y := %s;\nend\n"
+      taps (String.concat ", " xs)
+      (String.concat " + "
+         (List.mapi (fun i x -> Printf.sprintf "0.%04d * %s" (100 + (37 * i)) x) xs))
+  in
+  let d = Flow.synthesize src in
+  let n_regs = Array.length d.Flow.datapath.Hls_rtl.Datapath.regs in
+  Alcotest.(check bool) "more than 62 registers" true (n_regs > 62);
+  let fields, words = Flow.microcode_image d in
+  Alcotest.(check (list string)) "two enable fields" [ "reg_en"; "reg_en1"; "fu_op"; "branch" ]
+    (List.map (fun f -> f.Hls_ctrl.Microcode.fname) fields);
+  check_clean "the image's fields" (Ctrl_check.check_microcode ~fields ~words);
+  check_clean "the design" (Flow.lint d);
+  (* the last register's enable is bit [n_regs - 63] of the second field *)
+  let last = 1 lsl (n_regs - 1 - (Sys.int_size - 1)) in
+  let phantom =
+    Array.map
+      (fun word ->
+        match word with
+        | [ en0; en1; op; br ] when en1 land last = 0 -> [ en0; en1 lor last; op; br ]
+        | word -> word)
+      words
+  in
+  check_code "phantom enable past bit 62" "CTRL010" (Flow.lint_microcode d ~words:phantom)
+
 (* ---- lint driver ---- *)
 
 let test_lint_rule_table () =
@@ -592,6 +626,7 @@ let () =
           Alcotest.test_case "microcode misfit" `Quick test_ctrl_microcode_misfit;
           Alcotest.test_case "dead field" `Quick test_ctrl_dead_field;
           Alcotest.test_case "dead resource" `Quick test_ctrl_microcode_dead_resource;
+          Alcotest.test_case "enables past one int" `Quick test_ctrl_microcode_wide_enables;
         ] );
       ( "lint",
         [

@@ -386,7 +386,12 @@ let test_microcode_validation () =
     (try
        ignore (Microcode.make ~fields ~words:[| [ 1; 2 ] |]);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a field as wide as a non-negative int takes any of them *)
+  let wide = { Microcode.fname = "w"; fwidth = Sys.int_size - 1 } in
+  Alcotest.(check int) "int-wide field" (Sys.int_size - 1)
+    (Microcode.horizontal_bits (Microcode.make ~fields:[ wide ] ~words:[| [ max_int ] |]));
+  Alcotest.(check bool) "negative never fits" false (Microcode.fits wide (-1))
 
 let () =
   Alcotest.run "ctrl"

@@ -269,19 +269,43 @@ let test_cache_accounting () =
     (total s3.Dse.frontend + total s3.Dse.midend + total s3.Dse.schedule
    + total s3.Dse.block + total s3.Dse.backend + total s3.Dse.control)
 
-(* The block layer sits inside schedule misses, one probe per block, and
-   shares blocks whose binding limits coincide: under 3 and 4 general
-   units every diffeq block of at most 3 operations schedules once. *)
+(* The block layer sits inside schedule misses, one probe per block
+   that still needs its scheduler: a scheduler that honours the limits
+   answers a block whose ASAP schedule fits them without a probe. Blocks
+   whose binding limits coincide under two limits are still shared. *)
 let test_block_layer () =
   let src = Workloads.diffeq in
   let engine = Dse.create src in
   ignore (Explore.sweep ~engine src);
+  let points =
+    Explore.cross ~base:Flow.default_options ~schedulers:Explore.default_schedulers
+      ~limits:Explore.default_limits ()
+  in
   let s = Dse.stats engine in
   let o, _ = Dse.eval_cheap engine Flow.default_options in
-  let blocks = Hls_cdfg.Cfg.n_blocks o.Flow.o_cfg in
-  Alcotest.(check int) "one probe per block of every schedule miss"
-    (blocks * s.Dse.schedule.Dse.misses)
+  let schedulings =
+    List.sort_uniq compare
+      (List.map
+         (fun (_, options) -> (options.Flow.scheduler, Flow.effective_limits options))
+         points)
+  in
+  Alcotest.(check int) "one schedule miss per scheduler and effective limits"
+    (List.length schedulings) s.Dse.schedule.Dse.misses;
+  let probes (scheduler, limits) =
+    Array.fold_left
+      (fun acc dep ->
+        if
+          (not (Flow.scheduler_ignores_limits scheduler))
+          && Hls_sched.Depgraph.asap_fits ~limits dep
+        then acc
+        else acc + 1)
+      0 o.Flow.o_deps
+  in
+  let expected = List.fold_left (fun acc p -> acc + probes p) 0 schedulings in
+  Alcotest.(check int) "one probe per block whose ASAP does not fit" expected
     (s.Dse.block.Dse.hits + s.Dse.block.Dse.misses);
+  Alcotest.(check bool) "some blocks skip the probe" true
+    (expected < Array.length o.Flow.o_deps * List.length schedulings);
   Alcotest.(check bool) "blocks shared across limits" true (s.Dse.block.Dse.hits > 0)
 
 (* Each analysis runs once per thing it depends on: one storage table

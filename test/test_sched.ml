@@ -346,6 +346,78 @@ let prop_kernels_ignore_slack_caps =
           Limits.Classes [ (Op.C_alu, 1) ]; Limits.Classes [ (Op.C_alu, 2) ];
         ])
 
+(* The audit behind the ASAP shortcut: whenever the ASAP schedule fits
+   the limits, each of the seven kernels that honour them returns exactly
+   ASAP. The exact kernels run at a node cap covering every generated
+   graph, so their searches (not their list fallbacks) are checked. *)
+let prop_asap_fits_kernels_return_asap =
+  QCheck.Test.make ~name:"kernels return ASAP whenever it fits" ~count:200
+    Gen.dfg_arbitrary
+    (fun seed ->
+      let dep = Depgraph.of_dfg (Gen.dfg_of_seed ~max_ops:20 seed) in
+      let n = Depgraph.n_ops dep in
+      let asap = Depgraph.asap dep in
+      let kernels limits =
+        [
+          ("asap", Asap.schedule_dep ~limits dep);
+          ("list/path", List_sched.schedule_dep ~limits dep);
+          ( "list/mobility",
+            List_sched.schedule_dep
+              ~priority:(List_sched.Mobility (max 1 (Depgraph.critical_length dep)))
+              ~limits dep );
+          ("bb", Option.get (Branch_bound.schedule_dep ~node_cap:n ~limits dep));
+          ("0/1", Option.get (Ilp_sched.schedule_dep ~node_cap:n ~limits dep));
+          ("trans/parallel", Transformational.from_parallel_dep ~limits dep);
+          ("trans/serial", Transformational.from_serial_dep ~limits dep);
+        ]
+      in
+      List.for_all
+        (fun limits ->
+          (not (Depgraph.asap_fits ~limits dep))
+          || List.for_all
+               (fun (name, steps) ->
+                 steps = asap
+                 || QCheck.Test.fail_reportf "%s under %s: not ASAP" name
+                      (Limits.to_string limits))
+               (kernels limits))
+        [
+          Limits.Serial; Limits.Total 1; Limits.Total (max 1 (n - 1)); Limits.Total n;
+          Limits.Total (n + 3);
+          Limits.Classes [ (Op.C_alu, n); (Op.C_mul, 1) ];
+          Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, n); (Op.C_div, 1) ];
+          Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 2) ];
+          Limits.Classes [ (Op.C_alu, n); (Op.C_alu, 1) ];
+          Limits.Classes [ (Op.C_alu, 1) ]; Limits.Classes [ (Op.C_alu, 2) ];
+          Limits.Unlimited;
+        ])
+
+let test_asap_fits () =
+  let fits l g = Depgraph.asap_fits ~limits:l (Depgraph.of_dfg g) in
+  (* three chained adds: one per step *)
+  let chain = Dfg.create () in
+  let a = Dfg.add chain (Op.Read "a") [] i16 in
+  let s1 = Dfg.add chain Op.Add [ a; a ] i16 in
+  let s2 = Dfg.add chain Op.Add [ s1; a ] i16 in
+  ignore (Dfg.add chain (Op.Write "o") [ Dfg.add chain Op.Add [ s2; a ] i16 ] i16);
+  Alcotest.(check bool) "a chain fits serial" true (fits Limits.Serial chain);
+  let pair = Dfg.create () in
+  let a = Dfg.add pair (Op.Read "a") [] i16 in
+  ignore (Dfg.add pair (Op.Write "o1") [ Dfg.add pair Op.Add [ a; a ] i16 ] i16);
+  ignore (Dfg.add pair (Op.Write "o2") [ Dfg.add pair Op.Sub [ a; a ] i16 ] i16);
+  Alcotest.(check bool) "two independent ops do not" false (fits Limits.Serial pair);
+  (* fig 3/4: step 1 holds two ALU operations and a multiply *)
+  let g = fig34_dfg () in
+  Alcotest.(check bool) "three units fit" true (fits (Limits.Total 3) g);
+  Alcotest.(check bool) "two units do not" false (fits (Limits.Total 2) g);
+  Alcotest.(check bool) "one cap on the class fits" true
+    (fits (Limits.Classes [ (Op.C_alu, 2) ]) g);
+  Alcotest.(check bool) "a class listed twice: the second cap applies" false
+    (fits (Limits.Classes [ (Op.C_alu, 2); (Op.C_alu, 1) ]) g);
+  Alcotest.(check bool) "a class listed twice: the first cap applies" false
+    (fits (Limits.Classes [ (Op.C_alu, 1); (Op.C_alu, 2) ]) g);
+  Alcotest.(check bool) "unlimited" true (fits Limits.Unlimited g);
+  Alcotest.(check bool) "unlimited, no operation" true (fits Limits.Unlimited (Dfg.create ()))
+
 let test_binding_limits () =
   let g = fig34_dfg () in
   let dep = Depgraph.of_dfg g in
@@ -718,6 +790,7 @@ let () =
         [
           Alcotest.test_case "freedom meets critical path" `Quick test_freedom_meets_critical_path;
           Alcotest.test_case "binding limits" `Quick test_binding_limits;
+          Alcotest.test_case "ASAP fits the limits" `Quick test_asap_fits;
           Alcotest.test_case "transformational legal" `Quick test_transformational_legal;
           Alcotest.test_case "serial compaction" `Quick test_serial_compaction_beats_serial;
           Alcotest.test_case "depgraph free-op chaining" `Quick test_depgraph_through_free_ops;
@@ -753,6 +826,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bb_is_optimal;
           QCheck_alcotest.to_alcotest prop_unconstrained_asap_is_critical_path;
           QCheck_alcotest.to_alcotest prop_kernels_ignore_slack_caps;
+          QCheck_alcotest.to_alcotest prop_asap_fits_kernels_return_asap;
           QCheck_alcotest.to_alcotest prop_fds_respects_deadline;
           QCheck_alcotest.to_alcotest prop_fds_matches_reference;
           QCheck_alcotest.to_alcotest prop_freedom_valid;
