@@ -132,7 +132,7 @@ let exact_sched ~iters ~size:_ =
   let deps = List.init 12 (fun k -> Depgraph.of_dfg (dfg_of_seed ~n_ops:8 (100 + k))) in
   let limits =
     [ Limits.Serial; Limits.Total 2; Limits.Total 3;
-      Limits.Classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1) ]; Limits.Unlimited ]
+      Limits.classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1) ]; Limits.Unlimited ]
   in
   let all ilp bb () =
     List.concat_map (fun dep -> List.map (fun limits -> (ilp ~limits dep, bb ~limits dep)) limits) deps

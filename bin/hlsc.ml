@@ -240,7 +240,7 @@ let matrix_flag =
   Arg.(
     value & flag
     & info [ "matrix" ]
-        ~doc:"Lint each source under every scheduler \\$(i,\\times) allocator combination.")
+        ~doc:"Lint each source under every scheduler × allocator combination.")
 
 let lint_all_flag =
   Arg.(value & flag & info [ "all" ] ~doc:"Lint every built-in workload.")
@@ -521,7 +521,7 @@ let all_flag =
   Arg.(
     value & flag
     & info [ "all" ]
-        ~doc:"Sweep the full scheduler \\$(i,\\times) limits cross product instead of limits only.")
+        ~doc:"Sweep the full scheduler × limits cross product instead of limits only.")
 
 let timings_flag =
   Arg.(
@@ -611,7 +611,7 @@ let dse_term =
     $ prune_flag $ cosim_arg $ sweep_passes_arg $ trace_out_flag $ metrics_flag)
 
 let dse_doc =
-  "Sweep resource limits (or, with $(b,--all), the scheduler \\$(i,\\times) limits \
+  "Sweep resource limits (or, with $(b,--all), the scheduler × limits \
    cross product) through the memoized DSE engine; print the trade-off table. \
    $(b,--sweep-passes) adds a pipeline dimension to the sweep; $(b,--prune) \
    promotes only promising points through the backend; $(b,--cosim) \
@@ -631,7 +631,7 @@ let sweep_flag =
   Arg.(
     value & flag
     & info [ "sweep" ]
-        ~doc:"Trace the full scheduler \\$(i,\\times) limits sweep instead of one synthesis.")
+        ~doc:"Trace the full scheduler × limits sweep instead of one synthesis.")
 
 let validate_arg =
   Arg.(

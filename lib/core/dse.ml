@@ -11,10 +11,6 @@ open Hls_sched
    midend    stage_key [Midend]
    schedule  stage_key [Midend; Schedule]         — stores the schedule's
              content digest with it, computed once per miss
-   block     midend key + block id + scheduler + the limits that can
-             bind on the block (Depgraph.binding_limits) — probed by
-             schedule misses only, one probe per block whose ASAP
-             schedule does not already fit (Flow.schedule)
    backend   midend key + schedule digest + stage_key [Backend]
    control   midend key + encoding + each block's step count — probed
              by backend misses only
@@ -90,28 +86,6 @@ let refine_key k ~digest = backend_key k ~digest ^ "|" ^ k.refine
 let class_key k ~digest =
   if k.options.Flow.iterate <= 0 then backend_key k ~digest else refine_key k ~digest
 
-(* Block layer: a block's schedule depends on the block (fixed by the
-   midend key and its id), the scheduler, and only the caps that can
-   bind on it — limits a scheduler ignores are already [Unlimited]. It
-   is probed once per block of a schedule miss that needs its scheduler,
-   so its key is a value, not printed text. *)
-type block_key = {
-  b_mid : string;
-  b_bid : int;
-  b_scheduler : Flow.scheduler;
-  b_limits : Limits.t;
-}
-
-let block_key k (o : Flow.optimized) bid =
-  let options = k.options in
-  {
-    b_mid = k.mid;
-    b_bid = bid;
-    b_scheduler = options.Flow.scheduler;
-    b_limits =
-      Depgraph.binding_limits ~limits:(Flow.effective_limits options) o.Flow.o_deps.(bid);
-  }
-
 (* Control layer: the FSM is a function of the CFG (fixed by the midend
    key) and each block's step count, and the controller of the FSM and
    the encoding. *)
@@ -140,7 +114,6 @@ type stats = {
   frontend : layer;
   midend : layer;
   schedule : layer;
-  block : layer;
   backend : layer;
   control : layer;
   refine : layer;
@@ -174,7 +147,6 @@ type t = {
   front : (unit, Flow.compiled slot) Hashtbl.t;
   mid : (string, Flow.optimized slot) Hashtbl.t;
   scheds : (string, (Cfg_sched.t * string) slot) Hashtbl.t;
-  blocks : (block_key, Schedule.t slot) Hashtbl.t;
   backs : (string, presult slot) Hashtbl.t;
   controls : (string, Hls_ctrl.Ctrl_synth.t slot) Hashtbl.t;
   refines : (string, presult slot) Hashtbl.t;
@@ -182,7 +154,6 @@ type t = {
   n_front : counter;
   n_mid : counter;
   n_sched : counter;
-  n_block : counter;
   n_back : counter;
   n_control : counter;
   n_refine : counter;
@@ -224,7 +195,6 @@ let make_engine config source =
     front = Hashtbl.create 1;
     mid = Hashtbl.create 8;
     scheds = Hashtbl.create 64;
-    blocks = Hashtbl.create 256;
     backs = Hashtbl.create 64;
     controls = Hashtbl.create 64;
     refines = Hashtbl.create 16;
@@ -232,7 +202,6 @@ let make_engine config source =
     n_front = counter "frontend";
     n_mid = counter "midend";
     n_sched = counter "schedule";
-    n_block = counter "block";
     n_back = counter "backend";
     n_control = counter "control";
     n_refine = counter "refine";
@@ -248,7 +217,6 @@ let clear t =
       Hashtbl.reset t.front;
       Hashtbl.reset t.mid;
       Hashtbl.reset t.scheds;
-      Hashtbl.reset t.blocks;
       Hashtbl.reset t.backs;
       Hashtbl.reset t.controls;
       Hashtbl.reset t.refines;
@@ -257,7 +225,7 @@ let clear t =
         (fun c ->
           c.c_hits <- 0;
           c.c_misses <- 0)
-        [ t.n_front; t.n_mid; t.n_sched; t.n_block; t.n_back; t.n_control; t.n_refine;
+        [ t.n_front; t.n_mid; t.n_sched; t.n_back; t.n_control; t.n_refine;
           t.n_persist ])
 
 let stats t =
@@ -267,7 +235,6 @@ let stats t =
         frontend = layer t.n_front;
         midend = layer t.n_mid;
         schedule = layer t.n_sched;
-        block = layer t.n_block;
         backend = layer t.n_back;
         control = layer t.n_control;
         refine = layer t.n_refine;
@@ -278,7 +245,6 @@ let pp_stats ppf s =
   line "frontend" s.frontend;
   line "midend" s.midend;
   line "schedule" s.schedule;
-  line "block" s.block;
   line "backend" s.backend;
   line "control" s.control;
   line "refine" s.refine
@@ -381,8 +347,7 @@ let eval_stages t k =
   in
   let sched, digest =
     memo t t.n_sched t.scheds k.sched (fun () ->
-        let block bid compute = memo t t.n_block t.blocks (block_key k o bid) compute in
-        let sched = Flow.schedule ~block options o in
+        let sched = Flow.schedule options o in
         (sched, Cfg_sched.digest sched))
   in
   (o, sched, digest)

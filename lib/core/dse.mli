@@ -10,16 +10,6 @@
     - {e schedule} once per midend key + [(scheduler, limits)], with
       the limits canonicalized away for schedulers that ignore them
       ({!Flow.scheduler_ignores_limits});
-    - {e block} (inside a schedule miss) once per midend key + block +
-      scheduler + the caps that can bind on that block
-      ({!Hls_sched.Depgraph.binding_limits}): a cap at least the
-      number of operations it constrains never changes a block's
-      schedule, so e.g. [Serial] and a cap of one on each class share
-      every block whose operations are all of one class. Probed only
-      for blocks that need their scheduler: under a scheduler that
-      honours the limits, a block whose ASAP schedule fits them
-      ({!Hls_sched.Depgraph.asap_fits}) takes the midend's shared ASAP
-      schedule without a probe;
     - {e backend} (allocate/bind/control/estimate) once per midend key
       + schedule {e content} digest + the backend options
       ([allocator, share_variables, encoding, narrow]) — points whose
@@ -131,10 +121,6 @@ type stats = {
   frontend : layer;
   midend : layer;
   schedule : layer;
-  block : layer;
-      (** block schedulings, probed by schedule misses only: once per
-          block, except blocks whose ASAP schedule fits the limits of a
-          scheduler that honours them *)
   backend : layer;
   control : layer;
       (** controller syntheses, probed by backend misses only: never

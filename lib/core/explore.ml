@@ -15,7 +15,7 @@ let default_limits =
     Limits.Total 2;
     Limits.Total 3;
     Limits.Total 4;
-    Limits.Classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1); (Hls_cdfg.Op.C_div, 1) ];
+    Limits.classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1); (Hls_cdfg.Op.C_div, 1) ];
   ]
 
 let default_schedulers =

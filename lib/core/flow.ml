@@ -187,7 +187,7 @@ module Knob = struct
       | None ->
           let parts = String.split_on_char ',' s in
           let caps = List.filter_map cap parts in
-          if List.compare_lengths caps parts = 0 then Ok (Limits.Classes caps)
+          if List.compare_lengths caps parts = 0 then Ok (Limits.classes caps)
           else Error (Printf.sprintf "bad unit limit %S (expected N or caps such as alu:1,mul:1)" s)
     in
     let print = function
@@ -195,14 +195,16 @@ module Knob = struct
       | Limits.Unlimited -> "-1"
       | Limits.Total n -> string_of_int n
       | Limits.Classes caps ->
-          String.concat "," (List.map (fun (c, n) -> cls c ^ ":" ^ string_of_int n) caps)
+          (caps :> (Hls_cdfg.Op.fu_class * int) list)
+          |> List.map (fun (c, n) -> cls c ^ ":" ^ string_of_int n)
+          |> String.concat ","
     in
     (* refinement verifies its candidates under the (effective) limits *)
     make "limits" ~key:"fus" ~aliases:[ "k" ] ~docv:"N" ~label:Limits.to_string
       ~stages:[ Schedule; Refine ] (Words { words = []; parse; print })
       ~doc:
         "Functional-unit limit: N general units (0 = serial, -1 = unlimited), or per-class \
-         caps such as alu:1,mul:1,div:1."
+         caps such as alu:1,mul:1,div:1 (a class listed twice keeps its smallest cap)."
       (fun o -> o.limits)
       (fun limits o -> { o with limits })
 
@@ -448,7 +450,7 @@ let midend ~passes ~if_conversion c =
       in
       { o_prog = prog; o_cfg = cfg; o_outputs = outputs; o_deps; o_asap; o_facts; o_floors })
 
-let schedule ?block options o =
+let schedule options o =
   Hls_obs.Trace.with_span "schedule"
     ~args:
       (span_args (fun () ->
@@ -457,16 +459,13 @@ let schedule ?block options o =
       (* for limit-ignoring schedulers verify only the dependence half of
          the contract, the full contract otherwise *)
       let limits = effective_limits options in
-      let one bid () =
+      let run bid =
         let s = block_scheduler options o.o_deps.(bid) in
         match Schedule.verify limits s with
         | Ok () -> s
         | Error e ->
             invalid_arg
               (Printf.sprintf "Flow: scheduler produced invalid schedule: block %d: %s" bid e)
-      in
-      let run =
-        match block with Some memo -> fun bid -> memo bid (one bid) | None -> fun bid -> one bid ()
       in
       (* every kernel that honours the limits returns exactly ASAP when
          ASAP already fits them (the audit is in depgraph.mli) *)

@@ -219,11 +219,7 @@ val component_cost : Hls_transform.Extract.cost
 (** Extraction cost model derived from {!Hls_rtl.Component.library}:
     cheapest component per class, delays in picoseconds. *)
 
-val schedule :
-  ?block:(Hls_cdfg.Cfg.bid -> (unit -> Hls_sched.Schedule.t) -> Hls_sched.Schedule.t) ->
-  options ->
-  optimized ->
-  Cfg_sched.t
+val schedule : options -> optimized -> Cfg_sched.t
 (** Schedule every block with [options.scheduler] under
     [options.limits], and verify each block's schedule (dependences
     always; limits too unless {!scheduler_ignores_limits}). Raises
@@ -231,12 +227,7 @@ val schedule :
     scheduler that honours the limits answers a block whose ASAP
     schedule fits them ({!Hls_sched.Depgraph.asap_fits}) with the
     shared [o_asap] schedule, which is what its kernel would return,
-    without running the kernel, verifying or calling [block]. [block
-    bid compute] gets every other block's schedule, by default
-    [compute ()]; the {!Dse} engine passes its block memo, which may
-    return a schedule [compute] produced for another point only when
-    that point's limits differ in caps that cannot bind on the block
-    ({!Hls_sched.Depgraph.binding_limits}). *)
+    without running the kernel or verifying. *)
 
 (** {2 Result API}
 

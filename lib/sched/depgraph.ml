@@ -115,36 +115,10 @@ let resource_bound ~limits t =
   | Limits.Serial -> max 1 (n_ops t)
   | Limits.Total k -> if k <= 0 then 1 else max 1 (ceil_div (n_ops t) k)
   | Limits.Classes caps ->
-      (* the first cap listed for a class binds, as in Limits.can_add *)
       List.fold_left
-        (fun acc cls ->
-          match List.assoc_opt cls caps with
-          | Some cap when cap > 0 -> max acc (ceil_div (count cls) cap)
-          | _ -> acc)
-        1 Op.occupying_classes
-
-let binding_limits ~limits t =
-  let n = n_ops t in
-  (* one unit answers as [Serial] does *)
-  let total k =
-    if k >= n then Limits.Unlimited else if k = 1 then Limits.Serial else Limits.Total k
-  in
-  match limits with
-  | Limits.Unlimited -> limits
-  | Limits.Serial -> total 1
-  | Limits.Total k -> total k
-  | Limits.Classes caps -> (
-      let count cls =
-        Array.fold_left (fun acc c -> if c = cls then acc + 1 else acc) 0 t.cls_table
-      in
-      (* a class's caps go together: the first one listed answers [fits],
-         all of them [step_within] *)
-      let binds (cls, _) = List.exists (fun (c, cap) -> c = cls && cap < count cls) caps in
-      match List.filter binds caps with
-      | [] -> Limits.Unlimited
-      (* every operation is of the one capped class: its cap is a total *)
-      | [ (cls, k) ] when count cls = n -> total k
-      | kept -> if List.compare_lengths kept caps = 0 then limits else Limits.Classes kept)
+        (fun acc (cls, cap) -> if cap > 0 then max acc (ceil_div (count cls) cap) else acc)
+        1
+        (caps :> (Op.fu_class * int) list)
 
 let lower_bound ~limits t = max (critical_length t) (resource_bound ~limits t)
 

@@ -54,32 +54,10 @@ val resource_bound : limits:Limits.t -> t -> int
     op count over the shared budget for [Serial] and [Total k]; at
     least 1. *)
 
-val binding_limits : limits:Limits.t -> t -> Limits.t
-(** The part of [limits] that can bind on this block, canonically: a
-    cap at least the number of operations it constrains is dropped —
-    [Total k] with [k >=] {!n_ops}, [Serial] on at most one operation,
-    and a class's caps when each is at least the block's operations of
-    that class — and nothing left reads as [Unlimited]; a single cap on
-    the class of every operation reads as [Total k], and [Total 1] as
-    [Serial].
-
-    Every scheduler kernel schedules the block under [limits] exactly
-    as under [binding_limits ~limits]. They read limits only through
-    {!Limits.fits} and {!Limits.step_within} (a cap not below the
-    operations it counts always answers yes), {!resource_bound} and
-    {!lower_bound} (such a cap contributes 1), and the 0/1 program's
-    per-step {!Hls_util.Binprog.at_most} rows (a row holds at most one
-    variable per operation, so it is never violated, and
-    {!Hls_util.Binprog.solve} branches on groups only, so its search
-    visits the same nodes with or without the row). Where every
-    operation is of one class, that class's cap counts exactly what a
-    total counts, and builds the same 0/1 rows. A schedule may therefore
-    be shared between limits with equal binding parts. *)
-
 val asap_fits : limits:Limits.t -> t -> bool
 (** Whether the block's {!asap} schedule, computed once by {!of_dfg},
-    respects [limits]: {!Limits.step_within} at every step, so every
-    cap listed for a class applies. [Unlimited] always fits.
+    respects [limits]: {!Limits.step_within} at every step. [Unlimited]
+    always fits.
 
     When it fits, every resource-constrained kernel returns exactly the
     {!asap} steps, so the ASAP schedule can stand in for a kernel run:
@@ -87,8 +65,8 @@ val asap_fits : limits:Limits.t -> t -> bool
       ([List_sched.schedule_dep], path length or mobility priority):
       every op is ready at its ASAP step, and the ops placed there
       before it are a subset of that step's ASAP occupants, so it fits
-      ({!Limits.fits} reads the first cap of a class, no tighter than
-      the smallest);
+      ({!Limits.fits} and {!Limits.step_within} read the one cap of the
+      class);
     - branch-and-bound ([Branch_bound.schedule_dep], and its list
       fallback above the node cap): the list incumbent is ASAP, of
       {!critical_length} steps, and {!resource_bound} is no larger

@@ -44,21 +44,16 @@ let feasible ~limits ~deadline dep =
         if vars <> [] then Binprog.at_most prog k vars
     | Limits.Classes caps ->
         List.iter
-          (fun cls ->
-            match List.assoc_opt cls caps with
-            | None -> ()
-            | Some cap ->
-                let vars =
-                  List.concat
-                    (List.init n (fun i ->
-                         if Depgraph.cls dep i = cls then
-                           List.filter_map
-                             (fun (si, v) -> if si = s then Some v else None)
-                             x.(i)
-                         else []))
-                in
-                if vars <> [] then Binprog.at_most prog cap vars)
-          Op.occupying_classes
+          (fun (cls, cap) ->
+            let vars =
+              List.concat
+                (List.init n (fun i ->
+                     if Depgraph.cls dep i = cls then
+                       List.filter_map (fun (si, v) -> if si = s then Some v else None) x.(i)
+                     else []))
+            in
+            if vars <> [] then Binprog.at_most prog cap vars)
+          (caps :> (Op.fu_class * int) list)
     | Limits.Unlimited -> ())
   done;
   match Binprog.solve prog with

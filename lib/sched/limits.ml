@@ -1,6 +1,15 @@
 open Hls_cdfg
 
-type t = Serial | Total of int | Classes of (Op.fu_class * int) list | Unlimited
+type caps = (Op.fu_class * int) list
+type t = Serial | Total of int | Classes of caps | Unlimited
+
+let classes caps =
+  let smallest cls =
+    match List.filter_map (fun (c, n) -> if c = cls then Some n else None) caps with
+    | [] -> None
+    | n :: ns -> Some (cls, List.fold_left min n ns)
+  in
+  match List.filter_map smallest Op.occupying_classes with [] -> Unlimited | caps -> Classes caps
 
 let total counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts
 
@@ -42,7 +51,7 @@ let class_index = function
   | Op.C_none -> 5
 
 (* declaration order, so tallies read out sorted *)
-let classes = [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift; Op.C_free; Op.C_none ]
+let all_classes = [ Op.C_alu; Op.C_mul; Op.C_div; Op.C_shift; Op.C_free; Op.C_none ]
 
 type occupancy = { mutable cells : int array; mutable totals : int array }
 
@@ -93,7 +102,7 @@ let step_within t o ~step =
 let step_counts o ~step =
   List.filter_map
     (fun cls -> match occupied o ~step cls with 0 -> None | k -> Some (cls, k))
-    classes
+    all_classes
 
 let peak o =
   let steps = Array.length o.totals in
@@ -104,7 +113,7 @@ let peak o =
         m := max !m (occupied o ~step cls)
       done;
       if !m = 0 then None else Some (cls, !m))
-    classes
+    all_classes
 
 let to_string = function
   | Serial -> "serial"

@@ -8,15 +8,27 @@
       general-purpose functional units; [Total 2] is the paper's "two
       functional units" configuration for the optimized sqrt (free shifts
       and zero-detects do not count).
-    - [Classes l] — at most [n] concurrent operations of each listed
+    - [Classes caps] — at most [n] concurrent operations of each listed
       functional-unit class (e.g. one ALU and one multiplier); unlisted
-      classes are unconstrained.
+      classes are unconstrained. Only {!classes} builds the payload.
     - [Unlimited] — no constraint (time-constrained or maximally parallel
       scheduling). *)
 
 open Hls_cdfg
 
-type t = Serial | Total of int | Classes of (Op.fu_class * int) list | Unlimited
+type caps = private (Op.fu_class * int) list
+(** Per-class caps in normal form: one cap per listed class, each class
+    step-occupying, in {!Hls_cdfg.Op.occupying_classes} order, never
+    empty. *)
+
+type t = Serial | Total of int | Classes of caps | Unlimited
+
+val classes : (Op.fu_class * int) list -> t
+(** Per-class caps, normalized: a class listed more than once keeps its
+    smallest cap, caps on classes that occupy no unit are dropped, and
+    the rest are ordered as {!Hls_cdfg.Op.occupying_classes}; no cap
+    left reads as [Unlimited]. Equal limits are therefore equal values,
+    and every reader below applies the one cap of a class. *)
 
 val can_add : t -> counts:(Op.fu_class * int) list -> Op.fu_class -> bool
 (** Whether one more operation of the class fits in a step currently

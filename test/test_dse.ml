@@ -247,6 +247,15 @@ let test_cache_accounting () =
   Alcotest.(check int) "frontend probed per point" n (total s.Dse.frontend);
   Alcotest.(check int) "frontend compiled once" 1 s.Dse.frontend.Dse.misses;
   Alcotest.(check int) "one midend per (opt,ifc)" 1 s.Dse.midend.Dse.misses;
+  let schedulings =
+    List.sort_uniq compare
+      (List.map
+         (fun (p : Explore.point) ->
+           (p.options.Flow.scheduler, Flow.effective_limits p.options))
+         points)
+  in
+  Alcotest.(check int) "one schedule miss per scheduler and effective limits"
+    (List.length schedulings) s.Dse.schedule.Dse.misses;
   Alcotest.(check bool) "schedule layer shares limit-ignoring schedulers" true
     (s.Dse.schedule.Dse.misses < n);
   Alcotest.(check bool) "backend layer shares coinciding schedules" true
@@ -267,46 +276,7 @@ let test_cache_accounting () =
   let s3 = Dse.stats engine in
   Alcotest.(check int) "clear zeroes counters" 0
     (total s3.Dse.frontend + total s3.Dse.midend + total s3.Dse.schedule
-   + total s3.Dse.block + total s3.Dse.backend + total s3.Dse.control)
-
-(* The block layer sits inside schedule misses, one probe per block
-   that still needs its scheduler: a scheduler that honours the limits
-   answers a block whose ASAP schedule fits them without a probe. Blocks
-   whose binding limits coincide under two limits are still shared. *)
-let test_block_layer () =
-  let src = Workloads.diffeq in
-  let engine = Dse.create src in
-  ignore (Explore.sweep ~engine src);
-  let points =
-    Explore.cross ~base:Flow.default_options ~schedulers:Explore.default_schedulers
-      ~limits:Explore.default_limits ()
-  in
-  let s = Dse.stats engine in
-  let o, _ = Dse.eval_cheap engine Flow.default_options in
-  let schedulings =
-    List.sort_uniq compare
-      (List.map
-         (fun (_, options) -> (options.Flow.scheduler, Flow.effective_limits options))
-         points)
-  in
-  Alcotest.(check int) "one schedule miss per scheduler and effective limits"
-    (List.length schedulings) s.Dse.schedule.Dse.misses;
-  let probes (scheduler, limits) =
-    Array.fold_left
-      (fun acc dep ->
-        if
-          (not (Flow.scheduler_ignores_limits scheduler))
-          && Hls_sched.Depgraph.asap_fits ~limits dep
-        then acc
-        else acc + 1)
-      0 o.Flow.o_deps
-  in
-  let expected = List.fold_left (fun acc p -> acc + probes p) 0 schedulings in
-  Alcotest.(check int) "one probe per block whose ASAP does not fit" expected
-    (s.Dse.block.Dse.hits + s.Dse.block.Dse.misses);
-  Alcotest.(check bool) "some blocks skip the probe" true
-    (expected < Array.length o.Flow.o_deps * List.length schedulings);
-  Alcotest.(check bool) "blocks shared across limits" true (s.Dse.block.Dse.hits > 0)
+   + total s3.Dse.backend + total s3.Dse.control)
 
 (* Each analysis runs once per thing it depends on: one storage table
    per backend run, one liveness analysis per midend result. *)
@@ -858,7 +828,6 @@ let () =
           Alcotest.test_case "sweep deterministic across jobs" `Quick test_sweep_deterministic;
           Alcotest.test_case "points keep their options" `Quick test_point_keeps_own_options;
           Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
-          Alcotest.test_case "block layer" `Quick test_block_layer;
           Alcotest.test_case "storage analyses run once" `Quick test_storage_analyses_once;
           Alcotest.test_case "shared controllers: workloads x encodings x narrow" `Slow
             test_shared_controllers_workloads;

@@ -109,6 +109,35 @@ let test_bb_serial_biquad3 () =
   Alcotest.(check string) "the list schedule" (Cfg_sched.digest list.Flow.sched)
     (Cfg_sched.digest bb.Flow.sched)
 
+(* A class listed twice keeps its smallest cap, whatever the order:
+   [--fus alu:2,alu:1] is [--fus alu:1] under every scheduler that
+   honours the limits. *)
+let test_class_listed_twice () =
+  let (Flow.Knob.Words w) = Flow.Knob.limits.kind in
+  let synth scheduler fus =
+    let limits = Result.get_ok (w.Flow.Knob.parse fus) in
+    Flow.synthesize ~options:{ Flow.default_options with Flow.scheduler; limits } Workloads.diffeq
+  in
+  let honouring =
+    List.filter (fun s -> not (Flow.scheduler_ignores_limits s)) Explore.default_schedulers
+  in
+  Alcotest.(check int) "seven schedulers honour the limits" 7 (List.length honouring);
+  List.iter
+    (fun scheduler ->
+      let name = Flow.scheduler_to_string scheduler in
+      let one = synth scheduler "alu:1" in
+      List.iter
+        (fun fus ->
+          let d = synth scheduler fus in
+          Alcotest.(check string) (name ^ " " ^ fus ^ ": schedule") (Cfg_sched.digest one.Flow.sched)
+            (Cfg_sched.digest d.Flow.sched);
+          Alcotest.(check int) (name ^ " " ^ fus ^ ": area")
+            one.Flow.estimate.Hls_rtl.Estimate.total_area d.Flow.estimate.Hls_rtl.Estimate.total_area;
+          Alcotest.(check (float 0.)) (name ^ " " ^ fus ^ ": latency")
+            one.Flow.estimate.Hls_rtl.Estimate.latency_ns d.Flow.estimate.Hls_rtl.Estimate.latency_ns)
+        [ "alu:2,alu:1"; "alu:1,alu:2" ])
+    honouring
+
 let test_invalid_source_reported () =
   Alcotest.(check bool) "frontend error" true
     (try
@@ -331,6 +360,8 @@ let () =
           Alcotest.test_case "ILP scheduler option" `Quick test_ilp_scheduler_option;
           Alcotest.test_case "B&B serial biquad3 stops at the bound" `Quick
             test_bb_serial_biquad3;
+          Alcotest.test_case "a class listed twice keeps its smallest cap" `Quick
+            test_class_listed_twice;
           Alcotest.test_case "frontend errors surface" `Quick test_invalid_source_reported;
         ] );
       ( "quality",

@@ -224,7 +224,7 @@ let prop_occupancy_matches_counts =
       let shapes =
         [ Limits.Serial; Limits.Unlimited ]
         @ List.init 4 (fun k -> Limits.Total k)
-        @ List.init 6 (fun _ -> Limits.Classes (caps ()))
+        @ List.init 6 (fun _ -> Limits.classes (caps ()))
       in
       List.for_all
         (fun limits ->
@@ -244,7 +244,7 @@ let prop_occupancy_matches_counts =
 
 let limits_choices =
   [ Limits.Serial; Limits.Total 2; Limits.Total 3;
-    Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, 1) ]; Limits.Unlimited ]
+    Limits.classes [ (Op.C_alu, 1); (Op.C_mul, 1) ]; Limits.Unlimited ]
 
 let all_schedulers limits g =
   [
@@ -307,45 +307,6 @@ let prop_bb_is_optimal =
                 (all_schedulers limits g))
         [ Limits.Serial; Limits.Total 2 ])
 
-(* The audit behind the block memo: a cap at least the operations it
-   constrains changes no kernel's placement, nor the 0/1 search's node
-   count. *)
-let prop_kernels_ignore_slack_caps =
-  QCheck.Test.make ~name:"kernels schedule under the binding limits alone" ~count:80
-    Gen.dfg_arbitrary
-    (fun seed ->
-      let g = Gen.dfg_of_seed ~max_ops:9 seed in
-      let dep = Depgraph.of_dfg g in
-      let n = Depgraph.n_ops dep in
-      let kernels limits =
-        [
-          Asap.schedule_dep ~limits dep;
-          List_sched.schedule_dep ~limits dep;
-          List_sched.schedule_dep ~priority:(List_sched.Mobility (max 1 n)) ~limits dep;
-          Transformational.from_parallel_dep ~limits dep;
-          Transformational.from_serial_dep ~limits dep;
-          Option.value ~default:[||] (Branch_bound.schedule_dep ~limits dep);
-        ]
-      in
-      let ilp limits =
-        let before = Hls_obs.Trace.counter "binprog/nodes" in
-        let steps = Ilp_sched.schedule_dep ~limits dep in
-        (steps, Hls_obs.Trace.counter "binprog/nodes" - before)
-      in
-      List.for_all
-        (fun limits ->
-          let binding = Depgraph.binding_limits ~limits dep in
-          kernels limits = kernels binding && ilp limits = ilp binding)
-        [
-          Limits.Serial; Limits.Total 1; Limits.Total (max 1 (n - 1)); Limits.Total n;
-          Limits.Total (n + 3);
-          Limits.Classes [ (Op.C_alu, n); (Op.C_mul, 1) ];
-          Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, n); (Op.C_div, 1) ];
-          Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 2) ];
-          Limits.Classes [ (Op.C_alu, n); (Op.C_alu, 1) ];
-          Limits.Classes [ (Op.C_alu, 1) ]; Limits.Classes [ (Op.C_alu, 2) ];
-        ])
-
 (* The audit behind the ASAP shortcut: whenever the ASAP schedule fits
    the limits, each of the seven kernels that honour them returns exactly
    ASAP. The exact kernels run at a node cap covering every generated
@@ -383,11 +344,11 @@ let prop_asap_fits_kernels_return_asap =
         [
           Limits.Serial; Limits.Total 1; Limits.Total (max 1 (n - 1)); Limits.Total n;
           Limits.Total (n + 3);
-          Limits.Classes [ (Op.C_alu, n); (Op.C_mul, 1) ];
-          Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, n); (Op.C_div, 1) ];
-          Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 2) ];
-          Limits.Classes [ (Op.C_alu, n); (Op.C_alu, 1) ];
-          Limits.Classes [ (Op.C_alu, 1) ]; Limits.Classes [ (Op.C_alu, 2) ];
+          Limits.classes [ (Op.C_alu, n); (Op.C_mul, 1) ];
+          Limits.classes [ (Op.C_alu, 1); (Op.C_mul, n); (Op.C_div, 1) ];
+          Limits.classes [ (Op.C_div, 1); (Op.C_shift, 2) ];
+          Limits.classes [ (Op.C_alu, n); (Op.C_alu, 1) ];
+          Limits.classes [ (Op.C_alu, 1) ]; Limits.classes [ (Op.C_alu, 2) ];
           Limits.Unlimited;
         ])
 
@@ -410,40 +371,13 @@ let test_asap_fits () =
   Alcotest.(check bool) "three units fit" true (fits (Limits.Total 3) g);
   Alcotest.(check bool) "two units do not" false (fits (Limits.Total 2) g);
   Alcotest.(check bool) "one cap on the class fits" true
-    (fits (Limits.Classes [ (Op.C_alu, 2) ]) g);
-  Alcotest.(check bool) "a class listed twice: the second cap applies" false
-    (fits (Limits.Classes [ (Op.C_alu, 2); (Op.C_alu, 1) ]) g);
-  Alcotest.(check bool) "a class listed twice: the first cap applies" false
-    (fits (Limits.Classes [ (Op.C_alu, 1); (Op.C_alu, 2) ]) g);
+    (fits (Limits.classes [ (Op.C_alu, 2) ]) g);
+  Alcotest.(check bool) "a class listed twice keeps its smallest cap" false
+    (fits (Limits.classes [ (Op.C_alu, 2); (Op.C_alu, 1) ]) g);
+  Alcotest.(check bool) "in either order" false
+    (fits (Limits.classes [ (Op.C_alu, 1); (Op.C_alu, 2) ]) g);
   Alcotest.(check bool) "unlimited" true (fits Limits.Unlimited g);
   Alcotest.(check bool) "unlimited, no operation" true (fits Limits.Unlimited (Dfg.create ()))
-
-let test_binding_limits () =
-  let g = fig34_dfg () in
-  let dep = Depgraph.of_dfg g in
-  let n = Depgraph.n_ops dep in
-  let show l = Limits.to_string (Depgraph.binding_limits ~limits:l dep) in
-  Alcotest.(check string) "total at the op count" "unlimited" (show (Limits.Total n));
-  Alcotest.(check string) "total below it" "2 FUs" (show (Limits.Total 2));
-  Alcotest.(check string) "serial" "serial" (show Limits.Serial);
-  Alcotest.(check string) "caps on absent classes" "unlimited"
-    (show (Limits.Classes [ (Op.C_div, 1); (Op.C_shift, 1) ]));
-  Alcotest.(check string) "a class's caps go together" "1 alu, 9 alu"
-    (show (Limits.Classes [ (Op.C_div, 1); (Op.C_alu, 1); (Op.C_alu, 9) ]));
-  Alcotest.(check string) "a slack cap dropped" "1 alu"
-    (show (Limits.Classes [ (Op.C_alu, 1); (Op.C_mul, 1) ]));
-  (* three adds: a cap on their one class is a total, one unit is serial *)
-  let adds = Dfg.create () in
-  let a = Dfg.add adds (Op.Read "a") [] i16 in
-  let s1 = Dfg.add adds Op.Add [ a; a ] i16 in
-  let s2 = Dfg.add adds Op.Add [ s1; a ] i16 in
-  ignore (Dfg.add adds (Op.Write "o") [ Dfg.add adds Op.Add [ s2; a ] i16 ] i16);
-  let dep = Depgraph.of_dfg adds in
-  let show l = Limits.to_string (Depgraph.binding_limits ~limits:l dep) in
-  Alcotest.(check string) "one class capped" "2 FUs"
-    (show (Limits.Classes [ (Op.C_alu, 2); (Op.C_mul, 1) ]));
-  Alcotest.(check string) "one unit" "serial" (show (Limits.Classes [ (Op.C_alu, 1) ]));
-  Alcotest.(check string) "one general unit" "serial" (show (Limits.Total 1))
 
 let prop_unconstrained_asap_is_critical_path =
   QCheck.Test.make ~name:"unconstrained ASAP equals critical path" ~count:150
@@ -789,7 +723,6 @@ let () =
       ( "algorithms",
         [
           Alcotest.test_case "freedom meets critical path" `Quick test_freedom_meets_critical_path;
-          Alcotest.test_case "binding limits" `Quick test_binding_limits;
           Alcotest.test_case "ASAP fits the limits" `Quick test_asap_fits;
           Alcotest.test_case "transformational legal" `Quick test_transformational_legal;
           Alcotest.test_case "serial compaction" `Quick test_serial_compaction_beats_serial;
@@ -825,7 +758,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_list_sched_matches_reference;
           QCheck_alcotest.to_alcotest prop_bb_is_optimal;
           QCheck_alcotest.to_alcotest prop_unconstrained_asap_is_critical_path;
-          QCheck_alcotest.to_alcotest prop_kernels_ignore_slack_caps;
           QCheck_alcotest.to_alcotest prop_asap_fits_kernels_return_asap;
           QCheck_alcotest.to_alcotest prop_fds_respects_deadline;
           QCheck_alcotest.to_alcotest prop_fds_matches_reference;

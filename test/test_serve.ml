@@ -315,7 +315,7 @@ let test_proto_cross_points_survive () =
     (fun (label, o) -> Alcotest.(check bool) (label ^ " survives the wire") true (roundtrip o))
     points;
   (* a class limit travels as its spec string, an integer limit as a number *)
-  let classes = Hls_sched.Limits.Classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1); (Hls_cdfg.Op.C_div, 1) ] in
+  let classes = Hls_sched.Limits.classes [ (Hls_cdfg.Op.C_alu, 1); (Hls_cdfg.Op.C_mul, 1); (Hls_cdfg.Op.C_div, 1) ] in
   let j = Serve.Proto.options_to_json { Flow.default_options with Flow.limits = classes } in
   Alcotest.(check (option string)) "classes spelled" (Some "alu:1,mul:1,div:1") (J.str_member "fus" j);
   Alcotest.(check (option int)) "integer fus" (Some 2)
@@ -353,6 +353,16 @@ let test_proto_cross_points_survive () =
   in
   Alcotest.(check (list string)) "served design_hash = direct digest" direct served
 
+(* class caps as a surface may spell them: any order, a class repeated *)
+let raw_caps =
+  QCheck.Gen.(
+    list_size (1 -- 6)
+      (pair (oneofl Hls_cdfg.Op.occupying_classes) (1 -- 4)))
+
+let caps_text caps =
+  String.concat ","
+    (List.map (fun (c, n) -> Printf.sprintf "%s:%d" (Hls_cdfg.Op.fu_class_to_string c) n) caps)
+
 (* decode ∘ encode = id over everything the wire can express *)
 let wire_point =
   let open QCheck.Gen in
@@ -361,12 +371,7 @@ let wire_point =
   let scheduler =
     frequency [ (4, pick (K.values K.scheduler)); (1, map (fun k -> Flow.Force_directed k) (0 -- 20)) ]
   in
-  let classes =
-    let cap c = map (fun n -> (c, n)) (1 -- 4) in
-    map
-      (fun caps -> Hls_sched.Limits.Classes caps)
-      (flatten_l (List.map cap Hls_cdfg.Op.[ C_alu; C_mul; C_div ]))
-  in
+  let classes = map Hls_sched.Limits.classes raw_caps in
   let limits =
     frequency
       [
@@ -397,6 +402,56 @@ let prop_wire_roundtrip =
       match J.parse (J.to_string (Serve.Proto.options_to_json o)) with
       | Ok j -> Serve.Proto.options_of_json j = Ok o
       | Error _ -> false)
+
+(* One normal form for class caps: normalizing is idempotent, and the
+   CLI text, the wire JSON and the library value of one cap list are
+   one option point, with one key per stage and one design. *)
+let prop_class_caps_normal_form =
+  let compiled = Flow.frontend diffeq in
+  let gen =
+    QCheck.Gen.(
+      pair raw_caps
+        (oneofl
+           (List.filter
+              (fun s -> not (Flow.scheduler_ignores_limits s))
+              Explore.default_schedulers)))
+  in
+  let print (caps, scheduler) =
+    Printf.sprintf "--fus %s -s %s" (caps_text caps) (Flow.scheduler_to_string scheduler)
+  in
+  QCheck.Test.make ~name:"class caps: one normal form on every surface" ~count:60
+    (QCheck.make ~print gen) (fun (caps, scheduler) ->
+      let module L = Hls_sched.Limits in
+      let lib = L.classes caps in
+      let idempotent =
+        match lib with
+        | L.Classes c -> L.classes (c :> (Hls_cdfg.Op.fu_class * int) list) = lib
+        | _ -> true
+      in
+      let base = { Flow.default_options with Flow.scheduler } in
+      let (Flow.Knob.Words w) = Flow.Knob.limits.kind in
+      let cli = Result.map (fun limits -> { base with Flow.limits }) (w.parse (caps_text caps)) in
+      let wire =
+        Serve.Proto.options_of_json
+          (J.Obj
+             [ ("scheduler", J.Str (Flow.Knob.text Flow.Knob.scheduler scheduler));
+               ("fus", J.Str (caps_text caps)) ])
+      in
+      let lib = { base with Flow.limits = lib } in
+      let key o = Flow.Knob.stage_key [ Midend; Schedule; Backend; Refine ] o in
+      let digest o =
+        match Flow.run o compiled.Flow.c_prog with
+        | Ok d -> Dse.design_digest d
+        | Error _ -> QCheck.Test.fail_reportf "%s: no design" (key o)
+      in
+      match (cli, wire) with
+      | Ok cli, Ok wire ->
+          idempotent
+          && key cli = key lib && key wire = key lib
+          &&
+          let d = digest lib in
+          digest cli = d && digest wire = d
+      | Error e, _ | _, Error e -> QCheck.Test.fail_reportf "rejected: %s" e)
 
 let test_proto_bad_spec () =
   (match Serve.Proto.options_of_json (J.Obj [ ("passes", J.Str "standard+bogus") ]) with
@@ -556,6 +611,7 @@ let () =
           Alcotest.test_case "cross points survive the wire" `Slow
             test_proto_cross_points_survive;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_class_caps_normal_form;
           Alcotest.test_case "bad spec rejected with suggestion" `Quick test_proto_bad_spec;
           Alcotest.test_case "versioning" `Quick test_proto_versioning;
           Alcotest.test_case "synth under a passes spec" `Quick test_proto_synth_with_passes;
